@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.authenticity.prevalence import prevalence_matrix
-from repro.authenticity.relative import relative_prevalence
+from repro.authenticity.relative import AuthenticityMatrix, relative_prevalence
 from repro.cluster.elbow import ElbowAnalysis, elbow_analysis
 from repro.cluster.hierarchy import ClusteringRun, cluster_features
 from repro.core.config import AnalysisConfig, DEFAULT_CONFIG
@@ -92,15 +92,24 @@ def build_figure4(
 
 
 def build_figure5(
-    database: RecipeDatabase, config: AnalysisConfig = DEFAULT_CONFIG
+    database: RecipeDatabase,
+    config: AnalysisConfig = DEFAULT_CONFIG,
+    *,
+    authenticity: AuthenticityMatrix | None = None,
 ) -> ClusteringRun:
-    """HAC of the ingredient-authenticity (relative prevalence) matrix (Figure 5)."""
-    prevalence = prevalence_matrix(
-        database,
-        kinds=(EntityKind.INGREDIENT,),
-        min_document_frequency=config.authenticity_min_document_frequency,
-    )
-    authenticity = relative_prevalence(prevalence)
+    """HAC of the ingredient-authenticity (relative prevalence) matrix (Figure 5).
+
+    *authenticity* lets a caller that already computed the matrix for this
+    database and config (the pipeline shares it with the fingerprints stage)
+    skip recomputing it.
+    """
+    if authenticity is None:
+        prevalence = prevalence_matrix(
+            database,
+            kinds=(EntityKind.INGREDIENT,),
+            min_document_frequency=config.authenticity_min_document_frequency,
+        )
+        authenticity = relative_prevalence(prevalence)
     features = authenticity_feature_matrix(authenticity)
     return cluster_features(features, metric="euclidean", method=config.linkage_method)
 

@@ -26,7 +26,7 @@ from typing import Mapping
 
 from repro.authenticity.fingerprint import cuisine_fingerprints
 from repro.authenticity.prevalence import prevalence_matrix
-from repro.authenticity.relative import relative_prevalence
+from repro.authenticity.relative import AuthenticityMatrix, relative_prevalence
 from repro.cluster.elbow import ElbowAnalysis
 from repro.cluster.fihc import FIHCClustering, FIHCResult
 from repro.cluster.hierarchy import ClusteringRun
@@ -181,9 +181,13 @@ class CuisineClusteringPipeline:
             "jaccard": build_figure4(pattern_features, self.config),
         }
 
-    def run_authenticity_clustering(self, database: RecipeDatabase) -> ClusteringRun:
+    def run_authenticity_clustering(
+        self,
+        database: RecipeDatabase,
+        authenticity: AuthenticityMatrix | None = None,
+    ) -> ClusteringRun:
         """Figure 5: HAC of the ingredient authenticity matrix."""
-        return build_figure5(database, self.config)
+        return build_figure5(database, self.config, authenticity=authenticity)
 
     def run_geographic_clustering(self, database: RecipeDatabase) -> ClusteringRun:
         """Figure 6: HAC of geographic distances (known regions only)."""
@@ -201,14 +205,27 @@ class CuisineClusteringPipeline:
 
     # -- stage 7: authenticity fingerprints ------------------------------------------------
 
-    def build_fingerprints(self, database: RecipeDatabase):
-        """Most / least authentic ingredients per cuisine."""
+    def build_authenticity(self, database: RecipeDatabase) -> AuthenticityMatrix:
+        """Ingredient authenticity (relative prevalence) of every cuisine.
+
+        Figure 5 and the fingerprints both read this matrix; a full run
+        computes it once and hands it to both stages.
+        """
         prevalence = prevalence_matrix(
             database,
             kinds=(EntityKind.INGREDIENT,),
             min_document_frequency=self.config.authenticity_min_document_frequency,
         )
-        authenticity = relative_prevalence(prevalence)
+        return relative_prevalence(prevalence)
+
+    def build_fingerprints(
+        self,
+        database: RecipeDatabase,
+        authenticity: AuthenticityMatrix | None = None,
+    ):
+        """Most / least authentic ingredients per cuisine."""
+        if authenticity is None:
+            authenticity = self.build_authenticity(database)
         return cuisine_fingerprints(authenticity, top_k=self.config.fingerprint_top_k)
 
     # -- stage 8: validation ------------------------------------------------------------------
@@ -267,10 +284,11 @@ class CuisineClusteringPipeline:
 
         elbow = self.run_elbow(pattern_features)
         pattern_runs = self.run_pattern_clusterings(pattern_features)
-        authenticity_run = self.run_authenticity_clustering(corpus)
+        authenticity = self.build_authenticity(corpus)
+        authenticity_run = self.run_authenticity_clustering(corpus, authenticity)
         geography_run = self.run_geographic_clustering(corpus)
         fihc_result = self.run_fihc(mining_results)
-        fingerprints = self.build_fingerprints(corpus)
+        fingerprints = self.build_fingerprints(corpus, authenticity)
 
         validation_targets = {
             "patterns-euclidean": pattern_runs["euclidean"],

@@ -20,7 +20,8 @@ same configuration produce byte-identical corpora.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -154,22 +155,26 @@ class _WeightedPool:
         # Guard against floating point drift in the final bucket.
         self._cumulative[-1] = 1.0
 
-    def draw(self, rng: np.random.Generator, count: int, exclude: set[str]) -> list[str]:
+    def draw(
+        self, rng: np.random.Generator, count: int, exclude: frozenset[str]
+    ) -> list[str]:
         """Draw up to *count* distinct names not already in *exclude*."""
         if count <= 0:
             return []
+        names = self.names
         chosen: list[str] = []
         seen = set(exclude)
         # Rejection sampling against the cumulative distribution; the pools are
         # much larger than per-recipe counts so this converges immediately.
+        # Draws lie in [0, 1) and the last cumulative bucket is exactly 1.0,
+        # so every searchsorted index is a valid position in *names*.
         attempts = 0
         max_attempts = max(50, count * 20)
         while len(chosen) < count and attempts < max_attempts:
             remaining = count - len(chosen)
             draws = rng.random(remaining * 2 + 4)
-            indices = np.searchsorted(self._cumulative, draws, side="left")
-            for index in indices:
-                name = self.names[min(int(index), len(self.names) - 1)]
+            for index in np.searchsorted(self._cumulative, draws, side="left").tolist():
+                name = names[index]
                 if name not in seen:
                     seen.add(name)
                     chosen.append(name)
@@ -177,6 +182,39 @@ class _WeightedPool:
                         break
             attempts += 1
         return chosen
+
+
+class _SignatureTable:
+    """One profile's signature entities of one kind, tabulated once per profile.
+
+    Each entity is included with a boosted probability in traditional recipes
+    and a reduced one in the rest, chosen so the mixture keeps its marginal
+    inclusion probability at the calibrated target (up to the 0.95 cap on
+    boosted probabilities).  Filler draws exclude every signature entity, hit
+    or not, so ``excluded`` is the whole name set.
+    """
+
+    def __init__(self, signatures: Mapping[str, float], rate: float, boost: float) -> None:
+        self.names: tuple[str, ...] = tuple(signatures)
+        self.excluded: frozenset[str] = frozenset(self.names)
+        boosted = [min(0.95, boost * signatures[name]) for name in self.names]
+        if rate > 0.0:
+            reduced = [
+                max(0.0, (signatures[name] - rate * high) / (1.0 - rate))
+                for name, high in zip(self.names, boosted)
+            ]
+        else:
+            reduced = [signatures[name] for name in self.names]
+        self._boosted = np.array(boosted, dtype=np.float64)
+        self._reduced = np.array(reduced, dtype=np.float64)
+
+    def draw(self, rng: np.random.Generator, traditional: bool) -> list[str]:
+        """The signature entities this recipe includes, in signature order."""
+        if not self.names:
+            return []
+        probabilities = self._boosted if traditional else self._reduced
+        hits = rng.random(len(self.names)) < probabilities
+        return list(compress(self.names, hits.tolist()))
 
 
 class SyntheticRecipeDBGenerator:
@@ -253,9 +291,10 @@ class SyntheticRecipeDBGenerator:
         recipe_id = 0
         for region_name in sorted(self.profiles):
             profile = self.profiles[region_name]
+            tables = self._signature_tables(profile)
             count = profile.scaled_recipe_count(self.config.scale)
             for serial in range(count):
-                yield self._generate_recipe(recipe_id, serial, profile)
+                yield self._generate_recipe(recipe_id, serial, profile, tables)
                 recipe_id += 1
 
     def generate(self) -> RecipeDatabase:
@@ -269,15 +308,34 @@ class SyntheticRecipeDBGenerator:
 
     # -- recipe construction --------------------------------------------------------
 
-    def _generate_recipe(self, recipe_id: int, serial: int, profile: CuisineProfile) -> Recipe:
+    def _signature_tables(
+        self, profile: CuisineProfile
+    ) -> tuple[_SignatureTable, _SignatureTable, _SignatureTable]:
+        """The profile's ingredient, process and utensil signature tables."""
+        rate = self.config.traditional_recipe_rate
+        boost = self.config.signature_boost
+        return (
+            _SignatureTable(profile.signature_items, rate, boost),
+            _SignatureTable(profile.signature_processes, rate, boost),
+            _SignatureTable(profile.signature_utensils, rate, boost),
+        )
+
+    def _generate_recipe(
+        self,
+        recipe_id: int,
+        serial: int,
+        profile: CuisineProfile,
+        tables: tuple[_SignatureTable, _SignatureTable, _SignatureTable],
+    ) -> Recipe:
         rng = self._rng
+        item_table, process_table, utensil_table = tables
         # One flag per recipe correlates signature usage across entity kinds,
         # so compound signature patterns (soy sauce + add + heat, ...) occur
         # together often enough to be mined at the paper's 0.2 threshold.
         traditional = rng.random() < self.config.traditional_recipe_rate
-        ingredients = self._signature_draw(profile.signature_items, traditional)
-        processes = self._signature_draw(profile.signature_processes, traditional)
-        utensils = self._signature_draw(profile.signature_utensils, traditional)
+        ingredients = item_table.draw(rng, traditional)
+        processes = process_table.draw(rng, traditional)
+        utensils = utensil_table.draw(rng, traditional)
 
         target_ingredients = poisson_clamped(rng, self.config.mean_ingredients, 1, 60)
         target_processes = poisson_clamped(rng, self.config.mean_processes, 1, 80)
@@ -286,14 +344,10 @@ class SyntheticRecipeDBGenerator:
         # just the ones that hit this recipe), so the within-cuisine support of
         # every signature item stays exactly at its calibrated probability.
         ingredients += self._ingredient_pool.draw(
-            rng,
-            target_ingredients - len(ingredients),
-            set(ingredients) | set(profile.signature_items),
+            rng, target_ingredients - len(ingredients), item_table.excluded
         )
         processes += self._process_pool.draw(
-            rng,
-            target_processes - len(processes),
-            set(processes) | set(profile.signature_processes),
+            rng, target_processes - len(processes), process_table.excluded
         )
 
         if rng.random() < self.config.utensil_missing_rate:
@@ -301,9 +355,7 @@ class SyntheticRecipeDBGenerator:
         else:
             target_utensils = poisson_clamped(rng, self.config.mean_utensils, 1, 15)
             utensils += self._utensil_pool.draw(
-                rng,
-                target_utensils - len(utensils),
-                set(utensils) | set(profile.signature_utensils),
+                rng, target_utensils - len(utensils), utensil_table.excluded
             )
 
         if not ingredients:
@@ -320,31 +372,6 @@ class SyntheticRecipeDBGenerator:
             utensils=tuple(utensils),
             source="synthetic-recipedb",
         )
-
-    def _signature_draw(self, signatures: Mapping[str, float], traditional: bool) -> list[str]:
-        """Include each signature entity with its (boosted or reduced) probability.
-
-        The boosted/reduced pair is chosen so that the mixture over traditional
-        and non-traditional recipes keeps the marginal inclusion probability at
-        the calibrated value (up to the 0.95 cap on boosted probabilities).
-        """
-        rng = self._rng
-        if not signatures:
-            return []
-        names = list(signatures)
-        rate = self.config.traditional_recipe_rate
-        boost = self.config.signature_boost
-        probabilities = np.empty(len(names), dtype=np.float64)
-        for index, name in enumerate(names):
-            target = signatures[name]
-            boosted = min(0.95, boost * target)
-            if rate > 0.0:
-                reduced = max(0.0, (target - rate * boosted) / (1.0 - rate))
-            else:
-                reduced = target
-            probabilities[index] = boosted if traditional else reduced
-        hits = rng.random(len(names)) < probabilities
-        return [name for name, hit in zip(names, hits) if hit]
 
     @staticmethod
     def _title_for(profile: CuisineProfile, serial: int, ingredients: Sequence[str]) -> str:

@@ -7,6 +7,12 @@ entity vocabularies incrementally.  The store is append-oriented (recipes are
 inserted once and then read many times by the mining/clustering layers) but
 supports deletion for completeness.
 
+The inverted indexes serve only the query surface (:class:`RecipeQuery`,
+:meth:`~RecipeDatabase.item_support` and friends); the analysis pipeline and
+the serve layer never read them.  They are therefore built from the stored
+recipes on first use and maintained incrementally from then on, so a corpus
+that is only analysed never pays for them.
+
 Typical usage::
 
     db = RecipeDatabase()
@@ -28,7 +34,7 @@ from repro.errors import (
     UnknownRecordError,
     ValidationError,
 )
-from repro.recipedb.index import InvertedIndex, RegionIndex
+from repro.recipedb.index import InvertedIndex, RegionIndex, build_entity_indexes
 from repro.recipedb.models import EntityKind, Recipe, Region
 from repro.recipedb.query import QueryResult, RecipeQuery
 from repro.recipedb.schema import RecipeSchema
@@ -62,10 +68,8 @@ class RecipeDatabase:
         self._recipes: dict[int, Recipe] = {}
         self._regions: dict[str, Region] = {}
         self._region_index = RegionIndex()
-        self._entity_indexes: dict[EntityKind, InvertedIndex] = {
-            kind: InvertedIndex() for kind in EntityKind
-        }
-        self._combined_index = InvertedIndex()
+        # Entity indexes plus the ``"combined"`` one; None until first use.
+        self._indexes: dict[EntityKind | str, InvertedIndex] | None = None
         self._vocabularies = EntityVocabularies()
 
     # -- region management ---------------------------------------------------
@@ -107,9 +111,10 @@ class RecipeDatabase:
         self._schema.validate(recipe)
         self._recipes[recipe.recipe_id] = recipe
         self._region_index.add(recipe.recipe_id, recipe.region)
-        for kind in EntityKind:
-            self._entity_indexes[kind].add(recipe.recipe_id, recipe.entities_of(kind))
-        self._combined_index.add(recipe.recipe_id, recipe.items())
+        if self._indexes is not None:
+            for kind in EntityKind:
+                self._indexes[kind].add(recipe.recipe_id, recipe.entities_of(kind))
+            self._indexes["combined"].add(recipe.recipe_id, recipe.items())
         self._vocabularies.observe(recipe)
 
     def add_recipes(self, recipes: Iterable[Recipe]) -> int:
@@ -125,9 +130,10 @@ class RecipeDatabase:
         recipe = self.get(recipe_id)
         del self._recipes[recipe_id]
         self._region_index.remove(recipe_id, recipe.region)
-        for kind in EntityKind:
-            self._entity_indexes[kind].remove(recipe_id, recipe.entities_of(kind))
-        self._combined_index.remove(recipe_id, recipe.items())
+        if self._indexes is not None:
+            for kind in EntityKind:
+                self._indexes[kind].remove(recipe_id, recipe.entities_of(kind))
+            self._indexes["combined"].remove(recipe_id, recipe.items())
         return recipe
 
     def get(self, recipe_id: int) -> Recipe:
@@ -196,12 +202,17 @@ class RecipeDatabase:
     def region_index(self) -> RegionIndex:
         return self._region_index
 
+    def _built_indexes(self) -> dict[EntityKind | str, InvertedIndex]:
+        if self._indexes is None:
+            self._indexes = build_entity_indexes(self._recipes)
+        return self._indexes
+
     @property
     def combined_index(self) -> InvertedIndex:
-        return self._combined_index
+        return self._built_indexes()["combined"]
 
     def entity_index(self, kind: EntityKind) -> InvertedIndex:
-        return self._entity_indexes[kind]
+        return self._built_indexes()[kind]
 
     @property
     def vocabularies(self) -> EntityVocabularies:
@@ -224,28 +235,28 @@ class RecipeDatabase:
     def item_support(self, item: str, region: str | None = None) -> float:
         """Support of a single item, globally or within one cuisine."""
         if region is None:
-            return self._combined_index.support(item)
+            return self.combined_index.support(item)
         self._require_region(region)
         region_ids = self._region_index.recipe_ids(region)
         if not region_ids:
             return 0.0
-        postings = self._combined_index.postings(item)
+        postings = self.combined_index.postings(item)
         return len(postings & region_ids) / len(region_ids)
 
     def itemset_support(self, items: Sequence[str], region: str | None = None) -> float:
         """Joint support of an itemset, globally or within one cuisine."""
         if region is None:
-            return self._combined_index.itemset_support(items)
+            return self.combined_index.itemset_support(items)
         self._require_region(region)
         region_ids = self._region_index.recipe_ids(region)
         if not region_ids:
             return 0.0
-        matching = self._combined_index.all_of(items)
+        matching = self.combined_index.all_of(items)
         return len(matching & region_ids) / len(region_ids)
 
     def ingredient_usage(self) -> dict[str, int]:
         """Document frequency of every ingredient across the whole corpus."""
-        index = self._entity_indexes[EntityKind.INGREDIENT]
+        index = self.entity_index(EntityKind.INGREDIENT)
         return {item: index.document_frequency(item) for item in sorted(index.items())}
 
     # -- serialisation hooks -----------------------------------------------------

@@ -18,7 +18,12 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.errors import SerializationError, ValidationError
+from repro.errors import (
+    DuplicateRecordError,
+    SchemaError,
+    SerializationError,
+    ValidationError,
+)
 from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.models import Recipe, Region
 
@@ -95,17 +100,17 @@ def _atomic_write(target: Path, emit: Callable[[object], None], what: str) -> Pa
 def save_json(database: RecipeDatabase, path: str | Path, *, indent: int | None = None) -> Path:
     """Write the whole database to a single JSON document; returns the path.
 
-    The write is atomic (temp file + rename in the target directory).
+    The write is atomic (temp file + rename in the target directory).  The
+    document is encoded in one ``json.dumps`` call: the same bytes as
+    streaming ``json.dump``, through the C encoder instead of thousands of
+    small chunk writes.
     """
     payload = {
         **_database_header(database),
         "recipes": database.to_dicts(),
     }
-    return _atomic_write(
-        Path(path),
-        lambda handle: json.dump(payload, handle, indent=indent, sort_keys=False),
-        "database",
-    )
+    text = json.dumps(payload, indent=indent, sort_keys=False)
+    return _atomic_write(Path(path), lambda handle: handle.write(text), "database")
 
 
 def load_json(path: str | Path) -> RecipeDatabase:
@@ -116,28 +121,42 @@ def load_json(path: str | Path) -> RecipeDatabase:
             payload = json.load(handle)
     except OSError as exc:
         raise SerializationError(f"could not read database from {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SerializationError(f"{source} is not valid JSON: {exc}") from exc
 
+    # Valid JSON of the wrong shape is as unusable as a torn file: every
+    # failure below must surface as SerializationError so callers that
+    # regenerate on it (the serve layer's corpus cache) never crash instead.
+    if not isinstance(payload, dict):
+        raise SerializationError(
+            f"{source} holds a JSON {type(payload).__name__}, not a database object"
+        )
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise SerializationError(
             f"unsupported database format version {version!r}; expected {FORMAT_VERSION}"
         )
+    region_entries = payload.get("regions", [])
+    recipe_entries = payload.get("recipes", [])
+    for field, entries in (("regions", region_entries), ("recipes", recipe_entries)):
+        if not isinstance(entries, list):
+            raise SerializationError(
+                f"{field!r} in {source} must be a list, got {type(entries).__name__}"
+            )
     try:
         regions = [
             Region(str(entry["name"]), continent=str(entry.get("continent", "unknown")))
-            for entry in payload.get("regions", [])
+            for entry in region_entries
         ]
     except (TypeError, AttributeError, KeyError, ValidationError) as exc:
         raise SerializationError(f"malformed region entry in {source}: {exc}") from exc
     try:
-        recipes = [Recipe.from_dict(entry) for entry in payload.get("recipes", [])]
-    except (TypeError, KeyError, ValidationError) as exc:
+        recipes = [Recipe.from_dict(entry) for entry in recipe_entries]
+    except (TypeError, AttributeError, KeyError, ValueError, ValidationError) as exc:
         raise SerializationError(f"malformed recipe entry in {source}: {exc}") from exc
     try:
         return RecipeDatabase.from_recipes(recipes, regions=regions)
-    except ValidationError as exc:
+    except (ValidationError, SchemaError, DuplicateRecordError) as exc:
         raise SerializationError(f"inconsistent database in {source}: {exc}") from exc
 
 
@@ -172,12 +191,14 @@ def iter_jsonl(path: str | Path) -> Iterator[Recipe]:
                     continue
                 try:
                     yield Recipe.from_dict(json.loads(line))
-                except (json.JSONDecodeError, TypeError, KeyError, ValidationError) as exc:
+                except (TypeError, AttributeError, KeyError, ValueError, ValidationError) as exc:
                     raise SerializationError(
                         f"{source}:{line_number}: malformed recipe line: {exc}"
                     ) from exc
     except OSError as exc:
         raise SerializationError(f"could not read recipes from {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"{source} is not valid UTF-8: {exc}") from exc
 
 
 def load_jsonl(path: str | Path) -> RecipeDatabase:

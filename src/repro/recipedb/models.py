@@ -20,7 +20,6 @@ pre-processing of RecipeDB dumps.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -37,19 +36,22 @@ __all__ = [
     "Region",
 ]
 
-_WHITESPACE_RE = re.compile(r"\s+")
-
-
 def normalize_name(name: str) -> str:
     """Normalise an entity or recipe name.
 
     Lower-cases, strips surrounding whitespace and collapses internal runs of
     whitespace to a single space.  Raises :class:`ValidationError` when the
     result is empty, because every catalogue entry must have a usable name.
+
+    ``str.split()`` breaks on exactly the characters the regex whitespace
+    class matches, and lower-casing never turns a space into a non-space or
+    back, so the result equals collapsing regex whitespace runs in
+    ``name.strip().lower()``.  The function is idempotent, which
+    :class:`~repro.recipedb.vocabulary.Vocabulary` relies on.
     """
     if not isinstance(name, str):
         raise ValidationError(f"name must be a string, got {type(name).__name__}")
-    normalised = _WHITESPACE_RE.sub(" ", name.strip().lower())
+    normalised = " ".join(name.lower().split())
     if not normalised:
         raise ValidationError("name must not be empty")
     return normalised
@@ -131,7 +133,7 @@ class Region:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
             raise ValidationError("region name must be a non-empty string")
-        object.__setattr__(self, "name", _WHITESPACE_RE.sub(" ", self.name.strip()))
+        object.__setattr__(self, "name", " ".join(self.name.split()))
         object.__setattr__(self, "continent", self.continent.strip() or "unknown")
 
 
@@ -170,9 +172,15 @@ class Recipe:
         object.__setattr__(self, "title", normalize_name(self.title))
         if not isinstance(self.region, str) or not self.region.strip():
             raise ValidationError("recipe region must be a non-empty string")
-        object.__setattr__(self, "region", _WHITESPACE_RE.sub(" ", self.region.strip()))
+        object.__setattr__(self, "region", " ".join(self.region.split()))
         for attr in ("ingredients", "processes", "utensils"):
             values = getattr(self, attr)
+            if isinstance(values, str):
+                # Iterating a lone string would store its characters as names.
+                raise ValidationError(
+                    f"recipe {self.recipe_id!r} {attr} must be a sequence of "
+                    f"names, not the string {values!r}"
+                )
             object.__setattr__(
                 self, attr, tuple(sorted({normalize_name(v) for v in values}))
             )
@@ -208,7 +216,9 @@ class Recipe:
         concatenation of ingredients, processes and utensils (Section V-A of
         the paper).  ``kinds`` restricts the view to a subset of entity kinds.
         """
-        selected = tuple(kinds) if kinds is not None else tuple(EntityKind)
+        if kinds is None:
+            return frozenset((*self.ingredients, *self.processes, *self.utensils))
+        selected = tuple(kinds)
         out: set[str] = set()
         if EntityKind.INGREDIENT in selected:
             out.update(self.ingredients)
@@ -248,9 +258,9 @@ class Recipe:
                 recipe_id=int(payload["recipe_id"]),  # type: ignore[arg-type]
                 title=str(payload["title"]),
                 region=str(payload["region"]),
-                ingredients=tuple(payload.get("ingredients", ())),  # type: ignore[arg-type]
-                processes=tuple(payload.get("processes", ())),  # type: ignore[arg-type]
-                utensils=tuple(payload.get("utensils", ())),  # type: ignore[arg-type]
+                ingredients=payload.get("ingredients", ()),  # type: ignore[arg-type]
+                processes=payload.get("processes", ()),  # type: ignore[arg-type]
+                utensils=payload.get("utensils", ()),  # type: ignore[arg-type]
                 source=str(payload.get("source", "synthetic")),
             )
         except KeyError as exc:  # missing required field

@@ -20,7 +20,14 @@ __all__ = ["Vocabulary", "EntityVocabularies"]
 
 
 class Vocabulary:
-    """A bidirectional mapping ``name <-> id`` with insertion-order ids."""
+    """A bidirectional mapping ``name <-> id`` with insertion-order ids.
+
+    Every key is normalised and :func:`normalize_name` is idempotent, so a
+    lookup probes the dict with the raw string first: a hit is exactly the
+    hit normalising first would give, and only a miss pays for normalising.
+    Corpora repeat a small set of already-normalised names, so nearly every
+    lookup is a single dict probe.
+    """
 
     def __init__(self, names: Iterable[str] = ()) -> None:
         self._name_to_id: dict[str, int] = {}
@@ -32,6 +39,10 @@ class Vocabulary:
 
     def add(self, name: str) -> int:
         """Register *name* (normalised) and return its id (existing or new)."""
+        if type(name) is str:  # the raw probe of _lookup, inlined: the hot path
+            existing = self._name_to_id.get(name)
+            if existing is not None:
+                return existing
         normalised = normalize_name(name)
         existing = self._name_to_id.get(normalised)
         if existing is not None:
@@ -47,13 +58,24 @@ class Vocabulary:
 
     # -- lookups -----------------------------------------------------------
 
+    def _lookup(self, name: str) -> int | None:
+        """The id of *name* or ``None``; :class:`ValidationError` if not a name.
+
+        Only an exact ``str`` takes the raw probe: a subclass may redefine
+        hashing or equality, so it is normalised to a plain string first.
+        """
+        if type(name) is str:
+            found = self._name_to_id.get(name)
+            if found is not None:
+                return found
+        return self._name_to_id.get(normalize_name(name))
+
     def id_of(self, name: str) -> int:
         """Return the id of *name*; raises :class:`ValidationError` if unknown."""
-        normalised = normalize_name(name)
-        try:
-            return self._name_to_id[normalised]
-        except KeyError as exc:
-            raise ValidationError(f"unknown vocabulary entry: {name!r}") from exc
+        found = self._lookup(name)
+        if found is None:
+            raise ValidationError(f"unknown vocabulary entry: {name!r}")
+        return found
 
     def name_of(self, entity_id: int) -> str:
         """Return the name registered under *entity_id*."""
@@ -63,17 +85,13 @@ class Vocabulary:
 
     def get(self, name: str, default: int | None = None) -> int | None:
         try:
-            return self._name_to_id[normalize_name(name)]
-        except (KeyError, ValidationError):
+            found = self._lookup(name)
+        except ValidationError:
             return default
+        return default if found is None else found
 
     def __contains__(self, name: object) -> bool:
-        if not isinstance(name, str):
-            return False
-        try:
-            return normalize_name(name) in self._name_to_id
-        except ValidationError:
-            return False
+        return self.get(name) is not None  # type: ignore[arg-type]
 
     def __len__(self) -> int:
         return len(self._id_to_name)
@@ -140,11 +158,16 @@ class EntityVocabularies:
 
     def observe(self, recipe: Recipe) -> None:
         """Register every entity that appears in *recipe*."""
-        for kind in EntityKind:
-            vocab = self.vocabulary_for(kind)
-            for name in recipe.entities_of(kind):
-                vocab.add(name)
-                self.combined.add(name)
+        combined = self.combined.add
+        for vocab, names in (
+            (self.ingredients, recipe.ingredients),
+            (self.processes, recipe.processes),
+            (self.utensils, recipe.utensils),
+        ):
+            add = vocab.add
+            for name in names:
+                add(name)
+                combined(name)
 
     def observe_all(self, recipes: Iterable[Recipe]) -> None:
         for recipe in recipes:

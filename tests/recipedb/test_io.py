@@ -57,6 +57,59 @@ class TestJson:
         with pytest.raises(SerializationError):
             load_json(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '"corpus"',
+            "null",
+            '{"format_version": 1, "regions": {}, "recipes": []}',
+            '{"format_version": 1, "regions": [], "recipes": "oops"}',
+            '{"format_version": 1, "regions": [], "recipes": {"0": {}}}',
+            '{"format_version": 1, "regions": [], "recipes": [["not", "a", "recipe"]]}',
+            '{"format_version": 1, "regions": [],'
+            ' "recipes": [{"recipe_id": "abc", "title": "t", "region": "X",'
+            ' "ingredients": ["salt"]}]}',
+            '{"format_version": 1, "regions": [],'
+            ' "recipes": [{"recipe_id": 0, "title": "t", "region": "X",'
+            ' "ingredients": "salt"}]}',
+            '{"format_version": 1, "regions": [], "recipes": ['
+            '{"recipe_id": 0, "title": "t", "region": "X", "ingredients": ["salt"]},'
+            '{"recipe_id": 0, "title": "u", "region": "X", "ingredients": ["salt"]}]}',
+        ],
+        ids=[
+            "list",
+            "string",
+            "null",
+            "regions-object",
+            "recipes-string",
+            "recipes-object",
+            "recipe-list",
+            "non-integer-id",
+            "string-ingredients",
+            "duplicate-id",
+        ],
+    )
+    def test_valid_json_of_wrong_shape_rejected(self, tmp_path, text):
+        path = tmp_path / "corpus.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SerializationError):
+            load_json(path)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        with pytest.raises(SerializationError):
+            load_json(path)
+
+    def test_save_json_bytes_match_streaming_encoder(self, toy_db, tmp_path):
+        for indent in (None, 2):
+            path = save_json(toy_db, tmp_path / "corpus.json", indent=indent)
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            with open(tmp_path / "streamed.json", "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=indent, sort_keys=False)
+            assert path.read_bytes() == (tmp_path / "streamed.json").read_bytes()
+
 
 class TestJsonl:
     def test_roundtrip(self, toy_db, tmp_path):
@@ -77,6 +130,29 @@ class TestJsonl:
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"recipe_id": 0}\n')
+        with pytest.raises(SerializationError):
+            list(iter_jsonl(path))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"recipe_id": 0, "title": "t", "region": "X", "ingredients": "salt"}',
+            '{"recipe_id": 0, "title": "t", "region": "X", "ingredients": ["salt"],'
+            ' "utensils": "wok"}',
+            '{"recipe_id": "abc", "title": "t", "region": "X", "ingredients": ["salt"]}',
+            '["not", "a", "recipe"]',
+        ],
+        ids=["string-ingredients", "string-utensils", "non-integer-id", "list"],
+    )
+    def test_wrong_shape_line_rejected(self, tmp_path, line):
+        path = tmp_path / "broken.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(SerializationError, match="broken.jsonl:1"):
+            list(iter_jsonl(path))
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "broken.jsonl"
+        path.write_bytes(b"\xff\xfe\x00\n")
         with pytest.raises(SerializationError):
             list(iter_jsonl(path))
 

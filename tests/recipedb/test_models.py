@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.errors import ValidationError
 from repro.recipedb.models import (
@@ -30,8 +30,11 @@ class TestNormalizeName:
         with pytest.raises(ValidationError):
             normalize_name(42)  # type: ignore[arg-type]
 
-    @given(st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")), min_size=1))
+    @given(st.text())
     def test_idempotent(self, name: str):
+        # Vocabulary lookups probe the raw string first, which is exact only
+        # because normalising a normalised name changes nothing.
+        assume(name.strip())
         once = normalize_name(name)
         assert normalize_name(once) == once
 
@@ -118,6 +121,15 @@ class TestRecipe:
     def test_negative_id_rejected(self):
         with pytest.raises(ValidationError):
             Recipe(-3, "t", "X", ingredients=("a",))
+
+    @pytest.mark.parametrize("field", ["ingredients", "processes", "utensils"])
+    def test_string_entity_field_rejected(self, field):
+        # A lone string would otherwise be split into one-character names.
+        entities = {"ingredients": ("salt",), field: "salt"}
+        with pytest.raises(ValidationError, match=field):
+            Recipe(0, "t", "X", **entities)
+        with pytest.raises(ValidationError, match=field):
+            Recipe.from_dict({"recipe_id": 0, "title": "t", "region": "X", **entities})
 
 
 def test_recipes_to_transactions(toy_recipes):

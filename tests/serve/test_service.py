@@ -254,6 +254,29 @@ class TestCorpusCache:
         assert recovered.source == "computed"
         assert recovered.results == first.results
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"format_version": 1, "regions": [], "recipes": ['
+            '{"recipe_id": "abc", "title": "t", "region": "Thai", "ingredients": ["salt"]}]}',
+        ],
+        ids=["top-level-list", "non-integer-recipe-id"],
+    )
+    def test_wrong_shape_corpus_file_regenerates(self, service, text):
+        # Valid JSON that is not a corpus must regenerate, not fail the
+        # cold compute with a 500.
+        path = service.corpus_path(CONFIG)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        served = service.get_or_run(CONFIG)
+        assert served.source == "computed"
+        fresh = CuisineClusteringPipeline(CONFIG, workers=0).run()
+        assert codec.dumps(codec.results_to_dict(served.results)) == codec.dumps(
+            codec.results_to_dict(fresh)
+        )
+        assert path.read_text(encoding="utf-8") != text  # rewritten with the real corpus
+
     def test_transaction_matrices_shared_across_sweep(self, service, monkeypatch):
         """A min_support sweep compiles each region's TransactionMatrix once."""
         from repro.mining.bitmatrix import TransactionMatrix
