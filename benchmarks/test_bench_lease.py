@@ -30,7 +30,7 @@ def _herd_worker(cache_root, counter_path, config, barrier, queue):
         backend=create_backend("sqlite", Path(cache_root)), max_memory_entries=2
     )
     service = AnalysisService(
-        store, workers=0, lease_ttl=60.0, lease_wait=600.0, lease_poll=0.05
+        store, lease_ttl=60.0, lease_wait=600.0, lease_poll=0.05
     )
     original = service._compute
 
@@ -85,7 +85,6 @@ def test_lease_cold_herd_computes_once_fleet_wide(config, tmp_path):
             backend=create_backend("sqlite", tmp_path / "fresh"),
             max_memory_entries=2,
         ),
-        workers=0,
     )
     started = time.perf_counter()
     fresh.get_or_run(config)

@@ -10,6 +10,10 @@ miners (Apriori, Eclat), and records everything in ``BENCH_core.json``.
 FP-Growth's engine gains are structural (matrix-backed L1 scan, bincount
 conditional bases) but its runtime is dominated by tree construction, so its
 speedup is reported without a gate.
+
+The closed-pattern filter gets the same treatment: on a ties-heavy ≥2k
+transaction database the engine filter (``closed_patterns(result,
+matrix=...)``) must match the naive quadratic pass and beat it ≥5×.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import time
 import numpy as np
 
 from repro.mining.apriori import AprioriMiner
+from repro.mining.closed import closed_patterns, closed_patterns_naive
 from repro.mining.eclat import EclatMiner
 from repro.mining.fpgrowth import FPGrowthMiner
 from repro.mining.itemsets import TransactionDatabase
@@ -33,6 +38,15 @@ MAX_LENGTH = 3
 
 GATED_MINERS = {"apriori", "eclat"}
 REQUIRED_SPEEDUP = 3.0
+
+# -- closed-filter workload ----------------------------------------------------------
+
+N_TRANSACTIONS_CLOSED = 2048
+N_TEMPLATES = 40
+CLOSED_VOCABULARY = 64
+CLOSED_MIN_SUPPORT = 0.015
+CLOSED_MAX_LENGTH = 4
+REQUIRED_CLOSED_SPEEDUP = 5.0
 
 
 def _synthetic_database(seed: int = 7) -> TransactionDatabase:
@@ -168,4 +182,69 @@ def test_shared_matrix_amortizes_compilation():
             "compile_seconds": compile_seconds,
             "sweep_seconds": sweep_seconds,
         },
+    )
+
+
+def _ties_heavy_database(seed: int = 5) -> TransactionDatabase:
+    """Templates repeated verbatim: huge equal-support groups of patterns."""
+    rng = np.random.default_rng(seed)
+    items = np.array([f"item{k:03d}" for k in range(CLOSED_VOCABULARY)])
+    templates = [
+        items[
+            rng.choice(
+                CLOSED_VOCABULARY, size=int(rng.integers(9, 13)), replace=False
+            )
+        ].tolist()
+        for _ in range(N_TEMPLATES)
+    ]
+    return TransactionDatabase(
+        [templates[i % N_TEMPLATES] for i in range(N_TRANSACTIONS_CLOSED)]
+    )
+
+
+def test_engine_closed_filter_speedup():
+    database = _ties_heavy_database()
+    matrix = database.matrix()
+    result = FPGrowthMiner(CLOSED_MIN_SUPPORT, max_length=CLOSED_MAX_LENGTH).mine(
+        database
+    )
+
+    started = time.perf_counter()
+    naive = closed_patterns_naive(result)
+    naive_seconds = time.perf_counter() - started
+
+    engine_seconds = float("inf")
+    engine = None
+    for _ in range(3):
+        started = time.perf_counter()
+        engine = closed_patterns(result, matrix=matrix)
+        engine_seconds = min(engine_seconds, time.perf_counter() - started)
+
+    assert engine == naive, "engine and naive closed filters disagree"
+    speedup = naive_seconds / engine_seconds
+    print(
+        f"\nclosed filter over {len(result)} patterns "
+        f"(n={N_TRANSACTIONS_CLOSED}): naive {naive_seconds:.3f}s, "
+        f"engine {engine_seconds:.3f}s, speedup {speedup:.1f}x "
+        f"({len(naive)} closed)"
+    )
+    record(
+        "closed_filter",
+        {
+            "n_transactions": N_TRANSACTIONS_CLOSED,
+            "n_templates": N_TEMPLATES,
+            "vocabulary": CLOSED_VOCABULARY,
+            "min_support": CLOSED_MIN_SUPPORT,
+            "max_length": CLOSED_MAX_LENGTH,
+            "patterns": len(result),
+            "closed_patterns": len(naive),
+            "naive_seconds": naive_seconds,
+            "engine_seconds": engine_seconds,
+            "speedup": speedup,
+            "required_speedup": REQUIRED_CLOSED_SPEEDUP,
+        },
+    )
+    assert speedup >= REQUIRED_CLOSED_SPEEDUP, (
+        f"engine closed filter only {speedup:.1f}x faster than the python "
+        f"pass; expected >= {REQUIRED_CLOSED_SPEEDUP}x"
     )

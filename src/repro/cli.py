@@ -25,12 +25,6 @@ Every serve subcommand takes ``--store-backend`` (sharded ``directory``
 default, ``sqlite``, ``memory``), ``--store-shards`` for the directory
 layout, and ``--eviction`` / ``--disk-eviction`` policy specs such as
 ``lru:32+ttl:600`` or ``maxbytes:1048576`` (see ``docs/storage-engine.md``).
-``analyze``, ``serve-warm`` and ``query`` additionally take
-``--workers N|auto`` for the mining fan-out: ``auto`` (the default) measures
-whether a shared-memory process pool beats serial for the corpus at hand,
-an integer pins the pool size (results are byte-identical either way; see
-``docs/parallel-mining.md``); ``serve-stats`` accepts the flag too and
-reports the configured worker setting.
 
 Example::
 
@@ -78,19 +72,6 @@ from repro.viz.tables import format_table
 __all__ = ["main", "build_parser"]
 
 
-def _workers_argument(value: str) -> int | str:
-    """``--workers`` accepts a worker count or the ``auto`` dispatcher."""
-    text = value.strip().lower()
-    if text == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -128,20 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the paper-vs-measured comparison",
     )
 
-    def add_workers(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--workers",
-            type=_workers_argument,
-            default=None,
-            metavar="N|auto",
-            help="mining worker processes: 'auto' (default; or "
-                 "$REPRO_MINING_WORKERS) measures whether a pool pays, "
-                 "0 = always serial, N fans regions out over a process pool "
-                 "-- results are byte-identical either way",
-        )
-
     analyze = subparsers.add_parser("analyze", help="run the full pipeline")
-    add_workers(analyze)
     analyze.add_argument(
         "--report", type=Path, default=None, help="write a markdown report to this path"
     )
@@ -251,13 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-warm", help="populate the serve cache for this config"
     )
     add_store_options(warm)
-    add_workers(warm)
 
     serve = subparsers.add_parser(
         "serve", help="run the async HTTP/JSON serving front-end"
     )
     add_store_options(serve)
-    add_workers(serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument(
         "--port", type=int, default=8340, help="bind port, 0 = ephemeral (default 8340)"
@@ -310,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-stats", help="print serve-cache statistics (artifacts + traffic)"
     )
     add_store_options(stats)
-    add_workers(stats)
     stats.add_argument(
         "--json",
         action="store_true",
@@ -373,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="read-path queries against the cached analysis"
     )
     add_store_options(query)
-    add_workers(query)
     query.add_argument("--nearest", metavar="CUISINE", help="k nearest cuisines")
     query.add_argument(
         "--figure",
@@ -488,9 +452,7 @@ def _command_mine(args: argparse.Namespace) -> int:
 
 
 def _command_analyze(args: argparse.Namespace) -> int:
-    pipeline = CuisineClusteringPipeline(
-        _config_from_args(args), workers=getattr(args, "workers", None)
-    )
+    pipeline = CuisineClusteringPipeline(_config_from_args(args))
     database = _resolve_corpus(args, pipeline)
     results = pipeline.run(database)
     summary = results.summary()
@@ -554,7 +516,6 @@ def _store_for(args: argparse.Namespace) -> ArtifactStore:
 def _service_for(args: argparse.Namespace) -> AnalysisService:
     return AnalysisService(
         _store_for(args),
-        workers=getattr(args, "workers", None),
         leases=not getattr(args, "no_leases", False),
         lease_ttl=getattr(args, "lease_ttl", DEFAULT_LEASE_TTL),
         lease_wait=getattr(args, "lease_wait", DEFAULT_LEASE_WAIT),
@@ -581,17 +542,11 @@ def _command_serve_warm(args: argparse.Namespace) -> int:
         )
     service = _service_for(args)
     served = service.get_or_run(_config_from_args(args))
-    workers_note = (
-        f", {served.workers} workers ({served.worker_compiles} matrix compiles)"
-        if served.workers
-        else ""
-    )
     print(
         f"cache {'hit' if served.source != 'computed' else 'miss'}: "
         f"analysis {served.key[:12]} served from {served.source} "
         f"in {served.elapsed_seconds:.3f}s"
         + (" (mining reused)" if served.mining_reused else "")
-        + workers_note
     )
     print(f"cached analyses in {args.cache_dir}: {len(service.cached_keys())}")
     return 0
@@ -650,13 +605,12 @@ def _command_serve_stats(args: argparse.Namespace) -> int:
     store = service.store
     print(
         f"serve cache at {store.root} [{store.backend.describe()}] "
-        f"({store.total_bytes()} bytes stored, mining workers {service.workers})"
+        f"({store.total_bytes()} bytes stored)"
     )
     configuration = [
         {"setting": "eviction", "value": payload["eviction"]},
         {"setting": "disk_eviction", "value": payload["disk_eviction"]},
         {"setting": "max_memory_entries", "value": payload["max_memory_entries"]},
-        {"setting": "workers", "value": payload["workers"]},
     ]
     print(
         format_table(

@@ -55,11 +55,7 @@ from repro.geo.comparison import (
 from repro.geo.regions import REGION_GEOGRAPHY
 from repro.mining.fpgrowth import FPGrowthMiner
 from repro.mining.itemsets import MiningResult, TransactionDatabase
-from repro.mining.parallel import (
-    RegionTask,
-    mine_regions_parallel,
-    resolve_workers,
-)
+from repro.mining.regions import mine_regions_with_report
 from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.models import EntityKind
 from repro.recipedb.stats import corpus_statistics
@@ -68,26 +64,10 @@ __all__ = ["CuisineClusteringPipeline", "run_full_analysis"]
 
 
 class CuisineClusteringPipeline:
-    """End-to-end reproduction pipeline.
+    """End-to-end reproduction pipeline."""
 
-    *workers* controls the mining stage's process-pool fan-out: ``0`` keeps
-    the serial legacy path, ``N`` mines the per-cuisine sub-problems over an
-    ``N``-process pool, and ``"auto"`` lets the dispatcher measure whether a
-    pool pays for this corpus on this host -- always with deterministically
-    merged (byte-identical) results.  ``None`` defers to the
-    ``REPRO_MINING_WORKERS`` environment variable and, when that is unset,
-    to ``"auto"``; CI additionally pins fixed worker counts to exercise the
-    pool paths.
-    """
-
-    def __init__(
-        self,
-        config: AnalysisConfig | None = None,
-        *,
-        workers: int | str | None = None,
-    ) -> None:
+    def __init__(self, config: AnalysisConfig | None = None) -> None:
         self.config = config if config is not None else DEFAULT_CONFIG
-        self.workers = resolve_workers(workers)
 
     # -- stage 1: corpus -------------------------------------------------------------
 
@@ -104,8 +84,6 @@ class CuisineClusteringPipeline:
         self,
         database: RecipeDatabase,
         transactions: Mapping[str, TransactionDatabase] | None = None,
-        *,
-        workers: int | str | None = None,
     ) -> dict[str, MiningResult]:
         """Mine frequent patterns per cuisine with FP-Growth.
 
@@ -113,28 +91,22 @@ class CuisineClusteringPipeline:
         databases (e.g. from :meth:`build_transactions`); passing the same
         mapping across several ``min_support`` runs lets every run share the
         compiled :class:`~repro.mining.bitmatrix.TransactionMatrix` each
-        database memoizes.  When the dispatcher picks a pool, those matrices
-        are assembled into one shared-memory corpus arena in this process, so
-        the compile work is paid (and shared) here regardless of the worker
-        count -- repeated runs that want zero re-compiles should go through
-        the serve layer's persisted corpus sidecar instead.  *workers*
-        overrides the pipeline's fan-out for this call (``None`` = use
-        ``self.workers``); results are identical at every worker count.
+        database memoizes.  Regions are mined one after another and the
+        result is keyed in sorted region order.
         """
         if transactions is None:
             transactions = self.build_transactions(database)
-        miner = self.build_miner()
-        tasks: list[RegionTask] = []
+        selected: dict[str, TransactionDatabase] = {}
         for region in database.region_names():
             regional = transactions.get(region)
             if regional is None or len(regional) == 0:
                 raise PipelineError(f"region {region!r} has no recipes to mine")
-            tasks.append(RegionTask(region, database=regional))
-        effective = self.workers if workers is None else resolve_workers(workers)
-        return mine_regions_parallel(tasks, miner, workers=effective)
+            selected[region] = regional
+        results, _report = mine_regions_with_report(selected, self.build_miner())
+        return results
 
     def build_miner(self) -> FPGrowthMiner:
-        """The configured (picklable) miner the mining stage fans out."""
+        """The configured miner the mining stage runs over every region."""
         return FPGrowthMiner(
             min_support=self.config.min_support,
             max_length=self.config.max_pattern_length,
@@ -324,7 +296,6 @@ def run_full_analysis(
     config: AnalysisConfig | None = None,
     *,
     database: RecipeDatabase | None = None,
-    workers: int | str | None = None,
 ) -> AnalysisResults:
     """Convenience wrapper: run the whole pipeline with an optional config/corpus."""
-    return CuisineClusteringPipeline(config, workers=workers).run(database)
+    return CuisineClusteringPipeline(config).run(database)

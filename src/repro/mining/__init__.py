@@ -9,25 +9,17 @@ from repro.mining.closed import (
     maximal_patterns_naive,
     redundancy_ratio,
 )
-from repro.mining.closed_miner import ClosedPatternMiner, mine_closed
 from repro.mining.eclat import EclatMiner, eclat
 from repro.mining.fpgrowth import FPGrowthMiner, fpgrowth
 from repro.mining.fptree import FPNode, FPTree
 from repro.mining.itemsets import MiningResult, Pattern, TransactionDatabase
-from repro.mining.parallel import (
-    WORKERS_AUTO,
-    DispatchDecision,
-    ParallelMiningReport,
-    RegionTask,
+from repro.mining.regions import (
+    MiningReport,
     mine_corpus_with_report,
-    mine_regions_parallel,
     mine_regions_with_report,
-    resolve_workers,
-    tasks_from_sidecars,
-    tasks_from_transactions,
 )
 from repro.mining.rules import AssociationRule, generate_rules
-from repro.mining.shm import CorpusMatrix, SharedCorpusMatrix
+from repro.mining.shm import CorpusMatrix
 
 __all__ = [
     "AprioriMiner",
@@ -38,22 +30,12 @@ __all__ = [
     "maximal_patterns",
     "maximal_patterns_naive",
     "redundancy_ratio",
-    "ClosedPatternMiner",
-    "mine_closed",
     "CorpusMatrix",
-    "SharedCorpusMatrix",
     "EclatMiner",
     "eclat",
-    "WORKERS_AUTO",
-    "DispatchDecision",
-    "ParallelMiningReport",
-    "RegionTask",
+    "MiningReport",
     "mine_corpus_with_report",
-    "mine_regions_parallel",
     "mine_regions_with_report",
-    "resolve_workers",
-    "tasks_from_sidecars",
-    "tasks_from_transactions",
     "FPGrowthMiner",
     "fpgrowth",
     "FPNode",

@@ -19,31 +19,21 @@ implementations (same pattern sets, same deterministic tie-breaking).
 The matrix is immutable and is memoized on
 :meth:`repro.mining.itemsets.TransactionDatabase.matrix`, so the serve layer
 can compile it once per corpus and share it across ``min_support`` sweeps.
-
-Compiled matrices can also be **persisted** as a memory-mappable sidecar
-(:meth:`TransactionMatrix.save` / :meth:`TransactionMatrix.load`): the packed
-rows and the flattened per-transaction id arrays land in raw ``.npy`` files
-that ``np.load(..., mmap_mode="r")`` maps read-only, so any number of worker
-processes share one physical copy through the page cache instead of each
-re-running ``np.packbits`` over the corpus.  A JSON meta file carries the
-vocabulary plus a caller-supplied *fingerprint* (typically a digest of the
-corpus artifact) used to invalidate stale sidecars.
+:class:`~repro.mining.shm.CorpusMatrix` gathers the compiled matrices of a
+whole corpus into one arena and persists that as a memory-mappable sidecar
+(the file layout comes from :func:`sidecar_paths`).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import MiningError, SidecarError
+from repro.errors import MiningError
 
-__all__ = ["TransactionMatrix", "popcount", "SIDECAR_VERSION", "sidecar_paths"]
-
-#: Bump when the sidecar layout changes; loaders reject other versions.
-SIDECAR_VERSION = 1
+__all__ = ["TransactionMatrix", "popcount", "sidecar_paths"]
 
 _SIDECAR_SUFFIXES = {
     "meta": ".meta.json",
@@ -126,8 +116,6 @@ class TransactionMatrix:
         #: Per-transaction sorted item-id arrays (for FP-tree construction).
         self._transaction_ids: tuple[np.ndarray, ...] = tuple(transaction_ids)
 
-    # -- persistence -----------------------------------------------------------------
-
     @classmethod
     def _from_arrays(
         cls,
@@ -146,113 +134,6 @@ class TransactionMatrix:
         matrix._supports = popcount(rows).sum(axis=1, dtype=np.int64)
         matrix._transaction_ids = transaction_ids
         return matrix
-
-    def save(self, prefix: Path | str, *, fingerprint: str = "") -> Path:
-        """Persist the compiled matrix as a memory-mappable sidecar.
-
-        Writes ``<prefix>.rows.npy`` (the packed bitsets), ``<prefix>.tids.npy``
-        + ``<prefix>.offsets.npy`` (the per-transaction id arrays, flattened)
-        and ``<prefix>.meta.json``; the meta file is written last so a crashed
-        writer never leaves a loadable-looking but truncated sidecar.
-        *fingerprint* ties the sidecar to its source corpus -- :meth:`load`
-        rejects the sidecar when the expected fingerprint differs.  Returns
-        the meta path.
-        """
-        paths = sidecar_paths(prefix)
-        paths["meta"].parent.mkdir(parents=True, exist_ok=True)
-        if self._transaction_ids:
-            flat = np.concatenate(self._transaction_ids)
-            lengths = np.fromiter(
-                (len(ids) for ids in self._transaction_ids),
-                dtype=np.int64,
-                count=len(self._transaction_ids),
-            )
-        else:
-            flat = np.zeros(0, dtype=np.int64)
-            lengths = np.zeros(0, dtype=np.int64)
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        # Write-to-temp + rename throughout: replacing an inode (instead of
-        # truncating it in place) keeps any process that has the previous
-        # sidecar memory-mapped reading consistent old data instead of
-        # faulting on vanished pages.
-        _replace_with(paths["rows"], np.ascontiguousarray(self._rows))
-        _replace_with(paths["tids"], flat.astype(np.int64, copy=False))
-        _replace_with(paths["offsets"], offsets)
-        meta = {
-            "version": SIDECAR_VERSION,
-            "fingerprint": fingerprint,
-            "items": list(self.items),
-            "n_transactions": self.n_transactions,
-            "n_words": self.n_words,
-        }
-        temp = paths["meta"].with_name(paths["meta"].name + ".tmp")
-        temp.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
-        temp.replace(paths["meta"])
-        return paths["meta"]
-
-    @classmethod
-    def load(
-        cls,
-        prefix: Path | str,
-        *,
-        mmap: bool = True,
-        expected_fingerprint: str | None = None,
-    ) -> "TransactionMatrix":
-        """Load a matrix persisted by :meth:`save`, memory-mapped by default.
-
-        With ``mmap=True`` the packed rows and flattened transaction ids stay
-        on disk as read-only maps -- concurrent loaders (worker processes)
-        share one physical copy through the page cache.  Raises
-        :class:`~repro.errors.SidecarError` when any file is missing or
-        corrupt, the layout version is unknown, or *expected_fingerprint* is
-        given and differs from the stored one (a stale sidecar whose corpus
-        has changed underneath it).
-        """
-        paths = sidecar_paths(prefix)
-        try:
-            meta = json.loads(paths["meta"].read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise SidecarError(f"no matrix sidecar at {prefix}") from exc
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SidecarError(f"unreadable matrix sidecar meta {paths['meta']}: {exc}") from exc
-        if not isinstance(meta, dict) or meta.get("version") != SIDECAR_VERSION:
-            raise SidecarError(
-                f"unsupported matrix sidecar version {meta.get('version')!r} at {prefix}"
-            )
-        if (
-            expected_fingerprint is not None
-            and meta.get("fingerprint") != expected_fingerprint
-        ):
-            raise SidecarError(
-                f"stale matrix sidecar at {prefix}: corpus fingerprint changed"
-            )
-        mmap_mode = "r" if mmap else None
-        try:
-            rows = np.load(paths["rows"], mmap_mode=mmap_mode, allow_pickle=False)
-            flat = np.load(paths["tids"], mmap_mode=mmap_mode, allow_pickle=False)
-            offsets = np.load(paths["offsets"], allow_pickle=False)
-        except (OSError, ValueError) as exc:
-            raise SidecarError(f"unreadable matrix sidecar arrays at {prefix}: {exc}") from exc
-        items = tuple(str(item) for item in meta.get("items", ()))
-        n_transactions = int(meta.get("n_transactions", 0))
-        if (
-            rows.ndim != 2
-            or rows.dtype != np.uint8
-            or rows.shape[0] != len(items)
-            or rows.shape[1] != int(meta.get("n_words", -1))
-            or offsets.ndim != 1
-            or len(offsets) != n_transactions + 1
-            or flat.ndim != 1
-            or (len(offsets) > 0 and int(offsets[-1]) != len(flat))
-        ):
-            raise SidecarError(f"inconsistent matrix sidecar shapes at {prefix}")
-        if not mmap:
-            rows = np.ascontiguousarray(rows)
-        transaction_ids = tuple(
-            flat[offsets[i]: offsets[i + 1]] for i in range(n_transactions)
-        )
-        return cls._from_arrays(items, n_transactions, rows, transaction_ids)
 
     # -- vocabulary ------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import MiningError
 
@@ -42,8 +42,8 @@ class TransactionDatabase:
     with :meth:`from_matrix` instead wraps an already-compiled (possibly
     memory-mapped) :class:`~repro.mining.bitmatrix.TransactionMatrix` and
     reconstructs the frozensets only if something actually needs them -- the
-    default bitset miners never do, so a worker process serving a persisted
-    matrix sidecar touches nothing but the mapped arrays.
+    default bitset miners never do, so mining a region sliced out of a
+    memory-mapped corpus arena touches nothing but the mapped arrays.
     """
 
     def __init__(self, transactions: Iterable[Iterable[str]]) -> None:
@@ -121,24 +121,8 @@ class TransactionDatabase:
 
     @property
     def has_matrix(self) -> bool:
-        """Whether a compiled matrix is already memoized (or attached)."""
+        """Whether a compiled matrix is already memoized (or wrapped)."""
         return self._matrix is not None
-
-    def attach_matrix(self, matrix) -> "TransactionDatabase":
-        """Adopt an already-compiled matrix (e.g. loaded from a sidecar).
-
-        The caller vouches that *matrix* was compiled from these exact
-        transactions; only the cheap structural invariant is checked here --
-        sidecar fingerprints (see :meth:`TransactionMatrix.load`) are the
-        mechanism that ties a persisted matrix to its source corpus.
-        """
-        if self._transactions is not None and matrix.n_transactions != len(self):
-            raise MiningError(
-                f"matrix covers {matrix.n_transactions} transactions, "
-                f"database has {len(self)}"
-            )
-        self._matrix = matrix
-        return self
 
     # -- support utilities ----------------------------------------------------------
 

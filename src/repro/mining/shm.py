@@ -1,40 +1,24 @@
-"""One global transaction matrix for the whole corpus, shareable over shm.
+"""One global transaction matrix for the whole corpus.
 
-The PR 4 fan-out shipped every worker its own region matrix (pickled
-database or per-region sidecar files) and lost to serial at every worker
-count: per-region mapping + IPC swamped the mining win.  This module holds
-the replacement design:
+:class:`CorpusMatrix` holds the per-region packed bitsets of a whole corpus
+concatenated into **one** arena.  Every region keeps its own
+independently-packed block of byte columns, so extracting a region is a pure
+byte-range slice (no bit shifting), and dropping the rows with zero support
+inside the region reproduces the region's own
+:class:`~repro.mining.bitmatrix.TransactionMatrix` byte-for-byte -- mining
+from an extracted region is indistinguishable from mining the region
+database directly.
 
-* :class:`CorpusMatrix` -- the per-region packed bitsets of a whole corpus
-  concatenated into **one** arena.  Every region keeps its own
-  independently-packed block of byte columns, so extracting a region is a
-  pure byte-range slice (no bit shifting), and dropping the rows with zero
-  support inside the region reproduces the region's own
-  :class:`~repro.mining.bitmatrix.TransactionMatrix` byte-for-byte --
-  mining from an extracted region is indistinguishable from mining the
-  region database directly.  A corpus matrix persists as a single
-  memory-mappable sidecar (same four-file layout as the per-region ones),
-  which is the serve layer's warm-start artifact.
-
-* :class:`SharedCorpusMatrix` -- the same arrays placed in one
-  ``multiprocessing.shared_memory`` block.  Workers receive only a tiny
-  picklable :class:`ShmDescriptor`; on a ``fork`` start method they find
-  the parent's mapping in :data:`_FORK_REGISTRY` and attach for free,
-  otherwise they map the named segment once per process.  The parent is
-  the sole owner of the segment's lifetime: it unlinks in a ``finally``,
-  so a killed worker (or a crashed pool) can never leak ``/dev/shm``
-  segments -- workers deliberately never unregister or unlink anything.
-  :func:`live_segments` exposes the parent-side ledger so tests can assert
-  a clean shutdown.
+A corpus matrix persists as a single memory-mappable sidecar (a JSON meta
+file plus three ``.npy`` arrays), which is the serve layer's warm-start
+artifact: a restarted service maps it read-only and mines every region
+without compiling anything.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Mapping
 
@@ -46,27 +30,12 @@ from repro.mining.itemsets import TransactionDatabase
 
 __all__ = [
     "CORPUS_SIDECAR_VERSION",
-    "SHM_NAME_PREFIX",
     "RegionSpan",
     "CorpusMatrix",
-    "ShmDescriptor",
-    "SharedCorpusMatrix",
-    "attach_corpus",
-    "live_segments",
 ]
 
 #: Bump when the corpus-sidecar layout changes; loaders reject other versions.
 CORPUS_SIDECAR_VERSION = 1
-
-#: Every shared-memory segment this module creates carries this prefix
-#: (plus the creating pid), so tests can scan ``/dev/shm`` for leaks.
-SHM_NAME_PREFIX = "repro-shm"
-
-_ALIGN = 8
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,11 +183,6 @@ class CorpusMatrix:
     def total_words(self) -> int:
         return self.rows.shape[1]
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes the three arrays occupy (= the shared-memory block size)."""
-        return int(self.rows.nbytes + self.tids.nbytes + self.offsets.nbytes)
-
     def span_of(self, region: str) -> RegionSpan:
         try:
             return self._span_index[region]
@@ -355,191 +319,3 @@ class CorpusMatrix:
             f"CorpusMatrix(regions={len(self.spans)}, items={len(self.items)}, "
             f"transactions={self.n_transactions}, words={self.total_words})"
         )
-
-
-@dataclass(frozen=True, slots=True)
-class ShmDescriptor:
-    """Everything a worker needs to reconstruct the arena: a few ints, the
-    vocabulary, the spans, and the segment name.  Pickles in microseconds --
-    this is the *entire* per-task payload of the shm fan-out."""
-
-    name: str
-    n_items: int
-    total_words: int
-    n_tids: int
-    n_transactions: int
-    items: tuple[str, ...]
-    spans: tuple[RegionSpan, ...]
-
-
-#: Parent-side registry filled *before* the pool forks: children inherit the
-#: mapping and attach with zero syscalls.  Keyed by segment name.
-_FORK_REGISTRY: dict[str, CorpusMatrix] = {}
-
-#: Worker-side cache of explicit attachments (spawn start method, or a worker
-#: outliving several batches).  The SharedMemory handle is kept alive for the
-#: process lifetime on purpose: region matrices may hold views into the
-#: buffer, and the parent owns the unlink.
-_ATTACH_CACHE: dict[str, tuple[shared_memory.SharedMemory, CorpusMatrix]] = {}
-
-#: Names of segments this process created and has not yet unlinked.
-_LIVE_SEGMENTS: set[str] = set()
-
-_SEGMENT_COUNTER = itertools.count()
-
-
-def live_segments() -> tuple[str, ...]:
-    """Segments created by this process that are still linked (leak probe)."""
-    return tuple(sorted(_LIVE_SEGMENTS))
-
-
-def _arena_views(
-    buffer: memoryview, descriptor: ShmDescriptor
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three arena arrays as read-only views over a shared buffer."""
-    rows_bytes = descriptor.n_items * descriptor.total_words
-    tids_offset = _aligned(rows_bytes)
-    offsets_offset = tids_offset + descriptor.n_tids * 8
-    rows = np.ndarray(
-        (descriptor.n_items, descriptor.total_words), dtype=np.uint8, buffer=buffer
-    )
-    tids = np.ndarray(
-        (descriptor.n_tids,), dtype=np.int64, buffer=buffer, offset=tids_offset
-    )
-    offsets = np.ndarray(
-        (descriptor.n_transactions + 1,),
-        dtype=np.int64,
-        buffer=buffer,
-        offset=offsets_offset,
-    )
-    for array in (rows, tids, offsets):
-        array.flags.writeable = False
-    return rows, tids, offsets
-
-
-class SharedCorpusMatrix:
-    """A :class:`CorpusMatrix` copied into one shared-memory segment.
-
-    Lifecycle contract: the creating (parent) process calls :meth:`close`
-    in a ``finally`` -- it pops the fork registry, unmaps and **unlinks**
-    the segment.  Workers never unlink; a worker killed mid-task only drops
-    its own mapping (the kernel's refcount), so the parent's unlink is
-    always sufficient and ``/dev/shm`` ends every run empty.
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        descriptor: ShmDescriptor,
-        view: CorpusMatrix,
-    ) -> None:
-        self._shm = shm
-        self.descriptor = descriptor
-        self.view = view
-
-    @classmethod
-    def create(cls, corpus: CorpusMatrix) -> "SharedCorpusMatrix":
-        """Copy *corpus* into a fresh segment and pre-register it for forks."""
-        descriptor_base = dict(
-            n_items=len(corpus.items),
-            total_words=corpus.total_words,
-            n_tids=len(corpus.tids),
-            n_transactions=corpus.n_transactions,
-            items=corpus.items,
-            spans=corpus.spans,
-        )
-        rows_bytes = descriptor_base["n_items"] * descriptor_base["total_words"]
-        size = (
-            _aligned(rows_bytes)
-            + descriptor_base["n_tids"] * 8
-            + (descriptor_base["n_transactions"] + 1) * 8
-        )
-        shm = None
-        for _attempt in range(8):
-            name = f"{SHM_NAME_PREFIX}-{os.getpid()}-{next(_SEGMENT_COUNTER)}"
-            try:
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(size, 1), name=name
-                )
-                break
-            except FileExistsError:  # pragma: no cover - recycled-pid leftover
-                continue
-        if shm is None:  # pragma: no cover - eight collisions in a row
-            raise MiningError("could not allocate a shared-memory segment name")
-        descriptor = ShmDescriptor(name=shm.name, **descriptor_base)
-        rows, tids, offsets = _arena_views(shm.buf, descriptor)
-        with _writable(rows):
-            rows[...] = corpus.rows
-        with _writable(tids):
-            tids[...] = corpus.tids
-        with _writable(offsets):
-            offsets[...] = corpus.offsets
-        view = CorpusMatrix(corpus.items, corpus.spans, rows, tids, offsets)
-        _FORK_REGISTRY[shm.name] = view
-        _LIVE_SEGMENTS.add(shm.name)
-        return cls(shm, descriptor, view)
-
-    def close(self) -> None:
-        """Unmap and unlink the segment (idempotent; parent side only)."""
-        shm = self._shm
-        if shm is None:
-            return
-        self._shm = None
-        _FORK_REGISTRY.pop(self.descriptor.name, None)
-        self.view = None  # release the buffer views before closing the map
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - a view escaped; unlink anyway
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already removed
-            pass
-        _LIVE_SEGMENTS.discard(self.descriptor.name)
-
-    def __enter__(self) -> "SharedCorpusMatrix":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class _writable:
-    """Temporarily lift the read-only flag while the creator fills an array."""
-
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
-
-    def __enter__(self) -> np.ndarray:
-        self.array.flags.writeable = True
-        return self.array
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.array.flags.writeable = False
-
-
-def attach_corpus(descriptor: ShmDescriptor) -> tuple[CorpusMatrix, str]:
-    """The arena for *descriptor* in this process, plus how it was reached.
-
-    Returns ``(corpus, mode)`` where mode is ``"inherited"`` (fork registry
-    hit -- zero cost), ``"cached"`` (this worker attached earlier) or
-    ``"attached"`` (fresh ``shm_open`` + map).  Workers keep their mapping
-    for the process lifetime and never unlink -- see
-    :class:`SharedCorpusMatrix` for the ownership rules.
-    """
-    inherited = _FORK_REGISTRY.get(descriptor.name)
-    if inherited is not None:
-        return inherited, "inherited"
-    cached = _ATTACH_CACHE.get(descriptor.name)
-    if cached is not None:
-        return cached[1], "cached"
-    try:
-        shm = shared_memory.SharedMemory(name=descriptor.name)
-    except FileNotFoundError as exc:
-        raise MiningError(
-            f"shared mining arena {descriptor.name!r} has vanished"
-        ) from exc
-    rows, tids, offsets = _arena_views(shm.buf, descriptor)
-    corpus = CorpusMatrix(descriptor.items, descriptor.spans, rows, tids, offsets)
-    _ATTACH_CACHE[descriptor.name] = (shm, corpus)
-    return corpus, "attached"

@@ -2,9 +2,9 @@
 
 :class:`span` is both a context manager and a decorator::
 
-    with span("mining.fanout", regions=12) as current:
+    with span("mining.regions", regions=26) as current:
         ...
-        current.set(pool_size=4)
+        current.set(patterns=412)
 
 Nesting is tracked through a :class:`contextvars.ContextVar`, so spans
 compose across threads and asyncio tasks without any global mutable stack.

@@ -41,10 +41,10 @@ __all__ = [
 def corpus_fingerprint(path: str | Path) -> str:
     """Content digest of a persisted corpus artifact.
 
-    The key that ties derived sidecar artifacts (compiled transaction-matrix
-    sidecars, see :meth:`repro.mining.bitmatrix.TransactionMatrix.save`) to
-    the exact corpus bytes they were built from: rewrite the corpus and every
-    sidecar carrying the old fingerprint goes stale.
+    The key that ties derived sidecar artifacts (the corpus-matrix sidecar,
+    see :meth:`repro.mining.shm.CorpusMatrix.save`) to the exact corpus
+    bytes they were built from: rewrite the corpus and every sidecar
+    carrying the old fingerprint goes stale.
     """
     source = Path(path)
     digest = hashlib.sha256()

@@ -31,7 +31,7 @@ event-loop front door in front of it:
     A minimal HTTP/1.1 JSON loop on :func:`asyncio.start_server` (stdlib
     only, no web framework): ``GET /healthz``, ``GET /stats``,
     ``POST /analyze``, ``POST /query``, ``POST /classify``.  The CLI's
-    ``serve`` subcommand wires it to the standard store/eviction/workers
+    ``serve`` subcommand wires it to the standard store/eviction/lease
     flags; see ``docs/serving.md`` for the wire format.
 
 Quick start::
@@ -770,10 +770,16 @@ class AnalysisServer:
             name, _, value = line.decode("latin-1").partition(":")
             name = name.strip().lower()
             if name == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError as exc:
-                    raise _HttpError(400, "bad Content-Length") from exc
+                # ASCII digits only: int() would also take "-1", "+5", "1_0"
+                # and non-ASCII digits.
+                digits = value.strip()
+                if not (digits.isascii() and digits.isdigit()):
+                    raise _HttpError(400, "bad Content-Length")
+                # More significant digits than the cap has means too large
+                # (and past 4300 digits int() itself would raise).
+                if len(digits.lstrip("0")) > len(str(_MAX_BODY_BYTES)):
+                    raise _HttpError(413, "request body too large")
+                content_length = int(digits)
             elif name == "connection":
                 token = value.strip().lower()
                 if token == "close":
@@ -787,7 +793,7 @@ class AnalysisServer:
             raw = await reader.readexactly(content_length)
             try:
                 parsed = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise _HttpError(400, f"request body is not valid JSON: {exc}") from exc
             if not isinstance(parsed, dict):
                 raise _HttpError(400, "request body must be a JSON object")

@@ -29,11 +29,8 @@ The mining stage itself runs at hardware speed: the whole corpus's packed
 bitsets live in ONE :class:`~repro.mining.shm.CorpusMatrix`, persisted as a
 single memory-mappable ``corpus-<key>.matrix`` sidecar next to the corpus
 snapshot and keyed by the corpus file's content fingerprint.  A warm service
-slices every region out of that arena with **zero** matrix re-compiles; when the
-dispatcher picks a pool (``workers="auto"`` decides from measured cost, an
-integer pins it), the arena ships to workers through one shared-memory
-segment -- descriptor-only IPC, no per-region copies -- and the results
-merge deterministically, byte-identical to the serial path.
+slices every region out of that arena with **zero** matrix re-compiles, one
+region after another in sorted order.
 
 The service records where every answer came from (``memory`` / ``disk`` /
 ``computed``) so callers, benchmarks and the CLI can report cache
@@ -62,12 +59,10 @@ from repro.errors import (
     SidecarError,
 )
 from repro.mining.itemsets import MiningResult, TransactionDatabase, minimum_support_count
-from repro.mining.parallel import (
-    ParallelMiningReport,
+from repro.mining.regions import (
+    MiningReport,
     mine_corpus_with_report,
     mine_regions_with_report,
-    resolve_workers,
-    tasks_from_transactions,
 )
 from repro.mining.shm import CorpusMatrix
 from repro.obs import enabled as obs_enabled
@@ -93,9 +88,6 @@ MINING_INDEX_KIND = "miningindex"
 CORPUS_FILE_PREFIX = "corpus-"
 #: Path suffix of the single global corpus-matrix sidecar (one per corpus).
 MATRIX_FILE_SUFFIX = ".matrix"
-#: Directory suffix of the pre-PR-8 per-region sidecar layout; existing
-#: directories are swept away when the global sidecar replaces them.
-LEGACY_MATRIX_DIR_SUFFIX = ".matrices"
 #: Path suffix of the compiled-classifier sidecar (one per analysis key).
 CLASSIFIER_FILE_SUFFIX = ".classifier"
 
@@ -162,13 +154,6 @@ class _LeaseKeeper:
 class ServedAnalysis:
     """One served analysis plus its provenance.
 
-    ``workers`` is the service's configured fan-out (an integer, or
-    ``"auto"`` for the measuring dispatcher); ``worker_compiles`` counts how
-    many regions had to compile a fresh
-    :class:`~repro.mining.bitmatrix.TransactionMatrix` inside a mining
-    process during this serve (0 whenever the regions came out of the
-    memory-mapped corpus arena, and for every non-mining source).
-
     ``coalesced`` is set by the async front-end
     (:class:`~repro.serve.aio.AsyncAnalysisService`) on answers that joined
     another request's in-flight compute instead of starting their own; the
@@ -186,8 +171,6 @@ class ServedAnalysis:
     elapsed_seconds: float
     mining_reused: bool = False
     mining_incremental: bool = False
-    workers: int | str = 0
-    worker_compiles: int = 0
     coalesced: bool = False
     stale: bool = False
 
@@ -199,15 +182,17 @@ class ServedAnalysis:
             "elapsed_seconds": self.elapsed_seconds,
             "mining_reused": self.mining_reused,
             "mining_incremental": self.mining_incremental,
-            "workers": self.workers,
-            "worker_compiles": self.worker_compiles,
             "coalesced": self.coalesced,
             "stale": self.stale,
         }
 
 
 class AnalysisService:
-    """Facade that memoizes full pipeline runs behind an artifact store."""
+    """Facade that memoizes full pipeline runs behind an artifact store.
+
+    *workers* is accepted and ignored: mining is one serial loop.  The
+    benchmark oracle (``perfbench/oracle.py``) still passes ``workers=0``.
+    """
 
     def __init__(
         self,
@@ -237,14 +222,10 @@ class AnalysisService:
         self.lease_wait = float(lease_wait)
         self.lease_poll = float(lease_poll)
         self.owner = lease_owner_id()
-        #: Mining fan-out: 0 = serial, N = fixed process pool, ``"auto"``
-        #: (also the default) = the measuring dispatcher decides per corpus;
-        #: ``None`` defers to ``$REPRO_MINING_WORKERS``.
-        self.workers = resolve_workers(workers)
-        #: The :class:`~repro.mining.parallel.ParallelMiningReport` of the
-        #: most recent fresh mining pass (``None`` until one runs); surfaced
-        #: in :meth:`describe` and thereby ``/stats``.
-        self.last_mining_report: ParallelMiningReport | None = None
+        #: The :class:`~repro.mining.regions.MiningReport` of the most recent
+        #: fresh mining pass (``None`` until one runs); surfaced in
+        #: :meth:`describe` and thereby ``/stats``.
+        self.last_mining_report: MiningReport | None = None
         self._decoded: dict[str, AnalysisResults] = {}
         # Corpus-matrix cache: corpus key -> (fingerprint, CorpusMatrix);
         # the arena every fresh mining pass slices its regions from.
@@ -288,15 +269,12 @@ class AnalysisService:
         config = config if config is not None else DEFAULT_CONFIG
         if database is not None:
             started = time.perf_counter()
-            results = CuisineClusteringPipeline(config, workers=self.workers).run(
-                database
-            )
+            results = CuisineClusteringPipeline(config).run(database)
             return ServedAnalysis(
                 results=results,
                 source="computed",
                 key=codec.analysis_key(config),
                 elapsed_seconds=time.perf_counter() - started,
-                workers=self.workers,
             )
 
         key = codec.analysis_key(config)
@@ -313,7 +291,6 @@ class AnalysisService:
                 source="memory",
                 key=key,
                 elapsed_seconds=time.perf_counter() - started,
-                workers=self.workers,
             )
         self._decoded.pop(key, None)
 
@@ -331,7 +308,6 @@ class AnalysisService:
                     source="disk",
                     key=key,
                     elapsed_seconds=time.perf_counter() - started,
-                    workers=self.workers,
                 )
 
         return self._cold_compute(config, key, started)
@@ -342,9 +318,7 @@ class AnalysisService:
         self, config: AnalysisConfig, key: str, started: float
     ) -> ServedAnalysis:
         """Run the pipeline and persist the artifact (the uncoordinated tail)."""
-        results, mining_reused, mining_incremental, worker_compiles = self._compute(
-            config
-        )
+        results, mining_reused, mining_incremental = self._compute(config)
         self.store.put(ANALYSIS_KIND, key, codec.results_to_dict(results))
         self._remember_decoded(key, results)
         return ServedAnalysis(
@@ -354,8 +328,6 @@ class AnalysisService:
             elapsed_seconds=time.perf_counter() - started,
             mining_reused=mining_reused,
             mining_incremental=mining_incremental,
-            workers=self.workers,
-            worker_compiles=worker_compiles,
         )
 
     def _cold_compute(
@@ -451,7 +423,6 @@ class AnalysisService:
             source="disk",
             key=key,
             elapsed_seconds=time.perf_counter() - started,
-            workers=self.workers,
         )
 
     def _await_artifact(
@@ -500,9 +471,7 @@ class AnalysisService:
         config = config if config is not None else DEFAULT_CONFIG
         key = codec.analysis_key(config)
         started = time.perf_counter()
-        results, mining_reused, mining_incremental, worker_compiles = self._compute(
-            config
-        )
+        results, mining_reused, mining_incremental = self._compute(config)
         self.store.put(ANALYSIS_KIND, key, codec.results_to_dict(results))
         self._remember_decoded(key, results)
         return ServedAnalysis(
@@ -512,8 +481,6 @@ class AnalysisService:
             elapsed_seconds=time.perf_counter() - started,
             mining_reused=mining_reused,
             mining_incremental=mining_incremental,
-            workers=self.workers,
-            worker_compiles=worker_compiles,
         )
 
     def invalidate(self, config: AnalysisConfig, *, mining: bool = False) -> bool:
@@ -548,8 +515,8 @@ class AnalysisService:
         The payload behind ``serve-stats`` and the async server's
         ``/stats`` endpoint: where the cache lives, which backend and
         eviction policies it runs (as the spec strings ``--eviction``
-        accepts), the mining fan-out, how many artifacts of each kind are
-        persisted, and the live traffic counters.
+        accepts), how many artifacts of each kind are persisted, and the
+        live traffic counters.
         """
         store = self.store
         artifacts = {
@@ -564,7 +531,6 @@ class AnalysisService:
             "max_memory_entries": store.max_memory_entries,
             "eviction": store.memory_policy.describe(),
             "disk_eviction": store.disk_policy.describe() if store.disk_policy else "none",
-            "workers": self.workers,
             "store_bytes": store.total_bytes(),
             "artifacts": artifacts,
             "counters": self.stats(),
@@ -690,24 +656,6 @@ class AnalysisService:
             f"{CORPUS_FILE_PREFIX}{codec.corpus_key(config)}{MATRIX_FILE_SUFFIX}"
         )
 
-    def _legacy_matrix_dir(self, config: AnalysisConfig) -> Path:
-        """Where the pre-PR-8 per-region sidecar directory used to live."""
-        return self.store.aux_path(
-            f"{CORPUS_FILE_PREFIX}{codec.corpus_key(config)}{LEGACY_MATRIX_DIR_SUFFIX}"
-        )
-
-    def _sweep_legacy_matrices(self, config: AnalysisConfig) -> None:
-        """Best-effort removal of an obsolete per-region sidecar directory."""
-        directory = self._legacy_matrix_dir(config)
-        if not directory.is_dir():
-            return
-        try:
-            for child in directory.iterdir():
-                child.unlink(missing_ok=True)
-            directory.rmdir()
-        except OSError:
-            pass  # stale bytes on a stubborn filesystem are harmless
-
     def _ensure_corpus_matrix(
         self,
         config: AnalysisConfig,
@@ -720,10 +668,9 @@ class AnalysisService:
         (fingerprint-checked, so it goes stale with the corpus file) and
         compiles nothing.  A miss assembles the arena from the per-region
         transaction databases -- the only packbits pass the corpus will ever
-        pay here -- persists it best-effort, and retires any per-region
-        sidecar directory a previous version left behind.  Returns ``None``
-        only when the build itself is impossible (e.g. a corrupt database),
-        letting the caller fall back to plain in-memory mining.
+        pay here -- and persists it best-effort.  Returns ``None`` only when
+        the build itself is impossible (e.g. out of memory), letting the
+        caller fall back to mining the per-region databases directly.
         """
         key = codec.corpus_key(config)
         with self._lock:
@@ -758,7 +705,6 @@ class AnalysisService:
                 corpus_matrix.save(prefix, fingerprint=fingerprint)
             except OSError:
                 pass  # read-only store: keep serving from memory
-            self._sweep_legacy_matrices(config)
 
         with self._lock:
             self._corpus_matrices[key] = (fingerprint, corpus_matrix)
@@ -955,19 +901,17 @@ class AnalysisService:
 
     # -- compute path -----------------------------------------------------------------
 
-    def _compute(
-        self, config: AnalysisConfig
-    ) -> tuple[AnalysisResults, bool, bool, int]:
+    def _compute(self, config: AnalysisConfig) -> tuple[AnalysisResults, bool, bool]:
         """Run the pipeline, reusing every cached stage available.
 
         Mirrors :meth:`CuisineClusteringPipeline.run` stage by stage: the
         corpus comes from the corpus cache (with its shared transaction
         matrices), the mining stage from the mining cache, the incremental
         filter, or a fresh mining pass -- in that order of preference.  A
-        fresh pass runs through the matrix sidecars and, with ``workers``
-        set, the process-pool fan-out (see :meth:`_mine_fresh`).
+        fresh pass mines the regions out of the corpus arena (see
+        :meth:`_mine_fresh`).
         """
-        pipeline = CuisineClusteringPipeline(config, workers=self.workers)
+        pipeline = CuisineClusteringPipeline(config)
         corpus, transactions, fingerprint = self._corpus_and_transactions(
             config, pipeline
         )
@@ -977,7 +921,6 @@ class AnalysisService:
         mining_cache_key = codec.mining_key(config)
         mining_reused = False
         mining_incremental = False
-        worker_compiles = 0
         mining_payload = self.store.get(MINING_KIND, mining_cache_key)
         mining_results = None
         if mining_payload is not None:
@@ -992,7 +935,7 @@ class AnalysisService:
                 mining_reused = True
                 mining_incremental = True
         if mining_results is None:
-            mining_results, worker_compiles = self._mine_fresh(
+            mining_results = self._mine_fresh(
                 config, pipeline, corpus, transactions, fingerprint
             )
         if not mining_reused or mining_incremental:
@@ -1004,7 +947,7 @@ class AnalysisService:
         # Stages 3-8 run through the pipeline's own tail, so a cached-stage
         # recompute can never drift from what a fresh `pipeline.run` builds.
         results = pipeline.finish_run(corpus, mining_results)
-        return results, mining_reused, mining_incremental, worker_compiles
+        return results, mining_reused, mining_incremental
 
     def _mine_fresh(
         self,
@@ -1013,17 +956,14 @@ class AnalysisService:
         corpus: RecipeDatabase,
         transactions: dict[str, TransactionDatabase],
         fingerprint: str,
-    ) -> tuple[dict[str, MiningResult], int]:
-        """One full mining pass through the corpus arena + fan-out machinery.
+    ) -> dict[str, MiningResult]:
+        """One full mining pass through the corpus arena.
 
         The global corpus matrix is memory-mapped (warm) or assembled once
         (cold, persisting the sidecar best-effort), then every region is
-        sliced out of it -- serially in-process or through the shared-memory
-        fan-out, as the dispatcher decides from ``self.workers``.  Either way
-        the mining processes compile nothing.  If the arena cannot be built
-        at all, mining falls back to plain in-memory region tasks.  Returns
-        the results plus the number of in-process matrix compiles the mining
-        pass itself performed (0 on the arena path).
+        sliced out of it and mined, so the pass itself compiles nothing.  If
+        the arena cannot be built at all, the per-region transaction
+        databases are mined directly instead.
         """
         for region in corpus.region_names():
             regional = transactions.get(region)
@@ -1039,12 +979,8 @@ class AnalysisService:
             corpus_matrix = None
         miner = pipeline.build_miner()
         if corpus_matrix is not None:
-            results, report = mine_corpus_with_report(
-                corpus_matrix, miner, workers=self.workers
-            )
+            results, report = mine_corpus_with_report(corpus_matrix, miner)
         else:
-            results, report = mine_regions_with_report(
-                tasks_from_transactions(transactions), miner, workers=self.workers
-            )
+            results, report = mine_regions_with_report(transactions, miner)
         self.last_mining_report = report
-        return results, report.compiles
+        return results

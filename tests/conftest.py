@@ -12,8 +12,6 @@ Three corpora at different sizes back the tests:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.core.config import AnalysisConfig
@@ -22,28 +20,6 @@ from repro.datagen.generator import GeneratorConfig, SyntheticRecipeDBGenerator
 from repro.datagen.profiles import default_profiles
 from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.models import Recipe, Region
-
-_SHM_DIR = Path("/dev/shm")
-
-
-def _orphaned_segments() -> set[str]:
-    if not _SHM_DIR.is_dir():
-        return set()
-    return {p.name for p in _SHM_DIR.glob("repro-shm-*")}
-
-
-@pytest.fixture(scope="session", autouse=True)
-def shm_leak_guard():
-    """Fail the session if any test leaks a shared-memory mining arena.
-
-    The parent process owns every ``repro-shm-*`` segment and unlinks it in a
-    ``finally`` -- even when workers are hard-killed mid-batch.  Segments that
-    survive the whole session mean that lifecycle broke.
-    """
-    before = _orphaned_segments()
-    yield
-    leaked = _orphaned_segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 
 MINI_REGIONS = (

@@ -40,12 +40,6 @@ class TestParser:
         assert args.min_support == 0.3
         assert args.command == "mine"
 
-    @pytest.mark.parametrize("command", ["analyze", "serve-warm", "serve-stats", "query"])
-    def test_workers_flag(self, command):
-        args = build_parser().parse_args([command, "--workers", "4"])
-        assert args.workers == 4
-        assert build_parser().parse_args([command]).workers is None
-
 
 class TestGenerate:
     def test_generate_writes_corpus(self, tmp_path, capsys):

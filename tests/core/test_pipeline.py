@@ -34,25 +34,6 @@ class TestPipelineStages:
         with pytest.raises(PipelineError):
             pipeline.mine_patterns(db)
 
-    def test_parallel_mining_matches_serial(self, mini_corpus):
-        config = AnalysisConfig(scale=0.02)
-        # workers=0 explicitly: the baseline must stay serial even when the
-        # suite itself runs under REPRO_MINING_WORKERS (the CI 2-worker job).
-        serial = CuisineClusteringPipeline(config, workers=0).mine_patterns(mini_corpus)
-        parallel = CuisineClusteringPipeline(config, workers=2).mine_patterns(
-            mini_corpus
-        )
-        assert serial == parallel
-        assert list(serial) == list(parallel)
-
-    def test_workers_default_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MINING_WORKERS", "2")
-        assert CuisineClusteringPipeline().workers == 2
-        monkeypatch.delenv("REPRO_MINING_WORKERS")
-        assert CuisineClusteringPipeline().workers == "auto"
-        assert CuisineClusteringPipeline(workers=4).workers == 4
-        assert CuisineClusteringPipeline(workers="auto").workers == "auto"
-
     def test_pattern_features_shape(self, mini_corpus):
         pipeline = CuisineClusteringPipeline(AnalysisConfig(scale=0.02))
         mining = pipeline.mine_patterns(mini_corpus)

@@ -31,7 +31,7 @@ class TestRepoDocs:
     def test_front_door_files_exist(self):
         assert (REPO_ROOT / "README.md").is_file()
         for page in ("architecture", "serving", "compute-core",
-                     "storage-engine", "parallel-mining"):
+                     "storage-engine"):
             assert (REPO_ROOT / "docs" / f"{page}.md").is_file(), page
 
     def test_readme_and_docs_have_no_broken_links(self):
@@ -41,16 +41,15 @@ class TestRepoDocs:
         assert problems == []
 
     def test_docs_pages_cross_link_each_other(self):
-        """The four deep-dive pages and the overview must form one graph."""
+        """The deep-dive pages and the overview must form one graph."""
         docs = REPO_ROOT / "docs"
         serving = (docs / "serving.md").read_text(encoding="utf-8")
         architecture = (docs / "architecture.md").read_text(encoding="utf-8")
         assert "architecture.md" in serving
         assert "storage-engine.md" in serving
-        for page in ("compute-core.md", "storage-engine.md",
-                     "parallel-mining.md", "serving.md"):
+        for page in ("compute-core.md", "storage-engine.md", "serving.md"):
             assert page in architecture, f"architecture.md must link {page}"
-        for page in ("compute-core.md", "storage-engine.md", "parallel-mining.md"):
+        for page in ("compute-core.md", "storage-engine.md"):
             text = (docs / page).read_text(encoding="utf-8")
             assert "serving.md" in text or "architecture.md" in text, (
                 f"{page} must link into the new overview/serving docs"
@@ -59,7 +58,7 @@ class TestRepoDocs:
     def test_readme_links_every_docs_page(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         for page in ("architecture", "serving", "compute-core",
-                     "storage-engine", "parallel-mining"):
+                     "storage-engine"):
             assert f"docs/{page}.md" in readme, f"README must link docs/{page}.md"
 
 

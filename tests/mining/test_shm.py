@@ -1,32 +1,26 @@
-"""The shared-memory corpus arena: extraction identity, sidecars, lifecycle.
+"""The corpus arena: extraction identity, lazy region databases, sidecars.
 
 ``CorpusMatrix`` packs every region's transaction matrix into one arena whose
 region extraction is *exact*: slicing a region back out must reproduce the
 matrix a direct ``TransactionMatrix`` compile of that region's transactions
 would build -- same vocabulary, same packed bytes, same transaction-id
-arrays.  ``SharedCorpusMatrix`` then maps the arena into ``/dev/shm`` with a
-parent-owns-the-unlink lifecycle that never leaks a segment.
+arrays.  The arena persists as one memory-mappable sidecar, the serve
+layer's warm-start format.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.errors import MiningError, SidecarError
 from repro.mining.bitmatrix import TransactionMatrix
+from repro.mining.eclat import EclatMiner
 from repro.mining.fpgrowth import FPGrowthMiner
 from repro.mining.itemsets import TransactionDatabase
-from repro.mining.shm import (
-    CorpusMatrix,
-    RegionSpan,
-    SharedCorpusMatrix,
-    attach_corpus,
-    live_segments,
-)
+from repro.mining.shm import CorpusMatrix, RegionSpan
 
 ITEMS = [f"ing{k:02d}" for k in range(18)]
 
@@ -80,6 +74,20 @@ class TestExtractionIdentity:
         for region, database in regions.items():
             assert miner.mine(corpus.region_database(region)) == miner.mine(database)
 
+    def test_lazy_region_database_materialises_identically(self, regions, corpus):
+        for region, database in regions.items():
+            lazy = corpus.region_database(region)
+            # Matrix-backed answers first: nothing needs the frozensets yet.
+            assert len(lazy) == len(database)
+            assert lazy.item_counts() == database.item_counts()
+            assert lazy._transactions is None
+            assert lazy == database  # forces materialisation
+            assert lazy.transactions == database.transactions
+            assert lazy.vocabulary() == database.vocabulary()
+        big = corpus.region_database("Big")
+        pair = sorted(big.vocabulary())[:2]
+        assert big.absolute_support(pair) == regions["Big"].absolute_support(pair)
+
     def test_empty_region_round_trips(self):
         corpus = CorpusMatrix.from_transactions(
             {"Empty": TransactionDatabase([]), "Full": _database(seed=9, n=12)}
@@ -122,6 +130,26 @@ class TestCorpusSidecar:
                     TransactionMatrix(database.transactions),
                 )
 
+    def test_mining_on_loaded_arena_matches_direct(self, regions, corpus, tmp_path):
+        prefix = tmp_path / "corpus.matrix"
+        corpus.save(prefix, fingerprint="abc123")
+        loaded = CorpusMatrix.load(prefix, expected_fingerprint="abc123")
+        for miner in (
+            FPGrowthMiner(0.1, max_length=3),
+            EclatMiner(0.1, max_length=3),
+            FPGrowthMiner(0.1, max_length=3, engine="python"),
+        ):
+            for region, database in regions.items():
+                assert miner.mine(loaded.region_database(region)) == miner.mine(database)
+
+    def test_memory_map_is_read_only(self, corpus, tmp_path):
+        prefix = tmp_path / "corpus.matrix"
+        corpus.save(prefix)
+        loaded = CorpusMatrix.load(prefix, mmap=True)
+        assert isinstance(loaded.rows, np.memmap)
+        with pytest.raises(ValueError):
+            loaded.rows[0, 0] = 1
+
     def test_stale_fingerprint_rejected(self, corpus, tmp_path):
         prefix = tmp_path / "corpus.matrix"
         corpus.save(prefix, fingerprint="old")
@@ -147,47 +175,3 @@ class TestCorpusSidecar:
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(SidecarError):
             CorpusMatrix.load(prefix)
-
-
-class TestSharedLifecycle:
-    def test_create_attach_close_leaves_nothing(self, regions, corpus):
-        shared = SharedCorpusMatrix.create(corpus)
-        try:
-            assert shared.descriptor.name in live_segments()
-            # In the creating process the fork registry serves the arena.
-            attached, mode = attach_corpus(shared.descriptor)
-            assert mode == "inherited"
-            for region, database in regions.items():
-                _assert_matrices_identical(
-                    attached.region_matrix(region),
-                    TransactionMatrix(database.transactions),
-                )
-        finally:
-            shared.close()
-        assert not live_segments()
-        shared.close()  # idempotent
-
-    def test_context_manager_closes(self, corpus):
-        with SharedCorpusMatrix.create(corpus) as shared:
-            name = shared.descriptor.name
-            assert name in live_segments()
-        assert name not in live_segments()
-
-    def test_arena_views_are_read_only(self, corpus):
-        with SharedCorpusMatrix.create(corpus) as shared:
-            with pytest.raises(ValueError):
-                shared.view.rows[0, 0] = 255
-
-    def test_vanished_segment_raises(self, corpus):
-        shared = SharedCorpusMatrix.create(corpus)
-        descriptor = shared.descriptor
-        shared.close()
-        with pytest.raises(MiningError, match="vanished"):
-            attach_corpus(descriptor)
-
-    def test_descriptor_is_picklable(self, corpus):
-        with SharedCorpusMatrix.create(corpus) as shared:
-            clone = pickle.loads(pickle.dumps(shared.descriptor))
-            assert clone.name == shared.descriptor.name
-            assert clone.items == shared.descriptor.items
-            assert clone.spans == shared.descriptor.spans

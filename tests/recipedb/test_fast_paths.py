@@ -331,7 +331,7 @@ def test_index_handles_stay_live_after_first_use(toy_db):
 
 def test_pipeline_run_leaves_indexes_unbuilt():
     corpus = generate_corpus(seed=5, scale=0.01)
-    CuisineClusteringPipeline(AnalysisConfig(seed=5, scale=0.01), workers=0).run(corpus)
+    CuisineClusteringPipeline(AnalysisConfig(seed=5, scale=0.01)).run(corpus)
     assert corpus._indexes is None
     assert corpus.item_support("soy sauce") > 0.0  # first use builds them
     assert corpus._indexes is not None

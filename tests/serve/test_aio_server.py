@@ -462,3 +462,69 @@ class TestKeepAlive:
         assert headers["connection"] == "close"
         assert "too large" in payload["error"]
         assert trailing == b""  # framing is void after an error: server closed
+
+
+# -- client garbage -------------------------------------------------------------------
+
+
+def _head(content_length: bytes) -> bytes:
+    return b"POST /analyze HTTP/1.1\r\nHost: test\r\nContent-Length: " + content_length + b"\r\n\r\n"
+
+
+_NON_UTF8 = b'{"a":"\xff"}'
+
+GARBAGE = {
+    # readexactly(-1) used to raise ValueError: a 500.
+    "negative-length": (_head(b"-1"), 400),
+    # int() accepts these; HTTP does not.
+    "signed-length": (_head(b"+5"), 400),
+    "underscored-length": (_head(b"1_0"), 400),
+    "non-ascii-digit-length": (_head("٣".encode("utf-8")), 400),
+    # Past 4300 digits int() itself raises ValueError.
+    "huge-length": (_head(b"9" * 5000), 413),
+    # json.loads(bytes) raised UnicodeDecodeError, not JSONDecodeError: a 500.
+    "non-utf8-body": (_head(b"%d" % len(_NON_UTF8)) + _NON_UTF8, 400),
+}
+
+
+def _send_raw(warm_cache, data: bytes):
+    """Write *data* on a fresh socket and read to EOF.
+
+    Returns ``(status, headers, json body, request_errors)``; reaching EOF
+    at all proves the server closed the connection.
+    """
+
+    async def main():
+        service = AsyncAnalysisService(AnalysisService(warm_cache))
+        server = AnalysisServer(service)
+        try:
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(data)
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            return raw, service.service.store.stats.request_errors
+        finally:
+            await server.aclose()
+
+    raw, request_errors = asyncio.run(main())
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(lines[0].split()[1]), headers, json.loads(body), request_errors
+
+
+class TestClientGarbage:
+    @pytest.mark.parametrize("case", sorted(GARBAGE))
+    def test_garbage_is_a_client_error_and_closes(self, warm_cache, case):
+        data, expected = GARBAGE[case]
+        status, headers, payload, request_errors = _send_raw(warm_cache, data)
+        assert status == expected
+        assert headers["connection"] == "close"
+        assert "error_id" not in payload
+        assert request_errors == 0

@@ -44,7 +44,7 @@ def _service_over(backend_name: str, cache_root: Path, **lease_options) -> Analy
     store = ArtifactStore(
         backend=create_backend(backend_name, cache_root), max_memory_entries=2
     )
-    return AnalysisService(store, workers=0, **lease_options)
+    return AnalysisService(store, **lease_options)
 
 
 def _count_computes(service: AnalysisService, counter_path: str) -> None:

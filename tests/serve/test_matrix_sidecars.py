@@ -1,9 +1,9 @@
 """Service-level corpus-matrix sidecar lifecycle: persist, share, invalidate.
 
 The acceptance contract: once a config has been computed, every later mining
-pass over the same corpus -- in this process or any other, serial or fanned
-out over workers -- slices its regions out of the single memory-mapped
-``corpus-<key>.matrix`` arena instead of re-running ``np.packbits``.
+pass over the same corpus -- in this process or any other -- slices its
+regions out of the single memory-mapped ``corpus-<key>.matrix`` arena
+instead of re-running ``np.packbits``.
 """
 
 from __future__ import annotations
@@ -14,11 +14,7 @@ import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.mining.bitmatrix import TransactionMatrix
-from repro.serve.service import (
-    AnalysisService,
-    LEGACY_MATRIX_DIR_SUFFIX,
-    MATRIX_FILE_SUFFIX,
-)
+from repro.serve.service import AnalysisService, MATRIX_FILE_SUFFIX
 
 CONFIG = AnalysisConfig(seed=11, scale=0.02, elbow_k_max=6)
 
@@ -68,24 +64,14 @@ class TestSidecarLifecycle:
         assert served.source == "computed"
         assert len(compile_counter) == compiles_after_first  # zero new compiles
 
-    def test_parallel_warm_reports_zero_worker_compiles(self, service, tmp_path):
+    def test_warm_mining_pass_reports_zero_compiles(self, service, tmp_path):
         service.get_or_run(CONFIG)
-        parallel = AnalysisService(tmp_path / "cache", workers=2)
-        parallel.invalidate(CONFIG, mining=True)
-        served = parallel.get_or_run(CONFIG)
+        warm = AnalysisService(tmp_path / "cache")
+        warm.invalidate(CONFIG, mining=True)
+        served = warm.get_or_run(CONFIG)
         assert served.source == "computed"
-        assert served.workers == 2
-        assert served.worker_compiles == 0
-        assert parallel.last_mining_report.compiles == 0
-        assert parallel.last_mining_report.pool_size == 2
+        assert warm.last_mining_report.compiles == 0
         assert served.results == service.get_or_run(CONFIG).results
-
-    def test_parallel_and_serial_results_identical(self, tmp_path):
-        serial = AnalysisService(tmp_path / "a", workers=0).get_or_run(CONFIG)
-        parallel = AnalysisService(tmp_path / "b", workers=2).get_or_run(CONFIG)
-        auto = AnalysisService(tmp_path / "c", workers="auto").get_or_run(CONFIG)
-        assert serial.results == parallel.results
-        assert serial.results == auto.results
 
     def test_corpus_change_invalidates_the_sidecar(
         self, service, tmp_path, compile_counter
@@ -126,30 +112,11 @@ class TestSidecarLifecycle:
         # The rebuilt sidecar is loadable again.
         assert victim.stat().st_size > len(b"garbage")
 
-    def test_legacy_per_region_directory_swept(self, service):
-        # A pre-PR-8 layout left a corpus-<key>.matrices/ directory behind;
-        # the first compute with the global sidecar retires it.
-        legacy = service._legacy_matrix_dir(CONFIG)
-        legacy.mkdir(parents=True)
-        (legacy / "r000.rows.npy").write_bytes(b"old")
-        (legacy / "manifest.json").write_text("{}", encoding="utf-8")
-        service.get_or_run(CONFIG)
-        assert not legacy.exists()
-        assert legacy.name.endswith(LEGACY_MATRIX_DIR_SUFFIX)
-
-    def test_served_workers_recorded_on_cache_hits(self, tmp_path):
-        warm = AnalysisService(tmp_path / "cache", workers=3)
-        warm.get_or_run(CONFIG)
-        hit = warm.get_or_run(CONFIG)
-        assert hit.source == "memory"
-        assert hit.workers == 3
-        assert hit.worker_compiles == 0
-
-    def test_auto_workers_surface_in_provenance_and_stats(self, tmp_path):
-        auto = AnalysisService(tmp_path / "cache", workers="auto")
-        served = auto.get_or_run(CONFIG)
-        assert served.workers == "auto"
-        payload = auto.describe()
-        assert payload["workers"] == "auto"
-        assert payload["mining"]["workers"] == "auto"
-        assert payload["mining"]["dispatch"]["mode"] in {"serial", "pool"}
+    def test_last_mining_report_surfaces_in_stats(self, service):
+        assert "mining" not in service.describe()  # nothing mined yet
+        served = service.get_or_run(CONFIG)
+        payload = service.describe()
+        assert payload["mining"] == {
+            "regions": len(served.results.mining_results),
+            "matrix_compiles": 0,
+        }

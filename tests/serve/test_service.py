@@ -271,7 +271,7 @@ class TestCorpusCache:
         path.write_text(text, encoding="utf-8")
         served = service.get_or_run(CONFIG)
         assert served.source == "computed"
-        fresh = CuisineClusteringPipeline(CONFIG, workers=0).run()
+        fresh = CuisineClusteringPipeline(CONFIG).run()
         assert codec.dumps(codec.results_to_dict(served.results)) == codec.dumps(
             codec.results_to_dict(fresh)
         )
