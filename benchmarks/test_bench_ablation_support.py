@@ -13,14 +13,14 @@ from __future__ import annotations
 from repro.cluster.validation import bakers_gamma
 from repro.core.figures import build_figure3
 from repro.features.vectorize import pattern_membership_matrix
-from repro.mining.fpgrowth import FPGrowthMiner
+from repro.mining.eclat import EclatMiner
 from repro.viz.tables import format_table
 
 SUPPORT_GRID = (0.10, 0.15, 0.20, 0.30, 0.40, 0.50)
 
 
 def _mine_at(corpus, support, max_length):
-    miner = FPGrowthMiner(min_support=support, max_length=max_length)
+    miner = EclatMiner(min_support=support, max_length=max_length)
     return {
         region: miner.mine(corpus.transactions_for_region(region))
         for region in corpus.region_names()

@@ -70,7 +70,7 @@ def test_warm_cache_under_one_percent_of_cold(benchmark, config, tmp_path):
 
 
 def test_mining_stage_reuse_speeds_up_config_variants(config, tmp_path):
-    """A clustering-only config change skips FP-Growth entirely."""
+    """A clustering-only config change skips mining entirely."""
     service = AnalysisService(tmp_path / "cache")
 
     started = time.perf_counter()

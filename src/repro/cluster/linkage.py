@@ -22,26 +22,15 @@ continue from the remaining chain.  Every supported method satisfies the
 Lance–Williams reducibility condition, so the chain never invalidates itself
 and the algorithm is O(n²) overall -- each merge costs one vectorized
 Lance–Williams row update plus O(1) amortized nearest-neighbor scans, each a
-single numpy pass.  The raw merge list is then sorted by height and relabeled
-through a union-find, which reproduces exactly the matrix the historical
-greedy O(n³) scan produced (same heights, same row order, same cluster ids).
+single numpy pass.  The chain only discovers the merge tree; a replay then
+re-executes those merges in the historical best-pair-first order, which
+reproduces exactly the matrix the greedy O(n³) scan produced (same heights,
+same row order, same cluster ids).
 
 :func:`linkage_naive` keeps that historical greedy implementation: it is the
 reference for the equivalence tests and the baseline the linkage benchmark
-measures the chain algorithm against.
-
-Past n ≈ 10³ the float64 working square stops fitting in cache and the exact
-two-pass scheme pays for its replay.  ``linkage(..., precision="fast")``
-switches to :func:`_tiled_chain`: one nearest-neighbor-chain pass over a
-**float32** working square that is periodically compacted to just the live
-clusters, so the matrix the per-merge Lance–Williams row updates and NN
-scans stream over keeps shrinking back into cache (ward's squared-distance
-accumulation still runs in float64 before rounding to float32).  The tree
-it finds is equally valid but not bit-identical to the exact path --
-distances closer than float32 resolution (~1e-7 relative) may merge in a
-different order -- which is the documented trade for clustering n ≳ 10⁴
-observations interactively; the default ``precision="exact"`` is unchanged,
-bit-identical to :func:`linkage_naive` as before.
+measures the chain algorithm against, and :func:`linkage` itself runs it on
+degenerate (ulp-spaced) inputs.
 
 The paper does not state the linkage method it used; ``average`` is the usual
 default for cuisine-style categorical data and is what the figure builders
@@ -253,16 +242,8 @@ def _validate(distances: CondensedDistanceMatrix, method: str) -> tuple[str, int
 def linkage(
     distances: CondensedDistanceMatrix,
     method: str = "average",
-    *,
-    precision: str = "exact",
 ) -> LinkageMatrix:
     """Run agglomerative clustering and return the linkage matrix.
-
-    ``precision`` selects the working arithmetic: ``"exact"`` (the default)
-    reproduces the historical float64 output bit for bit as described below;
-    ``"fast"`` runs the single-pass float32 tiled chain
-    (:func:`_tiled_chain`) intended for n ≳ 10⁴, whose tree is equally valid
-    but may differ wherever distances collide at float32 resolution.
 
     Two O(n²) passes:
 
@@ -292,16 +273,6 @@ def linkage(
     costs O(n²) expected.
     """
     method, n = _validate(distances, method)
-    precision = precision.strip().lower()
-    if precision not in ("exact", "fast"):
-        raise ClusteringError(
-            f"unknown linkage precision {precision!r}; available: ('exact', 'fast')"
-        )
-    if precision == "fast":
-        merges = _tiled_chain(_square32(distances), method, n)
-        return LinkageMatrix(
-            merges, distances.labels, method=method, metric=distances.metric
-        )
     values = np.sort(distances.distances)
     gaps = np.diff(values)
     if bool(np.any((gaps > 0.0) & (gaps <= 4e-15))):
@@ -398,195 +369,6 @@ def _nn_chain_tree(
         pairs.append((i, j))
 
     return pairs
-
-
-def _new_distances_block(
-    method: str,
-    row_i: np.ndarray,
-    row_j: np.ndarray,
-    d_ij: float,
-    size_i: int,
-    size_j: int,
-    sizes: np.ndarray,
-) -> np.ndarray:
-    """Full-row float32 Lance–Williams update for the tiled fast path.
-
-    Unlike :func:`_new_distances_vector` this updates *every* slot of the
-    working rows, including retired ones: retired slots hold ``+inf`` in
-    both operand rows and every supported formula maps ``(+inf, +inf)`` back
-    to ``+inf`` (no ``inf - inf`` term arises because ``d_ij`` is always the
-    finite distance of a real merge), so no masking or gather/scatter is
-    needed and the update is one contiguous streaming pass.  Coefficients
-    are Python scalars so NumPy's weak promotion keeps everything float32;
-    ward alone accumulates its squared-distance combination in float64
-    before rounding back (the float32/float64 precision contract).
-    """
-    if method == "single":
-        return np.minimum(row_i, row_j)
-    if method == "complete":
-        return np.maximum(row_i, row_j)
-    if method == "average":
-        total = size_i + size_j
-        return (size_i * row_i + size_j * row_j) / total
-    if method == "weighted":
-        return 0.5 * (row_i + row_j)
-    if method == "ward":
-        sizes_k = sizes.astype(np.float64)
-        total = size_i + size_j + sizes_k
-        r_i = row_i.astype(np.float64)
-        r_j = row_j.astype(np.float64)
-        value = (
-            (size_i + sizes_k) * r_i * r_i
-            + (size_j + sizes_k) * r_j * r_j
-            - sizes_k * (d_ij * d_ij)
-        ) / total
-        return np.sqrt(np.maximum(0.0, value)).astype(np.float32)
-    raise ClusteringError(f"unknown linkage method: {method!r}")
-
-
-#: Compact the fast path's working square once this many slots are retired
-#: (half the capacity), but never below this many rows -- tiny matrices are
-#: already cache-resident and the gather would cost more than it saves.
-_COMPACTION_MIN_CAPACITY = 128
-
-
-def _square32(distances: CondensedDistanceMatrix) -> np.ndarray:
-    """Expand a condensed vector straight into a float32 square.
-
-    ``CondensedDistanceMatrix.to_square`` scatters through two n(n-1)/2
-    int64 index arrays into a float64 square -- at n = 8192 that is over a
-    gigabyte of scratch just to feed the fast path, which immediately casts
-    to float32.  Row-sliced assignment skips the index arrays and the
-    float64 intermediate entirely.
-    """
-    n = distances.n_observations
-    values = distances.distances.astype(np.float32)
-    square = np.empty((n, n), dtype=np.float32)
-    np.fill_diagonal(square, 0.0)
-    offset = 0
-    for i in range(n - 1):
-        row = values[offset : offset + n - 1 - i]
-        square[i, i + 1 :] = row
-        square[i + 1 :, i] = row
-        offset += n - 1 - i
-    return square
-
-
-def _tiled_chain(square: np.ndarray, method: str, n: int) -> np.ndarray:
-    """Single-pass float32 NN-chain over a periodically compacted square.
-
-    The ``precision="fast"`` engine: the condensed input is cast to one
-    float32 working square (half the memory traffic of the exact path's
-    float64, and one pass instead of discovery + replay), and every time
-    half the slots have been retired the live submatrix is gathered into a
-    contiguous block of half the linear size -- so the rows the NN scans and
-    Lance–Williams updates stream over keep falling back into cache as the
-    clustering coarsens.  Merges are recorded against a representative leaf
-    per cluster and relabeled to scipy format by :func:`_label` (stable
-    sort by height, union-find over the leaves), exactly like the exact
-    path's replay but without its order-sensitive arithmetic guarantees.
-    """
-    working = np.ascontiguousarray(square, dtype=np.float32)
-    np.fill_diagonal(working, math.inf)
-    capacity = n
-    sizes = np.ones(capacity, dtype=np.int64)
-    active = np.ones(capacity, dtype=bool)
-    reps = np.arange(capacity, dtype=np.int64)  # slot -> a leaf in its cluster
-    n_active = n
-    raw = np.zeros((n - 1, 4), dtype=np.float64)
-    chain: list[int] = []
-
-    for step in range(n - 1):
-        if not chain:
-            # Merges retire the larger slot, so slot 0 is always active.
-            chain.append(0)
-        while True:
-            x = chain[-1]
-            row = working[x]
-            # Prefer the previous chain element on exact ties so reciprocal
-            # nearest neighbors are detected deterministically.
-            if len(chain) > 1:
-                y = chain[-2]
-                best = row[y]
-            else:
-                y = -1
-                best = math.inf
-            candidate = int(np.argmin(row))
-            value = row[candidate]
-            if value < best:
-                best = value
-                y = candidate
-            if len(chain) > 1 and y == chain[-2]:
-                break
-            chain.append(y)
-        chain.pop()
-        chain.pop()
-        i, j = (x, y) if x < y else (y, x)
-
-        d_ij = float(working[i, j])
-        size_i = int(sizes[i])
-        size_j = int(sizes[j])
-        updated = _new_distances_block(
-            method, working[i], working[j], d_ij, size_i, size_j, sizes
-        )
-        working[i, :] = updated
-        working[:, i] = updated
-        working[i, i] = math.inf
-        working[j, :] = math.inf
-        working[:, j] = math.inf
-        active[j] = False
-        sizes[i] = size_i + size_j
-        raw[step] = (reps[i], reps[j], d_ij, size_i + size_j)
-        n_active -= 1
-
-        if capacity >= _COMPACTION_MIN_CAPACITY and n_active * 2 <= capacity:
-            live = np.flatnonzero(active)
-            working = working[np.ix_(live, live)]  # fresh, contiguous
-            sizes = sizes[live]
-            reps = reps[live]
-            capacity = live.size
-            active = np.ones(capacity, dtype=bool)
-            # Restarting the chain after the slot renumbering is always
-            # valid -- the chain is an optimization, not an invariant.
-            chain.clear()
-
-    return _label(raw, n)
-
-
-def _label(raw: np.ndarray, n: int) -> np.ndarray:
-    """Relabel raw ``(leaf_i, leaf_j, height, size)`` merges to scipy format.
-
-    The stable sort by height yields the same greedy best-first row order
-    the exact path's replay produces (reducibility guarantees every child
-    merge was discovered before -- and no higher than -- its parent, so the
-    sort never reorders a parent ahead of its children); the union-find
-    then maps each merge's representative leaves to the current scipy
-    cluster ids, with merge *k* creating id ``n + k``.
-    """
-    order = np.argsort(raw[:, 2], kind="stable")
-    parent = np.arange(n, dtype=np.int64)
-    ids = np.arange(n, dtype=np.int64)  # union-find root -> cluster id
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = int(parent[root])
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    merges = np.zeros((n - 1, 4), dtype=np.float64)
-    for step, raw_index in enumerate(order):
-        leaf_i, leaf_j, height, size = raw[raw_index]
-        root_i = find(int(leaf_i))
-        root_j = find(int(leaf_j))
-        left_id, right_id = int(ids[root_i]), int(ids[root_j])
-        if left_id > right_id:
-            left_id, right_id = right_id, left_id
-        merges[step] = (left_id, right_id, height, size)
-        parent[root_j] = root_i
-        ids[root_i] = n + step
-    return merges
 
 
 def _replay_merges(

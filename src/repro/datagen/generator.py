@@ -11,7 +11,7 @@ what the downstream analyses consume:
   the paper's 20,280 / 268 / 69 unique entities;
 * per-cuisine signature items drawn with the calibrated probabilities from
   :mod:`repro.datagen.profiles`, so the Table I headline patterns re-emerge
-  from FP-Growth at support 0.2 and the authenticity analysis recovers the
+  from mining at support 0.2 and the authenticity analysis recovers the
   expected cuisine fingerprints.
 
 Everything is driven by a single seed; two generators constructed with the

@@ -47,7 +47,7 @@ def pattern_membership_matrix(
     Parameters
     ----------
     results_by_cuisine:
-        Mapping cuisine name -> :class:`MiningResult` (one FP-Growth run per
+        Mapping cuisine name -> :class:`MiningResult` (one mining run per
         cuisine at the chosen support threshold, as in Section V-A).
     weighting:
         ``"binary"`` (default) stores 1.0 when the cuisine exhibits the

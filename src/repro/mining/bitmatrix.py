@@ -1,4 +1,4 @@
-"""Packed-bitset transaction engine shared by every miner.
+"""Packed-bitset transaction engine behind the Eclat miner.
 
 :class:`TransactionMatrix` compiles a transaction database once into a
 vertical bit representation: every item gets one row of ``ceil(n/8)`` bytes
@@ -7,14 +7,11 @@ vertical bit representation: every item gets one row of ``ceil(n/8)`` bytes
 * the support of an itemset is one ``bitwise_and.reduce`` over the member
   rows followed by a popcount (``np.bitwise_count``) -- no Python pass over
   the transactions;
-* a whole level of Apriori candidates is counted with a single gather +
-  reduce + popcount over a ``(candidates, k, words)`` tensor;
 * Eclat's tid-set intersections become byte-wise ANDs of packed rows.
 
 Item names are encoded as integer ids in **sorted vocabulary order**, so id
-order and lexicographic item order coincide -- the miners rely on this to
-keep their candidate/traversal order identical to the historical pure-Python
-implementations (same pattern sets, same deterministic tie-breaking).
+order and lexicographic item order coincide -- Eclat relies on this to walk
+its extensions in lexicographic item order.
 
 The matrix is immutable and is memoized on
 :meth:`repro.mining.itemsets.TransactionDatabase.matrix`, so the serve layer
@@ -113,7 +110,7 @@ class TransactionMatrix:
         self._supports: np.ndarray = popcount(self._rows).sum(
             axis=1, dtype=np.int64
         )
-        #: Per-transaction sorted item-id arrays (for FP-tree construction).
+        #: Per-transaction sorted item-id arrays (rebuild the frozensets).
         self._transaction_ids: tuple[np.ndarray, ...] = tuple(transaction_ids)
 
     @classmethod
@@ -195,32 +192,6 @@ class TransactionMatrix:
         except MiningError:
             return 0
         return self.support_of_ids(ids)
-
-    def counts_of_candidates(self, candidates: Sequence[Sequence[int]]) -> np.ndarray:
-        """Supports of many equal-length id-tuples in one vectorized pass.
-
-        The ``(m, k)`` candidate array gathers to an ``(m, k, words)`` tensor;
-        one ``bitwise_and.reduce`` along the item axis and one popcount along
-        the word axis yield all *m* supports together.
-        """
-        if len(candidates) == 0:
-            return np.zeros(0, dtype=np.int64)
-        ids = np.asarray(candidates, dtype=np.int64)
-        if ids.ndim != 2:
-            raise MiningError("candidates must be equal-length id tuples")
-        combined = np.bitwise_and.reduce(self._rows[ids], axis=1)
-        return popcount(combined).sum(axis=1, dtype=np.int64)
-
-    # -- tid-set algebra -------------------------------------------------------------
-
-    def intersect(self, packed: np.ndarray, item_id: int) -> np.ndarray:
-        """AND a packed tid-set with one item's row (fresh array)."""
-        return packed & self._rows[item_id]
-
-    @staticmethod
-    def count(packed: np.ndarray) -> int:
-        """Popcount of a packed tid-set."""
-        return int(popcount(packed).sum())
 
     # -- transactions ----------------------------------------------------------------
 

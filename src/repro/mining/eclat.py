@@ -1,21 +1,18 @@
-"""Eclat frequent-itemset mining (vertical tid-set intersection).
+"""Eclat frequent-itemset mining (Zaki 2000): the production miner.
 
-A second baseline miner alongside Apriori: Eclat represents every item by the
-set of transaction ids (tid-set) containing it and grows itemsets depth-first
-by intersecting tid-sets.  It is often the fastest of the three miners on the
-dense, short transactions produced by recipe data, which makes it a useful
-point of comparison in the E10 miner ablation.
+Eclat represents every item by the set of transaction ids (tid-set)
+containing it and grows itemsets depth-first by intersecting tid-sets.  Every
+tid-set is a packed bit row of the database's compiled
+:class:`~repro.mining.bitmatrix.TransactionMatrix`, so an intersection is one
+byte-wise AND and a support check is one popcount, both numpy-level
+operations.  Mining a region sliced out of a memory-mapped
+:class:`~repro.mining.shm.CorpusMatrix` therefore reads only the mapped rows.
 
-The default ``"bitset"`` engine keeps every tid-set as a packed bit row of
-the database's compiled :class:`~repro.mining.bitmatrix.TransactionMatrix`:
-an intersection is one byte-wise AND and a support check is one popcount,
-both numpy-level operations.  The ``"python"`` engine keeps the historical
-``set[int]`` intersections as the benchmark baseline and reference
-semantics.  Both walk extensions in sorted-vocabulary order and produce
-identical pattern sets.
-
-All three miners in :mod:`repro.mining` are interchangeable: same inputs, same
-:class:`~repro.mining.itemsets.MiningResult` outputs, identical pattern sets.
+The paper mines with FP-Growth (Section V-A); any exact miner returns the
+same frequent itemsets.  ``tests/mining/test_engine_parity.py`` checks that
+this miner returns the same :class:`~repro.mining.itemsets.MiningResult` as
+the FP-Growth oracle in ``tests/oracles/`` apart from the ``algorithm``
+label.
 """
 
 from __future__ import annotations
@@ -28,30 +25,27 @@ from repro.errors import MiningError
 from repro.mining.bitmatrix import popcount
 from repro.mining.itemsets import MiningResult, Pattern, TransactionDatabase
 
-__all__ = ["EclatMiner", "eclat"]
-
-_ENGINES = ("bitset", "python")
+__all__ = ["EclatMiner"]
 
 
 class EclatMiner:
-    """Depth-first Eclat miner over vertical tid-sets."""
+    """Depth-first Eclat miner over packed tid-bitsets.
 
-    def __init__(
-        self,
-        min_support: float = 0.2,
-        max_length: int | None = 4,
-        *,
-        engine: str = "bitset",
-    ) -> None:
+    Parameters
+    ----------
+    min_support:
+        Relative support threshold in ``(0, 1]``; the paper uses 0.20.
+    max_length:
+        Optional maximum pattern length (``None`` = unbounded).
+    """
+
+    def __init__(self, min_support: float = 0.2, max_length: int | None = 4) -> None:
         if not 0.0 < min_support <= 1.0:
             raise MiningError(f"min_support must be in (0, 1], got {min_support}")
         if max_length is not None and max_length < 1:
             raise MiningError("max_length must be at least 1 when provided")
-        if engine not in _ENGINES:
-            raise MiningError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self.min_support = min_support
         self.max_length = max_length
-        self.engine = engine
 
     def mine(self, transactions: TransactionDatabase | Iterable[Iterable[str]]) -> MiningResult:
         """Mine all frequent itemsets from *transactions*."""
@@ -65,18 +59,12 @@ class EclatMiner:
             return MiningResult(
                 [], n_transactions=0, min_support=self.min_support, algorithm="eclat"
             )
-        min_count = database.minimum_count(self.min_support)
-        if self.engine == "bitset":
-            patterns = self._mine_bitset(database, n, min_count)
-        else:
-            patterns = self._mine_python(database, n, min_count)
+        patterns = self._mine(database, n, database.minimum_count(self.min_support))
         return MiningResult(
             patterns, n_transactions=n, min_support=self.min_support, algorithm="eclat"
         )
 
-    # -- bitset engine ---------------------------------------------------------------
-
-    def _mine_bitset(
+    def _mine(
         self, database: TransactionDatabase, n: int, min_count: int
     ) -> list[Pattern]:
         """Depth-first growth over packed tid-bitsets (AND + popcount).
@@ -128,52 +116,3 @@ class EclatMiner:
             )
             for ids, count in counts.items()
         ]
-
-    # -- python engine (reference semantics / benchmark baseline) --------------------
-
-    def _mine_python(
-        self, database: TransactionDatabase, n: int, min_count: int
-    ) -> list[Pattern]:
-        """The historical ``set[int]`` tid-set intersections."""
-        tidsets: dict[str, set[int]] = {}
-        for tid, transaction in enumerate(database):
-            for item in transaction:
-                tidsets.setdefault(item, set()).add(tid)
-
-        frequent_items = sorted(
-            (item for item, tids in tidsets.items() if len(tids) >= min_count),
-        )
-        counts: dict[frozenset[str], int] = {}
-        # Depth-first growth with a lexicographic item order to avoid duplicates.
-        stack: list[tuple[tuple[str, ...], set[int], list[str]]] = []
-        for index, item in enumerate(frequent_items):
-            stack.append(((item,), tidsets[item], frequent_items[index + 1 :]))
-
-        while stack:
-            prefix, prefix_tids, extensions = stack.pop()
-            counts[frozenset(prefix)] = len(prefix_tids)
-            if self.max_length is not None and len(prefix) >= self.max_length:
-                continue
-            for index, item in enumerate(extensions):
-                candidate_tids = prefix_tids & tidsets[item]
-                if len(candidate_tids) < min_count:
-                    continue
-                stack.append((prefix + (item,), candidate_tids, extensions[index + 1 :]))
-
-        return [
-            Pattern(items=items, support=count / n, absolute_support=count)
-            for items, count in counts.items()
-        ]
-
-
-def eclat(
-    transactions: TransactionDatabase | Iterable[Iterable[str]],
-    min_support: float = 0.2,
-    max_length: int | None = 4,
-    *,
-    engine: str = "bitset",
-) -> MiningResult:
-    """Functional convenience wrapper around :class:`EclatMiner`."""
-    return EclatMiner(
-        min_support=min_support, max_length=max_length, engine=engine
-    ).mine(transactions)

@@ -42,7 +42,7 @@ class TransactionDatabase:
     with :meth:`from_matrix` instead wraps an already-compiled (possibly
     memory-mapped) :class:`~repro.mining.bitmatrix.TransactionMatrix` and
     reconstructs the frozensets only if something actually needs them -- the
-    default bitset miners never do, so mining a region sliced out of a
+    Eclat miner never does, so mining a region sliced out of a
     memory-mapped corpus arena touches nothing but the mapped arrays.
     """
 

@@ -88,7 +88,7 @@ class CorpusMatrix:
       vocabulary down the rows, each region's independently-packed byte
       block side by side along the columns;
     * ``tids`` + ``offsets`` -- every transaction's sorted **global** item
-      ids, flattened, in region order (for FP-tree construction);
+      ids, flattened, in region order (a region's transactions);
     * ``spans`` -- one :class:`RegionSpan` per region, sorted by name.
     """
 

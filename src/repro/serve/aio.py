@@ -588,6 +588,22 @@ class _HttpError(Exception):
         self.message = message
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One CRLF/LF-terminated line; 400 when it is longer than we accept.
+
+    ``StreamReader.readline`` raises ``ValueError`` once a line overruns the
+    stream's own 64 KiB buffer limit, so that overrun is the same client
+    error as a line over :data:`_MAX_REQUEST_LINE`.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:
+        raise _HttpError(400, f"{what} too long") from None
+    if len(line) > _MAX_REQUEST_LINE:
+        raise _HttpError(400, f"{what} too long")
+    return line
+
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -748,11 +764,9 @@ class AnalysisServer:
         ``None`` means the client closed the connection cleanly before
         sending another request -- the keep-alive loop's normal exit.
         """
-        request_line = await reader.readline()
+        request_line = await _read_line(reader, "request line")
         if not request_line:
             return None
-        if len(request_line) > _MAX_REQUEST_LINE:
-            raise _HttpError(400, "request line too long")
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3:
             raise _HttpError(400, "malformed request line")
@@ -762,11 +776,9 @@ class AnalysisServer:
         keep_alive = version.upper() == "HTTP/1.1"
         content_length = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
-            if len(line) > _MAX_REQUEST_LINE:
-                raise _HttpError(400, "header line too long")
             name, _, value = line.decode("latin-1").partition(":")
             name = name.strip().lower()
             if name == "content-length":

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ClusteringError
 from repro.cluster.fihc import FIHCClustering
-from repro.mining.fpgrowth import fpgrowth
+from repro.mining.eclat import EclatMiner
 from repro.mining.itemsets import MiningResult, Pattern
 
 
@@ -84,7 +84,7 @@ class TestFIHC:
 
     def test_on_real_mined_patterns(self, toy_db):
         results = {
-            region: fpgrowth(toy_db.transactions_for_region(region), min_support=0.6)
+            region: EclatMiner(0.6).mine(toy_db.transactions_for_region(region))
             for region in toy_db.region_names()
         }
         fihc = FIHCClustering().fit(results)

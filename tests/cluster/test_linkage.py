@@ -214,88 +214,10 @@ class TestChainMatchesNaive:
             linkage_naive(condensed, method=method).merges,
         )
 
-
-class TestFastPrecision:
-    """The float32 tiled chain: valid trees, near-exact heights, same API."""
-
-    def test_invalid_precision_rejected(self):
-        condensed = CondensedDistanceMatrix(("A", "B"), np.array([2.5]))
-        with pytest.raises(ClusteringError, match="precision"):
-            linkage(condensed, precision="float16")
-
-    @staticmethod
-    def _assert_valid_scipy_format(merges: np.ndarray, n: int) -> None:
-        """Structural invariants of a scipy linkage matrix."""
-        live = set(range(n))
-        sizes = {i: 1 for i in range(n)}
-        for step, (left, right, height, size) in enumerate(merges):
-            left, right = int(left), int(right)
-            assert left < right
-            assert left in live and right in live  # each cluster merged once
-            live.remove(left)
-            live.remove(right)
-            assert int(size) == sizes[left] + sizes[right]
-            sizes[n + step] = int(size)
-            live.add(n + step)
-        assert live == {2 * n - 2}
-        heights = merges[:, 2]
-        assert np.all(np.diff(heights) >= -1e-12)  # monotone merge order
-
-    @pytest.mark.parametrize("method", LINKAGE_METHODS)
-    def test_fast_mode_matches_exact_heights(self, method):
-        rng = np.random.default_rng(42)
-        for n in (2, 3, 17, 60):
-            condensed = _condensed_from_points(rng.normal(size=(n, 3)))
-            exact = linkage(condensed, method=method)
-            fast = linkage(condensed, method=method, precision="fast")
-            self._assert_valid_scipy_format(fast.merges, n)
-            # Heights agree to float32 resolution; the trees themselves may
-            # differ only where distances collide below that resolution.
-            np.testing.assert_allclose(
-                np.sort(fast.merges[:, 2]),
-                np.sort(exact.merges[:, 2]),
-                rtol=1e-5,
-                atol=1e-6,
-            )
-
-    @pytest.mark.parametrize("method", LINKAGE_METHODS)
-    def test_fast_mode_compaction_path(self, method):
-        """n above the compaction floor exercises the gather + chain reset."""
-        rng = np.random.default_rng(7)
-        n = 300
-        condensed = _condensed_from_points(rng.normal(size=(n, 4)))
-        fast = linkage(condensed, method=method, precision="fast")
-        exact = linkage(condensed, method=method)
-        self._assert_valid_scipy_format(fast.merges, n)
-        np.testing.assert_allclose(
-            np.sort(fast.merges[:, 2]),
-            np.sort(exact.merges[:, 2]),
-            rtol=1e-4,
-            atol=1e-5,
-        )
-
-    def test_fast_mode_well_separated_tree_identical(self):
-        """With distances far apart at float32 scale the trees coincide."""
-        rng = np.random.default_rng(3)
-        centers = np.array([[0.0, 0.0], [40.0, 0.0], [0.0, 40.0], [40.0, 40.0]])
-        points = np.concatenate(
-            [center + rng.normal(scale=0.5, size=(6, 2)) for center in centers]
-        )
-        condensed = _condensed_from_points(points)
-        exact = linkage(condensed, method="average")
-        fast = linkage(condensed, method="average", precision="fast")
-        assert np.array_equal(fast.merges[:, :2], exact.merges[:, :2])
-        assert np.array_equal(fast.merges[:, 3], exact.merges[:, 3])
-        np.testing.assert_allclose(
-            fast.merges[:, 2], exact.merges[:, 2], rtol=1e-6
-        )
-
     def test_exact_default_unchanged(self):
-        """precision defaults to the exact, naive-bit-identical path."""
+        """The default linkage is bit-identical to linkage_naive."""
         rng = np.random.default_rng(11)
         condensed = _condensed_from_points(rng.normal(size=(20, 3)))
         default = linkage(condensed, method="average")
-        explicit = linkage(condensed, method="average", precision="exact")
         reference = linkage_naive(condensed, method="average")
-        assert np.array_equal(default.merges, explicit.merges)
         assert np.array_equal(default.merges, reference.merges)

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import PipelineError
 from repro.core.config import AnalysisConfig
 from repro.core.pipeline import CuisineClusteringPipeline, run_full_analysis
+from repro.mining.eclat import EclatMiner
 from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.models import Recipe, Region
 
@@ -24,6 +25,13 @@ class TestPipelineStages:
         assert set(mining) == set(mini_corpus.region_names())
         assert all(len(result) > 0 for result in mining.values())
         assert all(result.min_support == 0.2 for result in mining.values())
+        assert all(result.algorithm == "eclat" for result in mining.values())
+
+    def test_build_miner_is_configured_eclat(self):
+        config = AnalysisConfig(min_support=0.3, max_pattern_length=2)
+        miner = CuisineClusteringPipeline(config).build_miner()
+        assert isinstance(miner, EclatMiner)
+        assert (miner.min_support, miner.max_length) == (0.3, 2)
 
     def test_mine_patterns_rejects_empty_region(self):
         db = RecipeDatabase()

@@ -6,13 +6,13 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.core.table1 import build_table1, compare_with_paper
-from repro.mining.fpgrowth import fpgrowth
+from repro.mining.eclat import EclatMiner
 
 
 @pytest.fixture()
 def mining_results(toy_db):
     return {
-        region: fpgrowth(toy_db.transactions_for_region(region), min_support=0.6)
+        region: EclatMiner(0.6).mine(toy_db.transactions_for_region(region))
         for region in toy_db.region_names()
     }
 

@@ -12,6 +12,12 @@ The analysis digest is checked through every producer of mining results:
 the pipeline, a cold service that builds and saves the corpus arena, a
 second service that re-mines from the memory-mapped arena, and the
 per-region fallback that runs when no arena can be built.
+
+``RESULTS_DIGEST`` was re-recorded when the production miner switched from
+FP-Growth to Eclat.  ``STRIPPED_RESULTS_DIGEST`` was recorded before that
+switch, over the same codec text with every region's ``algorithm`` label
+removed (the view ``perfbench/oracle.py::analysis_digest`` checks), so it
+pins that the switch changed nothing but the label.
 """
 
 from __future__ import annotations
@@ -36,7 +42,10 @@ CORPUS_DIGESTS = {
 }
 
 #: SHA-256 of the canonical codec text of the default analysis at scale 0.02.
-RESULTS_DIGEST = "beeaceea7e4902053afe2260f9a448b38730763d5b8080e092ae8e06e9b90115"
+RESULTS_DIGEST = "cfd3cb752fac8354543ea67d1951a44b3779b94135e8610aa96d387b57b3b05e"
+
+#: The same, with every ``mining_results[*]["algorithm"]`` popped first.
+STRIPPED_RESULTS_DIGEST = "45b7aa2cc0f06e26938f9e9e9284315367c8c6971e9aaf70c9c387b9e0a9ac29"
 
 
 def _sha256(data: bytes) -> str:
@@ -96,5 +105,8 @@ def _from_fallback(tmp_path, monkeypatch):
 )
 def test_analysis_codec_digest_matches_golden(produce, tmp_path, monkeypatch):
     results = produce(tmp_path, monkeypatch)
-    text = codec.dumps(codec.results_to_dict(results))
-    assert _sha256(text.encode("utf-8")) == RESULTS_DIGEST
+    payload = codec.results_to_dict(results)
+    assert _sha256(codec.dumps(payload).encode("utf-8")) == RESULTS_DIGEST
+    labels = [entry.pop("algorithm") for entry in payload["mining_results"].values()]
+    assert labels == ["eclat"] * 26
+    assert _sha256(codec.dumps(payload).encode("utf-8")) == STRIPPED_RESULTS_DIGEST

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import FeatureError
 from repro.features.encoding import LabelEncoder, encode_cuisine_patterns, string_patterns
-from repro.mining.fpgrowth import fpgrowth
+from repro.mining.eclat import EclatMiner
 
 
 class TestLabelEncoder:
@@ -59,20 +59,20 @@ class TestLabelEncoder:
 
 class TestStringPatterns:
     def test_sorted_join(self):
-        result = fpgrowth([{"b", "a"}, {"a", "b"}, {"a"}], min_support=0.5, max_length=None)
+        result = EclatMiner(0.5, max_length=None).mine([{"b", "a"}, {"a", "b"}, {"a"}])
         strings = string_patterns(result)
         assert "a + b" in strings
         assert all("b + a" != s for s in strings)
 
     def test_custom_separator(self):
-        result = fpgrowth([{"x", "y"}] * 3, min_support=0.5, max_length=None)
+        result = EclatMiner(0.5, max_length=None).mine([{"x", "y"}] * 3)
         assert "x|y" in string_patterns(result, separator="|")
 
 
 class TestEncodeCuisinePatterns:
     def test_union_is_encoded(self, toy_db):
         results = {
-            region: fpgrowth(toy_db.transactions_for_region(region), min_support=0.6)
+            region: EclatMiner(0.6).mine(toy_db.transactions_for_region(region))
             for region in toy_db.region_names()
         }
         encoder, encoded = encode_cuisine_patterns(results)
@@ -88,6 +88,6 @@ class TestEncodeCuisinePatterns:
             encode_cuisine_patterns({})
 
     def test_no_patterns_anywhere_rejected(self):
-        empty = fpgrowth([{"a"}, {"b"}, {"c"}, {"d"}, {"e"}], min_support=0.99)
+        empty = EclatMiner(0.99).mine([{"a"}, {"b"}, {"c"}, {"d"}, {"e"}])
         with pytest.raises(FeatureError):
             encode_cuisine_patterns({"X": empty})

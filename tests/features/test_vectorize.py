@@ -13,13 +13,13 @@ from repro.features.vectorize import (
     coordinate_feature_matrix,
     pattern_membership_matrix,
 )
-from repro.mining.fpgrowth import fpgrowth
+from repro.mining.eclat import EclatMiner
 
 
 @pytest.fixture()
 def mining_results(toy_db):
     return {
-        region: fpgrowth(toy_db.transactions_for_region(region), min_support=0.6)
+        region: EclatMiner(0.6).mine(toy_db.transactions_for_region(region))
         for region in toy_db.region_names()
     }
 

@@ -81,31 +81,8 @@ class TestSupports:
         for item_id in ids:
             assert matrix.item_supports[item_id] >= 2
 
-    def test_batch_candidate_counts(self, database, matrix):
-        pairs = [
-            matrix.ids_of(["soy sauce", "mirin"]),
-            matrix.ids_of(["soy sauce", "rice"]),
-            matrix.ids_of(["rice", "nori"]),
-        ]
-        counts = matrix.counts_of_candidates(pairs)
-        expected = [
-            database.absolute_support(["soy sauce", "mirin"]),
-            database.absolute_support(["soy sauce", "rice"]),
-            database.absolute_support(["rice", "nori"]),
-        ]
-        assert counts.tolist() == expected
-
-    def test_batch_empty(self, matrix):
-        assert matrix.counts_of_candidates([]).tolist() == []
-
 
 class TestTidsets:
-    def test_intersection_counts(self, database, matrix):
-        soy = matrix.item_index["soy sauce"]
-        mirin = matrix.item_index["mirin"]
-        packed = matrix.intersect(matrix.tidset(soy), mirin)
-        assert matrix.count(packed) == database.absolute_support(["soy sauce", "mirin"])
-
     def test_tidset_rows_read_only(self, matrix):
         row = matrix.tidset(0)
         with pytest.raises(ValueError):

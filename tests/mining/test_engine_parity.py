@@ -1,12 +1,13 @@
-"""Property tests: all miners × all engines produce identical pattern sets.
+"""Oracle parity: the Eclat miner returns what the paper's FP-Growth returns.
 
-The three miners (Apriori, Eclat, FP-Growth) are interchangeable by
-contract, and each now has two counting engines -- the historical
-pure-Python path and the packed-bitset ``TransactionMatrix`` path.  These
-tests drive all six combinations over randomized transaction databases and
-several ``min_support`` / ``max_length`` settings, asserting identical
-itemsets *and* identical (absolute and relative) supports, with the
-pure-Python FP-Growth run as the reference semantics.
+Production mines with :class:`~repro.mining.eclat.EclatMiner` over packed
+bitsets; the paper's FP-Growth lives on as a string-keyed pure-Python oracle
+in ``tests/oracles/``.  Over randomized transaction databases and several
+``min_support`` / ``max_length`` settings the two must agree on the whole
+:class:`~repro.mining.itemsets.MiningResult` -- itemsets, absolute and
+relative supports, order, ``n_transactions`` and ``min_support`` -- and
+differ only in the ``algorithm`` label, however the transactions are ordered
+into Eclat's packed tid-rows.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mining.apriori import AprioriMiner
 from repro.mining.eclat import EclatMiner
-from repro.mining.fpgrowth import FPGrowthMiner
-from repro.mining.itemsets import TransactionDatabase
+from repro.mining.itemsets import MiningResult, TransactionDatabase
+from tests.oracles.fpgrowth import FPGrowthMiner
 
-MINERS = (AprioriMiner, EclatMiner, FPGrowthMiner)
-ENGINES = ("python", "bitset")
+MINERS = (EclatMiner, FPGrowthMiner)
 
 ITEMS = [f"item{k:02d}" for k in range(12)]
 
@@ -31,12 +30,11 @@ transactions_strategy = st.lists(
 )
 
 
-def _signature(result):
-    """Everything that must agree: items, absolute and relative supports."""
-    return {
-        pattern.items: (pattern.absolute_support, pattern.support)
-        for pattern in result
-    }
+def _unlabelled(result: MiningResult) -> dict[str, object]:
+    """The lossless dict form (patterns in order) without the miner label."""
+    payload = result.to_dict()
+    del payload["algorithm"]
+    return payload
 
 
 @settings(max_examples=40, deadline=None)
@@ -47,40 +45,25 @@ def _signature(result):
 )
 def test_all_miners_and_engines_agree(transactions, min_support, max_length):
     database = TransactionDatabase(transactions)
-    reference = _signature(
-        FPGrowthMiner(min_support, max_length=max_length, engine="python").mine(database)
-    )
-    for miner_cls in MINERS:
-        for engine in ENGINES:
-            miner = miner_cls(min_support, max_length=max_length, engine=engine)
-            assert _signature(miner.mine(database)) == reference, (
-                miner_cls.__name__,
-                engine,
-            )
+    eclat = EclatMiner(min_support, max_length=max_length).mine(database)
+    oracle = FPGrowthMiner(min_support, max_length=max_length).mine(database)
+    assert (eclat.algorithm, oracle.algorithm) == ("eclat", "fp-growth")
+    assert _unlabelled(eclat) == _unlabelled(oracle)
 
 
 @settings(max_examples=15, deadline=None)
-@given(transactions=transactions_strategy, min_support=st.sampled_from([0.1, 0.25]))
-def test_bitset_results_sorted_identically(transactions, min_support):
-    """Full MiningResult equality: ordering and metadata, not just the sets."""
-    database = TransactionDatabase(transactions)
-    for miner_cls in MINERS:
-        python = miner_cls(min_support, max_length=3, engine="python").mine(database)
-        bitset = miner_cls(min_support, max_length=3, engine="bitset").mine(database)
-        assert python == bitset
+@given(data=st.data(), min_support=st.sampled_from([0.1, 0.25]))
+def test_bitset_results_sorted_identically(data, min_support):
+    """Permuting the transactions moves every tid bit; the result must not move."""
+    transactions = data.draw(transactions_strategy)
+    shuffled = data.draw(st.permutations(transactions))
+    eclat = EclatMiner(min_support, max_length=3).mine(shuffled)
+    oracle = FPGrowthMiner(min_support, max_length=3).mine(transactions)
+    assert _unlabelled(eclat) == _unlabelled(oracle)
 
 
 @pytest.mark.parametrize("miner_cls", MINERS)
-def test_unknown_engine_rejected(miner_cls):
-    from repro.errors import MiningError
-
-    with pytest.raises(MiningError):
-        miner_cls(0.2, engine="fortran")
-
-
-@pytest.mark.parametrize("miner_cls", MINERS)
-@pytest.mark.parametrize("engine", ENGINES)
-def test_empty_database_yields_empty_result(miner_cls, engine):
-    result = miner_cls(0.2, engine=engine).mine([])
+def test_empty_database_yields_empty_result(miner_cls):
+    result = miner_cls(0.2).mine([])
     assert len(result) == 0
     assert result.n_transactions == 0

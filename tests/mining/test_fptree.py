@@ -1,11 +1,11 @@
-"""Unit tests for the FP-tree data structure."""
+"""Unit tests for the FP-tree data structure behind the FP-Growth oracle."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import MiningError
-from repro.mining.fptree import FPNode, FPTree
+from tests.oracles.fptree import FPNode, FPTree
 
 
 @pytest.fixture()

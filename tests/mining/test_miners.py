@@ -1,4 +1,8 @@
-"""Unit tests for FP-Growth plus brute-force and cross-miner verification."""
+"""Unit tests for the Eclat miner and the FP-Growth oracle.
+
+A brute-force enumerator is a second reference, independent of both: each
+miner must match it, and the two miners must match each other.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MiningError
-from repro.mining.apriori import AprioriMiner, apriori
-from repro.mining.eclat import EclatMiner, eclat
-from repro.mining.fpgrowth import FPGrowthMiner, fpgrowth
+from repro.mining.eclat import EclatMiner
 from repro.mining.itemsets import TransactionDatabase
+from tests.oracles.fpgrowth import FPGrowthMiner
+
+
+def fpgrowth(transactions, min_support, max_length=4):
+    return FPGrowthMiner(min_support, max_length=max_length).mine(transactions)
+
+
+def eclat(transactions, min_support, max_length=4):
+    return EclatMiner(min_support, max_length=max_length).mine(transactions)
 
 
 def brute_force_frequent(transactions, min_support, max_length=None):
@@ -96,18 +107,16 @@ class TestFPGrowth:
 
 class TestMinerParity:
     @pytest.mark.parametrize("min_support", [0.2, 0.34, 0.5, 0.75])
-    def test_three_miners_agree_on_simple_data(self, min_support):
+    def test_miners_agree_on_simple_data(self, min_support):
         fp = fpgrowth(SIMPLE_TRANSACTIONS, min_support, max_length=None)
-        ap = apriori(SIMPLE_TRANSACTIONS, min_support, max_length=None)
         ec = eclat(SIMPLE_TRANSACTIONS, min_support, max_length=None)
         fp_map = {p.items: p.absolute_support for p in fp}
-        ap_map = {p.items: p.absolute_support for p in ap}
         ec_map = {p.items: p.absolute_support for p in ec}
-        assert fp_map == ap_map == ec_map
+        assert fp_map == ec_map
 
-    def test_three_miners_agree_on_recipe_data(self, toy_db):
+    def test_miners_agree_on_recipe_data(self, toy_db):
         transactions = toy_db.transactions_for_region("Japanese")
-        for miner in (FPGrowthMiner(0.5, None), AprioriMiner(0.5, None), EclatMiner(0.5, None)):
+        for miner in (FPGrowthMiner(0.5, None), EclatMiner(0.5, None)):
             result = miner.mine(transactions)
             assert result.support_map()[frozenset({"soy sauce"})] == 1.0
 
@@ -122,18 +131,12 @@ class TestMinerParity:
     )
     def test_property_miners_match_brute_force(self, transactions, min_support):
         expected = brute_force_frequent(transactions, min_support, max_length=3)
-        for mine in (fpgrowth, apriori, eclat):
+        for mine in (fpgrowth, eclat):
             result = mine(transactions, min_support=min_support, max_length=3)
             assert {p.items: p.absolute_support for p in result} == expected
 
 
-class TestAprioriEclatSpecifics:
-    def test_apriori_invalid_parameters(self):
-        with pytest.raises(MiningError):
-            AprioriMiner(min_support=2.0)
-        with pytest.raises(MiningError):
-            AprioriMiner(max_length=0)
-
+class TestEclatSpecifics:
     def test_eclat_invalid_parameters(self):
         with pytest.raises(MiningError):
             EclatMiner(min_support=-0.1)
@@ -141,10 +144,8 @@ class TestAprioriEclatSpecifics:
             EclatMiner(max_length=-1)
 
     def test_empty_inputs(self):
-        assert len(apriori([], 0.5)) == 0
         assert len(eclat([], 0.5)) == 0
 
     def test_max_length_respected(self):
-        for mine in (apriori, eclat):
-            result = mine(SIMPLE_TRANSACTIONS, min_support=0.3, max_length=2)
-            assert all(p.length <= 2 for p in result)
+        result = eclat(SIMPLE_TRANSACTIONS, min_support=0.3, max_length=2)
+        assert all(p.length <= 2 for p in result)

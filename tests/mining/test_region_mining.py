@@ -2,8 +2,8 @@
 
 Both entry points of :mod:`repro.mining.regions` must return exactly what
 mining each region's database directly returns -- byte for byte through the
-serve codec, keyed in sorted region order -- for every miner and engine,
-and report how each region was mined.
+serve codec, keyed in sorted region order -- and report how each region
+was mined.
 """
 
 from __future__ import annotations
@@ -11,16 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mining.apriori import AprioriMiner
 from repro.mining.eclat import EclatMiner
-from repro.mining.fpgrowth import FPGrowthMiner
 from repro.mining.itemsets import TransactionDatabase
 from repro.mining.regions import mine_corpus_with_report, mine_regions_with_report
 from repro.mining.shm import CorpusMatrix
 from repro.serve.codec import dumps, mining_to_dict
-
-MINERS = (AprioriMiner, EclatMiner, FPGrowthMiner)
-ENGINES = ("python", "bitset")
 
 ITEMS = [f"item{k:02d}" for k in range(24)]
 
@@ -50,10 +45,8 @@ def _direct(regions, miner):
 
 
 class TestSerialMining:
-    @pytest.mark.parametrize("miner_cls", MINERS)
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_matches_direct(self, regions, miner_cls, engine):
-        miner = miner_cls(0.08, max_length=3, engine=engine)
+    def test_matches_direct(self, regions):
+        miner = EclatMiner(0.08, max_length=3)
         direct = _direct(regions, miner)
         assert any(len(result) for result in direct.values())
         from_databases, _report = mine_regions_with_report(regions, miner)
@@ -73,7 +66,7 @@ class TestSerialMining:
         assert again.compiles == 0  # each database memoized its matrix
 
     def test_corpus_pass_compiles_nothing(self, regions):
-        miner = FPGrowthMiner(0.08, max_length=3)
+        miner = EclatMiner(0.08, max_length=3)
         results, report = mine_corpus_with_report(
             CorpusMatrix.from_transactions(regions), miner
         )
@@ -87,6 +80,6 @@ class TestSerialMining:
         assert report.dispatch is None
 
     def test_empty_mapping_mines_nothing(self):
-        results, report = mine_regions_with_report({}, FPGrowthMiner(0.2))
+        results, report = mine_regions_with_report({}, EclatMiner(0.2))
         assert results == {}
         assert report.outcomes == ()

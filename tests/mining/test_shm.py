@@ -18,7 +18,6 @@ import pytest
 from repro.errors import MiningError, SidecarError
 from repro.mining.bitmatrix import TransactionMatrix
 from repro.mining.eclat import EclatMiner
-from repro.mining.fpgrowth import FPGrowthMiner
 from repro.mining.itemsets import TransactionDatabase
 from repro.mining.shm import CorpusMatrix, RegionSpan
 
@@ -70,7 +69,7 @@ class TestExtractionIdentity:
             _assert_matrices_identical(extracted, direct)
 
     def test_extracted_database_mines_identically(self, regions, corpus):
-        miner = FPGrowthMiner(0.1, max_length=3)
+        miner = EclatMiner(0.1, max_length=3)
         for region, database in regions.items():
             assert miner.mine(corpus.region_database(region)) == miner.mine(database)
 
@@ -134,13 +133,9 @@ class TestCorpusSidecar:
         prefix = tmp_path / "corpus.matrix"
         corpus.save(prefix, fingerprint="abc123")
         loaded = CorpusMatrix.load(prefix, expected_fingerprint="abc123")
-        for miner in (
-            FPGrowthMiner(0.1, max_length=3),
-            EclatMiner(0.1, max_length=3),
-            FPGrowthMiner(0.1, max_length=3, engine="python"),
-        ):
-            for region, database in regions.items():
-                assert miner.mine(loaded.region_database(region)) == miner.mine(database)
+        miner = EclatMiner(0.1, max_length=3)
+        for region, database in regions.items():
+            assert miner.mine(loaded.region_database(region)) == miner.mine(database)
 
     def test_memory_map_is_read_only(self, corpus, tmp_path):
         prefix = tmp_path / "corpus.matrix"

@@ -1,0 +1,17 @@
+"""Reference implementations that check the production code.
+
+Nothing under ``src/`` imports this package; the tests and ``benchmarks/``
+do, from the repository root (``python -m pytest`` puts it on ``sys.path``).
+
+* :mod:`tests.oracles.fpgrowth` -- the paper's FP-Growth (Han, Pei & Yin
+  2000) as a string-keyed pure-Python pass over :mod:`tests.oracles.fptree`.
+  The production miner, :class:`repro.mining.eclat.EclatMiner`, must return
+  the same :class:`~repro.mining.itemsets.MiningResult` apart from its
+  ``algorithm`` label (``tests/mining/test_engine_parity.py``), and
+  ``benchmarks/test_bench_mining.py`` gates its speed against this pass.
+
+An oracle stays here while the fast path it checks exists.  Two references
+stay next to their fast paths: ``repro.cluster.linkage.linkage_naive``,
+which ``linkage`` itself runs on ulp-spaced inputs, and
+``CuisineClassifier.classify_batch_naive`` in ``repro.serve.classify``.
+"""

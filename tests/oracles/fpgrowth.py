@@ -1,4 +1,4 @@
-"""FP-Growth frequent-itemset mining (the paper's primary miner, Section V-A).
+"""FP-Growth frequent-itemset mining (the paper's miner, Section V-A).
 
 The driver follows Han, Pei & Yin (2000):
 
@@ -14,13 +14,11 @@ The driver follows Han, Pei & Yin (2000):
 short patterns, and bounding the length keeps the search tractable when
 recipes share many generic items (salt, add, heat ...).
 
-The default ``"bitset"`` engine leans on the database's compiled
-:class:`~repro.mining.bitmatrix.TransactionMatrix`: the step-1 item scan is
-the matrix's precomputed popcount vector, the tree is built over integer item
-ids, and every conditional pattern base is counted with one weighted
-``np.bincount`` instead of a nested Python loop.  The ``"python"`` engine
-keeps the historical string-keyed scan as the benchmark baseline and
-reference semantics; both produce identical pattern sets.
+This is the equality oracle for the production miner,
+:class:`repro.mining.eclat.EclatMiner`: a string-keyed pure-Python pass over
+the transactions' frozensets that never reads the packed-bitset engine, so
+the parity tests and the mining benchmark compare two independent
+implementations.
 """
 
 from __future__ import annotations
@@ -28,15 +26,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-import numpy as np
-
 from repro.errors import MiningError
-from repro.mining.fptree import FPTree
 from repro.mining.itemsets import MiningResult, Pattern, TransactionDatabase
 
-__all__ = ["FPGrowthMiner", "fpgrowth"]
+from tests.oracles.fptree import FPTree
 
-_ENGINES = ("bitset", "python")
+__all__ = ["FPGrowthMiner"]
 
 
 class FPGrowthMiner:
@@ -48,27 +43,15 @@ class FPGrowthMiner:
         Relative support threshold in ``(0, 1]``; the paper uses 0.20.
     max_length:
         Optional maximum pattern length (``None`` = unbounded).
-    engine:
-        ``"bitset"`` (default) counts through the compiled transaction
-        matrix; ``"python"`` is the historical pure-Python path.
     """
 
-    def __init__(
-        self,
-        min_support: float = 0.2,
-        max_length: int | None = 4,
-        *,
-        engine: str = "bitset",
-    ) -> None:
+    def __init__(self, min_support: float = 0.2, max_length: int | None = 4) -> None:
         if not 0.0 < min_support <= 1.0:
             raise MiningError(f"min_support must be in (0, 1], got {min_support}")
         if max_length is not None and max_length < 1:
             raise MiningError("max_length must be at least 1 when provided")
-        if engine not in _ENGINES:
-            raise MiningError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self.min_support = min_support
         self.max_length = max_length
-        self.engine = engine
 
     # -- public API -------------------------------------------------------------
 
@@ -85,61 +68,18 @@ class FPGrowthMiner:
                 [], n_transactions=0, min_support=self.min_support, algorithm="fp-growth"
             )
         min_count = database.minimum_count(self.min_support)
-        if self.engine == "bitset":
-            frequent_patterns = self._mine_bitset(database, min_count)
-        else:
-            frequent_patterns = self._mine_python(database, min_count)
-
         patterns = [
             Pattern(items=items, support=count / n, absolute_support=count)
-            for items, count in frequent_patterns.items()
+            for items, count in self._mine(database, min_count).items()
         ]
         return MiningResult(
             patterns, n_transactions=n, min_support=self.min_support, algorithm="fp-growth"
         )
 
-    # -- bitset engine ---------------------------------------------------------------
-
-    def _mine_bitset(
+    def _mine(
         self, database: TransactionDatabase, min_count: int
     ) -> dict[frozenset[str], int]:
-        """FP-Growth over integer item ids with matrix-backed counting."""
-        matrix = database.matrix()
-        supports = matrix.item_supports
-        frequent = {
-            int(item_id): int(supports[item_id])
-            for item_id in matrix.frequent_item_ids(min_count)
-        }
-        if not frequent:
-            return {}
-
-        # Rank by descending frequency (ties broken by ascending id, which is
-        # lexicographic item order -- identical to the string path).
-        ranking = {
-            item: rank
-            for rank, item in enumerate(
-                sorted(frequent, key=lambda it: (-frequent[it], it))
-            )
-        }
-        tree = FPTree()
-        for transaction_ids in matrix.transaction_id_arrays():
-            items = [item for item in transaction_ids.tolist() if item in frequent]
-            if not items:
-                tree.n_transactions += 1
-                continue
-            items.sort(key=lambda item: (ranking[item], item))
-            tree.insert(items)
-
-        counts: dict[frozenset[int], int] = {}
-        self._mine_tree(tree, frozenset(), min_count, counts, vectorized=True)
-        return {matrix.items_of(ids): count for ids, count in counts.items()}
-
-    # -- python engine (reference semantics / benchmark baseline) --------------------
-
-    def _mine_python(
-        self, database: TransactionDatabase, min_count: int
-    ) -> dict[frozenset[str], int]:
-        """The historical string-keyed FP-Growth pass."""
+        """The string-keyed FP-Growth pass."""
         item_counts = database.item_counts()
         frequent = {
             item: count for item, count in item_counts.items() if count >= min_count
@@ -158,7 +98,7 @@ class FPGrowthMiner:
         tree = FPTree.from_transactions(database, ranking, frequent_items=frequent)
 
         counts: dict[frozenset[str], int] = {}
-        self._mine_tree(tree, frozenset(), min_count, counts, vectorized=False)
+        self._mine_tree(tree, frozenset(), min_count, counts)
         return counts
 
     # -- recursion ------------------------------------------------------------------
@@ -169,8 +109,6 @@ class FPGrowthMiner:
         suffix: frozenset,
         min_count: int,
         counts: dict,
-        *,
-        vectorized: bool,
     ) -> None:
         if tree.is_empty:
             return
@@ -187,12 +125,8 @@ class FPGrowthMiner:
             self._record(counts, new_pattern, support_count)
             if self.max_length is not None and len(new_pattern) == self.max_length:
                 continue
-            conditional_tree = self._conditional_tree(
-                tree, item, min_count, vectorized=vectorized
-            )
-            self._mine_tree(
-                conditional_tree, new_pattern, min_count, counts, vectorized=vectorized
-            )
+            conditional_tree = self._conditional_tree(tree, item, min_count)
+            self._mine_tree(conditional_tree, new_pattern, min_count, counts)
 
     def _mine_single_path(
         self,
@@ -220,43 +154,16 @@ class FPGrowthMiner:
                 self._record(counts, items, support_count)
 
     @staticmethod
-    def _conditional_tree(
-        tree: FPTree, item, min_count: int, *, vectorized: bool
-    ) -> FPTree:
+    def _conditional_tree(tree: FPTree, item, min_count: int) -> FPTree:
         """Build the conditional FP-tree for *item*."""
         base = tree.conditional_pattern_base(item)
-        if vectorized and len(base) >= 32:
-            # Conditional-base counting as one weighted bincount over the
-            # concatenated prefix-path id arrays.  Small bases stay on the
-            # dict loop: converting a handful of short paths to arrays costs
-            # more than counting them directly.
-            lengths = np.fromiter(
-                (len(path) for path, _ in base), dtype=np.int64, count=len(base)
-            )
-            path_ids = np.fromiter(
-                (item for path, _ in base for item in path),
-                dtype=np.int64,
-                count=int(lengths.sum()),
-            )
-            weights = np.repeat(
-                np.fromiter(
-                    (count for _, count in base), dtype=np.int64, count=len(base)
-                ),
-                lengths,
-            )
-            totals = np.bincount(path_ids, weights=weights)
-            conditional_counts = {
-                int(path_item): int(totals[path_item])
-                for path_item in np.flatnonzero(totals)
-            }
-        else:
-            # Count items within the conditional base.
-            conditional_counts = {}
-            for path, count in base:
-                for path_item in path:
-                    conditional_counts[path_item] = (
-                        conditional_counts.get(path_item, 0) + count
-                    )
+        # Count items within the conditional base.
+        conditional_counts: dict = {}
+        for path, count in base:
+            for path_item in path:
+                conditional_counts[path_item] = (
+                    conditional_counts.get(path_item, 0) + count
+                )
         frequent = {
             it: c for it, c in conditional_counts.items() if c >= min_count
         }
@@ -278,16 +185,3 @@ class FPGrowthMiner:
         existing = counts.get(items)
         if existing is None or support_count > existing:
             counts[items] = support_count
-
-
-def fpgrowth(
-    transactions: TransactionDatabase | Iterable[Iterable[str]],
-    min_support: float = 0.2,
-    max_length: int | None = 4,
-    *,
-    engine: str = "bitset",
-) -> MiningResult:
-    """Functional convenience wrapper around :class:`FPGrowthMiner`."""
-    return FPGrowthMiner(
-        min_support=min_support, max_length=max_length, engine=engine
-    ).mine(transactions)

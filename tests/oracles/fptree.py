@@ -7,13 +7,11 @@ transactions pass through.  A header table links all nodes of the same item so
 conditional pattern bases can be extracted without rescanning the data.
 
 :class:`FPTree` is deliberately independent of the FP-Growth driver in
-:mod:`repro.mining.fpgrowth`, so it can be unit-tested (and reused by other
-algorithms such as FIHC) on its own.
+:mod:`tests.oracles.fpgrowth`, so it can be unit-tested on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import MiningError

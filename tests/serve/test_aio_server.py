@@ -484,6 +484,12 @@ GARBAGE = {
     "huge-length": (_head(b"9" * 5000), 413),
     # json.loads(bytes) raised UnicodeDecodeError, not JSONDecodeError: a 500.
     "non-utf8-body": (_head(b"%d" % len(_NON_UTF8)) + _NON_UTF8, 400),
+    # Past asyncio's 64 KiB line limit readline() raised ValueError: a 500.
+    "huge-request-line": (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 400),
+    "huge-header-line": (
+        b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"a" * 70_000 + b"\r\n\r\n",
+        400,
+    ),
 }
 
 

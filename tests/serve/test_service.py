@@ -95,7 +95,7 @@ class TestCacheHits:
         service.get_or_run(CONFIG)
         changed = service.get_or_run(CONFIG.with_overrides(linkage_method="complete"))
         assert changed.source == "computed"  # full analysis is a miss ...
-        assert changed.mining_reused  # ... but FP-Growth is not re-run
+        assert changed.mining_reused  # ... but the miner is not re-run
         assert len(mining_calls) == 1
         assert changed.results.fihc.run.method == "complete"
         # Identical mining artifacts reached the new analysis.
