@@ -9,8 +9,9 @@ The package is organised by subsystem:
   indexes, persistence, corpus statistics);
 * :mod:`repro.datagen` -- the synthetic corpus generator calibrated to the
   paper's published statistics;
-* :mod:`repro.mining` -- transactions, the packed-bitset engine, the corpus
-  arena and the Eclat miner that finds every cuisine's frequent itemsets;
+* :mod:`repro.mining` -- transactions, the packed-bitset engine, the
+  corpus's integer-id CSR and the Eclat miner that finds every cuisine's
+  frequent itemsets;
 * :mod:`repro.authenticity` -- prevalence, relative prevalence (authenticity)
   and cuisine fingerprints;
 * :mod:`repro.features` -- label encoding, string patterns and feature

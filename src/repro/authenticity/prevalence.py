@@ -17,7 +17,9 @@ array with the label bookkeeping needed by the downstream relative-prevalence
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -112,45 +114,49 @@ def prevalence_from_transactions(
     recipes across the whole corpus, which keeps the authenticity matrix from
     being dominated by hapax items at full corpus scale.
     """
-    if not transactions_by_cuisine:
+    return _prevalence_from_counts(
+        {
+            cuisine: (
+                Counter(chain.from_iterable(map(set, transactions))),
+                len(transactions),
+            )
+            for cuisine, transactions in transactions_by_cuisine.items()
+        },
+        min_document_frequency,
+    )
+
+
+def _prevalence_from_counts(
+    counted: Mapping[str, tuple[Mapping[str, int], int]],
+    min_document_frequency: int,
+) -> PrevalenceMatrix:
+    """The matrix from each cuisine's ``(item document counts, recipe count)``."""
+    if not counted:
         raise FeatureError("at least one cuisine is required")
     if min_document_frequency < 1:
         raise FeatureError("min_document_frequency must be at least 1")
 
-    cuisines = tuple(sorted(transactions_by_cuisine))
-    global_counts: dict[str, int] = {}
-    per_cuisine_counts: dict[str, dict[str, int]] = {}
-    cuisine_sizes: dict[str, int] = {}
-    for cuisine in cuisines:
-        transactions = transactions_by_cuisine[cuisine]
-        cuisine_sizes[cuisine] = len(transactions)
-        counts: dict[str, int] = {}
-        for transaction in transactions:
-            for item in set(transaction):
-                counts[item] = counts.get(item, 0) + 1
-                global_counts[item] = global_counts.get(item, 0) + 1
-        per_cuisine_counts[cuisine] = counts
-
-    items = tuple(
-        sorted(
-            item
-            for item, count in global_counts.items()
-            if count >= min_document_frequency
+    cuisines = tuple(sorted(counted))
+    vocabulary = sorted(set().union(*(counts for counts, _size in counted.values())))
+    column_of = {item: column for column, item in enumerate(vocabulary)}
+    document_counts = np.zeros((len(cuisines), len(vocabulary)), dtype=np.int64)
+    for row, cuisine in enumerate(cuisines):
+        counts = counted[cuisine][0]
+        columns = np.fromiter(
+            map(column_of.__getitem__, counts), dtype=np.intp, count=len(counts)
         )
-    )
+        document_counts[row, columns] = np.fromiter(
+            counts.values(), dtype=np.int64, count=len(counts)
+        )
+    keep = document_counts.sum(axis=0) >= min_document_frequency
+    items = tuple(compress(vocabulary, keep.tolist()))
     if not items:
         raise FeatureError("no items survive the document-frequency filter")
 
-    item_index = {item: i for i, item in enumerate(items)}
+    # count / size as doubles, exactly what Python's int division gives.
+    sizes = np.array([[counted[cuisine][1]] for cuisine in cuisines], dtype=np.int64)
     values = np.zeros((len(cuisines), len(items)), dtype=np.float64)
-    for row, cuisine in enumerate(cuisines):
-        size = cuisine_sizes[cuisine]
-        if size == 0:
-            continue
-        for item, count in per_cuisine_counts[cuisine].items():
-            column = item_index.get(item)
-            if column is not None:
-                values[row, column] = count / size
+    np.divide(document_counts[:, keep], sizes, out=values, where=sizes > 0)
     return PrevalenceMatrix(cuisines=cuisines, items=items, values=values)
 
 
@@ -165,12 +171,24 @@ def prevalence_matrix(
     By default only ingredients are considered, matching Figure 5 of the paper
     ("Hierarchical Agglomerative Clustering based on Authenticity of
     Ingredients"); pass ``kinds=None`` to use the full item space.
+
+    A recipe's entity tuple holds distinct names, so one kind is counted
+    straight over the tuples; several kinds go through
+    :meth:`~repro.recipedb.models.Recipe.items`, which drops a name shared
+    by two kinds to one.
     """
     kinds_tuple = tuple(kinds) if kinds is not None else None
-    transactions = {
-        region: database.transactions_for_region(region, kinds_tuple)
-        for region in database.region_names()
-    }
-    return prevalence_from_transactions(
-        transactions, min_document_frequency=min_document_frequency
-    )
+    counted: dict[str, tuple[Counter[str], int]] = {}
+    for region in database.region_names():
+        recipes = database.recipes_in_region(region)
+        if (
+            kinds_tuple is not None
+            and len(kinds_tuple) == 1
+            and isinstance(kinds_tuple[0], EntityKind)
+        ):
+            kind = kinds_tuple[0]
+            rows = (recipe.entities_of(kind) for recipe in recipes)
+        else:
+            rows = (recipe.items(kinds_tuple) for recipe in recipes)
+        counted[region] = (Counter(chain.from_iterable(rows)), len(recipes))
+    return _prevalence_from_counts(counted, min_document_frequency)

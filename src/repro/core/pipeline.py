@@ -57,8 +57,9 @@ from repro.geo.comparison import (
 )
 from repro.geo.regions import REGION_GEOGRAPHY
 from repro.mining.eclat import EclatMiner
-from repro.mining.itemsets import MiningResult, TransactionDatabase
-from repro.mining.regions import mine_regions_with_report
+from repro.mining.itemsets import MiningResult
+from repro.mining.regions import mine_corpus_with_report
+from repro.mining.shm import CorpusMatrix
 from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.models import EntityKind
 from repro.recipedb.stats import corpus_statistics
@@ -83,29 +84,18 @@ class CuisineClusteringPipeline:
 
     # -- stage 2: mining -------------------------------------------------------------
 
-    def mine_patterns(
-        self,
-        database: RecipeDatabase,
-        transactions: Mapping[str, TransactionDatabase] | None = None,
-    ) -> dict[str, MiningResult]:
+    def mine_patterns(self, database: RecipeDatabase) -> dict[str, MiningResult]:
         """Mine frequent patterns per cuisine with Eclat (see :meth:`build_miner`).
 
-        *transactions* optionally supplies pre-built per-region transaction
-        databases (e.g. from :meth:`build_transactions`); passing the same
-        mapping across several ``min_support`` runs lets every run share the
-        compiled :class:`~repro.mining.bitmatrix.TransactionMatrix` each
-        database memoizes.  Regions are mined one after another and the
-        result is keyed in sorted region order.
+        The corpus is built once into its integer-id CSR
+        (:meth:`build_transactions`) and each region is packed from it and
+        mined, one after another; the result is keyed in sorted region order.
         """
-        if transactions is None:
-            transactions = self.build_transactions(database)
-        selected: dict[str, TransactionDatabase] = {}
-        for region in database.region_names():
-            regional = transactions.get(region)
-            if regional is None or len(regional) == 0:
-                raise PipelineError(f"region {region!r} has no recipes to mine")
-            selected[region] = regional
-        results, _report = mine_regions_with_report(selected, self.build_miner())
+        corpus = self.build_transactions(database)
+        for span in corpus.spans:
+            if span.n_transactions == 0:
+                raise PipelineError(f"region {span.region!r} has no recipes to mine")
+        results, _report = mine_corpus_with_report(corpus, self.build_miner())
         return results
 
     def build_miner(self) -> EclatMiner:
@@ -121,14 +111,21 @@ class CuisineClusteringPipeline:
             max_length=self.config.max_pattern_length,
         )
 
-    def build_transactions(
-        self, database: RecipeDatabase
-    ) -> dict[str, TransactionDatabase]:
-        """Per-region transaction databases (each memoizes its bit matrix)."""
-        return {
-            region: TransactionDatabase(database.transactions_for_region(region))
-            for region in database.region_names()
-        }
+    def build_transactions(self, database: RecipeDatabase) -> CorpusMatrix:
+        """The corpus as one integer-id CSR, one row per recipe by region.
+
+        A row is the recipe's ``(*ingredients, *processes, *utensils)``
+        (Section V-A); a name in two kinds counts once.
+        """
+        return CorpusMatrix.from_transactions(
+            {
+                region: (
+                    (*recipe.ingredients, *recipe.processes, *recipe.utensils)
+                    for recipe in database.recipes_in_region(region)
+                )
+                for region in database.region_names()
+            }
+        )
 
     def build_table1(
         self, database: RecipeDatabase, mining_results: Mapping[str, MiningResult]

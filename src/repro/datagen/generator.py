@@ -35,7 +35,7 @@ from repro.datagen.pantry import (
 from repro.datagen.profiles import CuisineProfile, default_profiles
 from repro.datagen.random_utils import make_rng, poisson_clamped, zipf_weights
 from repro.recipedb.database import RecipeDatabase
-from repro.recipedb.models import Recipe, Region
+from repro.recipedb.models import Recipe, Region, normalize_name
 
 __all__ = ["GeneratorConfig", "SyntheticRecipeDBGenerator", "generate_corpus"]
 
@@ -45,6 +45,8 @@ _PAPER_NO_UTENSIL_RECIPES = 14_601
 _PAPER_INGREDIENT_VOCAB = 20_280
 _PAPER_PROCESS_VOCAB = 268
 _PAPER_UTENSIL_VOCAB = 69
+#: Provenance label of every generated recipe.
+_SOURCE = "synthetic-recipedb"
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,38 +148,48 @@ class GeneratorConfig:
 
 
 class _WeightedPool:
-    """A vocabulary pool with precomputed Zipf weights for fast filler draws."""
+    """A vocabulary pool with precomputed Zipf weights for fast filler draws.
+
+    Draws are pool indices.  Each name is normalised once, here, so a recipe
+    maps its indices to finished names without normalising any occurrence.
+    """
 
     def __init__(self, names: Sequence[str], exponent: float) -> None:
         self.names: tuple[str, ...] = tuple(names)
+        #: Raw name -> pool index; rejecting drawn indices equals rejecting
+        #: drawn names only while the raw names are distinct.
+        self.index_of: dict[str, int] = {
+            name: index for index, name in enumerate(self.names)
+        }
+        if len(self.index_of) != len(self.names):
+            raise GenerationError("a generator pool must not repeat a name")
+        self.normalised: tuple[str, ...] = tuple(map(normalize_name, self.names))
         weights = zipf_weights(len(self.names), exponent)
         self._cumulative = np.cumsum(weights)
         # Guard against floating point drift in the final bucket.
         self._cumulative[-1] = 1.0
 
     def draw(
-        self, rng: np.random.Generator, count: int, exclude: frozenset[str]
-    ) -> list[str]:
-        """Draw up to *count* distinct names not already in *exclude*."""
+        self, rng: np.random.Generator, count: int, exclude: frozenset[int]
+    ) -> list[int]:
+        """Draw up to *count* distinct pool indices not already in *exclude*."""
         if count <= 0:
             return []
-        names = self.names
-        chosen: list[str] = []
+        chosen: list[int] = []
         seen = set(exclude)
         # Rejection sampling against the cumulative distribution; the pools are
         # much larger than per-recipe counts so this converges immediately.
         # Draws lie in [0, 1) and the last cumulative bucket is exactly 1.0,
-        # so every searchsorted index is a valid position in *names*.
+        # so every searchsorted index is a valid position in the pool.
         attempts = 0
         max_attempts = max(50, count * 20)
         while len(chosen) < count and attempts < max_attempts:
             remaining = count - len(chosen)
             draws = rng.random(remaining * 2 + 4)
-            for index in np.searchsorted(self._cumulative, draws, side="left").tolist():
-                name = names[index]
-                if name not in seen:
-                    seen.add(name)
-                    chosen.append(name)
+            for index in self._cumulative.searchsorted(draws).tolist():
+                if index not in seen:
+                    seen.add(index)
+                    chosen.append(index)
                     if len(chosen) == count:
                         break
             attempts += 1
@@ -190,31 +202,35 @@ class _SignatureTable:
     Each entity is included with a boosted probability in traditional recipes
     and a reduced one in the rest, chosen so the mixture keeps its marginal
     inclusion probability at the calibrated target (up to the 0.95 cap on
-    boosted probabilities).  Filler draws exclude every signature entity, hit
-    or not, so ``excluded`` is the whole name set.
+    boosted probabilities).  Entities are held as indices into the kind's
+    pool.  Filler draws exclude every signature entity, hit or not, so
+    ``excluded`` is the whole index set.
     """
 
-    def __init__(self, signatures: Mapping[str, float], rate: float, boost: float) -> None:
-        self.names: tuple[str, ...] = tuple(signatures)
-        self.excluded: frozenset[str] = frozenset(self.names)
-        boosted = [min(0.95, boost * signatures[name]) for name in self.names]
+    def __init__(
+        self, signatures: Mapping[str, float], rate: float, boost: float, pool: _WeightedPool
+    ) -> None:
+        names = tuple(signatures)
+        self.ids: tuple[int, ...] = tuple(pool.index_of[name] for name in names)
+        self.excluded: frozenset[int] = frozenset(self.ids)
+        boosted = [min(0.95, boost * signatures[name]) for name in names]
         if rate > 0.0:
             reduced = [
                 max(0.0, (signatures[name] - rate * high) / (1.0 - rate))
-                for name, high in zip(self.names, boosted)
+                for name, high in zip(names, boosted)
             ]
         else:
-            reduced = [signatures[name] for name in self.names]
+            reduced = [signatures[name] for name in names]
         self._boosted = np.array(boosted, dtype=np.float64)
         self._reduced = np.array(reduced, dtype=np.float64)
 
-    def draw(self, rng: np.random.Generator, traditional: bool) -> list[str]:
-        """The signature entities this recipe includes, in signature order."""
-        if not self.names:
+    def draw(self, rng: np.random.Generator, traditional: bool) -> list[int]:
+        """The pool indices of the entities this recipe includes, in signature order."""
+        if not self.ids:
             return []
         probabilities = self._boosted if traditional else self._reduced
-        hits = rng.random(len(self.names)) < probabilities
-        return list(compress(self.names, hits.tolist()))
+        hits = rng.random(len(self.ids)) < probabilities
+        return list(compress(self.ids, hits.tolist()))
 
 
 class SyntheticRecipeDBGenerator:
@@ -292,9 +308,10 @@ class SyntheticRecipeDBGenerator:
         for region_name in sorted(self.profiles):
             profile = self.profiles[region_name]
             tables = self._signature_tables(profile)
+            region = " ".join(profile.name.split())
             count = profile.scaled_recipe_count(self.config.scale)
             for serial in range(count):
-                yield self._generate_recipe(recipe_id, serial, profile, tables)
+                yield self._generate_recipe(recipe_id, serial, profile, region, tables)
                 recipe_id += 1
 
     def generate(self) -> RecipeDatabase:
@@ -315,9 +332,9 @@ class SyntheticRecipeDBGenerator:
         rate = self.config.traditional_recipe_rate
         boost = self.config.signature_boost
         return (
-            _SignatureTable(profile.signature_items, rate, boost),
-            _SignatureTable(profile.signature_processes, rate, boost),
-            _SignatureTable(profile.signature_utensils, rate, boost),
+            _SignatureTable(profile.signature_items, rate, boost, self._ingredient_pool),
+            _SignatureTable(profile.signature_processes, rate, boost, self._process_pool),
+            _SignatureTable(profile.signature_utensils, rate, boost, self._utensil_pool),
         )
 
     def _generate_recipe(
@@ -325,8 +342,10 @@ class SyntheticRecipeDBGenerator:
         recipe_id: int,
         serial: int,
         profile: CuisineProfile,
+        region: str,
         tables: tuple[_SignatureTable, _SignatureTable, _SignatureTable],
     ) -> Recipe:
+        """One recipe; *region* is the profile name, normalised once per profile."""
         rng = self._rng
         item_table, process_table, utensil_table = tables
         # One flag per recipe correlates signature usage across entity kinds,
@@ -360,23 +379,21 @@ class SyntheticRecipeDBGenerator:
 
         if not ingredients:
             # Degenerate draw (tiny mean + no signature hit): force one staple.
-            ingredients = [self._ingredient_pool.names[0]]
+            ingredients = [0]
 
-        title = self._title_for(profile, serial, ingredients)
-        return Recipe(
-            recipe_id=recipe_id,
-            title=title,
-            region=profile.name,
-            ingredients=tuple(ingredients),
-            processes=tuple(processes),
-            utensils=tuple(utensils),
-            source="synthetic-recipedb",
+        anchor = self._ingredient_pool.names[ingredients[0]]
+        ingredient_names = self._ingredient_pool.normalised
+        process_names = self._process_pool.normalised
+        utensil_names = self._utensil_pool.normalised
+        return Recipe.from_normalised(
+            recipe_id,
+            normalize_name(f"{profile.name} {anchor} dish {serial}"),
+            region,
+            tuple(sorted({ingredient_names[i] for i in ingredients})),
+            tuple(sorted({process_names[i] for i in processes})),
+            tuple(sorted({utensil_names[i] for i in utensils})),
+            _SOURCE,
         )
-
-    @staticmethod
-    def _title_for(profile: CuisineProfile, serial: int, ingredients: Sequence[str]) -> str:
-        anchor = ingredients[0] if ingredients else "house"
-        return f"{profile.name} {anchor} dish {serial}"
 
 
 def generate_corpus(

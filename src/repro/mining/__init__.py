@@ -1,10 +1,10 @@
 """Frequent-pattern mining: one Eclat miner over packed bitsets.
 
 The paper mines with FP-Growth (Section V-A).  Any exact miner returns the
-same frequent itemsets, so production runs :class:`EclatMiner` over the
-compiled :class:`TransactionMatrix` (or a region of the :class:`CorpusMatrix`
-arena), and the paper's FP-Growth is kept as the test oracle in
-``tests/oracles/``.
+same frequent itemsets, so production runs :class:`EclatMiner` over each
+region's :class:`TransactionMatrix`, packed on demand from the corpus's
+integer-id :class:`CorpusMatrix` CSR, and the paper's FP-Growth is kept as
+the test oracle in ``tests/oracles/``.
 """
 
 from repro.mining.bitmatrix import TransactionMatrix

@@ -14,11 +14,11 @@ order and lexicographic item order coincide -- Eclat relies on this to walk
 its extensions in lexicographic item order.
 
 The matrix is immutable and is memoized on
-:meth:`repro.mining.itemsets.TransactionDatabase.matrix`, so the serve layer
-can compile it once per corpus and share it across ``min_support`` sweeps.
-:class:`~repro.mining.shm.CorpusMatrix` gathers the compiled matrices of a
-whole corpus into one arena and persists that as a memory-mappable sidecar
-(the file layout comes from :func:`sidecar_paths`).
+:meth:`repro.mining.itemsets.TransactionDatabase.matrix`.  The pipeline and
+the serve layer never compile one from frozensets: they pack each region
+from the corpus's integer-id CSR
+(:meth:`repro.mining.shm.CorpusMatrix.region_matrix`), which builds the same
+matrix byte for byte.
 """
 
 from __future__ import annotations
@@ -30,23 +30,7 @@ import numpy as np
 
 from repro.errors import MiningError
 
-__all__ = ["TransactionMatrix", "popcount", "sidecar_paths"]
-
-_SIDECAR_SUFFIXES = {
-    "meta": ".meta.json",
-    "rows": ".rows.npy",
-    "tids": ".tids.npy",
-    "offsets": ".offsets.npy",
-}
-
-
-def sidecar_paths(prefix: Path | str) -> dict[str, Path]:
-    """The four files one persisted matrix occupies, keyed by role."""
-    prefix = Path(prefix)
-    return {
-        role: prefix.with_name(prefix.name + suffix)
-        for role, suffix in _SIDECAR_SUFFIXES.items()
-    }
+__all__ = ["TransactionMatrix", "popcount"]
 
 
 def _replace_with(path: Path, array: np.ndarray) -> None:
@@ -119,16 +103,17 @@ class TransactionMatrix:
         items: tuple[str, ...],
         n_transactions: int,
         rows: np.ndarray,
+        supports: np.ndarray,
         transaction_ids: tuple[np.ndarray, ...],
     ) -> "TransactionMatrix":
-        """Assemble a matrix from already-compiled arrays (no packbits pass)."""
+        """Assemble a matrix from already-packed rows and their item supports."""
         matrix = object.__new__(cls)
         matrix.items = items
-        matrix.item_index = {item: index for index, item in enumerate(items)}
+        matrix.item_index = dict(zip(items, range(len(items))))
         matrix.n_transactions = n_transactions
         matrix._rows = rows
         matrix.n_words = rows.shape[1]
-        matrix._supports = popcount(rows).sum(axis=1, dtype=np.int64)
+        matrix._supports = supports
         matrix._transaction_ids = transaction_ids
         return matrix
 

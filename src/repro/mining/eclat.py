@@ -5,8 +5,9 @@ containing it and grows itemsets depth-first by intersecting tid-sets.  Every
 tid-set is a packed bit row of the database's compiled
 :class:`~repro.mining.bitmatrix.TransactionMatrix`, so an intersection is one
 byte-wise AND and a support check is one popcount, both numpy-level
-operations.  Mining a region sliced out of a memory-mapped
-:class:`~repro.mining.shm.CorpusMatrix` therefore reads only the mapped rows.
+operations.  A region packed from the corpus CSR
+(:meth:`~repro.mining.shm.CorpusMatrix.region_matrix`) arrives with its
+matrix, so mining it compiles nothing.
 
 The paper mines with FP-Growth (Section V-A); any exact miner returns the
 same frequent itemsets.  ``tests/mining/test_engine_parity.py`` checks that

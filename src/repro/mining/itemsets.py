@@ -39,11 +39,11 @@ class TransactionDatabase:
     """An immutable list of transactions (item frozensets) with support helpers.
 
     A database normally materialises its transactions up front; one built
-    with :meth:`from_matrix` instead wraps an already-compiled (possibly
-    memory-mapped) :class:`~repro.mining.bitmatrix.TransactionMatrix` and
-    reconstructs the frozensets only if something actually needs them -- the
-    Eclat miner never does, so mining a region sliced out of a
-    memory-mapped corpus arena touches nothing but the mapped arrays.
+    with :meth:`from_matrix` instead wraps an already-compiled
+    :class:`~repro.mining.bitmatrix.TransactionMatrix` and reconstructs the
+    frozensets only if something actually needs them -- the Eclat miner
+    never does, so mining a region packed from the corpus CSR makes no
+    frozensets.
     """
 
     def __init__(self, transactions: Iterable[Iterable[str]]) -> None:

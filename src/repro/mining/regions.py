@@ -3,13 +3,13 @@
 The paper mines every cuisine's patterns independently (Section V-A).  This
 module runs that loop in-process, one region after another:
 
-* :func:`mine_regions_with_report` mines a mapping of per-region
-  :class:`~repro.mining.itemsets.TransactionDatabase` objects (the pipeline
-  path; each database compiles its bit matrix on first use);
 * :func:`mine_corpus_with_report` mines every region of a
-  :class:`~repro.mining.shm.CorpusMatrix` arena (the serve layer's path,
-  where each region is a byte-range slice of one compiled or memory-mapped
-  arena, so nothing is compiled).
+  :class:`~repro.mining.shm.CorpusMatrix` CSR, packing each region from it
+  on demand -- the one production path: the pipeline mines the CSR it just
+  built, the serve layer the one it built or memory-mapped;
+* :func:`mine_regions_with_report` mines a mapping of per-region
+  :class:`~repro.mining.itemsets.TransactionDatabase` objects (each compiles
+  its bit matrix on first use); the tests use it as the direct reference.
 
 Both return the results keyed in sorted region order plus a
 :class:`MiningReport`, so either entry point is byte-identical (through
@@ -112,11 +112,11 @@ def mine_regions_with_report(
 def mine_corpus_with_report(
     corpus: CorpusMatrix, miner
 ) -> tuple[dict[str, MiningResult], MiningReport]:
-    """Mine every region of a corpus arena, in sorted region order.
+    """Mine every region of a corpus CSR, in sorted region order.
 
-    Each region is sliced out of the arena with
-    :meth:`~repro.mining.shm.CorpusMatrix.region_database`, so the pass
-    compiles nothing, whether the arena was just built or memory-mapped from
-    its sidecar.
+    Each region is packed from the CSR with
+    :meth:`~repro.mining.shm.CorpusMatrix.region_database`, whether the CSR
+    was just built or memory-mapped from its sidecar, and arrives with its
+    matrix, so no region counts as a compile.
     """
     return _mine(sorted(corpus.regions), corpus.region_database, miner)

@@ -1,18 +1,20 @@
-"""One global transaction matrix for the whole corpus.
+"""The corpus in one integer-id form: a CSR of every recipe's item ids.
 
-:class:`CorpusMatrix` holds the per-region packed bitsets of a whole corpus
-concatenated into **one** arena.  Every region keeps its own
-independently-packed block of byte columns, so extracting a region is a pure
-byte-range slice (no bit shifting), and dropping the rows with zero support
-inside the region reproduces the region's own
-:class:`~repro.mining.bitmatrix.TransactionMatrix` byte-for-byte -- mining
-from an extracted region is indistinguishable from mining the region
+:class:`CorpusMatrix` holds a whole corpus as one compressed sparse row
+(CSR) structure over a global sorted vocabulary: ``tids`` is every
+transaction's sorted, de-duplicated item ids flattened in region order, and
+``offsets`` delimits the transactions.  Its size is the number of non-zeros,
+the same order as the corpus itself.  Mining needs only these ids in a
+vertical layout (Eclat, Zaki 2000), so each region is packed into its own
+:class:`~repro.mining.bitmatrix.TransactionMatrix` on demand, and that
+matrix equals a fresh compile of the region's transactions byte for byte
+-- mining a region of the CSR is indistinguishable from mining the region
 database directly.
 
 A corpus matrix persists as a single memory-mappable sidecar (a JSON meta
-file plus three ``.npy`` arrays), which is the serve layer's warm-start
+file plus two ``.npy`` arrays), which is the serve layer's warm-start
 artifact: a restarted service maps it read-only and mines every region
-without compiling anything.
+without rebuilding the CSR.
 """
 
 from __future__ import annotations
@@ -20,55 +22,60 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import MiningError, SidecarError
-from repro.mining.bitmatrix import TransactionMatrix, _replace_with, popcount, sidecar_paths
+from repro.mining.bitmatrix import TransactionMatrix, _replace_with
 from repro.mining.itemsets import TransactionDatabase
 
 __all__ = [
     "CORPUS_SIDECAR_VERSION",
     "RegionSpan",
     "CorpusMatrix",
+    "sidecar_paths",
 ]
 
 #: Bump when the corpus-sidecar layout changes; loaders reject other versions.
-CORPUS_SIDECAR_VERSION = 1
+CORPUS_SIDECAR_VERSION = 2
+
+_SIDECAR_SUFFIXES = {
+    "meta": ".meta.json",
+    "tids": ".tids.npy",
+    "offsets": ".offsets.npy",
+}
+#: The version-1 dense arena, deleted by :meth:`CorpusMatrix.save`.
+_LEGACY_ROWS_SUFFIX = ".rows.npy"
+
+
+def sidecar_paths(prefix: Path | str) -> dict[str, Path]:
+    """The three files one persisted corpus matrix occupies, keyed by role."""
+    prefix = Path(prefix)
+    return {
+        role: prefix.with_name(prefix.name + suffix)
+        for role, suffix in _SIDECAR_SUFFIXES.items()
+    }
 
 
 @dataclass(frozen=True, slots=True)
 class RegionSpan:
-    """Where one region lives inside the corpus arena.
+    """Where one region lives in the corpus CSR.
 
-    ``tx_start:tx_stop`` index the corpus-wide transaction sequence (and
-    thereby ``offsets``); ``word_start:word_stop`` are the byte columns of
-    the region's packed block inside ``rows``.
+    ``tx_start:tx_stop`` index the corpus-wide transaction sequence, and
+    thereby ``offsets``.
     """
 
     region: str
     tx_start: int
     tx_stop: int
-    word_start: int
-    word_stop: int
 
     @property
     def n_transactions(self) -> int:
         return self.tx_stop - self.tx_start
 
-    @property
-    def n_words(self) -> int:
-        return self.word_stop - self.word_start
-
     def to_dict(self) -> dict[str, object]:
-        return {
-            "region": self.region,
-            "tx_start": self.tx_start,
-            "tx_stop": self.tx_stop,
-            "word_start": self.word_start,
-            "word_stop": self.word_stop,
-        }
+        return {"region": self.region, "tx_start": self.tx_start, "tx_stop": self.tx_stop}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "RegionSpan":
@@ -76,98 +83,75 @@ class RegionSpan:
             region=str(payload["region"]),
             tx_start=int(payload["tx_start"]),  # type: ignore[arg-type]
             tx_stop=int(payload["tx_stop"]),  # type: ignore[arg-type]
-            word_start=int(payload["word_start"]),  # type: ignore[arg-type]
-            word_stop=int(payload["word_stop"]),  # type: ignore[arg-type]
         )
 
 
 class CorpusMatrix:
-    """All regions' packed bitsets in one arena, region-extractable.
+    """Every transaction's global item ids as one CSR, region-packable.
 
-    * ``rows`` -- ``(n_items, total_words)`` uint8: the global sorted
-      vocabulary down the rows, each region's independently-packed byte
-      block side by side along the columns;
-    * ``tids`` + ``offsets`` -- every transaction's sorted **global** item
-      ids, flattened, in region order (a region's transactions);
-    * ``spans`` -- one :class:`RegionSpan` per region, sorted by name.
+    * ``items`` -- the sorted global vocabulary; an item's position is its id;
+    * ``spans`` -- one :class:`RegionSpan` per region, sorted by name;
+    * ``tids`` -- int32, each transaction's sorted distinct ids, flattened
+      in region order;
+    * ``offsets`` -- int64, transaction ``t`` is ``tids[offsets[t]:offsets[t + 1]]``.
     """
 
-    __slots__ = ("items", "item_index", "spans", "_span_index", "rows", "tids", "offsets")
+    __slots__ = ("items", "spans", "_span_index", "tids", "offsets")
 
     def __init__(
         self,
         items: tuple[str, ...],
         spans: tuple[RegionSpan, ...],
-        rows: np.ndarray,
         tids: np.ndarray,
         offsets: np.ndarray,
     ) -> None:
         self.items = items
-        self.item_index = {item: index for index, item in enumerate(items)}
         self.spans = spans
         self._span_index = {span.region: span for span in spans}
-        self.rows = rows
         self.tids = tids
         self.offsets = offsets
 
     @classmethod
     def from_transactions(
-        cls, transactions: Mapping[str, TransactionDatabase]
+        cls, transactions: Mapping[str, Iterable[Collection[str]]]
     ) -> "CorpusMatrix":
-        """Assemble the corpus arena from per-region transaction databases.
+        """Build the CSR from per-region transactions.
 
-        Each region's :meth:`~repro.mining.itemsets.TransactionDatabase.matrix`
-        is compiled (or reused when already memoized) and scattered into the
-        global-vocabulary rows; its local item ids are remapped to global
-        ids.  Both maps are strictly increasing (a sorted sub-vocabulary maps
-        into the sorted union), so extraction reverses them exactly.
+        Each region maps to an iterable of item collections: a
+        :class:`~repro.mining.itemsets.TransactionDatabase`, or plain tuples
+        of names in which a name may repeat.  Names map to ids in one pass;
+        one sort of the ``(row, id)`` keys then sorts every row, and equal
+        neighbouring keys are a row's repeats.  Empty transactions are
+        dropped, as ``TransactionDatabase`` drops them; a region without
+        transactions keeps an empty span.
         """
-        regions = sorted(transactions)
-        matrices = {region: transactions[region].matrix() for region in regions}
-        vocabulary: set[str] = set()
-        for matrix in matrices.values():
-            vocabulary.update(matrix.items)
-        items = tuple(sorted(vocabulary))
-        item_index = {item: index for index, item in enumerate(items)}
-
-        total_words = sum(matrix.n_words for matrix in matrices.values())
-        rows = np.zeros((len(items), total_words), dtype=np.uint8)
-        spans: list[RegionSpan] = []
-        tid_chunks: list[np.ndarray] = []
+        names: list[str] = []
         lengths: list[int] = []
-        word_cursor = 0
-        tx_cursor = 0
-        for region in regions:
-            matrix = matrices[region]
-            global_ids = np.fromiter(
-                (item_index[item] for item in matrix.items),
-                dtype=np.int64,
-                count=matrix.n_items,
-            )
-            word_stop = word_cursor + matrix.n_words
-            if matrix.n_items:
-                rows[global_ids, word_cursor:word_stop] = matrix.packed_rows
-            for local in matrix.transaction_id_arrays():
-                tid_chunks.append(global_ids[local])
-                lengths.append(len(local))
-            spans.append(
-                RegionSpan(
-                    region=region,
-                    tx_start=tx_cursor,
-                    tx_stop=tx_cursor + matrix.n_transactions,
-                    word_start=word_cursor,
-                    word_stop=word_stop,
-                )
-            )
-            word_cursor = word_stop
-            tx_cursor += matrix.n_transactions
+        spans: list[RegionSpan] = []
+        for region in sorted(transactions):
+            start = len(lengths)
+            for transaction in transactions[region]:
+                if transaction:
+                    names.extend(transaction)
+                    lengths.append(len(transaction))
+            spans.append(RegionSpan(region, start, len(lengths)))
 
-        tids = (
-            np.concatenate(tid_chunks) if tid_chunks else np.zeros(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
+        items = tuple(sorted(set(names)))
+        item_index = {item: index for index, item in enumerate(items)}
+        ids = np.fromiter(
+            map(item_index.__getitem__, names), dtype=np.int32, count=len(names)
+        )
+        rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        # The rows are already in order, so sorting the keys only moves ids
+        # within their row: key - row * n_items is the sorted id.
+        keys = rows * len(items) + ids
+        keys.sort()
+        keep = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(np.asarray(lengths, dtype=np.int64), out=offsets[1:])
-        return cls(items, tuple(spans), rows, tids, offsets)
+        np.cumsum(np.bincount(rows[keep], minlength=len(lengths)), out=offsets[1:])
+        tids = (keys - rows * len(items))[keep].astype(np.int32)
+        return cls(items, tuple(spans), tids, offsets)
 
     # -- introspection ---------------------------------------------------------------
 
@@ -179,39 +163,49 @@ class CorpusMatrix:
     def n_transactions(self) -> int:
         return len(self.offsets) - 1
 
-    @property
-    def total_words(self) -> int:
-        return self.rows.shape[1]
-
     def span_of(self, region: str) -> RegionSpan:
         try:
             return self._span_index[region]
         except KeyError:
             raise MiningError(f"unknown region {region!r} in corpus matrix") from None
 
-    # -- region extraction -----------------------------------------------------------
+    # -- region packing --------------------------------------------------------------
 
     def region_matrix(self, region: str) -> TransactionMatrix:
-        """The region's own :class:`TransactionMatrix`, byte-identical to a
-        fresh compile of the region database (same vocabulary, same packed
-        rows, same tid arrays) -- but produced by slicing the arena with
-        zero ``packbits`` passes."""
+        """The region's own :class:`TransactionMatrix`, packed from its CSR slice.
+
+        ``np.bincount`` over the slice gives the region's vocabulary (every
+        id it uses); each id is then set as one bit of the packed rows.
+        Equal to a fresh compile of the region's transactions byte for byte:
+        the same vocabulary, the same packed rows and the same
+        per-transaction id arrays.  Time and memory are linear in the
+        slice's size plus the packed rows.
+        """
         span = self.span_of(region)
-        block = self.rows[:, span.word_start:span.word_stop]
-        keep = np.flatnonzero(popcount(block).sum(axis=1, dtype=np.int64) > 0)
-        items = tuple(self.items[index] for index in keep)
-        region_rows = np.ascontiguousarray(block[keep])
-        lookup = np.full(len(self.items), -1, dtype=np.int64)
-        lookup[keep] = np.arange(len(keep), dtype=np.int64)
+        n = span.n_transactions
         lo = int(self.offsets[span.tx_start])
-        hi = int(self.offsets[span.tx_stop])
-        local_flat = lookup[np.asarray(self.tids[lo:hi])]
         rel = np.asarray(self.offsets[span.tx_start : span.tx_stop + 1]) - lo
-        transaction_ids = tuple(
-            local_flat[rel[i] : rel[i + 1]] for i in range(span.n_transactions)
+        flat = np.asarray(self.tids[lo : lo + int(rel[-1])])
+        counts = np.bincount(flat, minlength=len(self.items))
+        keep = np.flatnonzero(counts)
+        lookup = np.zeros(len(self.items), dtype=np.int64)
+        lookup[keep] = np.arange(len(keep), dtype=np.int64)
+        local = lookup[flat]
+        # Set each (item, transaction) bit straight into the packed rows, in
+        # np.packbits' layout (first transaction in a byte's high bit), so
+        # no dense items x transactions presence matrix is ever made.
+        n_words = (max(1, n) + 7) // 8
+        tx = np.repeat(np.arange(n, dtype=np.int64), np.diff(rel))
+        packed = np.zeros(len(keep) * n_words, dtype=np.uint8)
+        np.bitwise_or.at(
+            packed, local * n_words + (tx >> 3), (0x80 >> (tx & 7)).astype(np.uint8)
         )
         return TransactionMatrix._from_arrays(
-            items, span.n_transactions, region_rows, transaction_ids
+            tuple(map(self.items.__getitem__, keep.tolist())),
+            n,
+            packed.reshape(len(keep), n_words),
+            counts[keep],
+            tuple(local[rel[i] : rel[i + 1]] for i in range(n)),
         )
 
     def region_database(self, region: str) -> TransactionDatabase:
@@ -221,10 +215,12 @@ class CorpusMatrix:
     # -- persistence -----------------------------------------------------------------
 
     def save(self, prefix: Path | str, *, fingerprint: str = "") -> Path:
-        """Persist as one memory-mappable sidecar (meta written last)."""
+        """Persist as one memory-mappable sidecar (meta written last).
+
+        A version-1 dense ``.rows.npy`` left at *prefix* is deleted.
+        """
         paths = sidecar_paths(prefix)
         paths["meta"].parent.mkdir(parents=True, exist_ok=True)
-        _replace_with(paths["rows"], np.ascontiguousarray(self.rows))
         _replace_with(paths["tids"], np.ascontiguousarray(self.tids))
         _replace_with(paths["offsets"], np.ascontiguousarray(self.offsets))
         meta = {
@@ -234,11 +230,12 @@ class CorpusMatrix:
             "items": list(self.items),
             "regions": [span.to_dict() for span in self.spans],
             "n_transactions": self.n_transactions,
-            "total_words": self.total_words,
         }
         temp = paths["meta"].with_name(paths["meta"].name + ".tmp")
         temp.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
         temp.replace(paths["meta"])
+        prefix = Path(prefix)
+        prefix.with_name(prefix.name + _LEGACY_ROWS_SUFFIX).unlink(missing_ok=True)
         return paths["meta"]
 
     @classmethod
@@ -265,8 +262,9 @@ class CorpusMatrix:
             or meta.get("version") != CORPUS_SIDECAR_VERSION
             or meta.get("kind") != "corpus"
         ):
+            version = meta.get("version") if isinstance(meta, dict) else None
             raise SidecarError(
-                f"unsupported corpus sidecar version {meta.get('version')!r} at {prefix}"
+                f"unsupported corpus sidecar version {version!r} at {prefix}"
             )
         if (
             expected_fingerprint is not None
@@ -279,10 +277,10 @@ class CorpusMatrix:
             spans = tuple(RegionSpan.from_dict(row) for row in meta.get("regions", ()))
         except (KeyError, TypeError, ValueError) as exc:
             raise SidecarError(f"malformed corpus sidecar spans at {prefix}") from exc
-        mmap_mode = "r" if mmap else None
         try:
-            rows = np.load(paths["rows"], mmap_mode=mmap_mode, allow_pickle=False)
-            tids = np.load(paths["tids"], mmap_mode=mmap_mode, allow_pickle=False)
+            tids = np.load(
+                paths["tids"], mmap_mode="r" if mmap else None, allow_pickle=False
+            )
             offsets = np.load(paths["offsets"], allow_pickle=False)
         except (OSError, ValueError) as exc:
             raise SidecarError(
@@ -290,32 +288,27 @@ class CorpusMatrix:
             ) from exc
         items = tuple(str(item) for item in meta.get("items", ()))
         n_transactions = int(meta.get("n_transactions", -1))
-        spans_ok = (
-            all(
-                0 <= span.tx_start <= span.tx_stop <= n_transactions
-                and 0 <= span.word_start <= span.word_stop <= rows.shape[1]
-                for span in spans
-            )
-            if rows.ndim == 2
-            else False
-        )
         if (
-            rows.ndim != 2
-            or rows.dtype != np.uint8
-            or rows.shape[0] != len(items)
-            or rows.shape[1] != int(meta.get("total_words", -1))
-            or offsets.ndim != 1
-            or len(offsets) != n_transactions + 1
+            n_transactions < 0
             or tids.ndim != 1
-            or (len(offsets) > 0 and int(offsets[-1]) != len(tids))
-            or not spans_ok
+            or tids.dtype != np.int32
+            or offsets.ndim != 1
+            or offsets.dtype != np.int64
+            or len(offsets) != n_transactions + 1
+            or offsets[0] != 0
+            or offsets[-1] != len(tids)
+            or np.any(np.diff(offsets) < 0)
+            or (len(tids) and (tids.min() < 0 or tids.max() >= len(items)))
+            or not all(
+                0 <= span.tx_start <= span.tx_stop <= n_transactions for span in spans
+            )
             or sum(span.n_transactions for span in spans) != n_transactions
         ):
             raise SidecarError(f"inconsistent corpus sidecar shapes at {prefix}")
-        return cls(items, spans, rows, tids.astype(np.int64, copy=False), offsets)
+        return cls(items, spans, tids, offsets)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CorpusMatrix(regions={len(self.spans)}, items={len(self.items)}, "
-            f"transactions={self.n_transactions}, words={self.total_words})"
+            f"transactions={self.n_transactions}, ids={len(self.tids)})"
         )

@@ -101,6 +101,28 @@ class RecipeDatabase:
 
     def add_recipe(self, recipe: Recipe) -> None:
         """Insert *recipe*; raises on duplicate ids or schema violations."""
+        self._insert(recipe)
+        self._vocabularies.observe(recipe)
+
+    def add_recipes(self, recipes: Iterable[Recipe]) -> int:
+        """Insert many recipes; returns the number inserted.
+
+        Each recipe gets the checks :meth:`add_recipe` runs.  The
+        vocabularies then observe every inserted recipe at once, each
+        distinct name once, with the same ids one-at-a-time observation
+        gives -- also when an insert raises part-way.
+        """
+        added: list[Recipe] = []
+        try:
+            for recipe in recipes:
+                self._insert(recipe)
+                added.append(recipe)
+        finally:
+            self._vocabularies.observe_all(added)
+        return len(added)
+
+    def _insert(self, recipe: Recipe) -> None:
+        """Store and index *recipe* (everything but the vocabularies)."""
         if recipe.recipe_id in self._recipes:
             raise DuplicateRecordError(f"recipe id {recipe.recipe_id} already exists")
         if self._validate_regions and recipe.region not in self._regions:
@@ -115,15 +137,6 @@ class RecipeDatabase:
             for kind in EntityKind:
                 self._indexes[kind].add(recipe.recipe_id, recipe.entities_of(kind))
             self._indexes["combined"].add(recipe.recipe_id, recipe.items())
-        self._vocabularies.observe(recipe)
-
-    def add_recipes(self, recipes: Iterable[Recipe]) -> int:
-        """Insert many recipes; returns the number inserted."""
-        count = 0
-        for recipe in recipes:
-            self.add_recipe(recipe)
-            count += 1
-        return count
 
     def remove_recipe(self, recipe_id: int) -> Recipe:
         """Delete and return the recipe stored under *recipe_id*."""

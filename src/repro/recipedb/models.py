@@ -20,7 +20,7 @@ pre-processing of RecipeDB dumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -189,6 +189,39 @@ class Recipe:
                 f"recipe {self.recipe_id!r} ({self.title!r}) has no ingredients"
             )
         object.__setattr__(self, "source", self.source.strip() or "synthetic")
+
+    @classmethod
+    def from_normalised(
+        cls,
+        recipe_id: int,
+        title: str,
+        region: str,
+        ingredients: tuple[str, ...],
+        processes: tuple[str, ...],
+        utensils: tuple[str, ...],
+        source: str,
+    ) -> "Recipe":
+        """A recipe from fields that are already in their stored form.
+
+        Skips :meth:`__post_init__`, so the caller guarantees what it would
+        establish: a normalised title, a whitespace-collapsed region and a
+        stripped source, and entity names that are normalised, distinct and
+        sorted, with at least one ingredient.  The synthetic generator, which
+        normalises each pool name once, is the only caller; every other
+        producer goes through the validating constructor.
+        """
+        recipe = object.__new__(cls)
+        for name, value in (
+            ("recipe_id", recipe_id),
+            ("title", title),
+            ("region", region),
+            ("ingredients", ingredients),
+            ("processes", processes),
+            ("utensils", utensils),
+            ("source", source),
+        ):
+            object.__setattr__(recipe, name, value)
+        return recipe
 
     # -- derived views -----------------------------------------------------
 

@@ -11,6 +11,7 @@ order), and :class:`EntityVocabularies` bundles one vocabulary per
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ValidationError
@@ -170,8 +171,27 @@ class EntityVocabularies:
                 combined(name)
 
     def observe_all(self, recipes: Iterable[Recipe]) -> None:
-        for recipe in recipes:
-            self.observe(recipe)
+        """Register every entity of *recipes*, each distinct name once.
+
+        Names are added in first-seen order, so every id equals the one
+        :meth:`observe` assigns recipe by recipe.
+        """
+        recipes = list(recipes)
+        for vocab, rows in (
+            (self.ingredients, (recipe.ingredients for recipe in recipes)),
+            (self.processes, (recipe.processes for recipe in recipes)),
+            (self.utensils, (recipe.utensils for recipe in recipes)),
+            (
+                self.combined,
+                (
+                    (*recipe.ingredients, *recipe.processes, *recipe.utensils)
+                    for recipe in recipes
+                ),
+            ),
+        ):
+            add = vocab.add
+            for name in dict.fromkeys(chain.from_iterable(rows)):
+                add(name)
 
     def sizes(self) -> dict[str, int]:
         """Return the vocabulary sizes (matches the paper's corpus stats)."""

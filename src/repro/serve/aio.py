@@ -576,6 +576,7 @@ class AsyncQueryEngine:
 # -- the HTTP/JSON front door ---------------------------------------------------------
 
 _MAX_REQUEST_LINE = 8192
+_MAX_HEADER_LINES = 100
 _MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
@@ -610,7 +611,9 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -763,6 +766,12 @@ class AnalysisServer:
 
         ``None`` means the client closed the connection cleanly before
         sending another request -- the keep-alive loop's normal exit.
+
+        Bodies are framed by ``Content-Length`` only.  Any
+        ``Transfer-Encoding`` gets 501, since its body would otherwise be
+        skipped and the request served as if it had none; two differing
+        ``Content-Length`` values get 400 (RFC 9112 section 6.3); more than
+        :data:`_MAX_HEADER_LINES` header lines get 431.
         """
         request_line = await _read_line(reader, "request line")
         if not request_line:
@@ -774,11 +783,16 @@ class AnalysisServer:
         # HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close; an explicit
         # Connection header overrides either way.
         keep_alive = version.upper() == "HTTP/1.1"
-        content_length = 0
+        content_length: int | None = None
+        transfer_encoding = False
+        header_lines = 0
         while True:
             line = await _read_line(reader, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
+            header_lines += 1
+            if header_lines > _MAX_HEADER_LINES:
+                raise _HttpError(431, "too many header lines")
             name, _, value = line.decode("latin-1").partition(":")
             name = name.strip().lower()
             if name == "content-length":
@@ -791,13 +805,23 @@ class AnalysisServer:
                 # (and past 4300 digits int() itself would raise).
                 if len(digits.lstrip("0")) > len(str(_MAX_BODY_BYTES)):
                     raise _HttpError(413, "request body too large")
-                content_length = int(digits)
+                length = int(digits)
+                if content_length not in (None, length):
+                    raise _HttpError(400, "conflicting Content-Length headers")
+                content_length = length
+            elif name == "transfer-encoding":
+                transfer_encoding = True
             elif name == "connection":
                 token = value.strip().lower()
                 if token == "close":
                     keep_alive = False
                 elif token == "keep-alive":
                     keep_alive = True
+        if transfer_encoding:
+            raise _HttpError(
+                501, "Transfer-Encoding is not supported; send Content-Length"
+            )
+        content_length = content_length or 0
         if content_length > _MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body: dict[str, object] = {}

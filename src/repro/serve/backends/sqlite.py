@@ -99,11 +99,22 @@ class SqliteBackend(StorageBackend):
         if self._connection is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             connection = connect(self.path, check_same_thread=False)
-            connection.execute("PRAGMA journal_mode = WAL")
-            connection.execute("PRAGMA synchronous = NORMAL")
             connection.execute(
                 f"PRAGMA busy_timeout = {int(BUSY_TIMEOUT_SECONDS * 1000)}"
             )
+            # Several processes opening a fresh file at once race to switch
+            # it to WAL, and SQLite can report "database is locked" for that
+            # switch without waiting on the busy timeout: retry until it.
+            deadline = time.monotonic() + BUSY_TIMEOUT_SECONDS
+            while True:
+                try:
+                    connection.execute("PRAGMA journal_mode = WAL")
+                    break
+                except sqlite3.OperationalError:
+                    if time.monotonic() >= deadline:
+                        raise
+                    time.sleep(0.01)
+            connection.execute("PRAGMA synchronous = NORMAL")
             with connection:
                 for statement in ARTIFACT_SCHEMA_STATEMENTS:
                     connection.execute(statement)

@@ -12,10 +12,9 @@ Caching is stage-aware, and the compute path itself is staged:
 
 * **corpus stage** -- the synthetic corpus depends only on ``(seed, scale)``;
   it is persisted through :mod:`repro.recipedb.io_json` next to the artifact
-  store and kept in a small in-memory LRU together with its per-region
-  transaction databases, so every ``min_support`` sweep entry reuses the same
-  corpus *and* the same compiled
-  :class:`~repro.mining.bitmatrix.TransactionMatrix` bitsets;
+  store and kept in a small in-memory LRU with its file fingerprint, and its
+  integer-id CSR (:class:`~repro.mining.shm.CorpusMatrix`) in another, so
+  every ``min_support`` sweep entry reuses the same corpus *and* the same CSR;
 * **mining stage** -- keyed by ``(seed, scale, min_support,
   max_pattern_length)``; a clustering-only config change reuses it outright.
   When only ``min_support`` *rises*, downward closure makes any cached run at
@@ -25,12 +24,13 @@ Caching is stage-aware, and the compute path itself is staged:
 * **clustering + validation stages** -- always recomputed on an analysis
   miss (they are cheap relative to mining).
 
-The mining stage itself runs at hardware speed: the whole corpus's packed
-bitsets live in ONE :class:`~repro.mining.shm.CorpusMatrix`, persisted as a
-single memory-mappable ``corpus-<key>.matrix`` sidecar next to the corpus
-snapshot and keyed by the corpus file's content fingerprint.  A warm service
-slices every region out of that arena with **zero** matrix re-compiles, one
-region after another in sorted order.
+The mining stage mines the corpus CSR, the same one the pipeline mines: the
+whole corpus's item ids live in ONE :class:`~repro.mining.shm.CorpusMatrix`,
+persisted as a single memory-mappable ``corpus-<key>.matrix`` sidecar next to
+the corpus snapshot and keyed by the corpus file's content fingerprint.  A
+restarted service maps that sidecar and builds nothing; every pass packs
+each region from the CSR and mines it, one region after another in sorted
+order.
 
 The service records where every answer came from (``memory`` / ``disk`` /
 ``computed``) so callers, benchmarks and the CLI can report cache
@@ -58,12 +58,12 @@ from repro.errors import (
     ServeError,
     SidecarError,
 )
-from repro.mining.itemsets import MiningResult, TransactionDatabase, minimum_support_count
-from repro.mining.regions import (
-    MiningReport,
-    mine_corpus_with_report,
-    mine_regions_with_report,
-)
+from repro.mining.itemsets import MiningResult, minimum_support_count
+from repro.mining.regions import MiningReport, mine_corpus_with_report
+
+# No caller here: the traced benchmark launcher (perfbench/launch.py) still
+# patches this name, so it stays bound until the launcher's table drops it.
+from repro.mining.regions import mine_regions_with_report  # noqa: F401
 from repro.mining.shm import CorpusMatrix
 from repro.obs import enabled as obs_enabled
 from repro.obs import get_registry, recent_traces
@@ -228,21 +228,17 @@ class AnalysisService:
         self.last_mining_report: MiningReport | None = None
         self._decoded: dict[str, AnalysisResults] = {}
         # Corpus-matrix cache: corpus key -> (fingerprint, CorpusMatrix);
-        # the arena every fresh mining pass slices its regions from.
+        # the CSR every fresh mining pass packs its regions from.
         self._corpus_matrices: dict[str, tuple[str, CorpusMatrix]] = {}
         # Classifier cache: (analysis key, weights) -> (fingerprint,
         # CuisineClassifier); warm entries wrap the memmapped sidecar arrays.
         self._classifiers: dict[
             tuple[str, float, float], tuple[str, CuisineClassifier]
         ] = {}
-        # Corpus stage cache: corpus key -> (RecipeDatabase, per-region
-        # TransactionDatabase map, corpus-file fingerprint).  The transaction
-        # databases memoize their compiled bit matrices, so a min_support
-        # sweep compiles each region exactly once; the fingerprint ties the
-        # persisted matrix sidecars to the exact corpus bytes.
-        self._corpora: dict[
-            str, tuple[RecipeDatabase, dict[str, TransactionDatabase], str]
-        ] = {}
+        # Corpus stage cache: corpus key -> (RecipeDatabase, corpus-file
+        # fingerprint).  The fingerprint ties the persisted matrix sidecar to
+        # the exact corpus bytes.
+        self._corpora: dict[str, tuple[RecipeDatabase, str]] = {}
         # The async front-end computes different configs concurrently on
         # executor threads.  _lock guards the service's own compound cache
         # mutations (decoded LRU, mining-family index read-modify-write);
@@ -604,10 +600,10 @@ class AnalysisService:
             return []
         return sorted(root.glob(f"{CORPUS_FILE_PREFIX}*.json"))
 
-    def _corpus_and_transactions(
+    def _corpus(
         self, config: AnalysisConfig, pipeline: CuisineClusteringPipeline
-    ) -> tuple[RecipeDatabase, dict[str, TransactionDatabase], str]:
-        """The corpus for *config*, its transaction databases, its fingerprint.
+    ) -> tuple[RecipeDatabase, str]:
+        """The corpus for *config* and its fingerprint.
 
         Memory first, then the ``io_json`` file next to the artifact store,
         then regeneration (which persists the corpus for the next miss).  The
@@ -641,12 +637,11 @@ class AnalysisService:
                 save_json(corpus, path)
             fingerprint = corpus_fingerprint(path)
 
-            transactions = pipeline.build_transactions(corpus)
             with self._lock:
-                self._corpora[key] = (corpus, transactions, fingerprint)
+                self._corpora[key] = (corpus, fingerprint)
                 while len(self._corpora) > _CORPUS_MEMORY_LIMIT:
                     self._corpora.pop(next(iter(self._corpora)))
-            return corpus, transactions, fingerprint
+            return corpus, fingerprint
 
     # -- the corpus-matrix sidecar ----------------------------------------------------
 
@@ -659,18 +654,16 @@ class AnalysisService:
     def _ensure_corpus_matrix(
         self,
         config: AnalysisConfig,
-        transactions: dict[str, TransactionDatabase],
+        corpus: RecipeDatabase,
         fingerprint: str,
-    ) -> CorpusMatrix | None:
-        """The corpus arena for *config*: memory, sidecar, or a fresh build.
+    ) -> CorpusMatrix:
+        """The corpus CSR for *config*: memory, sidecar, or a fresh build.
 
         A warm hit memory-maps the single ``corpus-<key>.matrix`` sidecar
         (fingerprint-checked, so it goes stale with the corpus file) and
-        compiles nothing.  A miss assembles the arena from the per-region
-        transaction databases -- the only packbits pass the corpus will ever
-        pay here -- and persists it best-effort.  Returns ``None`` only when
-        the build itself is impossible (e.g. out of memory), letting the
-        caller fall back to mining the per-region databases directly.
+        builds nothing.  A miss builds the CSR from the corpus -- the only
+        time this corpus's names are mapped to ids here -- and persists it
+        best-effort.
         """
         key = codec.corpus_key(config)
         with self._lock:
@@ -679,28 +672,16 @@ class AnalysisService:
                 return cached[1]
 
         prefix = self.matrix_path(config)
-        corpus_matrix: CorpusMatrix | None = None
         try:
-            loaded = CorpusMatrix.load(
+            corpus_matrix: CorpusMatrix | None = CorpusMatrix.load(
                 prefix, mmap=True, expected_fingerprint=fingerprint
             )
         except SidecarError:
-            loaded = None
-        if loaded is not None and set(loaded.regions) == set(transactions):
-            corpus_matrix = loaded
-        if corpus_matrix is None:
-            compiles = sum(
-                1 for database in transactions.values() if not database.has_matrix
-            )
-            try:
-                corpus_matrix = CorpusMatrix.from_transactions(transactions)
-            except (ValueError, MemoryError):
-                return None
-            if compiles:
-                get_registry().counter(
-                    "repro_mining_matrix_compiles_total",
-                    "Transaction matrices compiled during mining runs.",
-                ).inc(compiles)
+            corpus_matrix = None
+        if corpus_matrix is None or set(corpus_matrix.regions) != set(
+            corpus.region_names()
+        ):
+            corpus_matrix = CuisineClusteringPipeline(config).build_transactions(corpus)
             try:
                 corpus_matrix.save(prefix, fingerprint=fingerprint)
             except OSError:
@@ -905,16 +886,13 @@ class AnalysisService:
         """Run the pipeline, reusing every cached stage available.
 
         Mirrors :meth:`CuisineClusteringPipeline.run` stage by stage: the
-        corpus comes from the corpus cache (with its shared transaction
-        matrices), the mining stage from the mining cache, the incremental
-        filter, or a fresh mining pass -- in that order of preference.  A
-        fresh pass mines the regions out of the corpus arena (see
-        :meth:`_mine_fresh`).
+        corpus comes from the corpus cache, the mining stage from the mining
+        cache, the incremental filter, or a fresh mining pass -- in that
+        order of preference.  A fresh pass mines the regions of the corpus
+        CSR (see :meth:`_mine_fresh`).
         """
         pipeline = CuisineClusteringPipeline(config)
-        corpus, transactions, fingerprint = self._corpus_and_transactions(
-            config, pipeline
-        )
+        corpus, fingerprint = self._corpus(config, pipeline)
         if len(corpus.region_names()) < 2:
             raise ServeError("the corpus must contain at least two cuisines")
 
@@ -935,9 +913,7 @@ class AnalysisService:
                 mining_reused = True
                 mining_incremental = True
         if mining_results is None:
-            mining_results = self._mine_fresh(
-                config, pipeline, corpus, transactions, fingerprint
-            )
+            mining_results = self._mine_fresh(config, pipeline, corpus, fingerprint)
         if not mining_reused or mining_incremental:
             self.store.put(
                 MINING_KIND, mining_cache_key, codec.mining_to_dict(mining_results)
@@ -954,33 +930,18 @@ class AnalysisService:
         config: AnalysisConfig,
         pipeline: CuisineClusteringPipeline,
         corpus: RecipeDatabase,
-        transactions: dict[str, TransactionDatabase],
         fingerprint: str,
     ) -> dict[str, MiningResult]:
-        """One full mining pass through the corpus arena.
+        """One full mining pass over the corpus CSR.
 
-        The global corpus matrix is memory-mapped (warm) or assembled once
-        (cold, persisting the sidecar best-effort), then every region is
-        sliced out of it and mined, so the pass itself compiles nothing.  If
-        the arena cannot be built at all, the per-region transaction
-        databases are mined directly instead.
+        The CSR is memory-mapped (warm) or built once (cold, persisting the
+        sidecar best-effort); every region is then packed from it and mined.
         """
-        for region in corpus.region_names():
-            regional = transactions.get(region)
-            if regional is None or len(regional) == 0:
-                raise PipelineError(f"region {region!r} has no recipes to mine")
-        corpus_matrix: CorpusMatrix | None
-        try:
-            with self._corpus_lock(config):
-                corpus_matrix = self._ensure_corpus_matrix(
-                    config, transactions, fingerprint
-                )
-        except (ServeError, OSError, SerializationError):
-            corpus_matrix = None
-        miner = pipeline.build_miner()
-        if corpus_matrix is not None:
-            results, report = mine_corpus_with_report(corpus_matrix, miner)
-        else:
-            results, report = mine_regions_with_report(transactions, miner)
+        with self._corpus_lock(config):
+            corpus_matrix = self._ensure_corpus_matrix(config, corpus, fingerprint)
+        for span in corpus_matrix.spans:
+            if span.n_transactions == 0:
+                raise PipelineError(f"region {span.region!r} has no recipes to mine")
+        results, report = mine_corpus_with_report(corpus_matrix, pipeline.build_miner())
         self.last_mining_report = report
         return results

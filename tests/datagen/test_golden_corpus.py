@@ -9,9 +9,11 @@ analysis output fails here loudly.  A deliberate change must re-record the
 digests and say why.
 
 The analysis digest is checked through every producer of mining results:
-the pipeline, a cold service that builds and saves the corpus arena, a
-second service that re-mines from the memory-mapped arena, and the
-per-region fallback that runs when no arena can be built.
+the pipeline, a cold service that builds and saves the corpus CSR, a second
+service that re-mines from the memory-mapped CSR sidecar, and a restart on
+the persisted corpus JSON whose sidecar is gone, so the CSR is rebuilt from
+the validated ``Recipe`` objects ``load_json`` returns rather than from the
+generator's.
 
 ``RESULTS_DIGEST`` was re-recorded when the production miner switched from
 FP-Growth to Eclat.  ``STRIPPED_RESULTS_DIGEST`` was recorded before that
@@ -29,7 +31,7 @@ import pytest
 from repro.core.config import AnalysisConfig
 from repro.core.pipeline import CuisineClusteringPipeline
 from repro.datagen.generator import generate_corpus
-from repro.mining.shm import CorpusMatrix
+from repro.mining.shm import CorpusMatrix, sidecar_paths
 from repro.recipedb.io_json import save_json
 from repro.serve import codec
 from repro.serve.service import AnalysisService
@@ -66,14 +68,14 @@ def _from_pipeline(tmp_path, monkeypatch):
 
 
 def _from_cold_service(tmp_path, monkeypatch):
-    """Generates and saves the corpus, builds and saves the arena, mines it."""
+    """Generates and saves the corpus, builds and saves the CSR, mines it."""
     served = AnalysisService(tmp_path / "cache").get_or_run(GOLDEN_CONFIG)
     assert served.source == "computed"
     return served.results
 
 
 def _from_mapped_arena(tmp_path, monkeypatch):
-    """A second service re-mines from the memory-mapped arena sidecar."""
+    """A second service re-mines from the memory-mapped CSR sidecar."""
     AnalysisService(tmp_path / "cache").get_or_run(GOLDEN_CONFIG)
     warm = AnalysisService(tmp_path / "cache")
     warm.invalidate(GOLDEN_CONFIG, mining=True)
@@ -83,25 +85,32 @@ def _from_mapped_arena(tmp_path, monkeypatch):
     return served.results
 
 
-def _from_fallback(tmp_path, monkeypatch):
-    """No arena can be built, so the per-region databases are mined directly."""
+def _from_reloaded_corpus(tmp_path, monkeypatch):
+    """A restart on the corpus JSON alone rebuilds the CSR from ``load_json``."""
+    cold = AnalysisService(tmp_path / "cache")
+    cold.get_or_run(GOLDEN_CONFIG)
+    for path in sidecar_paths(cold.matrix_path(GOLDEN_CONFIG)).values():
+        path.unlink()
+    builds = []
+    original = CorpusMatrix.from_transactions.__func__
 
-    def no_arena(transactions):
-        raise MemoryError("no room for the corpus arena")
+    def counting(cls, transactions):
+        builds.append(1)
+        return original(cls, transactions)
 
-    monkeypatch.setattr(CorpusMatrix, "from_transactions", staticmethod(no_arena))
-    service = AnalysisService(tmp_path / "cache")
-    served = service.get_or_run(GOLDEN_CONFIG)
-    assert served.source == "computed"
-    # Only the fallback compiles region matrices inside the mining pass.
-    assert service.last_mining_report.compiles == len(served.results.mining_results)
+    monkeypatch.setattr(CorpusMatrix, "from_transactions", classmethod(counting))
+    restarted = AnalysisService(tmp_path / "cache")
+    restarted.invalidate(GOLDEN_CONFIG, mining=True)
+    served = restarted.get_or_run(GOLDEN_CONFIG)
+    assert served.source == "computed" and not served.mining_reused
+    assert builds == [1]
     return served.results
 
 
 @pytest.mark.parametrize(
     "produce",
-    [_from_pipeline, _from_cold_service, _from_mapped_arena, _from_fallback],
-    ids=["pipeline", "cold-service", "mapped-arena", "fallback"],
+    [_from_pipeline, _from_cold_service, _from_mapped_arena, _from_reloaded_corpus],
+    ids=["pipeline", "cold-service", "mapped-arena", "reloaded-corpus"],
 )
 def test_analysis_codec_digest_matches_golden(produce, tmp_path, monkeypatch):
     results = produce(tmp_path, monkeypatch)

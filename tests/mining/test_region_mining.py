@@ -1,4 +1,4 @@
-"""Serial per-region mining over transaction databases and the corpus arena.
+"""Serial per-region mining over transaction databases and the corpus CSR.
 
 Both entry points of :mod:`repro.mining.regions` must return exactly what
 mining each region's database directly returns -- byte for byte through the

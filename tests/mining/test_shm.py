@@ -1,11 +1,11 @@
-"""The corpus arena: extraction identity, lazy region databases, sidecars.
+"""The corpus CSR: region packing identity, lazy region databases, sidecars.
 
-``CorpusMatrix`` packs every region's transaction matrix into one arena whose
-region extraction is *exact*: slicing a region back out must reproduce the
-matrix a direct ``TransactionMatrix`` compile of that region's transactions
-would build -- same vocabulary, same packed bytes, same transaction-id
-arrays.  The arena persists as one memory-mappable sidecar, the serve
-layer's warm-start format.
+``CorpusMatrix`` holds every transaction's global item ids as one CSR, and
+packing a region from it is *exact*: it must reproduce the matrix a direct
+``TransactionMatrix`` compile of that region's transactions would build --
+same vocabulary, same packed bytes, same transaction-id arrays.  The CSR
+persists as one memory-mappable sidecar, the serve layer's warm-start
+format.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import MiningError, SidecarError
 from repro.mining.bitmatrix import TransactionMatrix
 from repro.mining.eclat import EclatMiner
 from repro.mining.itemsets import TransactionDatabase
-from repro.mining.shm import CorpusMatrix, RegionSpan
+from repro.mining.shm import CORPUS_SIDECAR_VERSION, CorpusMatrix, RegionSpan
 
 ITEMS = [f"ing{k:02d}" for k in range(18)]
 
@@ -54,6 +55,7 @@ def _assert_matrices_identical(extracted: TransactionMatrix, direct: Transaction
     assert extracted.n_transactions == direct.n_transactions
     assert extracted.n_words == direct.n_words
     assert np.array_equal(extracted.packed_rows, direct.packed_rows)
+    assert np.array_equal(extracted.item_supports, direct.item_supports)
     assert len(extracted.transaction_id_arrays()) == len(direct.transaction_id_arrays())
     for ours, theirs in zip(
         extracted.transaction_id_arrays(), direct.transaction_id_arrays()
@@ -109,9 +111,8 @@ class TestExtractionIdentity:
 
     def test_total_shape_accounting(self, regions, corpus):
         assert corpus.n_transactions == sum(len(db) for db in regions.values())
-        assert corpus.total_words == sum(
-            corpus.span_of(r).n_words for r in corpus.regions
-        )
+        assert corpus.offsets[-1] == len(corpus.tids)
+        assert corpus.tids.dtype == np.int32 and corpus.offsets.dtype == np.int64
 
 
 class TestCorpusSidecar:
@@ -141,9 +142,9 @@ class TestCorpusSidecar:
         prefix = tmp_path / "corpus.matrix"
         corpus.save(prefix)
         loaded = CorpusMatrix.load(prefix, mmap=True)
-        assert isinstance(loaded.rows, np.memmap)
+        assert isinstance(loaded.tids, np.memmap)
         with pytest.raises(ValueError):
-            loaded.rows[0, 0] = 1
+            loaded.tids[0] = 1
 
     def test_stale_fingerprint_rejected(self, corpus, tmp_path):
         prefix = tmp_path / "corpus.matrix"
@@ -156,8 +157,8 @@ class TestCorpusSidecar:
             CorpusMatrix.load(tmp_path / "nowhere.matrix")
         prefix = tmp_path / "corpus.matrix"
         corpus.save(prefix)
-        rows_path = prefix.with_name(prefix.name + ".rows.npy")
-        rows_path.write_bytes(b"not an npy file")
+        tids_path = prefix.with_name(prefix.name + ".tids.npy")
+        tids_path.write_bytes(b"not an npy file")
         with pytest.raises(SidecarError):
             CorpusMatrix.load(prefix)
 
@@ -170,3 +171,62 @@ class TestCorpusSidecar:
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(SidecarError):
             CorpusMatrix.load(prefix)
+
+    def test_version_one_sidecar_is_stale(self, corpus, tmp_path):
+        prefix = tmp_path / "corpus.matrix"
+        corpus.save(prefix)
+        meta_path = prefix.with_name(prefix.name + ".meta.json")
+        meta = json.loads(meta_path.read_text("utf-8"))
+        assert meta["version"] == CORPUS_SIDECAR_VERSION == 2
+        meta["version"] = 1
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(SidecarError, match="version"):
+            CorpusMatrix.load(prefix)
+
+    def test_wrong_dtype_rejected(self, corpus, tmp_path):
+        prefix = tmp_path / "corpus.matrix"
+        corpus.save(prefix)
+        np.save(prefix.with_name(prefix.name + ".tids.npy"), corpus.tids.astype(np.int64))
+        with pytest.raises(SidecarError, match="inconsistent"):
+            CorpusMatrix.load(prefix)
+
+    def test_save_removes_a_leftover_dense_arena(self, corpus, tmp_path):
+        prefix = tmp_path / "corpus.matrix"
+        leftover = prefix.with_name(prefix.name + ".rows.npy")
+        leftover.write_bytes(b"a version-1 dense arena")
+        corpus.save(prefix)
+        assert not leftover.exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "corpus.matrix.meta.json",
+            "corpus.matrix.offsets.npy",
+            "corpus.matrix.tids.npy",
+        ]
+
+
+# -- the CSR against TransactionDatabase, over drawn corpora -------------------------
+
+# Names shared across kinds and repeated within a transaction, as when a
+# recipe's ingredient, process and utensil tuples are concatenated.
+_NAMES = ("cream", "grill", "whisk", "salt", "soy sauce", "heat", "pan", "ing07")
+
+_transaction = st.lists(st.sampled_from(_NAMES), max_size=7).map(tuple)
+_regions = st.dictionaries(
+    st.sampled_from(("East", "North", "South", "West")),
+    st.lists(_transaction, max_size=12),
+    max_size=4,
+)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_regions)
+def test_region_packing_matches_a_direct_compile(tmp_path, regions):
+    corpus = CorpusMatrix.from_transactions(regions)
+    assert corpus.regions == tuple(sorted(regions))
+    prefix = tmp_path / "drawn.matrix"
+    corpus.save(prefix, fingerprint="drawn")
+    loaded = CorpusMatrix.load(prefix, mmap=True, expected_fingerprint="drawn")
+    for region, transactions in regions.items():
+        direct = TransactionDatabase(transactions).matrix()
+        assert corpus.span_of(region).n_transactions == direct.n_transactions
+        _assert_matrices_identical(corpus.region_matrix(region), direct)
+        _assert_matrices_identical(loaded.region_matrix(region), direct)

@@ -10,20 +10,41 @@ here only as a test oracle:
 * :class:`RecipeDatabase`'s lazily built inverted indexes against indexes
   maintained eagerly on every add and remove, wherever the first query
   falls in the sequence;
-* the analysis pipeline never materialising those indexes at all.
+* the analysis pipeline never materialising those indexes at all;
+* the generator's index draws and pre-normalised recipes against drawing
+  names and validating them through ``Recipe(...)``;
+* bulk vocabulary observation in ``add_recipes`` against observing one
+  recipe at a time, including after a failing insert;
+* ``prevalence_matrix``'s ``Counter`` path against
+  ``prevalence_from_transactions`` over the frozenset transactions.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import compress
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.authenticity.prevalence import prevalence_from_transactions, prevalence_matrix
 from repro.core.config import AnalysisConfig
 from repro.core.pipeline import CuisineClusteringPipeline
-from repro.datagen.generator import generate_corpus
-from repro.errors import DuplicateRecordError, UnknownRecordError, ValidationError
+from repro.datagen.generator import (
+    GeneratorConfig,
+    SyntheticRecipeDBGenerator,
+    _WeightedPool,
+    generate_corpus,
+)
+from repro.datagen.profiles import CuisineProfile, default_profiles
+from repro.datagen.random_utils import poisson_clamped
+from repro.errors import (
+    DuplicateRecordError,
+    GenerationError,
+    UnknownRecordError,
+    ValidationError,
+)
 from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.index import InvertedIndex, build_entity_indexes
 from repro.recipedb.models import EntityKind, Recipe, normalize_name
@@ -335,3 +356,179 @@ def test_pipeline_run_leaves_indexes_unbuilt():
     assert corpus._indexes is None
     assert corpus.item_support("soy sauce") > 0.0  # first use builds them
     assert corpus._indexes is not None
+
+
+# -- generator index draws ----------------------------------------------------------
+
+
+def _draw_names(pool, rng, count, exclude):
+    """Filler draws before index draws: reject by raw name."""
+    if count <= 0:
+        return []
+    chosen, seen = [], set(exclude)
+    attempts, max_attempts = 0, max(50, count * 20)
+    while len(chosen) < count and attempts < max_attempts:
+        draws = rng.random((count - len(chosen)) * 2 + 4)
+        for index in np.searchsorted(pool._cumulative, draws, side="left").tolist():
+            name = pool.names[index]
+            if name not in seen:
+                seen.add(name)
+                chosen.append(name)
+                if len(chosen) == count:
+                    break
+        attempts += 1
+    return chosen
+
+
+class _NameDrawingGenerator(SyntheticRecipeDBGenerator):
+    """The generator before index draws: it draws raw names and builds each
+    recipe through the validating ``Recipe(...)`` constructor."""
+
+    def _generate_recipe(self, recipe_id, serial, profile, region, tables):
+        rng, config = self._rng, self.config
+        signatures = (
+            profile.signature_items,
+            profile.signature_processes,
+            profile.signature_utensils,
+        )
+        traditional = rng.random() < config.traditional_recipe_rate
+        drawn = []
+        for table, names in zip(tables, signatures):
+            probabilities = table._boosted if traditional else table._reduced
+            hits = rng.random(len(names)) < probabilities if names else []
+            drawn.append(list(compress(tuple(names), list(hits))))
+        ingredients, processes, utensils = drawn
+        target_ingredients = poisson_clamped(rng, config.mean_ingredients, 1, 60)
+        target_processes = poisson_clamped(rng, config.mean_processes, 1, 80)
+        ingredients += _draw_names(
+            self._ingredient_pool, rng, target_ingredients - len(ingredients), signatures[0]
+        )
+        processes += _draw_names(
+            self._process_pool, rng, target_processes - len(processes), signatures[1]
+        )
+        if rng.random() < config.utensil_missing_rate:
+            utensils = []
+        else:
+            target_utensils = poisson_clamped(rng, config.mean_utensils, 1, 15)
+            utensils += _draw_names(
+                self._utensil_pool, rng, target_utensils - len(utensils), signatures[2]
+            )
+        if not ingredients:
+            ingredients = [self._ingredient_pool.names[0]]
+        return Recipe(
+            recipe_id=recipe_id,
+            title=f"{profile.name} {ingredients[0]} dish {serial}",
+            region=profile.name,
+            ingredients=tuple(ingredients),
+            processes=tuple(processes),
+            utensils=tuple(utensils),
+            source="synthetic-recipedb",
+        )
+
+
+_UNNORMALISED_PROFILES = {
+    "Test  Cuisine": CuisineProfile(
+        name="Test  Cuisine",
+        continent="Asia",
+        paper_recipe_count=40,
+        # "Soy  Sauce" is not a pool name, so it is appended raw beside the
+        # pool's own "soy sauce"; both normalise to one recipe entry.
+        signature_items={"Soy  Sauce": 0.6, "soy sauce": 0.3, "Ginger": 0.4},
+        signature_processes={"Stir Fry": 0.5},
+        signature_utensils={"Wok ": 0.5},
+    ),
+    "Other": default_profiles()["Japanese"],
+}
+
+
+@pytest.mark.parametrize(
+    "profiles",
+    [None, _UNNORMALISED_PROFILES],
+    ids=["default-profiles", "unnormalised-signatures"],
+)
+def test_generator_recipes_match_validating_construction(profiles):
+    config = GeneratorConfig(seed=17, scale=0.01)
+    fast = list(SyntheticRecipeDBGenerator(config, profiles).iter_recipes())
+    slow = list(_NameDrawingGenerator(config, profiles).iter_recipes())
+    assert fast == slow
+    for recipe in fast:
+        validated = Recipe(
+            recipe.recipe_id,
+            recipe.title,
+            recipe.region,
+            recipe.ingredients,
+            recipe.processes,
+            recipe.utensils,
+            recipe.source,
+        )
+        assert validated == recipe
+    if profiles is not None:
+        assert any("soy sauce" in recipe.ingredients for recipe in fast)
+        assert {recipe.region for recipe in fast} == {"Japanese", "Test Cuisine"}
+
+
+def test_generator_pool_rejects_repeated_names():
+    with pytest.raises(GenerationError):
+        _WeightedPool(["salt", "pepper", "salt"], 0.35)
+
+
+# -- bulk vocabulary observation -----------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_add, max_size=12), st.integers(0, 12))
+def test_bulk_add_observes_like_a_loop(adds, split):
+    recipes = [recipe for _op, recipe in adds]
+    bulk, loop = RecipeDatabase(), RecipeDatabase()
+    outcomes = []
+    for database, insert_rest in (
+        (bulk, lambda db, rest: db.add_recipes(rest)),
+        (loop, lambda db, rest: [db.add_recipe(recipe) for recipe in rest]),
+    ):
+        database.register_regions(_REGIONS)
+        try:
+            # One-at-a-time inserts first, so the bulk path extends
+            # vocabularies that already hold names.
+            for recipe in recipes[:split]:
+                database.add_recipe(recipe)
+            insert_rest(database, recipes[split:])
+        except DuplicateRecordError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+    assert bulk.recipe_ids() == loop.recipe_ids()
+    assert bulk.vocabularies == loop.vocabularies
+    for kind in ("ingredients", "processes", "utensils", "combined"):
+        assert list(getattr(bulk.vocabularies, kind)) == list(getattr(loop.vocabularies, kind))
+
+
+def test_bulk_add_returns_the_inserted_count():
+    database = RecipeDatabase()
+    database.register_regions(_REGIONS)
+    recipes = [Recipe(rid, f"dish {rid}", "East", ("salt",)) for rid in range(3)]
+    assert database.add_recipes(recipes) == 3
+    assert list(database.vocabularies.combined) == ["salt"]
+
+
+# -- prevalence ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [(EntityKind.INGREDIENT,), (EntityKind.INGREDIENT, EntityKind.PROCESS), None],
+    ids=["one-kind", "two-kinds", "all-kinds"],
+)
+@pytest.mark.parametrize("min_document_frequency", [1, 4])
+def test_prevalence_matrix_matches_transactions(kinds, min_document_frequency):
+    corpus = generate_corpus(seed=5, scale=0.01)
+    fast = prevalence_matrix(
+        corpus, kinds=kinds, min_document_frequency=min_document_frequency
+    )
+    slow = prevalence_from_transactions(
+        corpus.transactions_by_region(kinds),
+        min_document_frequency=min_document_frequency,
+    )
+    assert fast.cuisines == slow.cuisines
+    assert fast.items == slow.items
+    assert np.array_equal(fast.values, slow.values)

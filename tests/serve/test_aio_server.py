@@ -472,6 +472,7 @@ def _head(content_length: bytes) -> bytes:
 
 
 _NON_UTF8 = b'{"a":"\xff"}'
+_SMALL_CONFIG = b'{"config": {"seed": 3, "scale": 0.01}}'
 
 GARBAGE = {
     # readexactly(-1) used to raise ValueError: a 500.
@@ -489,6 +490,27 @@ GARBAGE = {
     "huge-header-line": (
         b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"a" * 70_000 + b"\r\n\r\n",
         400,
+    ),
+    # A chunked body was skipped and the default config served in its place.
+    "chunked-body": (
+        b"POST /analyze HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n" % len(_SMALL_CONFIG) + _SMALL_CONFIG + b"\r\n0\r\n\r\n",
+        501,
+    ),
+    # Two differing lengths were taken last-wins.
+    "conflicting-lengths": (
+        b"POST /analyze HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+        b"Content-Length: 0\r\nContent-Length: %d\r\n\r\n" % len(_SMALL_CONFIG)
+        + _SMALL_CONFIG,
+        400,
+    ),
+    # The header count had no cap.
+    "too-many-headers": (
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+        + b"".join(b"X-Filler-%d: x\r\n" % index for index in range(100))
+        + b"\r\n",
+        431,
     ),
 }
 

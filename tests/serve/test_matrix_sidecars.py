@@ -1,9 +1,9 @@
 """Service-level corpus-matrix sidecar lifecycle: persist, share, invalidate.
 
 The acceptance contract: once a config has been computed, every later mining
-pass over the same corpus -- in this process or any other -- slices its
-regions out of the single memory-mapped ``corpus-<key>.matrix`` arena
-instead of re-running ``np.packbits``.
+pass over the same corpus -- in this process or any other -- packs its
+regions from the single memory-mapped ``corpus-<key>.matrix`` CSR instead of
+building the CSR from the corpus again.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.mining.bitmatrix import TransactionMatrix
+from repro.mining.shm import CorpusMatrix
 from repro.serve.service import AnalysisService, MATRIX_FILE_SUFFIX
 
 CONFIG = AnalysisConfig(seed=11, scale=0.02, elbow_k_max=6)
@@ -26,15 +27,15 @@ def service(tmp_path) -> AnalysisService:
 
 @pytest.fixture()
 def compile_counter(monkeypatch):
-    """Count TransactionMatrix compiles (the packbits pass) in this process."""
+    """Count corpus CSR builds (``CorpusMatrix.from_transactions``) in this process."""
     calls = []
-    original = TransactionMatrix.__init__
+    original = CorpusMatrix.from_transactions.__func__
 
-    def counting(self, transactions):
+    def counting(cls, transactions):
         calls.append(len(transactions))
-        return original(self, transactions)
+        return original(cls, transactions)
 
-    monkeypatch.setattr(TransactionMatrix, "__init__", counting)
+    monkeypatch.setattr(CorpusMatrix, "from_transactions", classmethod(counting))
     return calls
 
 
@@ -47,16 +48,30 @@ class TestSidecarLifecycle:
         meta = json.loads(meta_path.read_text("utf-8"))
         assert meta["kind"] == "corpus"
         assert len(meta["regions"]) >= 2
-        # One arena for the whole corpus: exactly one rows file, not per-region.
-        rows_files = list(prefix.parent.glob("corpus-*.rows.npy"))
-        assert len(rows_files) == 1
+        # One CSR for the whole corpus, and no dense arena beside it.
+        assert len(list(prefix.parent.glob("corpus-*.tids.npy"))) == 1
+        assert list(prefix.parent.glob("corpus-*.rows.npy")) == []
+
+    def test_cold_compute_compiles_no_frozenset_matrix(self, service, monkeypatch):
+        """Regions are packed from the CSR, never compiled from frozensets."""
+        compiles = []
+        original = TransactionMatrix.__init__
+
+        def counting(self, transactions):
+            compiles.append(len(transactions))
+            return original(self, transactions)
+
+        monkeypatch.setattr(TransactionMatrix, "__init__", counting)
+        served = service.get_or_run(CONFIG)
+        assert served.source == "computed"
+        assert compiles == []
 
     def test_fresh_service_maps_instead_of_compiling(
         self, service, tmp_path, compile_counter
     ):
         service.get_or_run(CONFIG)
         compiles_after_first = len(compile_counter)
-        assert compiles_after_first > 0  # the cold run compiled every region
+        assert compiles_after_first == 1  # the cold run built the CSR once
 
         reloaded = AnalysisService(tmp_path / "cache")
         reloaded.invalidate(CONFIG, mining=True)  # force a real mining pass
@@ -93,14 +108,14 @@ class TestSidecarLifecycle:
         reloaded.invalidate(CONFIG, mining=True)
         compiles_before = len(compile_counter)
         reloaded.get_or_run(CONFIG)
-        assert len(compile_counter) > compiles_before  # matrices recompiled
+        assert len(compile_counter) > compiles_before  # the CSR was rebuilt
         new_fingerprint = json.loads(meta_path.read_text("utf-8"))["fingerprint"]
         assert new_fingerprint != old_fingerprint
 
     def test_corrupt_sidecar_rebuilt(self, service, tmp_path, compile_counter):
         service.get_or_run(CONFIG)
         prefix = service.matrix_path(CONFIG)
-        victim = prefix.with_name(prefix.name + ".rows.npy")
+        victim = prefix.with_name(prefix.name + ".tids.npy")
         victim.write_bytes(b"garbage")
 
         reloaded = AnalysisService(tmp_path / "cache")

@@ -278,21 +278,20 @@ class TestCorpusCache:
         assert path.read_text(encoding="utf-8") != text  # rewritten with the real corpus
 
     def test_transaction_matrices_shared_across_sweep(self, service, monkeypatch):
-        """A min_support sweep compiles each region's TransactionMatrix once."""
-        from repro.mining.bitmatrix import TransactionMatrix
+        """A min_support sweep builds the corpus CSR once."""
+        from repro.mining.shm import CorpusMatrix
 
-        compilations = []
-        original = TransactionMatrix.__init__
+        builds = []
+        original = CorpusMatrix.from_transactions.__func__
 
-        def counting(self, transactions):
-            compilations.append(len(transactions))
-            original(self, transactions)
+        def counting(cls, transactions):
+            builds.append(len(transactions))
+            return original(cls, transactions)
 
-        monkeypatch.setattr(TransactionMatrix, "__init__", counting)
+        monkeypatch.setattr(CorpusMatrix, "from_transactions", classmethod(counting))
         service.get_or_run(CONFIG)
-        first = len(compilations)
-        assert first > 0
+        assert len(builds) == 1
         # Lowered support cannot reuse cached mining, so the miner runs again
-        # — but over the already-compiled matrices.
+        # — but over the CSR already in memory.
         service.get_or_run(CONFIG.with_overrides(min_support=0.15))
-        assert len(compilations) == first
+        assert len(builds) == 1
