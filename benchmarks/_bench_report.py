@@ -1,9 +1,11 @@
 """Shared emitter for the compute-core benchmark report (``BENCH_core.json``).
 
-The mining and linkage benchmarks both record their measured timings and
-speedups here; each call merges one section into the JSON document at the
-repository root so a partial run still leaves a valid report.  CI uploads
-the file as a build artifact.
+The mining, classify, async-serving and lease benchmarks record their
+measured timings and speedups here.  The first call in a process starts a
+fresh document, so sections from benchmarks that no longer exist do not
+linger in a local report; later calls add their section to it and rewrite
+the file, so a partial run still leaves a valid report.  CI uploads the
+file as a build artifact.
 """
 
 from __future__ import annotations
@@ -14,19 +16,12 @@ from pathlib import Path
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 
+_document: dict = {"python": platform.python_version()}
+
 
 def record(section: str, payload: dict) -> None:
-    """Merge one benchmark section into ``BENCH_core.json``."""
-    document: dict = {}
-    if REPORT_PATH.exists():
-        try:
-            document = json.loads(REPORT_PATH.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            document = {}
-    if not isinstance(document, dict):
-        document = {}
-    document.setdefault("python", platform.python_version())
-    document[section] = payload
+    """Add one benchmark section to this process's ``BENCH_core.json``."""
+    _document[section] = payload
     REPORT_PATH.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(_document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -16,21 +16,18 @@ Supported linkage methods (Lance–Williams family):
 * ``weighted`` -- WPGMA;
 * ``ward`` -- Ward's minimum-variance criterion (assumes Euclidean input).
 
-:func:`linkage` runs the **nearest-neighbor-chain** algorithm (Murtagh 1983):
-follow nearest-neighbor links until a reciprocal pair is found, merge it, and
-continue from the remaining chain.  Every supported method satisfies the
-Lance–Williams reducibility condition, so the chain never invalidates itself
-and the algorithm is O(n²) overall -- each merge costs one vectorized
-Lance–Williams row update plus O(1) amortized nearest-neighbor scans, each a
-single numpy pass.  The chain only discovers the merge tree; a replay then
-re-executes those merges in the historical best-pair-first order, which
-reproduces exactly the matrix the greedy O(n³) scan produced (same heights,
-same row order, same cluster ids).
+:func:`linkage` is a greedy O(n³) scan: each step sweeps every active pair
+of a square working matrix for the closest one, records the merge, folds
+the pair into its lower slot with the scalar Lance–Williams update and
+retires the higher slot.  Tie rule: pairs are scanned in ascending
+``(i, j)`` order and a later pair wins only when it is smaller by more than
+1e-15, so exact ties go to the earliest pair in scan order.
 
-:func:`linkage_naive` keeps that historical greedy implementation: it is the
-reference for the equivalence tests and the baseline the linkage benchmark
-measures the chain algorithm against, and :func:`linkage` itself runs it on
-degenerate (ulp-spaced) inputs.
+There is no O(n²) path because no caller would reach it: every production
+call clusters the paper's 26 cuisine regions (the figure builders, FIHC,
+the geography trees), ten calls and about 12 ms per analysis.  At n = 26
+the scan's pure-Python loops are as fast as vectorised passes, whose
+per-call numpy overhead outweighs the work they save.
 
 The paper does not state the linkage method it used; ``average`` is the usual
 default for cuisine-style categorical data and is what the figure builders
@@ -46,7 +43,7 @@ import numpy as np
 from repro.errors import ClusteringError
 from repro.distances.pdist import CondensedDistanceMatrix
 
-__all__ = ["LINKAGE_METHODS", "linkage", "linkage_naive", "LinkageMatrix"]
+__all__ = ["LINKAGE_METHODS", "linkage", "LinkageMatrix"]
 
 LINKAGE_METHODS = ("single", "complete", "average", "weighted", "ward")
 
@@ -153,80 +150,6 @@ def _new_distance(
     raise ClusteringError(f"unknown linkage method: {method!r}")
 
 
-def _new_distances_vector(
-    method: str,
-    d_ki: np.ndarray,
-    d_kj: np.ndarray,
-    d_ij: float,
-    size_i: int,
-    size_j: int,
-    sizes_k: np.ndarray,
-) -> np.ndarray:
-    """Vectorized :func:`_new_distance` over every other active cluster k.
-
-    Every expression mirrors the scalar form operation for operation (same
-    association order), so the two produce bit-identical float64 results.
-    """
-    if method == "single":
-        return np.minimum(d_ki, d_kj)
-    if method == "complete":
-        return np.maximum(d_ki, d_kj)
-    if method == "average":
-        total = size_i + size_j
-        return (size_i * d_ki + size_j * d_kj) / total
-    if method == "weighted":
-        return 0.5 * (d_ki + d_kj)
-    if method == "ward":
-        total = size_i + size_j + sizes_k
-        value = (
-            (size_i + sizes_k) * d_ki * d_ki
-            + (size_j + sizes_k) * d_kj * d_kj
-            - sizes_k * d_ij * d_ij
-        ) / total
-        return np.sqrt(np.maximum(0.0, value))
-    raise ClusteringError(f"unknown linkage method: {method!r}")
-
-
-def _merge_into_slot(
-    working: np.ndarray,
-    active: np.ndarray,
-    sizes: np.ndarray,
-    method: str,
-    i: int,
-    j: int,
-) -> float:
-    """Execute one merge on the working state; returns the merge distance.
-
-    Shared by all three passes so their arithmetic stays in lockstep (the
-    bit-identical guarantee depends on every pass writing exactly the same
-    floats): vectorized Lance–Williams update of slot *i* against every
-    other active slot, then retirement of slot *j* (rows/columns to +inf,
-    size folded into slot *i*).
-    """
-    d_ij = float(working[i, j])
-    update_mask = active.copy()
-    update_mask[i] = False
-    update_mask[j] = False
-    ks = np.flatnonzero(update_mask)
-    if ks.size:
-        updated = _new_distances_vector(
-            method,
-            working[ks, i],
-            working[ks, j],
-            d_ij,
-            int(sizes[i]),
-            int(sizes[j]),
-            sizes[ks],
-        )
-        working[ks, i] = updated
-        working[i, ks] = updated
-    active[j] = False
-    working[j, :] = math.inf
-    working[:, j] = math.inf
-    sizes[i] += sizes[j]
-    return d_ij
-
-
 def _validate(distances: CondensedDistanceMatrix, method: str) -> tuple[str, int]:
     method = method.strip().lower()
     if method not in LINKAGE_METHODS:
@@ -243,306 +166,7 @@ def linkage(
     distances: CondensedDistanceMatrix,
     method: str = "average",
 ) -> LinkageMatrix:
-    """Run agglomerative clustering and return the linkage matrix.
-
-    Two O(n²) passes:
-
-    1. :func:`_nn_chain_tree` discovers the merge tree with the
-       nearest-neighbor-chain algorithm (vectorized Lance–Williams updates);
-    2. :func:`_replay_merges` re-executes those merges in the greedy
-       best-pair-first order with the same update arithmetic and the same
-       deterministic tie-breaking the historical O(n³) scan used.
-
-    The replay is what makes the output **bit-identical** to
-    :func:`linkage_naive`: Lance–Williams updates are order-sensitive at the
-    last float64 ulp, so heights are only reproducible by running the updates
-    in the same sequence -- the chain pass cheaply supplies the candidate
-    merges, the replay restricted to those candidates costs O(n) per step.
-
-    Inputs containing exactly tied distances (common for binary feature
-    matrices, where many pairs share e.g. the same jaccard value) can make
-    the chain discover a *different* -- equally valid, but not identical --
-    tie tree than the greedy scan.  Ties can also arise *mid-run* between
-    derived Lance–Williams values, but only when the arithmetic is exact,
-    i.e. when the inputs sit on a coarse dyadic lattice (quantized data);
-    for generic floats the updates round and exact collisions have
-    probability ~2⁻⁵².  Both risk classes are detected up front (one sort
-    plus one lattice test over the condensed vector) and routed to
-    :func:`_greedy_rowcache`, an exact greedy pass over cached per-row
-    minima that reproduces the historical tie-breaking unconditionally and
-    costs O(n²) expected.
-    """
-    method, n = _validate(distances, method)
-    values = np.sort(distances.distances)
-    gaps = np.diff(values)
-    if bool(np.any((gaps > 0.0) & (gaps <= 4e-15))):
-        # Distinct distances inside (or hugging) the scan's 1e-15 tie band:
-        # the fold's "blocking chains" (a pair shielding slightly-smaller
-        # pairs, transitively) can reach arbitrarily far above the minimum,
-        # so no restricted selection reproduces them.  Such inputs are
-        # degenerate (ulp-spaced near-duplicates); run the historical scan
-        # itself, which is correct by definition.
-        return linkage_naive(distances, method)
-    if _tie_prone(values):
-        merges = _greedy_rowcache(distances.to_square(), method, n)
-    else:
-        pairs = _nn_chain_tree(distances.to_square(), method, n)
-        merges = _replay_merges(distances.to_square(), pairs, method, n)
-    return LinkageMatrix(merges, distances.labels, method=method, metric=distances.metric)
-
-
-def _tie_prone(values: np.ndarray) -> bool:
-    """Whether (near-)ties can plausibly occur during a clustering run.
-
-    *values* is the **sorted** condensed distance vector.  True when the
-    input contains distances within the naive scan's 1e-15 tie band of each
-    other (exact duplicates or near-duplicate points), or when the
-    distances are grid-structured -- quantized inputs keep Lance–Williams
-    combinations on the grid, so distinct inputs can still produce
-    colliding *derived* heights (e.g. averages of quarter-integer grids).
-    """
-    if values.size <= 1:
-        return False
-    # Apply the naive scan's own comparison to adjacent sorted values: two
-    # distances it cannot tell apart (including the rounding slop of the
-    # float subtraction) make the input tie-prone.
-    if not bool(np.all(values[:-1] < values[1:] - 1e-15)):
-        return True
-    # Grid-structured spacing: when every gap is a near-integer multiple of
-    # the smallest gap, the distances live on an arithmetic lattice (dyadic
-    # grids, decimal-rounded data, ulp-level clusters), where Lance–Williams
-    # combinations can land back inside the tie band.  Ratios too large to
-    # test at float precision are treated as compatible with the grid.
-    gaps = np.diff(values)
-    ratios = gaps / float(gaps.min())
-    testable = ratios <= 1e12
-    return bool(
-        np.all(np.abs(ratios[testable] - np.round(ratios[testable])) <= 1e-3)
-    )
-
-
-def _nn_chain_tree(
-    working: np.ndarray, method: str, n: int
-) -> list[tuple[int, int]]:
-    """Merge tree via nearest-neighbor chains: ``n - 1`` slot pairs in chain order.
-
-    Follows nearest-neighbor links until a reciprocal pair appears, merges
-    it (into the smaller slot, retiring the larger), and continues from the
-    remaining chain.  Reducibility of the supported methods guarantees chain
-    validity, so the total work is O(n²).  Heights computed here are
-    discarded -- the replay pass recomputes them in greedy order.
-    """
-    np.fill_diagonal(working, math.inf)
-    sizes = np.ones(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    pairs: list[tuple[int, int]] = []
-    chain: list[int] = []
-
-    for _step in range(n - 1):
-        if not chain:
-            # Slot 0 is always active (merges retire the larger slot), so the
-            # chain can always restart from the first slot.
-            chain.append(0)
-        while True:
-            x = chain[-1]
-            row = working[x]
-            # Prefer the previous chain element on exact ties so reciprocal
-            # nearest neighbors are detected deterministically.
-            if len(chain) > 1:
-                y = chain[-2]
-                best = row[y]
-            else:
-                y = -1
-                best = math.inf
-            candidate = int(np.argmin(row))
-            value = row[candidate]
-            if value < best:
-                best = value
-                y = candidate
-            if len(chain) > 1 and y == chain[-2]:
-                break
-            chain.append(y)
-        chain.pop()
-        chain.pop()
-        i, j = (x, y) if x < y else (y, x)
-        _merge_into_slot(working, active, sizes, method, i, j)
-        pairs.append((i, j))
-
-    return pairs
-
-
-def _replay_merges(
-    working: np.ndarray, pairs: list[tuple[int, int]], method: str, n: int
-) -> np.ndarray:
-    """Execute a known merge tree in greedy order; bit-identical to the naive scan.
-
-    At every step the candidates are the tree merges whose operand clusters
-    already exist ("ready" merges, at most one per chain, so O(n) of them).
-    The pick uses the historical tie rule (a later pair must be smaller by
-    more than 1e-15 to win; scan order is ascending slot pairs) and the
-    Lance–Williams update runs as one vectorized row operation whose
-    arithmetic mirrors the scalar form, so every float written -- and hence
-    every height read -- matches the naive implementation exactly.
-    """
-    np.fill_diagonal(working, math.inf)
-
-    # Dependency graph: a merge waits on the previous merge touching either
-    # of its slots (slot contents are clusters built by earlier merges).
-    n_merges = len(pairs)
-    blockers: list[int] = [0] * n_merges
-    dependents: list[list[int]] = [[] for _ in range(n_merges)]
-    last_touch: dict[int, int] = {}
-    for index, (i, j) in enumerate(pairs):
-        for slot in (i, j):
-            previous = last_touch.get(slot)
-            if previous is not None:
-                dependents[previous].append(index)
-                blockers[index] += 1
-            last_touch[slot] = index
-    ready = {index for index in range(n_merges) if blockers[index] == 0}
-
-    cluster_ids = list(range(n))
-    sizes = np.ones(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    merges = np.zeros((n_merges, 4), dtype=np.float64)
-
-    for step in range(n_merges):
-        # Greedy pick among ready merges, scanning in ascending (i, j) order
-        # with the historical fuzzy tie rule.
-        best = math.inf
-        best_index = -1
-        for index in sorted(ready, key=lambda r: pairs[r]):
-            i, j = pairs[index]
-            value = working[i, j]
-            if value < best - 1e-15:
-                best = value
-                best_index = index
-        if best_index < 0:
-            raise ClusteringError("internal error: no ready merge found")
-        ready.discard(best_index)
-        for index in dependents[best_index]:
-            blockers[index] -= 1
-            if blockers[index] == 0:
-                ready.add(index)
-        i, j = pairs[best_index]
-
-        left_id, right_id = cluster_ids[i], cluster_ids[j]
-        if left_id > right_id:
-            left_id, right_id = right_id, left_id
-        merges[step] = (left_id, right_id, best, int(sizes[i] + sizes[j]))
-        _merge_into_slot(working, active, sizes, method, i, j)
-        cluster_ids[i] = n + step
-
-    return merges
-
-
-def _greedy_rowcache(working: np.ndarray, method: str, n: int) -> np.ndarray:
-    """Exact greedy clustering over cached per-row minima (tie-laden inputs).
-
-    Semantically identical to the naive scan -- including its tie-breaking,
-    which picks the earliest pair in ascending ``(i, j)`` order among exact
-    minima -- but each step costs O(n) plus cache repairs instead of a full
-    O(n²) pair sweep: every row caches its minimum over the columns to its
-    right, the global pick is one ``argmin`` over those caches, and a merge
-    only recomputes the rows whose cached minimum referenced a touched slot
-    (O(n²) expected overall, degrading gracefully when ties cluster).
-    """
-    np.fill_diagonal(working, math.inf)
-    rowmin_val = np.full(n, math.inf, dtype=np.float64)
-    rowmin_idx = np.full(n, -1, dtype=np.int64)
-
-    def recompute(row: int) -> None:
-        segment = working[row, row + 1 :]
-        if segment.size == 0:
-            rowmin_val[row] = math.inf
-            rowmin_idx[row] = -1
-            return
-        position = int(np.argmin(segment))  # first occurrence on exact ties
-        value = segment[position]
-        rowmin_val[row] = value
-        rowmin_idx[row] = row + 1 + position if math.isfinite(value) else -1
-
-    for row in range(n):
-        recompute(row)
-
-    cluster_ids = list(range(n))
-    sizes = np.ones(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    merges = np.zeros((n - 1, 4), dtype=np.float64)
-
-    for step in range(n - 1):
-        # Reproduce the historical scan's fold exactly: it keeps the earliest
-        # pair unless a later one is smaller by more than 1e-15.  Only pairs
-        # within ~2e-15 of the global minimum can influence that fold (a
-        # pair can only block candidates at most 1e-15 below it, and the
-        # final pick is itself within 1e-15 of the minimum; the extra
-        # spacing pads the float subtraction's rounding slop).  Collect
-        # those few pairs via the row caches and run the naive comparison
-        # over them in scan order.
-        minimum = float(rowmin_val.min())
-        if not math.isfinite(minimum):
-            raise ClusteringError("internal error: no active pair found")
-        threshold = minimum + 2e-15
-        threshold += 4 * np.spacing(threshold)
-        best = math.inf
-        i = j = -1
-        for row in np.flatnonzero(rowmin_val <= threshold).tolist():
-            segment = working[row, row + 1 :]
-            for offset in np.flatnonzero(segment <= threshold).tolist():
-                value = segment[offset]
-                if value < best - 1e-15:
-                    best = float(value)
-                    i, j = row, row + 1 + offset
-
-        left_id, right_id = cluster_ids[i], cluster_ids[j]
-        if left_id > right_id:
-            left_id, right_id = right_id, left_id
-        merges[step] = (left_id, right_id, best, int(sizes[i] + sizes[j]))
-        _merge_into_slot(working, active, sizes, method, i, j)
-        cluster_ids[i] = n + step
-        rowmin_val[j] = math.inf
-        rowmin_idx[j] = -1
-
-        # Repair the caches.  Row i changed wholesale; a row k < i sees one
-        # changed entry (k, i); every row k < j lost entry (k, j).
-        recompute(i)
-        others = np.flatnonzero(active)
-        for k in others.tolist():
-            if k == i:
-                continue
-            if k < i:
-                value = working[k, i]
-                cached_idx = rowmin_idx[k]
-                if cached_idx == i or cached_idx == j:
-                    # The cached minimum referenced a rewritten / retired
-                    # entry: the new (k, i) value wins outright if it is no
-                    # larger (any other equal minimum sits at a later
-                    # column), otherwise the row needs a fresh scan.
-                    if value <= rowmin_val[k]:
-                        rowmin_val[k] = value
-                        rowmin_idx[k] = i
-                    else:
-                        recompute(k)
-                elif value < rowmin_val[k] or (
-                    value == rowmin_val[k] and i < cached_idx
-                ):
-                    rowmin_val[k] = value
-                    rowmin_idx[k] = i
-            elif k < j and rowmin_idx[k] == j:
-                recompute(k)
-    return merges
-
-
-def linkage_naive(
-    distances: CondensedDistanceMatrix,
-    method: str = "average",
-) -> LinkageMatrix:
-    """Greedy O(n³) agglomerative clustering (the historical implementation).
-
-    Kept as the reference for the chain-equivalence tests and as the baseline
-    the linkage benchmark compares :func:`linkage` against; with 26 cuisines
-    (the paper's n) either implementation is instantaneous.
-    """
+    """Run the greedy scan (see the module docstring) and return its merges."""
     method, n = _validate(distances, method)
 
     # Working square matrix of current cluster-to-cluster distances.

@@ -16,6 +16,7 @@ full corpus via ``REPRO_SCALE=1.0`` without touching code.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
@@ -26,6 +27,13 @@ __all__ = ["AnalysisConfig", "DEFAULT_CONFIG"]
 
 _VALID_WEIGHTINGS = ("binary", "support")
 _VALID_LINKAGES = ("single", "complete", "average", "weighted", "ward")
+_INT_FIELDS = (
+    "seed",
+    "elbow_k_min",
+    "elbow_k_max",
+    "authenticity_min_document_frequency",
+    "fingerprint_top_k",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,6 +54,26 @@ class AnalysisConfig:
     fingerprint_top_k: int = 10
 
     def __post_init__(self) -> None:
+        # Types first: a fractional seed, a boolean or a non-finite scale
+        # would otherwise pass the range checks and then fail deep in the
+        # run, or alias another config's analysis under a second cache key.
+        integers = [(name, getattr(self, name)) for name in _INT_FIELDS]
+        if self.max_pattern_length is not None:
+            integers.append(("max_pattern_length", self.max_pattern_length))
+        integers += [("validation_k_values", k) for k in self.validation_k_values]
+        for name, value in integers:
+            if type(value) is not int:  # rejects bool, an int subclass
+                raise ConfigurationError(f"invalid {name}: {value!r} is not an integer")
+        for name in ("scale", "min_support"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(
+                    f"invalid {name}: {value!r} is not a finite number"
+                )
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
         if self.scale <= 0:

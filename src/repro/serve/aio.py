@@ -1017,5 +1017,6 @@ class AnalysisServer:
         value = body.get(field, default)
         try:
             return int(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: JSON's 1e309 and Infinity parse to float("inf").
             raise _HttpError(400, f'"{field}" must be an integer') from exc

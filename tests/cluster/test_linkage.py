@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from scipy.cluster import hierarchy as scipy_hierarchy
 from scipy.spatial.distance import pdist as scipy_pdist
 
 from repro.errors import ClusteringError
-from repro.cluster.linkage import LINKAGE_METHODS, LinkageMatrix, linkage, linkage_naive
+from repro.cluster.linkage import LINKAGE_METHODS, LinkageMatrix, linkage
 from repro.distances.pdist import CondensedDistanceMatrix, pairwise_distances
 from repro.features.matrix import FeatureMatrix
 
@@ -108,116 +110,89 @@ class TestAgainstScipy:
         )
 
 
-class TestChainMatchesNaive:
-    """The O(n²) chain implementation must be bit-identical to the greedy scan."""
+# SHA-256 over the concatenated ``merges.tobytes()`` of every input that
+# ``_pinned_inputs`` yields, recorded with the historical greedy scan before
+# it became the only implementation.
+MERGE_DIGESTS = {
+    "single": "e9d40e455defe23c8d651911fbf57bcd1b8d568ec7db0d46c4aad11e15a61699",
+    "complete": "8759d713f98904bbfc75fefedf058062e2cef966903fd1475946c55be88148dc",
+    "average": "3658612dc8dfd7cde52c84bbfe6b342f20e28c0130c1a65c45675bdf1db49764",
+    "weighted": "622aefaf95d7c4d309fac50dfe4d407a5119ee7dc9de28352081e476b4460a92",
+    "ward": "ad0abe3bc6eec9e57df05dc8857cd8128eaeb7760566008b91a08b0cf7157573",
+}
+
+
+def _pinned_inputs():
+    """Deterministic inputs: random, tie-laden, binary-feature and lattice."""
+    rng = np.random.default_rng(99)
+    for n in (2, 3, 5, 9, 17, 33):
+        yield _condensed_from_points(rng.normal(size=(n, 3)))
+    # Exact ties: duplicate points, grids, all-zero and collinear points.
+    for points in (
+        np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0], [9.0, 0.0]]),
+        np.array([[float(i), float(j)] for i in range(3) for j in range(3)]),
+        np.array([[float(i), float(j)] for i in range(4) for j in range(4)]),
+        np.zeros((6, 2)),
+        np.array([[float(i), 0.0] for i in range(8)]),
+    ):
+        yield _condensed_from_points(points)
+    # Binary feature matrices (the pipeline's real inputs) tie heavily.
+    rng = np.random.default_rng(3)
+    values = (rng.random(size=(18, 24)) < 0.25).astype(float)
+    features = FeatureMatrix(
+        tuple(f"r{i}" for i in range(18)), tuple(f"c{j}" for j in range(24)), values
+    )
+    for metric in ("euclidean", "cosine", "jaccard"):
+        yield pairwise_distances(features, metric=metric)
+    # Distinct quarter-integer distances whose derived heights collide
+    # mid-run (5.25 under average and weighted linkage).
+    yield CondensedDistanceMatrix(
+        tuple(f"p{i}" for i in range(6)),
+        np.array(
+            [2.75, 0.75, 7.75, 13.75, 6.0, 9.25, 3.25, 4.0,
+             3.0, 3.5, 9.75, 10.5, 5.25, 10.25, 6.5]
+        ),
+    )
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(3, 10))
+        values = rng.choice(np.arange(1, 80), size=n * (n - 1) // 2, replace=False) * 0.25
+        yield CondensedDistanceMatrix(tuple(f"p{i}" for i in range(n)), values.astype(float))
+    rng = np.random.default_rng(11)
+    yield _condensed_from_points(rng.normal(size=(20, 3)))
+
+
+class TestScanTieRule:
+    """Pairs are scanned in ascending (i, j) order; a later pair must be
+    smaller by more than 1e-15 to displace an earlier one."""
 
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
-    def test_random_points_bit_identical(self, method):
-        rng = np.random.default_rng(99)
-        for n in (2, 3, 5, 9, 17, 33):
-            condensed = _condensed_from_points(rng.normal(size=(n, 3)))
-            fast = linkage(condensed, method=method)
-            reference = linkage_naive(condensed, method=method)
-            assert np.array_equal(fast.merges, reference.merges), (method, n)
-            assert fast == reference
-
-    @pytest.mark.parametrize("method", LINKAGE_METHODS)
-    def test_tied_distances_bit_identical(self, method):
-        """Exact ties (duplicate points, grids) keep the historical tie-breaks."""
-        cases = [
-            np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0], [9.0, 0.0]]),
-            np.array([[float(i), float(j)] for i in range(3) for j in range(3)]),
-            np.array([[float(i), float(j)] for i in range(4) for j in range(4)]),
-            np.zeros((6, 2)),
-            np.array([[float(i), 0.0] for i in range(8)]),
+    def test_exact_ties_go_to_earliest_pair(self, method):
+        condensed = CondensedDistanceMatrix(("a", "b", "c", "d"), np.ones(6))
+        assert linkage(condensed, method=method).merges.tolist() == [
+            [0, 1, 1, 2],
+            [2, 4, 1, 3],
+            [3, 5, 1, 4],
         ]
-        for points in cases:
-            condensed = _condensed_from_points(points)
-            fast = linkage(condensed, method=method)
-            reference = linkage_naive(condensed, method=method)
-            assert np.array_equal(fast.merges, reference.merges), (
-                method,
-                points.shape,
-            )
 
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
-    def test_binary_features_bit_identical(self, method):
-        """Binary feature matrices (the pipeline's real inputs) tie heavily."""
-        rng = np.random.default_rng(3)
-        values = (rng.random(size=(18, 24)) < 0.25).astype(float)
-        features = FeatureMatrix(
-            tuple(f"r{i}" for i in range(18)),
-            tuple(f"c{j}" for j in range(24)),
-            values,
-        )
-        for metric in ("euclidean", "cosine", "jaccard"):
-            condensed = pairwise_distances(features, metric=metric)
-            fast = linkage(condensed, method=method)
-            reference = linkage_naive(condensed, method=method)
-            assert np.array_equal(fast.merges, reference.merges), (method, metric)
-
-    @pytest.mark.parametrize("method", LINKAGE_METHODS)
-    def test_near_tie_band_bit_identical(self, method):
-        """Distinct distances within the naive scan's 1e-15 tie band (e.g.
-        near-duplicate points) must keep its earliest-pair resolution."""
+    def test_later_pair_inside_tie_band_loses(self, method):
         condensed = CondensedDistanceMatrix(
             ("a", "b", "c"), np.array([1.0 + 2e-16, 2.700000001, 1.0])
         )
-        assert np.array_equal(
-            linkage(condensed, method=method).merges,
-            linkage_naive(condensed, method=method).merges,
-        )
+        first = linkage(condensed, method=method).merges[0].tolist()
+        assert first == [0, 1, 1.0000000000000002, 2]
 
     @pytest.mark.parametrize("method", LINKAGE_METHODS)
-    def test_quantized_distinct_distances_bit_identical(self, method):
-        """Distinct lattice distances can make *derived* heights collide
-        exactly mid-run; these inputs must route to the exact greedy path."""
-        # A condensed vector that historically produced a mid-run tie at
-        # height 5.25 under average/weighted linkage.
-        distances = np.array(
-            [2.75, 0.75, 7.75, 13.75, 6.0, 9.25, 3.25, 4.0,
-             3.0, 3.5, 9.75, 10.5, 5.25, 10.25, 6.5]
-        )
+    def test_later_pair_past_tie_band_wins(self, method):
         condensed = CondensedDistanceMatrix(
-            tuple(f"p{i}" for i in range(6)), distances
+            ("a", "b", "c"), np.array([1.0 + 4e-15, 2.7, 1.0])
         )
-        assert np.array_equal(
-            linkage(condensed, method=method).merges,
-            linkage_naive(condensed, method=method).merges,
-        )
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            n = int(rng.integers(3, 10))
-            values = rng.choice(
-                np.arange(1, 80), size=n * (n - 1) // 2, replace=False
-            ) * 0.25
-            condensed = CondensedDistanceMatrix(
-                tuple(f"p{i}" for i in range(n)), values.astype(float)
-            )
-            assert np.array_equal(
-                linkage(condensed, method=method).merges,
-                linkage_naive(condensed, method=method).merges,
-            )
+        assert linkage(condensed, method=method).merges[0].tolist() == [1, 2, 1.0, 2]
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(0, 2**31 - 1),
-        st.integers(2, 14),
-        st.sampled_from(LINKAGE_METHODS),
-    )
-    def test_property_bit_identical(self, seed, n_points, method):
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(n_points, 3))
-        condensed = _condensed_from_points(points)
-        assert np.array_equal(
-            linkage(condensed, method=method).merges,
-            linkage_naive(condensed, method=method).merges,
-        )
-
-    def test_exact_default_unchanged(self):
-        """The default linkage is bit-identical to linkage_naive."""
-        rng = np.random.default_rng(11)
-        condensed = _condensed_from_points(rng.normal(size=(20, 3)))
-        default = linkage(condensed, method="average")
-        reference = linkage_naive(condensed, method="average")
-        assert np.array_equal(default.merges, reference.merges)
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_merge_tables_match_pinned_digest(self, method):
+        digest = hashlib.sha256()
+        for condensed in _pinned_inputs():
+            digest.update(linkage(condensed, method=method).merges.tobytes())
+        assert digest.hexdigest() == MERGE_DIGESTS[method]

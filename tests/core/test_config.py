@@ -31,6 +31,23 @@ class TestAnalysisConfig:
             ("authenticity_min_document_frequency", 0),
             ("validation_k_values", (1,)),
             ("fingerprint_top_k", 0),
+            # Integer fields take only ints: no fractions, no booleans.
+            ("seed", 1.5),
+            ("seed", True),
+            ("max_pattern_length", 2.5),
+            ("elbow_k_min", 1.5),
+            ("elbow_k_max", 15.0),
+            ("authenticity_min_document_frequency", 2.5),
+            ("fingerprint_top_k", True),
+            ("validation_k_values", (3, 5.5)),
+            ("validation_k_values", (3, True)),
+            # Real fields take finite ints or floats, not booleans.
+            ("scale", float("inf")),
+            ("scale", float("nan")),
+            ("scale", True),
+            ("scale", "0.1"),
+            ("min_support", float("nan")),
+            ("min_support", True),
         ],
     )
     def test_invalid_values_rejected(self, field, value):

@@ -10,8 +10,8 @@ do, from the repository root (``python -m pytest`` puts it on ``sys.path``).
   ``algorithm`` label (``tests/mining/test_engine_parity.py``), and
   ``benchmarks/test_bench_mining.py`` gates its speed against this pass.
 
-An oracle stays here while the fast path it checks exists.  Two references
-stay next to their fast paths: ``repro.cluster.linkage.linkage_naive``,
-which ``linkage`` itself runs on ulp-spaced inputs, and
-``CuisineClassifier.classify_batch_naive`` in ``repro.serve.classify``.
+An oracle stays here while the fast path it checks exists.  One reference
+stays next to its fast path: ``CuisineClassifier.classify_batch_naive`` in
+``repro.serve.classify``.  ``repro.cluster.linkage.linkage`` has no fast
+path to check; ``tests/cluster/test_linkage.py`` pins its merge tables.
 """

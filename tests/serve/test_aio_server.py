@@ -474,6 +474,15 @@ def _head(content_length: bytes) -> bytes:
 _NON_UTF8 = b'{"a":"\xff"}'
 _SMALL_CONFIG = b'{"config": {"seed": 3, "scale": 0.01}}'
 
+
+def _post(path: bytes, body: bytes) -> bytes:
+    head = b"POST %s HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n"
+    return head % (path, len(body)) + body
+
+
+_FRACTIONAL_SEED = _post(b"/analyze", b'{"config": {"seed": 1.5, "scale": 0.01}}')
+_CONFIG_BYTES = json.dumps(CONFIG_JSON).encode("utf-8")
+
 GARBAGE = {
     # readexactly(-1) used to raise ValueError: a 500.
     "negative-length": (_head(b"-1"), 400),
@@ -503,6 +512,24 @@ GARBAGE = {
         b"POST /analyze HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
         b"Content-Length: 0\r\nContent-Length: %d\r\n\r\n" % len(_SMALL_CONFIG)
         + _SMALL_CONFIG,
+        400,
+    ),
+    # Config values that passed validation and failed in the run (SeedSequence
+    # rejects 1.5) or in the cache key (JSON's 1e309 parses to inf, which
+    # the canonical key text cannot hold): a 500.
+    "fractional-seed": (_FRACTIONAL_SEED, 400),
+    "infinite-scale": (_post(b"/analyze", b'{"config": {"scale": 1e309}}'), 400),
+    # int(float("inf")) raised OverflowError, which _int did not catch: a 500.
+    "overflowing-k": (
+        _post(
+            b"/query",
+            b'{"config": %s, "op": "top-patterns", "cuisine": "Japanese", "k": 1e309}'
+            % _CONFIG_BYTES,
+        ),
+        400,
+    ),
+    "overflowing-top": (
+        _post(b"/classify", b'{"config": %s, "recipes": ["rice"], "top": 1e309}' % _CONFIG_BYTES),
         400,
     ),
     # The header count had no cap.
@@ -556,3 +583,24 @@ class TestClientGarbage:
         assert headers["connection"] == "close"
         assert "error_id" not in payload
         assert request_errors == 0
+
+    def test_fractional_seeds_leave_health_ok(self, warm_cache):
+        """Rejected configs never reach a compute, so they cannot flip health."""
+
+        async def scenario(host, port):
+            statuses = []
+            for _ in range(3):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(_FRACTIONAL_SEED)
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                await writer.wait_closed()
+                statuses.append(int(raw.split()[1]))
+            return statuses, await request(host, port, "GET", "/healthz")
+
+        statuses, (status, payload) = serve(warm_cache, scenario)
+        assert status == 200
+        assert payload["status"] == "ok"
+        assert payload["compute_failures"] == 0
+        assert statuses == [400, 400, 400]
