@@ -26,11 +26,13 @@ HERD = 6
 
 
 def _herd_worker(cache_root, counter_path, config, barrier, queue):
-    store = ArtifactStore(
-        backend=create_backend("sqlite", Path(cache_root)), max_memory_entries=2
-    )
+    store = ArtifactStore(backend=create_backend("sqlite", Path(cache_root)))
     service = AnalysisService(
-        store, lease_ttl=60.0, lease_wait=600.0, lease_poll=0.05
+        store,
+        max_memory_entries=2,
+        lease_ttl=60.0,
+        lease_wait=600.0,
+        lease_poll=0.05,
     )
     original = service._compute
 
@@ -81,10 +83,8 @@ def test_lease_cold_herd_computes_once_fleet_wide(config, tmp_path):
     # A single cold run on a fresh store calibrates the coordination overhead
     # (the herd *is* one compute plus lease polling and process bookkeeping).
     fresh = AnalysisService(
-        ArtifactStore(
-            backend=create_backend("sqlite", tmp_path / "fresh"),
-            max_memory_entries=2,
-        ),
+        ArtifactStore(backend=create_backend("sqlite", tmp_path / "fresh")),
+        max_memory_entries=2,
     )
     started = time.perf_counter()
     fresh.get_or_run(config)

@@ -13,8 +13,8 @@ Subcommands:
 * ``serve`` -- run the async HTTP/JSON serving front-end (request
   coalescing, background refresh; see ``docs/serving.md``);
 * ``serve-stats`` -- print serve-cache statistics (persisted artifacts, the
-  store's configuration incl. active eviction policy specs, and its traffic
-  counters);
+  cache's configuration incl. the active disk eviction policy spec, and its
+  traffic counters);
 * ``query`` -- read-path queries against a cached analysis (nearest cuisines,
   pattern search, authenticity profiles, cuisine cards);
 * ``classify`` -- classify ingredient lists against the cached cuisines;
@@ -23,8 +23,8 @@ Subcommands:
 
 Every serve subcommand takes ``--store-backend`` (sharded ``directory``
 default, ``sqlite``, ``memory``), ``--store-shards`` for the directory
-layout, and ``--eviction`` / ``--disk-eviction`` policy specs such as
-``lru:32+ttl:600`` or ``maxbytes:1048576`` (see ``docs/storage-engine.md``).
+layout, and a ``--disk-eviction`` policy spec such as ``ttl:600`` or
+``maxbytes:1048576+ttl:600`` (see ``docs/storage-engine.md``).
 
 Example::
 
@@ -155,19 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
                  f"(default {DEFAULT_SHARDS})",
         )
         sub.add_argument(
-            "--eviction",
-            metavar="SPEC",
-            default=None,
-            help="memory-front eviction policy, e.g. lru:32, ttl:600, "
-                 "maxbytes:1048576 or compositions like lru:32+ttl:600 "
-                 "(default lru bounded by the store's memory capacity)",
-        )
-        sub.add_argument(
             "--disk-eviction",
             metavar="SPEC",
             default=None,
-            help="eviction policy applied to the backend after writes "
-                 "(bounds what stays durable; off by default)",
+            help="eviction policy applied to the backend after writes, e.g. "
+                 "ttl:600, maxbytes:1048576 or compositions like "
+                 "maxbytes:1048576+ttl:600 (bounds what stays durable; "
+                 "off by default)",
         )
         sub.add_argument(
             "--resilient",
@@ -504,13 +498,9 @@ def _store_for(args: argparse.Namespace) -> ArtifactStore:
     if getattr(args, "resilient", False):
         retries = getattr(args, "store_retries", 3)
         backend = ResilientBackend(backend, retry=RetryPolicy(max_attempts=retries))
-    memory_spec = getattr(args, "eviction", None)
     disk_spec = getattr(args, "disk_eviction", None)
-    memory_policy = parse_policy(memory_spec) if memory_spec is not None else None
     disk_policy = parse_policy(disk_spec) if disk_spec is not None else None
-    return ArtifactStore(
-        backend=backend, memory_policy=memory_policy, disk_policy=disk_policy
-    )
+    return ArtifactStore(backend=backend, disk_policy=disk_policy)
 
 
 def _service_for(args: argparse.Namespace) -> AnalysisService:
@@ -608,7 +598,6 @@ def _command_serve_stats(args: argparse.Namespace) -> int:
         f"({store.total_bytes()} bytes stored)"
     )
     configuration = [
-        {"setting": "eviction", "value": payload["eviction"]},
         {"setting": "disk_eviction", "value": payload["disk_eviction"]},
         {"setting": "max_memory_entries", "value": payload["max_memory_entries"]},
     ]

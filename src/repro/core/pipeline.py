@@ -52,9 +52,10 @@ from repro.geo.comparison import (
     ClaimCheck,
     TreeComparison,
     canada_france_vs_us,
-    compare_to_geography,
+    compare_trees,
     india_north_africa_affinity,
 )
+from repro.geo.geocluster import geographic_clustering
 from repro.geo.regions import REGION_GEOGRAPHY
 from repro.mining.eclat import EclatMiner
 from repro.mining.itemsets import MiningResult
@@ -211,13 +212,21 @@ class CuisineClusteringPipeline:
     def validate_against_geography(
         self, runs: Mapping[str, ClusteringRun]
     ) -> dict[str, TreeComparison]:
-        """Score every cuisine tree against the geographic reference tree."""
+        """Score every cuisine tree against the geographic reference tree.
+
+        The reference tree is built once per distinct label sequence (every
+        cuisine tree of one analysis shares one), not once per compared run.
+        """
+        references: dict[tuple[str, ...], ClusteringRun] = {}
         validation: dict[str, TreeComparison] = {}
         for name, run in runs.items():
-            validation[name] = compare_to_geography(
-                run,
-                method=self.config.linkage_method,
-                k_values=self.config.validation_k_values,
+            labels = tuple(run.labels)
+            if labels not in references:
+                references[labels] = geographic_clustering(
+                    list(labels), method=self.config.linkage_method
+                )
+            validation[name] = compare_trees(
+                run, references[labels], k_values=self.config.validation_k_values
             )
         return validation
 

@@ -15,9 +15,9 @@ Layout
     from :class:`~repro.core.config.AnalysisConfig` (full-analysis key and the
     mining-stage key that ignores clustering-only parameters).
 ``store``
-    :class:`~repro.serve.store.ArtifactStore` -- the storage engine: a
-    policy-bounded memory front over a pluggable durable backend, with
-    corrupt-artifact quarantine on every read path.
+    :class:`~repro.serve.store.ArtifactStore` -- the storage engine:
+    validated reads and counted writes over a pluggable durable backend,
+    with corrupt-artifact quarantine on every read.
 ``backends``
     The :class:`~repro.serve.backends.StorageBackend` implementations --
     sharded :class:`~repro.serve.backends.DirectoryBackend`, WAL-mode
@@ -26,8 +26,8 @@ Layout
 ``eviction``
     Composable :class:`~repro.serve.eviction.EvictionPolicy` primitives
     (:class:`~repro.serve.eviction.LRU`, :class:`~repro.serve.eviction.TTL`,
-    :class:`~repro.serve.eviction.MaxBytes`) bounding the memory front and,
-    optionally, the backend itself.
+    :class:`~repro.serve.eviction.MaxBytes`) optionally bounding the backend,
+    and the background refresher's staleness grammar.
 ``migrate``
     :func:`~repro.serve.migrate.migrate_backend` -- move artifacts between
     any two backends or directory layouts (also ``store-migrate`` in the CLI).
@@ -43,8 +43,9 @@ Layout
     a write mid-payload; see ``docs/resilience.md`` for the grammar.
 ``service``
     :class:`~repro.serve.service.AnalysisService` -- the memoizing facade:
-    ``get_or_run(config)`` hits memory → disk → recompute, reusing cached
-    mining results when only clustering parameters changed.
+    ``get_or_run(config)`` hits its bounded decoded cache → disk →
+    recompute, reusing cached mining results when only clustering
+    parameters changed.
 ``aio``
     The asyncio front door: :class:`~repro.serve.aio.AsyncAnalysisService`
     adds single-flight **request coalescing** (N concurrent requests for one
@@ -105,7 +106,6 @@ from repro.serve.eviction import (
     CompositePolicy,
     EvictionPolicy,
     MaxBytes,
-    NoEviction,
     parse_policy,
 )
 from repro.serve.faults import (
@@ -142,7 +142,6 @@ __all__ = [
     "MemoryBackend",
     "create_backend",
     "EvictionPolicy",
-    "NoEviction",
     "LRU",
     "TTL",
     "MaxBytes",

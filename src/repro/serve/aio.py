@@ -16,7 +16,7 @@ event-loop front door in front of it:
     impatient client never cancels the compute out from under the others.
 
     A **background refresher** re-warms stale artifacts before they expire:
-    staleness is expressed with the same policy specs the store's eviction
+    staleness is expressed with the same policy specs the store's disk eviction
     uses (``"ttl:600"``, see :mod:`repro.serve.eviction`), and refreshes go
     through :meth:`AnalysisService.refresh` -- compute-then-swap, so the old
     artifact keeps serving reads until the new one is ready.
@@ -63,7 +63,6 @@ from repro.serve.eviction import (
     CompositePolicy,
     EntryInfo,
     EvictionPolicy,
-    NoEviction,
     parse_policy,
 )
 from repro.serve.queries import PatternHit, QueryEngine
@@ -90,12 +89,10 @@ def _validate_refresh_policy(policy: EvictionPolicy | None) -> EvictionPolicy | 
     once the tracked set exceeds the bound, and refreshing a victim renews
     its stamp without shrinking the set -- the refresher would recompute a
     rotating slice of the cache every sweep, forever, achieving nothing.
-    ``none`` is allowed and means "never stale" (equivalent to no policy).
+    (The ``none`` spec parses to no policy: never stale.)
     """
     if policy is None or isinstance(policy, TTL):
         return policy
-    if isinstance(policy, NoEviction):
-        return None
     if isinstance(policy, CompositePolicy) and all(
         isinstance(member, TTL) for member in policy.policies
     ):
@@ -120,7 +117,7 @@ class AsyncAnalysisService:
         config always coalesce into one flight regardless.
     refresh_policy:
         Staleness policy for the background refresher, as a policy object or
-        an ``--eviction``-style spec string (``"ttl:600"``).  An artifact the
+        a ``--disk-eviction``-style spec string (``"ttl:600"``).  An artifact the
         policy would evict is considered stale and re-warmed in place.
         ``None`` (default) disables background refresh.
     refresh_interval:
@@ -390,7 +387,7 @@ class AsyncAnalysisService:
         # large or slow store never stalls the event loop.
         stamps = await self._run_blocking(self._analysis_stamps)
         view = [
-            (key, EntryInfo(stamps[key].size_bytes, stamps[key].stored_at, stamps[key].stored_at))
+            (key, EntryInfo(stamps[key].size_bytes, stamps[key].stored_at))
             for key in self._known
             if key in stamps
         ]

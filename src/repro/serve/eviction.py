@@ -1,13 +1,14 @@
-"""Composable eviction policies for the artifact store.
+"""Composable eviction policies for the artifact store's backend.
 
 A policy never touches the store: it is a pure function from the current
-entry metadata to the list of cache keys that must go, which the engine then
-evicts (from the memory front) or deletes (from a bounded backend).  Three
-primitives cover the serving workloads:
+entry metadata to the list of keys that must go, which the engine then
+deletes from a bounded backend (``--disk-eviction``).  The async
+front-end's background refresher reads the same specs as a staleness
+policy (``--refresh``).  Three primitives cover the serving workloads:
 
 ``LRU(max_entries)``
-    The historical bound: keep at most N entries, drop the least recently
-    used first.
+    Keep at most N entries, drop the least recently used first (on a
+    backend, recency is write time, so the oldest write goes first).
 ``TTL(seconds)``
     Drop entries older than a freshness horizon (age counts from the last
     *write*, so a rewrite refreshes the clock -- right for analysis blobs
@@ -19,8 +20,8 @@ primitives cover the serving workloads:
 
 Policies compose with ``&`` (or :class:`CompositePolicy`): victims are the
 union, evaluated left to right.  :func:`parse_policy` turns the CLI's
-``--eviction`` spec strings (``"lru:32+ttl:600+maxbytes:1048576"``,
-``"none"``) into policy objects.
+``--disk-eviction`` / ``--refresh`` spec strings
+(``"ttl:600+maxbytes:1048576"``, ``"none"``) into policy objects.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.errors import ServeError
 __all__ = [
     "EntryInfo",
     "EvictionPolicy",
-    "NoEviction",
     "LRU",
     "TTL",
     "MaxBytes",
@@ -45,18 +45,17 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class EntryInfo:
-    """What a policy may know about one cached entry."""
+    """What a policy may know about one stored entry."""
 
     size_bytes: int
     stored_at: float  # last write (policy clock origin for TTL)
-    last_access: float  # last read or write (recency for LRU / MaxBytes)
 
 
 class EvictionPolicy(ABC):
     """Pure victim selection over ``(key, EntryInfo)`` pairs.
 
-    *entries* arrive ordered least- to most-recently used; implementations
-    must not mutate them.
+    *entries* arrive oldest first (LRU and MaxBytes drop from the front);
+    implementations must not mutate them.
     """
 
     @abstractmethod
@@ -71,22 +70,6 @@ class EvictionPolicy(ABC):
 
     def __and__(self, other: "EvictionPolicy") -> "CompositePolicy":
         return CompositePolicy([self, other])
-
-
-class NoEviction(EvictionPolicy):
-    """Never evict anything (``--eviction none``: an unbounded memory front).
-
-    Distinct from passing no policy at all, which means "use the default
-    LRU bound" -- this one is the explicit opt-out.
-    """
-
-    def victims(
-        self, entries: Sequence[tuple[Hashable, EntryInfo]], now: float
-    ) -> list[Hashable]:
-        return []
-
-    def describe(self) -> str:
-        return "none"
 
 
 class LRU(EvictionPolicy):
@@ -188,19 +171,16 @@ class CompositePolicy(EvictionPolicy):
 
 
 def parse_policy(spec: str) -> EvictionPolicy | None:
-    """Parse an ``--eviction`` spec string into a policy.
+    """Parse a ``--disk-eviction`` / ``--refresh`` spec string into a policy.
 
     Grammar: ``term ("+" term)*`` where term is ``lru:N``, ``ttl:SECONDS`` or
     ``maxbytes:N``.  A single term yields the primitive policy, several a
-    :class:`CompositePolicy` in the given order.  ``"none"`` yields the
-    explicit :class:`NoEviction` policy (never evict); only an *empty* spec
-    means "nothing specified" and returns ``None`` (caller's default).
+    :class:`CompositePolicy` in the given order.  ``"none"`` and the empty
+    spec return ``None``: no policy, so nothing is evicted (or refreshed).
     """
     text = spec.strip().lower()
-    if not text:
+    if text in ("", "none"):
         return None
-    if text == "none":
-        return NoEviction()
     policies: list[EvictionPolicy] = []
     for term in text.split("+"):
         name, separator, raw_value = term.strip().partition(":")

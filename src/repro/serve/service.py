@@ -4,9 +4,14 @@
 with a three-level read path::
 
     get_or_run(config)
-        1. in-memory LRU        (microseconds)
-        2. disk artifact store  (milliseconds -- one JSON parse)
-        3. recompute            (seconds -- the full eight-stage pipeline)
+        1. decoded-analysis cache  (microseconds)
+        2. disk artifact store     (milliseconds -- one JSON parse)
+        3. recompute               (seconds -- the full eight-stage pipeline)
+
+The decoded cache is the only memory layer for served analyses: it keeps at
+most ``max_memory_entries`` decoded results (default 32), drops the oldest
+insertion first, and counts its answers in ``memory_hits`` and its drops in
+``evictions``.  The store itself keeps no payloads in memory.
 
 Caching is stage-aware, and the compute path itself is staged:
 
@@ -190,6 +195,9 @@ class ServedAnalysis:
 class AnalysisService:
     """Facade that memoizes full pipeline runs behind an artifact store.
 
+    *max_memory_entries* bounds the decoded-analysis cache; 0 keeps nothing
+    decoded, so every warm read goes through the store.
+
     *workers* is accepted and ignored: mining is one serial loop.  The
     benchmark oracle (``perfbench/oracle.py``) still passes ``workers=0``.
     """
@@ -198,20 +206,21 @@ class AnalysisService:
         self,
         store: ArtifactStore | Path | str | None = None,
         *,
-        max_memory_entries: int = 8,
+        max_memory_entries: int = 32,
         workers: int | None = None,
         leases: bool = True,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         lease_wait: float = DEFAULT_LEASE_WAIT,
         lease_poll: float = DEFAULT_LEASE_POLL,
     ) -> None:
+        if max_memory_entries < 0:
+            raise ServeError("max_memory_entries must be non-negative")
         if store is None:
-            store = ArtifactStore(
-                Path(".repro-cache"), max_memory_entries=max_memory_entries
-            )
+            store = ArtifactStore(Path(".repro-cache"))
         elif not isinstance(store, ArtifactStore):
-            store = ArtifactStore(Path(store), max_memory_entries=max_memory_entries)
+            store = ArtifactStore(Path(store))
         self.store = store
+        self.max_memory_entries = max_memory_entries
         if lease_ttl <= 0 or lease_wait <= 0 or lease_poll <= 0:
             raise ServeError("lease ttl, wait and poll must all be positive seconds")
         #: Fleet coordination: with leases on (the default), a cold compute
@@ -241,7 +250,7 @@ class AnalysisService:
         self._corpora: dict[str, tuple[RecipeDatabase, str]] = {}
         # The async front-end computes different configs concurrently on
         # executor threads.  _lock guards the service's own compound cache
-        # mutations (decoded LRU, mining-family index read-modify-write);
+        # mutations (decoded cache, mining-family index read-modify-write);
         # _corpus_locks serializes corpus generation + sidecar compilation
         # per corpus key, so two configs sharing a (seed, scale) never build
         # the same corpus or write the same sidecar files twice.
@@ -278,9 +287,8 @@ class AnalysisService:
 
         cached = self._decoded.get(key)
         if cached is not None and self.store.exists(ANALYSIS_KIND, key):
-            # Probe the backend directly (not the store's memory front) so
-            # that invalidate() on another service handle over the same
-            # backend is honoured even for already-decoded entries.
+            # The existence probe honours invalidate() on another service
+            # handle over the same backend, even for already-decoded entries.
             self.store.stats.memory_hits += 1
             return ServedAnalysis(
                 results=cached,
@@ -465,18 +473,8 @@ class AnalysisService:
         force the stages themselves to re-run.
         """
         config = config if config is not None else DEFAULT_CONFIG
-        key = codec.analysis_key(config)
-        started = time.perf_counter()
-        results, mining_reused, mining_incremental = self._compute(config)
-        self.store.put(ANALYSIS_KIND, key, codec.results_to_dict(results))
-        self._remember_decoded(key, results)
-        return ServedAnalysis(
-            results=results,
-            source="computed",
-            key=key,
-            elapsed_seconds=time.perf_counter() - started,
-            mining_reused=mining_reused,
-            mining_incremental=mining_incremental,
+        return self._compute_and_store(
+            config, codec.analysis_key(config), time.perf_counter()
         )
 
     def invalidate(self, config: AnalysisConfig, *, mining: bool = False) -> bool:
@@ -506,13 +504,13 @@ class AnalysisService:
         return self.store.stats.to_dict()
 
     def describe(self) -> dict[str, object]:
-        """One JSON-ready snapshot of the store's configuration and traffic.
+        """One JSON-ready snapshot of the cache's configuration and traffic.
 
         The payload behind ``serve-stats`` and the async server's
-        ``/stats`` endpoint: where the cache lives, which backend and
-        eviction policies it runs (as the spec strings ``--eviction``
-        accepts), how many artifacts of each kind are persisted, and the
-        live traffic counters.
+        ``/stats`` endpoint: where the cache lives, which backend and disk
+        eviction policy it runs (as the spec string ``--disk-eviction``
+        accepts), the decoded cache's bound, how many artifacts of each
+        kind are persisted, and the live traffic counters.
         """
         store = self.store
         artifacts = {
@@ -524,8 +522,7 @@ class AnalysisService:
         payload: dict[str, object] = {
             "cache_dir": str(store.root),
             "backend": store.backend.describe(),
-            "max_memory_entries": store.max_memory_entries,
-            "eviction": store.memory_policy.describe(),
+            "max_memory_entries": self.max_memory_entries,
             "disk_eviction": store.disk_policy.describe() if store.disk_policy else "none",
             "store_bytes": store.total_bytes(),
             "artifacts": artifacts,
@@ -565,19 +562,19 @@ class AnalysisService:
         return payload
 
     def _remember_decoded(self, key: str, results: AnalysisResults) -> None:
-        """Keep decoded results hot, bounded by the store's LRU capacity.
+        """Keep decoded results hot, at most ``max_memory_entries`` of them.
 
-        A store built with ``max_memory_entries=0`` has its memory layer
-        explicitly disabled, so nothing is kept decoded either — every read
-        then goes through disk.
+        The oldest insertion is dropped first and counted in ``evictions``.
+        A capacity of 0 keeps nothing decoded, so every read goes through
+        the store.
         """
-        limit = self.store.max_memory_entries
-        if limit == 0:
+        if self.max_memory_entries == 0:
             return
         with self._lock:
             self._decoded[key] = results
-            while len(self._decoded) > limit:
+            while len(self._decoded) > self.max_memory_entries:
                 self._decoded.pop(next(iter(self._decoded)))
+                self.store.stats.evictions += 1
 
     # -- corpus stage -----------------------------------------------------------------
 
@@ -729,9 +726,13 @@ class AnalysisService:
         A warm hit memory-maps the ``corpus-<key>.classifier`` sidecar
         (fingerprint-checked against the corpus file) and builds **zero**
         dense matrices -- counted in ``stats()['classifier_sidecar_loads']``.
-        A miss compiles from *results* (served via :meth:`get_or_run` when
-        not supplied), counts a ``classifier_compiles``, and persists the
-        sidecar best-effort for the next worker.
+        A miss compiles from *results*, counts a ``classifier_compiles``, and
+        persists the sidecar best-effort for the next worker.
+
+        Without *results*, a memory miss serves the analysis through
+        :meth:`get_or_run` before taking the corpus lock (a cold compute
+        takes that lock itself) and then re-reads the corpus fingerprint,
+        because that compute may have just written the corpus file.
         """
         config = config if config is not None else DEFAULT_CONFIG
         key = codec.analysis_key(config)
@@ -742,6 +743,10 @@ class AnalysisService:
             cached = self._classifiers.get(cache_key)
             if cached is not None and cached[0] == fingerprint:
                 return cached[1]
+
+        if results is None:
+            results = self.get_or_run(config).results
+            fingerprint = self._corpus_file_fingerprint(config)
 
         with self._corpus_lock(config):
             with self._lock:
@@ -765,8 +770,6 @@ class AnalysisService:
             if classifier is not None:
                 self.store.stats.classifier_sidecar_loads += 1
             else:
-                if results is None:
-                    results = self.get_or_run(config).results
                 classifier = CuisineClassifier.from_results(
                     results,
                     pattern_weight=pattern_weight,

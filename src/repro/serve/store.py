@@ -1,25 +1,26 @@
-"""The artifact storage engine: memory front + pluggable durable backend.
+"""The artifact storage engine: validation and quarantine over a pluggable backend.
 
 Artifacts (serialised analyses, mining results, ...) are JSON documents keyed
 by ``(kind, key)`` where *kind* namespaces the artifact type and *key* is a
 deterministic config digest from :mod:`repro.serve.codec`.  The engine layers
-three concerns:
+two concerns:
 
-* a **memory front** of decoded payloads, bounded by a composable
-  :class:`~repro.serve.eviction.EvictionPolicy` (LRU by default, TTL and
-  size bounds available);
 * a **storage backend** (:mod:`repro.serve.backends`) owning durability --
   sharded directory of JSON files, single-file SQLite, or ephemeral memory;
 * **validation + quarantine**: payloads are parsed and shape-checked on
-  every backend read, and corrupt data (a crashed writer, a hand-edited row)
-  is quarantined through the backend so the slot can be rewritten.  The
-  store never raises on bad cached data; the worst case is a recompute.
+  every read, and corrupt data (a crashed writer, a hand-edited row) is
+  quarantined through the backend so the slot can be rewritten.  The store
+  never raises on bad cached data; the worst case is a recompute.
+
+The store keeps no payloads in memory: every :meth:`ArtifactStore.get` reads
+the backend.  The one memory layer for served analyses is the decoded cache
+of :class:`~repro.serve.service.AnalysisService`.
 
 ``ArtifactStore(root)`` keeps the original facade: it builds a sharded
 :class:`~repro.serve.backends.DirectoryBackend` under *root*, so existing
 callers see the same API with a scalable layout underneath.  An optional
-*disk_policy* applies the same eviction abstraction to the backend itself,
-bounding what is kept durable (by TTL or total bytes).
+*disk_policy* (an :class:`~repro.serve.eviction.EvictionPolicy`) bounds what
+the backend keeps durable, by TTL or total bytes.
 """
 
 from __future__ import annotations
@@ -27,28 +28,27 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro.errors import ServeError
 from repro.serve.backends import DirectoryBackend, StorageBackend
-from repro.serve.backends.base import Lease, validate_key, validate_kind
+from repro.serve.backends.base import Lease
 from repro.serve.codec import dumps
-from repro.serve.eviction import EntryInfo, EvictionPolicy, LRU
+from repro.serve.eviction import EntryInfo, EvictionPolicy
 
 __all__ = ["StoreStats", "ArtifactStore"]
-
-# Backwards-compatible aliases: these validators predate the backends package.
-_validate_kind = validate_kind
-_validate_key = validate_key
-_KEY_CHARS = set("0123456789abcdef")
 
 
 @dataclass
 class StoreStats:
     """Running counters of store traffic (one instance per store).
+
+    ``disk_hits`` and ``misses`` count :meth:`ArtifactStore.get` outcomes.
+    ``memory_hits`` and ``evictions`` are written by the decoded-analysis
+    cache of :class:`~repro.serve.service.AnalysisService`: a read answered
+    from it, and an analysis it dropped at its ``max_memory_entries`` bound.
 
     ``coalesced_hits`` and ``background_refreshes`` are written by the async
     front-end (:mod:`repro.serve.aio`): the former counts requests that
@@ -108,79 +108,48 @@ class StoreStats:
         }
 
 
-@dataclass(slots=True)
-class _MemoryEntry:
-    """One memory-front slot: the decoded payload plus its policy metadata."""
-
-    payload: dict[str, object]
-    size_bytes: int
-    stored_at: float
-    last_access: float
-
-    def info(self) -> EntryInfo:
-        return EntryInfo(self.size_bytes, self.stored_at, self.last_access)
-
-
 class ArtifactStore:
-    """JSON artifact store: policy-bounded memory front over a storage backend.
+    """JSON artifact store: validated reads and counted writes over a backend.
 
     The store is safe to share across threads (the async front-end's
-    executor drives it concurrently); a reentrant lock serializes the
-    memory-front bookkeeping around every read and write.
+    executor drives it concurrently); a reentrant lock serializes each read
+    with its quarantine, the traffic counters and the disk sweep.
 
     Parameters
     ----------
     root:
         Directory for the default sharded :class:`DirectoryBackend` (created
         on first write).  Ignored when *backend* is given.
-    max_memory_entries:
-        How many payloads the memory front keeps under the default LRU
-        policy; 0 disables the memory layer.  Ignored when *memory_policy*
-        is given.
     backend:
         Explicit storage backend; overrides *root*.
-    memory_policy:
-        Eviction policy for the memory front (default ``LRU(max_memory_entries)``).
     disk_policy:
         Optional eviction policy applied to the backend after every write,
         bounding what stays durable.  Recency on disk is write time, so TTL
         and MaxBytes are the natural disk bounds.
     clock:
-        Time source for policy decisions (injectable for tests).
+        Time source for disk-policy decisions (injectable for tests).
     """
 
     def __init__(
         self,
         root: Path | str | None = None,
         *,
-        max_memory_entries: int = 32,
         backend: StorageBackend | None = None,
-        memory_policy: EvictionPolicy | None = None,
         disk_policy: EvictionPolicy | None = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if max_memory_entries < 0:
-            raise ServeError("max_memory_entries must be non-negative")
         if backend is None:
             if root is None:
                 raise ServeError("ArtifactStore needs a root directory or a backend")
             backend = DirectoryBackend(Path(root))
         self._backend = backend
-        self.max_memory_entries = max_memory_entries
-        self._memory_enabled = memory_policy is not None or max_memory_entries > 0
-        self.memory_policy = (
-            memory_policy if memory_policy is not None else LRU(max_memory_entries)
-        )
         self.disk_policy = disk_policy
         self._clock = clock
         self.stats = StoreStats()
-        self._memory: OrderedDict[tuple[str, str], _MemoryEntry] = OrderedDict()
         # The async front-end (repro.serve.aio) drives the store from a
-        # thread pool; one reentrant lock serializes the compound
-        # memory-front mutations (read-validate-remember, evict sweeps) so
-        # concurrent readers never observe a half-updated LRU.  Backend I/O
-        # happens inside the lock too: artifact payloads are small JSON
-        # documents, so correctness beats the marginal parallelism.
+        # thread pool.  The lock makes a corrupt slot's read + quarantine
+        # atomic (two racing readers quarantine it once), keeps the counters
+        # exact and serializes the disk sweep; put() re-enters it to sweep.
         self._lock = threading.RLock()
 
     # -- backend ----------------------------------------------------------------------
@@ -237,54 +206,34 @@ class ArtifactStore:
     # -- reads ------------------------------------------------------------------------
 
     def get(self, kind: str, key: str) -> dict[str, object] | None:
-        """Fetch an artifact payload: memory, then the backend, else ``None``.
+        """Read and validate an artifact payload from the backend, else ``None``.
 
-        A memory hit still requires the artifact to exist in the backend (one
-        existence probe), so deleting an artifact through another store
-        handle over the same backend invalidates every handle's memory layer
-        too.
+        Corrupt data (unparseable JSON, a non-object root) is quarantined
+        through the backend and counted in ``corrupt_recovered``; the read
+        then counts as a miss.
         """
         with self._lock:
-            now = self._evict_due()
-            cache_key = (kind, key)
-            entry = self._memory.get(cache_key)
-            if entry is not None:
-                if self._backend.exists(kind, key):
-                    entry.last_access = now
-                    self._memory.move_to_end(cache_key)
-                    self.stats.memory_hits += 1
-                    return entry.payload
-                self._memory.pop(cache_key, None)
-            payload, text = self._read_validated(kind, key)
-            if payload is None:
+            text = self._backend.read(kind, key)
+            if text is None:
+                self.stats.misses += 1
+                return None
+            try:
+                payload = json.loads(text)
+                if not isinstance(payload, dict):
+                    raise ValueError("artifact root must be a JSON object")
+            except (json.JSONDecodeError, ValueError):
+                self._backend.quarantine(kind, key)
+                self.stats.corrupt_recovered += 1
                 self.stats.misses += 1
                 return None
             self.stats.disk_hits += 1
-            self._remember(cache_key, payload, text)
             return payload
-
-    def contains(self, kind: str, key: str) -> bool:
-        """Whether a *readable* artifact exists in memory or the backend.
-
-        Validates through the same read path as :meth:`get`: an on-disk
-        artifact that :meth:`get` would quarantine and miss reports ``False``
-        here too (and is quarantined on the spot), never a phantom ``True``.
-        """
-        with self._lock:
-            if (kind, key) in self._memory:
-                # Same invalidation rule as get(): the backend copy must still exist.
-                return self._backend.exists(kind, key)
-            payload, text = self._read_validated(kind, key)
-            if payload is None:
-                return False
-            self._remember((kind, key), payload, text)
-            return True
 
     def exists(self, kind: str, key: str) -> bool:
         """Whether the backend holds ``(kind, key)`` (no payload read or validation).
 
-        The cheap durability probe behind memory-layer invalidation; use
-        :meth:`contains` when the answer must mean "readable".
+        The cheap durability probe behind the service's decoded cache: a
+        delete through another handle over the same backend invalidates it.
         """
         return self._backend.exists(kind, key)
 
@@ -292,27 +241,10 @@ class ArtifactStore:
         """Every key stored in the backend for one artifact kind (sorted)."""
         return self._backend.keys(kind)
 
-    def _read_validated(
-        self, kind: str, key: str
-    ) -> tuple[dict[str, object] | None, str]:
-        """Read + parse one backend payload, quarantining corrupt data."""
-        text = self._backend.read(kind, key)
-        if text is None:
-            return None, ""
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("artifact root must be a JSON object")
-        except (json.JSONDecodeError, ValueError):
-            self._backend.quarantine(kind, key)
-            self.stats.corrupt_recovered += 1
-            return None, ""
-        return payload, text
-
     # -- writes -----------------------------------------------------------------------
 
     def put(self, kind: str, key: str, payload: dict[str, object]) -> Path | None:
-        """Persist an artifact payload and cache it in memory.
+        """Persist an artifact payload, then apply the disk policy.
 
         Returns the artifact's path for path-addressable backends, ``None``
         otherwise.
@@ -322,31 +254,23 @@ class ArtifactStore:
             self._backend.write(kind, key, text)
             self.stats.writes += 1
             self.stats.bytes_written += len(text.encode("utf-8"))
-            self._remember((kind, key), payload, text)
             self.sweep_disk()
         path_for = getattr(self._backend, "path_for", None)
         return path_for(kind, key) if path_for is not None else None
 
     def delete(self, kind: str, key: str) -> bool:
-        """Drop an artifact from memory and the backend; True when anything existed."""
+        """Drop an artifact from the backend; True when it existed."""
         with self._lock:
-            existed = self._memory.pop((kind, key), None) is not None
-            existed = self._backend.delete(kind, key) or existed
+            existed = self._backend.delete(kind, key)
             if existed:
                 self.stats.deletes += 1
             return existed
 
-    def clear_memory(self) -> None:
-        """Empty the memory front (backend artifacts stay)."""
-        with self._lock:
-            self._memory.clear()
-
     # -- compute leases ---------------------------------------------------------------
     #
-    # Pure delegation to the backend: leases never interact with the memory
-    # front (they coordinate *who computes*, not what is cached), so they
-    # deliberately bypass the store lock -- a claim poll must not serialize
-    # behind another thread's backend I/O.
+    # Pure delegation to the backend: leases coordinate *who computes*, not
+    # what is stored, so they deliberately bypass the store lock -- a claim
+    # poll must not serialize behind another thread's backend I/O.
 
     def claim(
         self, kind: str, key: str, owner: str, ttl: float, *, now: float | None = None
@@ -368,31 +292,7 @@ class ArtifactStore:
         """The current live lease on ``(kind, key)``, or ``None``."""
         return self._backend.lease(kind, key, now=now)
 
-    # -- internals --------------------------------------------------------------------
-
-    def _remember(
-        self, cache_key: tuple[str, str], payload: dict[str, object], text: str
-    ) -> None:
-        if not self._memory_enabled:
-            return
-        now = self._clock()
-        self._memory[cache_key] = _MemoryEntry(
-            payload, len(text.encode("utf-8")), now, now
-        )
-        self._memory.move_to_end(cache_key)
-        self._evict_due(now)
-
-    def _evict_due(self, now: float | None = None) -> float:
-        """Apply the memory policy; returns the clock reading used."""
-        if now is None:
-            now = self._clock()
-        if not self._memory:
-            return now
-        view = [(key, entry.info()) for key, entry in self._memory.items()]
-        for victim in self.memory_policy.victims(view, now):
-            if self._memory.pop(victim, None) is not None:
-                self.stats.evictions += 1
-        return now
+    # -- disk policy ------------------------------------------------------------------
 
     def sweep_disk(self) -> int:
         """Apply the disk policy to the backend now; returns entries evicted.
@@ -416,14 +316,11 @@ class ArtifactStore:
             now = self._clock()
             stored = sorted(self._backend.entries(), key=lambda entry: entry.stored_at)
             view = [
-                ((entry.kind, entry.key), EntryInfo(entry.size_bytes, entry.stored_at, entry.stored_at))
+                ((entry.kind, entry.key), EntryInfo(entry.size_bytes, entry.stored_at))
                 for entry in stored
             ]
             for kind, key in self.disk_policy.victims(view, now):
                 if self._backend.delete(kind, key):
                     self.stats.disk_evictions += 1
                     evicted += 1
-                # The memory copy would be dropped on its next read anyway (the
-                # backend existence probe fails); drop it now to free the slot.
-                self._memory.pop((kind, key), None)
             return evicted

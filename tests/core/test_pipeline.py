@@ -93,6 +93,40 @@ class TestFullRun:
             c.bakers_gamma for c in full_results.geography_validation.values()
         )
 
+    def test_geography_reference_built_once_per_label_sequence(
+        self, full_results, monkeypatch
+    ):
+        import repro.core.pipeline as pipeline_module
+        from repro.geo.comparison import compare_to_geography
+        from repro.geo.geocluster import geographic_clustering
+
+        built = []
+
+        def counting(regions, **kwargs):
+            built.append(tuple(regions))
+            return geographic_clustering(regions, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "geographic_clustering", counting)
+        config = full_results.config
+        runs = {
+            "patterns-euclidean": full_results.figure2_euclidean,
+            "patterns-cosine": full_results.figure3_cosine,
+            "patterns-jaccard": full_results.figure4_jaccard,
+            "authenticity": full_results.figure5_authenticity,
+        }
+        pipeline = CuisineClusteringPipeline(config)
+        validation = pipeline.validate_against_geography(runs)
+        assert len(built) == 1  # four cuisine trees share one label sequence
+        for name, run in runs.items():
+            alone = compare_to_geography(
+                run, method=config.linkage_method, k_values=config.validation_k_values
+            )
+            assert validation[name].to_dict() == alone.to_dict()
+        # A run over other labels gets a reference tree of its own.
+        subset = geographic_clustering(["Japanese", "Korean", "Thai", "UK"])
+        pipeline.validate_against_geography({**runs, "subset": subset})
+        assert len(built) == 3
+
     def test_summary_is_json_friendly(self, full_results):
         import json
 

@@ -59,5 +59,5 @@ def any_backend(backend_name, tmp_path) -> StorageBackend:
 
 @pytest.fixture()
 def any_store(any_backend) -> ArtifactStore:
-    """An ArtifactStore over each backend with a capacity-2 memory front."""
-    return ArtifactStore(backend=any_backend, max_memory_entries=2)
+    """An ArtifactStore over each backend."""
+    return ArtifactStore(backend=any_backend)

@@ -77,7 +77,8 @@ class TestRoutes:
 
         status, payload = serve(warm_cache, scenario)
         assert status == 200
-        assert payload["eviction"].startswith("lru:")
+        assert payload["max_memory_entries"] == 32
+        assert payload["disk_eviction"] == "none"
         assert payload["refresh"] == "none"
         assert payload["artifacts"]["analyses"] >= 1
         assert "coalesced_hits" in payload["counters"]

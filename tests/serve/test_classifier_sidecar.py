@@ -14,6 +14,7 @@ Three property suites (Hypothesis) plus deterministic service-level tests:
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -221,6 +222,26 @@ class TestServiceWarmPath:
             first.classify_batch(recipes), second.classify_batch(recipes)
         ):
             assert a == b  # byte-identical scores, sidecar vs fresh compile
+
+    def test_cold_call_without_results_serves_then_persists(self, tmp_path):
+        # With no persisted analysis, classifier_for must serve it first: a
+        # cold compute takes the per-corpus lock, and it writes the corpus
+        # file the sidecar is fingerprinted against.
+        cold = AnalysisService(tmp_path / "cache")
+        done = threading.Event()
+
+        def classify_cold() -> None:
+            cold.classifier_for(CONFIG)
+            done.set()
+
+        threading.Thread(target=classify_cold, daemon=True).start()
+        assert done.wait(timeout=60), "classifier_for did not return"
+        assert cold.store.stats.classifier_compiles == 1
+
+        warm = AnalysisService(tmp_path / "cache")
+        warm.classifier_for(CONFIG)
+        assert warm.store.stats.classifier_compiles == 0
+        assert warm.store.stats.classifier_sidecar_loads == 1
 
     def test_memory_cache_returns_same_object(self, tmp_path):
         service = AnalysisService(tmp_path / "cache")

@@ -50,7 +50,8 @@ class TestServeStats:
         }
         assert payload["backend"].startswith("directory")
         assert payload["store_bytes"] > 0
-        assert payload["eviction"].startswith("lru:")
+        assert payload["max_memory_entries"] == 32
+        assert "eviction" not in payload  # disk_eviction is the only policy
 
     def test_stats_surface_deletes_in_table(self, cache_dir, capsys):
         assert main([*ARGS, "serve-stats", "--cache-dir", str(cache_dir)]) == 0
@@ -96,26 +97,37 @@ class TestStoreBackendFlags:
         cache = tmp_path / "cache"
         assert main(
             [*ARGS, "serve-stats", "--cache-dir", str(cache),
-             "--eviction", "lru:4+ttl:600", "--json"]
+             "--disk-eviction", "maxbytes:1048576+ttl:600", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["eviction"] == "lru:4+ttl:600"
+        assert payload["disk_eviction"] == "maxbytes:1048576+ttl:600"
 
     def test_eviction_none_disables_eviction(self, tmp_path, capsys):
         assert main(
             [*ARGS, "serve-stats", "--cache-dir", str(tmp_path / "cache"),
-             "--eviction", "none", "--json"]
+             "--disk-eviction", "none", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["eviction"] == "none"
+        assert payload["disk_eviction"] == "none"
 
     def test_bad_eviction_spec_is_clean_error(self, tmp_path, capsys):
         code = main(
             [*ARGS, "serve-stats", "--cache-dir", str(tmp_path / "cache"),
-             "--eviction", "fifo:3"]
+             "--disk-eviction", "fifo:3"]
         )
         assert code == 1
         assert "unknown eviction policy" in capsys.readouterr().err
+
+    def test_memory_eviction_flag_is_gone(self, tmp_path, capsys):
+        # Served analyses have one memory bound, the service's
+        # max_memory_entries; no policy spec selects a second one.
+        with pytest.raises(SystemExit) as exited:
+            main(
+                [*ARGS, "serve", "--cache-dir", str(tmp_path / "cache"),
+                 "--port", "0", "--max-requests", "0", "--eviction", "lru:4"]
+            )
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --eviction" in capsys.readouterr().err
 
 
 class TestStoreMigrateRoundTrip:
@@ -348,18 +360,18 @@ class TestServe:
 
 
 class TestServeStatsPolicySpecs:
-    """serve-stats must surface the active eviction policy specs (not only counters)."""
+    """serve-stats must surface the active policy spec and memory bound (not only counters)."""
 
     def test_text_output_reports_active_policy_specs(self, cache_dir, capsys):
         code = main(
             [*ARGS, "serve-stats", "--cache-dir", str(cache_dir),
-             "--eviction", "lru:16+ttl:600", "--disk-eviction", "maxbytes:9999999"]
+             "--disk-eviction", "maxbytes:9999999"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "Store configuration" in out
-        assert "lru:16+ttl:600" in out
         assert "maxbytes:9999999" in out
+        assert "max_memory_entries" in out
 
     def test_json_output_reports_async_counters(self, cache_dir, capsys):
         code = main(
@@ -367,7 +379,7 @@ class TestServeStatsPolicySpecs:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["eviction"].startswith("lru:")
+        assert payload["max_memory_entries"] == 32
         assert payload["disk_eviction"] == "none"
         assert "coalesced_hits" in payload["counters"]
         assert "background_refreshes" in payload["counters"]

@@ -1,8 +1,8 @@
-"""Eviction policies: pure victim selection, spec parsing, store integration.
+"""Eviction policies: pure victim selection, spec parsing, disk-policy integration.
 
-The store integration tests drive a fake clock through the engine so TTL
-decisions are deterministic, and run over every backend (the memory front is
-backend-agnostic; the disk-policy tests assert backend deletion too).
+The disk-policy tests run over every backend and assert backend deletion;
+the TTL ones share a fake clock between the store and a memory backend so
+expiry decisions are deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.serve.eviction import (
     CompositePolicy,
     EntryInfo,
     MaxBytes,
-    NoEviction,
     parse_policy,
 )
 from repro.serve.store import ArtifactStore
@@ -27,8 +26,8 @@ KEY_B = "b" * 8
 KEY_C = "c" * 8
 
 
-def entry(size=10, stored_at=0.0, last_access=0.0) -> EntryInfo:
-    return EntryInfo(size, stored_at, last_access)
+def entry(size=10, stored_at=0.0) -> EntryInfo:
+    return EntryInfo(size, stored_at)
 
 
 class FakeClock:
@@ -94,10 +93,9 @@ class TestParsePolicy:
         assert parse_policy("lru:32+ttl:600").describe() == "lru:32+ttl:600"
 
     def test_explicit_none_is_no_eviction(self):
-        policy = parse_policy("none")
-        assert isinstance(policy, NoEviction)
-        assert policy.describe() == "none"
-        assert policy.victims([("a", entry())], now=1e12) == []
+        # "none" means no policy at all, exactly like an absent spec.
+        for spec in ("none", " NONE "):
+            assert parse_policy(spec) is None
 
     def test_empty_spec_means_unspecified(self):
         assert parse_policy("") is None
@@ -108,60 +106,10 @@ class TestParsePolicy:
                 parse_policy(spec)
 
 
-class TestMemoryFrontPolicies:
-    def test_ttl_expires_memory_entries(self, any_backend):
-        clock = FakeClock()
-        store = ArtifactStore(
-            backend=any_backend, memory_policy=TTL(60), clock=clock
-        )
-        store.put("analysis", KEY_A, {"v": 1})
-        assert store.get("analysis", KEY_A) == {"v": 1}
-        assert store.stats.memory_hits == 1
-        clock.advance(61)
-        # Expired in memory, still durable: the read falls through to the
-        # backend and re-remembers with a fresh TTL.
-        assert store.get("analysis", KEY_A) == {"v": 1}
-        assert store.stats.evictions == 1
-        assert store.stats.disk_hits == 1
-        assert store.get("analysis", KEY_A) == {"v": 1}
-        assert store.stats.memory_hits == 2
-
-    def test_maxbytes_bounds_memory(self, any_backend):
-        store = ArtifactStore(
-            backend=any_backend, memory_policy=MaxBytes(2 * len('{"v":"a"}'))
-        )
-        store.put("analysis", KEY_A, {"v": "a"})
-        store.put("analysis", KEY_B, {"v": "b"})
-        assert store.stats.evictions == 0
-        store.put("analysis", KEY_C, {"v": "c"})  # over budget: A goes
-        assert store.stats.evictions == 1
-        store.get("analysis", KEY_A)
-        assert store.stats.disk_hits == 1
-
-    def test_composite_policy_on_store(self, any_backend):
-        clock = FakeClock()
-        store = ArtifactStore(
-            backend=any_backend, memory_policy=LRU(2) & TTL(60), clock=clock
-        )
-        store.put("analysis", KEY_A, {"v": 1})
-        store.put("analysis", KEY_B, {"v": 2})
-        store.put("analysis", KEY_C, {"v": 3})  # LRU bound: A evicted
-        assert store.stats.evictions == 1
-        clock.advance(61)  # TTL bound: B and C expire
-        store.put("analysis", KEY_A, {"v": 4})
-        assert store.stats.evictions == 3
-        assert store.get("analysis", KEY_A) == {"v": 4}
-        assert store.stats.memory_hits == 1
-
-
 class TestDiskPolicy:
     def test_maxbytes_bounds_backend(self, any_backend):
         size = len('{"v":"a"}')
-        store = ArtifactStore(
-            backend=any_backend,
-            max_memory_entries=0,
-            disk_policy=MaxBytes(2 * size),
-        )
+        store = ArtifactStore(backend=any_backend, disk_policy=MaxBytes(2 * size))
         store.put("analysis", KEY_A, {"v": "a"})
         store.put("analysis", KEY_B, {"v": "b"})
         assert store.stats.disk_evictions == 0
@@ -173,9 +121,7 @@ class TestDiskPolicy:
         assert len(any_backend.keys("analysis")) == 2
 
     def test_disk_eviction_does_not_count_as_delete(self, any_backend):
-        store = ArtifactStore(
-            backend=any_backend, max_memory_entries=0, disk_policy=MaxBytes(0)
-        )
+        store = ArtifactStore(backend=any_backend, disk_policy=MaxBytes(0))
         store.put("analysis", KEY_A, {"v": 1})
         assert store.stats.disk_evictions == 1
         assert store.stats.deletes == 0
@@ -186,9 +132,7 @@ class TestDiskPolicy:
         # write stamps; sharing one injected clock makes TTL deterministic.
         clock = FakeClock()
         backend = MemoryBackend(clock=clock)
-        store = ArtifactStore(
-            backend=backend, max_memory_entries=0, disk_policy=TTL(60), clock=clock
-        )
+        store = ArtifactStore(backend=backend, disk_policy=TTL(60), clock=clock)
         store.put("analysis", KEY_A, {"v": 1})
         clock.advance(61)
         store.put("analysis", KEY_B, {"v": 2})  # the write sweeps: A expires
@@ -207,18 +151,10 @@ class TestDiskPolicy:
         assert store.sweep_disk() == 1
         assert store.stats.disk_evictions == 1
 
-    def test_no_eviction_memory_policy_is_unbounded(self, any_backend):
-        store = ArtifactStore(backend=any_backend, memory_policy=NoEviction())
-        for index in range(40):  # far past the default lru:32 bound
-            store.put("analysis", f"{index:08x}", {"v": index})
-        assert store.stats.evictions == 0
-        store.get("analysis", f"{0:08x}")
-        assert store.stats.memory_hits == 1  # oldest entry still in memory
-
     def test_disk_eviction_drops_memory_copy(self, any_backend):
         store = ArtifactStore(backend=any_backend, disk_policy=MaxBytes(0))
         store.put("analysis", KEY_A, {"v": 1})
-        # Evicted from the backend and from the memory front with it.
+        # Evicted from the backend, so no copy is left to read anywhere.
         assert store.get("analysis", KEY_A) is None
         assert store.stats.memory_hits == 0
         assert store.stats.misses == 1

@@ -144,7 +144,7 @@ class TestFaultInjectingBackend:
 
     def test_torn_write_is_quarantined_by_the_store(self, any_backend):
         faulty = FaultInjectingBackend(any_backend, "write:1:torn")
-        store = ArtifactStore(backend=faulty, max_memory_entries=0)
+        store = ArtifactStore(backend=faulty)
         store.put("analysis", KEY, {"value": 12345678})
         assert store.get("analysis", KEY) is None
         assert store.stats.corrupt_recovered == 1

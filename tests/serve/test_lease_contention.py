@@ -41,10 +41,8 @@ HERD_SIZE = 8
 
 def _service_over(backend_name: str, cache_root: Path, **lease_options) -> AnalysisService:
     """A fresh service handle over the *shared* backend rooted at cache_root."""
-    store = ArtifactStore(
-        backend=create_backend(backend_name, cache_root), max_memory_entries=2
-    )
-    return AnalysisService(store, **lease_options)
+    store = ArtifactStore(backend=create_backend(backend_name, cache_root))
+    return AnalysisService(store, max_memory_entries=2, **lease_options)
 
 
 def _count_computes(service: AnalysisService, counter_path: str) -> None:

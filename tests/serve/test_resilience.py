@@ -231,7 +231,7 @@ class TestResilientBackend:
 
     def test_store_over_resilient_backend_serves_through_faults(self):
         backend, _naps = resilient("read:2:oserror;write:2:locked")
-        store = ArtifactStore(backend=backend, max_memory_entries=0)
+        store = ArtifactStore(backend=backend)
         store.put("analysis", KEY, {"value": 1})
         assert store.get("analysis", KEY) == {"value": 1}  # faulted then retried
         store.put("analysis", "b" * 8, {"value": 2})  # faulted write retried

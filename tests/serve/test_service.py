@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.core.pipeline import CuisineClusteringPipeline
+from repro.errors import ServeError
 from repro.serve import codec
 from repro.serve.service import ANALYSIS_KIND, AnalysisService
 from repro.serve.store import ArtifactStore
@@ -136,6 +137,10 @@ class TestInvalidation:
         # The original handle must not serve its stale decoded copy.
         recomputed = service.get_or_run(CONFIG)
         assert recomputed.source == "computed"
+        # Nor after a plain store delete through another handle.
+        key = codec.analysis_key(CONFIG)
+        assert ArtifactStore(tmp_path / "cache").delete(ANALYSIS_KIND, key)
+        assert service.get_or_run(CONFIG).source == "computed"
 
 
 class TestCorruptRecovery:
@@ -190,11 +195,32 @@ class TestServedResults:
         assert codec.analysis_key(CONFIG) in service.cached_keys()
 
     def test_zero_memory_capacity_always_serves_from_disk(self, tmp_path):
-        store = ArtifactStore(tmp_path / "cache", max_memory_entries=0)
-        service = AnalysisService(store)
+        service = AnalysisService(ArtifactStore(tmp_path / "cache"), max_memory_entries=0)
         assert service.get_or_run(CONFIG).source == "computed"
         assert service.get_or_run(CONFIG).source == "disk"
+        assert service.get_or_run(CONFIG).source == "disk"
         assert service.stats()["memory_hits"] == 0
+        assert service.stats()["evictions"] == 0  # nothing kept, nothing dropped
+
+    def test_memory_bound_drops_oldest_analysis(self, tmp_path):
+        # The decoded cache is the one memory layer, so its bound is the
+        # whole story: nothing else keeps a served analysis in memory.
+        service = AnalysisService(ArtifactStore(tmp_path / "cache"), max_memory_entries=1)
+        other = CONFIG.with_overrides(linkage_method="complete")
+        assert service.get_or_run(CONFIG).source == "computed"
+        assert service.get_or_run(other).source == "computed"
+        assert service.stats()["evictions"] == 1  # CONFIG dropped for other
+        assert service.get_or_run(CONFIG).source == "disk"
+        assert service.stats()["evictions"] == 2  # re-reading CONFIG dropped other
+        assert service.get_or_run(CONFIG).source == "memory"
+        # An explicit invalidation is a delete, never an eviction.
+        assert service.invalidate(CONFIG)
+        stats = service.stats()
+        assert (stats["deletes"], stats["evictions"]) == (1, 2)
+
+    def test_negative_memory_capacity_rejected(self, tmp_path):
+        with pytest.raises(ServeError, match="max_memory_entries"):
+            AnalysisService(tmp_path / "cache", max_memory_entries=-1)
 
     def test_stats_report_traffic(self, service):
         service.get_or_run(CONFIG)

@@ -1,4 +1,4 @@
-"""Unit tests for the disk-backed artifact store and its LRU front."""
+"""Unit tests for the disk-backed artifact store (no memory layer of its own)."""
 
 from __future__ import annotations
 
@@ -11,13 +11,11 @@ from repro.errors import ServeError
 from repro.serve.store import ArtifactStore
 
 KEY_A = "a" * 8
-KEY_B = "b" * 8
-KEY_C = "c" * 8
 
 
 @pytest.fixture()
 def store(tmp_path) -> ArtifactStore:
-    return ArtifactStore(tmp_path / "cache", max_memory_entries=2)
+    return ArtifactStore(tmp_path / "cache")
 
 
 class TestBasicOperations:
@@ -25,17 +23,13 @@ class TestBasicOperations:
         assert store.get("analysis", KEY_A) is None
         assert store.stats.misses == 1
 
-    def test_put_then_get_hits_memory(self, store):
-        store.put("analysis", KEY_A, {"value": 1})
-        assert store.get("analysis", KEY_A) == {"value": 1}
-        assert store.stats.memory_hits == 1
-        assert store.stats.disk_hits == 0
-
     def test_disk_hit_after_memory_eviction(self, store):
+        # The store keeps nothing in memory: every read is a backend read.
         store.put("analysis", KEY_A, {"value": 1})
-        store.clear_memory()
         assert store.get("analysis", KEY_A) == {"value": 1}
-        assert store.stats.disk_hits == 1
+        assert store.get("analysis", KEY_A) == {"value": 1}
+        assert store.stats.disk_hits == 2
+        assert store.stats.memory_hits == 0
 
     def test_kinds_are_namespaced(self, store):
         store.put("analysis", KEY_A, {"kind": "analysis"})
@@ -46,11 +40,11 @@ class TestBasicOperations:
         assert store.keys("mining") == [KEY_A]
 
     def test_contains_and_delete(self, store):
-        assert not store.contains("analysis", KEY_A)
+        assert not store.exists("analysis", KEY_A)
         store.put("analysis", KEY_A, {})
-        assert store.contains("analysis", KEY_A)
+        assert store.exists("analysis", KEY_A)
         assert store.delete("analysis", KEY_A)
-        assert not store.contains("analysis", KEY_A)
+        assert not store.exists("analysis", KEY_A)
         assert not store.delete("analysis", KEY_A)
 
     def test_keys_empty_without_directory(self, tmp_path):
@@ -83,75 +77,9 @@ class TestBasicOperations:
         assert store.stats.to_dict()["deletes"] == 1
 
 
-class TestLRU:
-    def test_capacity_evicts_oldest(self, store):
-        store.put("analysis", KEY_A, {"v": "a"})
-        store.put("analysis", KEY_B, {"v": "b"})
-        store.put("analysis", KEY_C, {"v": "c"})  # evicts A from memory
-        store.get("analysis", KEY_A)
-        assert store.stats.disk_hits == 1  # A had to come from disk
-        store.get("analysis", KEY_C)
-        assert store.stats.memory_hits == 1
-
-    def test_access_refreshes_recency(self, store):
-        store.put("analysis", KEY_A, {"v": "a"})
-        store.put("analysis", KEY_B, {"v": "b"})
-        store.get("analysis", KEY_A)  # A becomes most recent
-        store.put("analysis", KEY_C, {"v": "c"})  # evicts B, not A
-        store.get("analysis", KEY_A)
-        assert store.stats.memory_hits == 2
-        store.get("analysis", KEY_B)
-        assert store.stats.disk_hits == 1
-
-    def test_zero_capacity_disables_memory(self, tmp_path):
-        store = ArtifactStore(tmp_path, max_memory_entries=0)
-        store.put("analysis", KEY_A, {"v": 1})
-        assert store.get("analysis", KEY_A) == {"v": 1}
-        assert store.stats.memory_hits == 0
-        assert store.stats.disk_hits == 1
-
-    def test_evictions_counted(self, store):
-        assert store.stats.evictions == 0
-        store.put("analysis", KEY_A, {"v": "a"})
-        store.put("analysis", KEY_B, {"v": "b"})
-        assert store.stats.evictions == 0  # capacity 2: nothing evicted yet
-        store.put("analysis", KEY_C, {"v": "c"})  # evicts A
-        assert store.stats.evictions == 1
-        store.get("analysis", KEY_A)  # disk hit re-remembers A, evicting B
-        assert store.stats.evictions == 2
-        assert store.stats.to_dict()["evictions"] == 2
-
-    def test_zero_capacity_never_evicts(self, tmp_path):
-        store = ArtifactStore(tmp_path, max_memory_entries=0)
-        store.put("analysis", KEY_A, {"v": 1})
-        store.put("analysis", KEY_B, {"v": 2})
-        assert store.stats.evictions == 0
-
-    def test_eviction_counters_under_interleaved_traffic(self, store):
-        # Capacity 2.  Evictions must count only policy-driven memory drops,
-        # never explicit deletes, and vice versa.
-        store.put("analysis", KEY_A, {"v": "a"})  # memory: [A]
-        store.put("analysis", KEY_B, {"v": "b"})  # memory: [A, B]
-        store.get("analysis", KEY_A)              # memory: [B, A]
-        store.put("analysis", KEY_C, {"v": "c"})  # evicts B
-        assert store.stats.evictions == 1
-        store.delete("analysis", KEY_A)           # a delete, not an eviction
-        assert store.stats.deletes == 1
-        assert store.stats.evictions == 1
-        store.get("analysis", KEY_B)              # disk hit refills: [C, B]
-        assert store.stats.disk_hits == 1
-        assert store.stats.evictions == 1         # capacity not exceeded
-        store.put("analysis", KEY_A, {"v": "a2"})  # evicts C
-        assert store.stats.evictions == 2
-        assert store.stats.deletes == 1
-        counters = store.stats.to_dict()
-        assert counters["evictions"] == 2 and counters["deletes"] == 1
-
-
 class TestCorruptRecovery:
     def test_truncated_file_is_a_miss(self, store):
         store.put("analysis", KEY_A, {"v": 1})
-        store.clear_memory()
         path = store.path_for("analysis", KEY_A)
         path.write_text('{"v": 1', encoding="utf-8")  # truncated JSON
         assert store.get("analysis", KEY_A) is None
@@ -159,34 +87,24 @@ class TestCorruptRecovery:
 
     def test_corrupt_file_is_quarantined_and_slot_rewritable(self, store):
         store.put("analysis", KEY_A, {"v": 1})
-        store.clear_memory()
         path = store.path_for("analysis", KEY_A)
         path.write_text("not json at all", encoding="utf-8")
         assert store.get("analysis", KEY_A) is None
         assert not path.exists()
         assert path.with_suffix(".json.corrupt").exists()
         store.put("analysis", KEY_A, {"v": 2})
-        store.clear_memory()
         assert store.get("analysis", KEY_A) == {"v": 2}
 
     def test_non_object_root_is_a_miss(self, store):
         store.put("analysis", KEY_A, {"v": 1})
-        store.clear_memory()
         store.path_for("analysis", KEY_A).write_text(json.dumps([1, 2]), encoding="utf-8")
         assert store.get("analysis", KEY_A) is None
         assert store.stats.corrupt_recovered == 1
-
-    def test_memory_layer_shields_corrupt_disk(self, store):
-        store.put("analysis", KEY_A, {"v": 1})
-        store.path_for("analysis", KEY_A).write_text("garbage", encoding="utf-8")
-        # Still in memory, so the corrupt disk copy is never read.
-        assert store.get("analysis", KEY_A) == {"v": 1}
 
     def test_quarantine_collision_with_stale_corrupt_file(self, store):
         # A previous quarantine already parked a *.json.corrupt under the
         # target name; quarantining again must not wedge the slot.
         store.put("analysis", KEY_A, {"v": 1})
-        store.clear_memory()
         path = store.path_for("analysis", KEY_A)
         stale = path.with_suffix(".json.corrupt")
         stale.write_text("stale quarantine", encoding="utf-8")
@@ -197,20 +115,7 @@ class TestCorruptRecovery:
         # The newer corruption replaced the stale quarantine file.
         assert stale.read_text(encoding="utf-8") == "fresh corruption"
         store.put("analysis", KEY_A, {"v": 2})
-        store.clear_memory()
         assert store.get("analysis", KEY_A) == {"v": 2}
-
-    def test_contains_validates_through_read_path(self, store):
-        # A corrupt on-disk artifact that get() would quarantine and miss
-        # must not report True from contains().
-        store.put("analysis", KEY_A, {"v": 1})
-        store.clear_memory()
-        path = store.path_for("analysis", KEY_A)
-        path.write_text("garbage", encoding="utf-8")
-        assert not store.contains("analysis", KEY_A)
-        assert store.stats.corrupt_recovered == 1
-        assert not path.exists()  # quarantined on the spot
-        assert path.with_suffix(".json.corrupt").exists()
 
     def test_external_delete_invalidates_memory_layer(self, store, tmp_path):
         store.put("analysis", KEY_A, {"v": 1})
@@ -225,7 +130,6 @@ class TestCorruptRecovery:
         # serializes the read+quarantine, so exactly one quarantine happens
         # and both readers fall through to a plain miss (the recompute path).
         store.put("analysis", KEY_A, {"v": 1})
-        store.clear_memory()
         path = store.path_for("analysis", KEY_A)
         path.write_text("not json at all", encoding="utf-8")
 
