@@ -4,11 +4,16 @@ Two runs per corpus scale, each in its own subprocess so its peak RSS is its
 own:
 
 * ``cold`` -- a fresh :class:`~repro.serve.service.AnalysisService` on an
-  empty cache computes the default analysis: corpus generation, the corpus
-  JSON, the corpus CSR and its sidecar, mining and stages 3-8;
+  empty cache computes the default analysis: corpus generation (its
+  same-stream pass, decode and any per-recipe fallback), the corpus JSON,
+  the corpus CSR and its sidecar, mining and stages 3-8, all over the
+  corpus's id form -- it must build the CSR once and no ``Recipe`` object;
 * ``restart`` -- a second fresh service on the same cache, after
-  ``invalidate(mining=True)``, re-mines: it reloads the corpus JSON, maps
-  the CSR sidecar and must build no CSR at all.
+  ``invalidate(mining=True)``, re-mines: it reloads the corpus JSON into
+  ``Recipe`` objects, derives their id form once, maps the CSR sidecar and
+  must build no CSR at all.
+
+``recipes_materialized`` counts the ``Recipe`` objects a run constructs.
 
 No ``perfbench`` workload reaches the restart path, so this is its number.
 Results go to ``BENCH_stages.json`` at the repository root; there is no
@@ -44,15 +49,20 @@ def _instrument(seconds: dict[str, float], calls: dict[str, int]) -> None:
     from repro.core.pipeline import CuisineClusteringPipeline
     from repro.datagen.generator import SyntheticRecipeDBGenerator
     from repro.mining.shm import CorpusMatrix
+    from repro.recipedb.columns import RecipeColumns
+    from repro.recipedb.models import Recipe
     from repro.serve import service
 
     stages = (
         ("generate", SyntheticRecipeDBGenerator, "generate"),
+        ("generate_stream", SyntheticRecipeDBGenerator, "_stream_region"),
+        ("generate_decode", SyntheticRecipeDBGenerator, "_decode_region"),
+        ("generate_fallback", SyntheticRecipeDBGenerator, "_exact_region"),
         ("corpus_save", service, "save_json"),
         ("corpus_load", service, "load_json"),
+        ("columns_from_recipes", RecipeColumns, "from_recipes"),
         ("fingerprint", service, "corpus_fingerprint"),
         ("csr_build", CuisineClusteringPipeline, "build_transactions"),
-        ("csr_from_transactions", CorpusMatrix, "from_transactions"),
         ("csr_save", CorpusMatrix, "save"),
         ("csr_load", CorpusMatrix, "load"),
         ("mine", service, "mine_corpus_with_report"),
@@ -72,6 +82,20 @@ def _instrument(seconds: dict[str, float], calls: dict[str, int]) -> None:
 
         wrapped = functools.wraps(function)(timed)
         setattr(owner, attribute, classmethod(wrapped) if isinstance(raw, classmethod) else wrapped)
+
+    # Every Recipe made, validated or as a view of the id form: counted, not timed.
+    validate, view = Recipe.__post_init__, Recipe.from_normalised.__func__
+
+    def counted_validate(recipe):
+        calls["recipes"] = calls.get("recipes", 0) + 1
+        validate(recipe)
+
+    def counted_view(cls, *fields):
+        calls["recipes"] = calls.get("recipes", 0) + 1
+        return view(cls, *fields)
+
+    Recipe.__post_init__ = counted_validate
+    Recipe.from_normalised = classmethod(counted_view)
 
 
 def _peak_rss_mb() -> float:
@@ -109,7 +133,8 @@ def measure(run: str, scale: float, cache_dir: str) -> dict[str, object]:
     return {
         "total_s": round(total, 4),
         "stages_s": {stage: round(value, 4) for stage, value in sorted(seconds.items())},
-        "csr_builds": calls.get("csr_from_transactions", 0),
+        "csr_builds": calls.get("csr_build", 0),
+        "recipes_materialized": calls.get("recipes", 0),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
         "corpus_files_mb": round(
             sum(path.stat().st_size for path in Path(cache_dir).glob("corpus-*")) / 2**20, 2
@@ -154,6 +179,7 @@ def report(tmp_path_factory):
 def test_cold_compute_builds_the_csr_once(report, scale):
     cold = report["scales"][str(scale)]["cold"]
     assert cold["csr_builds"] == 1
+    assert cold["recipes_materialized"] == 0
     assert cold["stages_s"]["generate"] > 0.0
 
 

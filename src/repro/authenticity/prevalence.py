@@ -131,11 +131,6 @@ def _prevalence_from_counts(
     min_document_frequency: int,
 ) -> PrevalenceMatrix:
     """The matrix from each cuisine's ``(item document counts, recipe count)``."""
-    if not counted:
-        raise FeatureError("at least one cuisine is required")
-    if min_document_frequency < 1:
-        raise FeatureError("min_document_frequency must be at least 1")
-
     cuisines = tuple(sorted(counted))
     vocabulary = sorted(set().union(*(counts for counts, _size in counted.values())))
     column_of = {item: column for column, item in enumerate(vocabulary)}
@@ -148,13 +143,34 @@ def _prevalence_from_counts(
         document_counts[row, columns] = np.fromiter(
             counts.values(), dtype=np.int64, count=len(counts)
         )
+    sizes = np.array([counted[cuisine][1] for cuisine in cuisines], dtype=np.int64)
+    return _prevalence(cuisines, vocabulary, document_counts, sizes, min_document_frequency)
+
+
+def _prevalence(
+    cuisines: tuple[str, ...],
+    vocabulary: Sequence[str],
+    document_counts: np.ndarray,
+    sizes: np.ndarray,
+    min_document_frequency: int,
+) -> PrevalenceMatrix:
+    """Drop rare items from the ``cuisines x vocabulary`` counts, then divide.
+
+    An item is kept when its corpus-wide document count reaches
+    *min_document_frequency*; *vocabulary* is sorted, and an item no recipe
+    holds counts 0, so it never survives.
+    """
+    if not cuisines:
+        raise FeatureError("at least one cuisine is required")
+    if min_document_frequency < 1:
+        raise FeatureError("min_document_frequency must be at least 1")
     keep = document_counts.sum(axis=0) >= min_document_frequency
     items = tuple(compress(vocabulary, keep.tolist()))
     if not items:
         raise FeatureError("no items survive the document-frequency filter")
 
     # count / size as doubles, exactly what Python's int division gives.
-    sizes = np.array([[counted[cuisine][1]] for cuisine in cuisines], dtype=np.int64)
+    sizes = sizes.reshape(-1, 1)
     values = np.zeros((len(cuisines), len(items)), dtype=np.float64)
     np.divide(document_counts[:, keep], sizes, out=values, where=sizes > 0)
     return PrevalenceMatrix(cuisines=cuisines, items=items, values=values)
@@ -172,23 +188,18 @@ def prevalence_matrix(
     ("Hierarchical Agglomerative Clustering based on Authenticity of
     Ingredients"); pass ``kinds=None`` to use the full item space.
 
-    A recipe's entity tuple holds distinct names, so one kind is counted
-    straight over the tuples; several kinds go through
-    :meth:`~repro.recipedb.models.Recipe.items`, which drops a name shared
-    by two kinds to one.
+    Counted over the database's integer-id form: each registered cuisine's
+    recipes as rows of the selected kinds' item ids
+    (:meth:`~repro.recipedb.columns.RecipeColumns.item_rows`, where a name
+    held by two kinds is one item), and one ``np.bincount`` of
+    ``(cuisine, item)`` pairs gives every document count.
     """
-    kinds_tuple = tuple(kinds) if kinds is not None else None
-    counted: dict[str, tuple[Counter[str], int]] = {}
-    for region in database.region_names():
-        recipes = database.recipes_in_region(region)
-        if (
-            kinds_tuple is not None
-            and len(kinds_tuple) == 1
-            and isinstance(kinds_tuple[0], EntityKind)
-        ):
-            kind = kinds_tuple[0]
-            rows = (recipe.entities_of(kind) for recipe in recipes)
-        else:
-            rows = (recipe.items(kinds_tuple) for recipe in recipes)
-        counted[region] = (Counter(chain.from_iterable(rows)), len(recipes))
-    return _prevalence_from_counts(counted, min_document_frequency)
+    cuisines = tuple(database.region_names())
+    rows = database.columns.item_rows(cuisines, kinds)
+    width = len(rows.items)
+    document_counts = np.bincount(
+        rows.region_of_ids() * width + rows.tids, minlength=len(cuisines) * width
+    ).reshape(len(cuisines), width)
+    return _prevalence(
+        cuisines, rows.items, document_counts, rows.region_sizes, min_document_frequency
+    )

@@ -23,8 +23,10 @@ from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["AnalysisConfig", "DEFAULT_CONFIG"]
+__all__ = ["AnalysisConfig", "DEFAULT_CONFIG", "MAX_SCALE"]
 
+#: The largest corpus scale: 1.0 is the paper's full 118k-recipe corpus.
+MAX_SCALE = 1.0
 _VALID_WEIGHTINGS = ("binary", "support")
 _VALID_LINKAGES = ("single", "complete", "average", "weighted", "ward")
 _INT_FIELDS = (
@@ -76,8 +78,8 @@ class AnalysisConfig:
                 )
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        if not 0.0 < self.scale <= MAX_SCALE:
+            raise ConfigurationError(f"scale must be in (0, {MAX_SCALE:g}]")
         if not 0.0 < self.min_support <= 1.0:
             raise ConfigurationError("min_support must be in (0, 1]")
         if self.max_pattern_length is not None and self.max_pattern_length < 1:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from repro.authenticity.fingerprint import cuisine_fingerprints
 from repro.authenticity.prevalence import prevalence_matrix
 from repro.authenticity.relative import AuthenticityMatrix, relative_prevalence
@@ -60,7 +62,7 @@ from repro.geo.regions import REGION_GEOGRAPHY
 from repro.mining.eclat import EclatMiner
 from repro.mining.itemsets import MiningResult
 from repro.mining.regions import mine_corpus_with_report
-from repro.mining.shm import CorpusMatrix
+from repro.mining.shm import CorpusMatrix, RegionSpan
 from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.models import EntityKind
 from repro.recipedb.stats import corpus_statistics
@@ -116,17 +118,20 @@ class CuisineClusteringPipeline:
         """The corpus as one integer-id CSR, one row per recipe by region.
 
         A row is the recipe's ``(*ingredients, *processes, *utensils)``
-        (Section V-A); a name in two kinds counts once.
+        (Section V-A); a name in two kinds counts once.  Built from the
+        database's id form with no name lookups
+        (:meth:`~repro.recipedb.columns.RecipeColumns.item_rows`); it equals
+        :meth:`CorpusMatrix.from_transactions` over the recipes' names.  No
+        row is empty, since every recipe holds an ingredient.
         """
-        return CorpusMatrix.from_transactions(
-            {
-                region: (
-                    (*recipe.ingredients, *recipe.processes, *recipe.utensils)
-                    for recipe in database.recipes_in_region(region)
-                )
-                for region in database.region_names()
-            }
+        regions = database.region_names()
+        rows = database.columns.item_rows(regions)
+        bounds = np.concatenate(([0], np.cumsum(rows.region_sizes))).tolist()
+        spans = tuple(
+            RegionSpan(region, start, stop)
+            for region, start, stop in zip(regions, bounds, bounds[1:])
         )
+        return CorpusMatrix(rows.items, spans, rows.tids, rows.offsets)
 
     def build_table1(
         self, database: RecipeDatabase, mining_results: Mapping[str, MiningResult]

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Mapping, Sequence
+from operator import lt as less
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,8 +35,9 @@ from repro.datagen.pantry import (
 )
 from repro.datagen.profiles import CuisineProfile, default_profiles
 from repro.datagen.random_utils import make_rng, poisson_clamped, zipf_weights
+from repro.recipedb.columns import KindColumn, RecipeColumns, kind_column
 from repro.recipedb.database import RecipeDatabase
-from repro.recipedb.models import Recipe, Region, normalize_name
+from repro.recipedb.models import Region, normalize_name
 
 __all__ = ["GeneratorConfig", "SyntheticRecipeDBGenerator", "generate_corpus"]
 
@@ -165,9 +167,29 @@ class _WeightedPool:
             raise GenerationError("a generator pool must not repeat a name")
         self.normalised: tuple[str, ...] = tuple(map(normalize_name, self.names))
         weights = zipf_weights(len(self.names), exponent)
-        self._cumulative = np.cumsum(weights)
+        self.cumulative = np.cumsum(weights)
         # Guard against floating point drift in the final bucket.
-        self._cumulative[-1] = 1.0
+        self.cumulative[-1] = 1.0
+        # [0, 1) cut into a power of two of equal buckets, so u * buckets is
+        # exact and floors to u's bucket; a bucket no cumulative bound falls
+        # inside has one searchsorted answer for all of it.
+        buckets = 1 << max(10, (8 * len(self.names) - 1).bit_length())
+        edges = np.arange(buckets + 1, dtype=np.float64) / buckets
+        lower = self.cumulative.searchsorted(edges[:-1])
+        upper = self.cumulative.searchsorted(edges[1:])
+        self._bucket_index = np.where(lower == upper, lower, -1)
+
+    def indices(self, draws: np.ndarray) -> np.ndarray:
+        """``self.cumulative.searchsorted(draws)`` for uniforms in [0, 1).
+
+        Searchsorted is monotone, so a draw's index lies between those of
+        its bucket's edges; where they agree that is the answer, and only
+        the draws in buckets holding a cumulative bound are searched.
+        """
+        found = self._bucket_index[(draws * len(self._bucket_index)).astype(np.intp)]
+        unresolved = np.flatnonzero(found < 0)
+        found[unresolved] = self.cumulative.searchsorted(draws[unresolved])
+        return found
 
     def draw(
         self, rng: np.random.Generator, count: int, exclude: frozenset[int]
@@ -186,7 +208,7 @@ class _WeightedPool:
         while len(chosen) < count and attempts < max_attempts:
             remaining = count - len(chosen)
             draws = rng.random(remaining * 2 + 4)
-            for index in self._cumulative.searchsorted(draws).tolist():
+            for index in self.cumulative.searchsorted(draws).tolist():
                 if index not in seen:
                     seen.add(index)
                     chosen.append(index)
@@ -221,20 +243,87 @@ class _SignatureTable:
             ]
         else:
             reduced = [signatures[name] for name in names]
-        self._boosted = np.array(boosted, dtype=np.float64)
-        self._reduced = np.array(reduced, dtype=np.float64)
+        self.boosted = np.array(boosted, dtype=np.float64)
+        self.reduced = np.array(reduced, dtype=np.float64)
 
     def draw(self, rng: np.random.Generator, traditional: bool) -> list[int]:
         """The pool indices of the entities this recipe includes, in signature order."""
         if not self.ids:
             return []
-        probabilities = self._boosted if traditional else self._reduced
+        probabilities = self.boosted if traditional else self.reduced
         hits = rng.random(len(self.ids)) < probabilities
         return list(compress(self.ids, hits.tolist()))
 
 
+@dataclass(frozen=True, slots=True)
+class _RegionDraws:
+    """One region's recipes as pool indices.
+
+    ``picks`` holds, per kind, the ``(recipe row, pool index)`` pairs of
+    every entity drawn (row local to the region, pairs in any order, a pair
+    never repeated); ``anchors`` is each recipe's first ingredient draw,
+    which names its title.
+    """
+
+    picks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    anchors: list[int]
+
+
+def _fill(
+    stream: np.ndarray,
+    starts: np.ndarray,
+    needs: np.ndarray,
+    pool: _WeightedPool,
+    excluded: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Decode every recipe's first filler attempt of one kind at once.
+
+    Recipe ``r`` asked for ``needs[r]`` entities (none when not positive)
+    and drew ``2 * needs[r] + 4`` uniforms at ``stream[starts[r]:]``.
+    :meth:`_WeightedPool.draw` walks those draws in order and keeps an
+    index that is neither *excluded* nor kept already, until it has enough.
+    Here that is: ``searchsorted`` every draw, mark the first occurrence of
+    each ``(recipe, index)`` key, drop excluded indices, and keep each
+    recipe's first ``needs[r]`` survivors.  Returns ``(rows, indices)`` in
+    draw order, or ``None`` when a recipe found too few -- the exact draw
+    would have asked the RNG for more, so the stream after it differs.
+    """
+    active = np.flatnonzero(needs > 0)
+    needs = needs[active]
+    lengths = 2 * needs + 4
+    ends = np.cumsum(lengths)
+    begins = ends - lengths
+    segment = np.repeat(np.arange(len(active)), lengths)
+    positions = np.arange(int(ends[-1]) if len(ends) else 0)
+    positions += np.repeat(starts[active] - begins, lengths)
+    indices = pool.indices(stream[positions])
+    keys = segment * len(pool.names) + indices
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first_in_order = np.ones(len(keys), dtype=bool)
+    first_in_order[1:] = ordered[1:] != ordered[:-1]
+    valid = np.empty(len(keys), dtype=bool)
+    valid[order] = first_in_order
+    valid &= ~excluded[indices]
+    seen = np.cumsum(valid)
+    before = seen[begins] - valid[begins]
+    if np.any(seen[ends - 1] - before < needs):
+        return None
+    keep = valid & (seen <= np.repeat(before + needs, lengths))
+    return active[segment[keep]], indices[keep]
+
+
 class SyntheticRecipeDBGenerator:
-    """Generates a synthetic RecipeDB-like corpus from cuisine profiles."""
+    """Generates a synthetic RecipeDB-like corpus from cuisine profiles.
+
+    :meth:`generate` returns the corpus in its integer-id form
+    (:class:`~repro.recipedb.columns.RecipeColumns`); no
+    :class:`~repro.recipedb.models.Recipe` object is built.  The corpus is
+    defined by drawing one recipe at a time (:meth:`_draw_recipe`); each
+    region is drawn by a faster pass over the same RNG stream
+    (:meth:`_stream_region`) and is redrawn one recipe at a time
+    (:meth:`_exact_region`) when that pass cannot decode it.
+    """
 
     def __init__(
         self,
@@ -302,28 +391,75 @@ class SyntheticRecipeDBGenerator:
             for name, profile in sorted(self.profiles.items())
         }
 
-    def iter_recipes(self) -> Iterator[Recipe]:
-        """Yield every synthetic recipe, region by region, id-ordered."""
-        recipe_id = 0
-        for region_name in sorted(self.profiles):
-            profile = self.profiles[region_name]
-            tables = self._signature_tables(profile)
-            region = " ".join(profile.name.split())
-            count = profile.scaled_recipe_count(self.config.scale)
-            for serial in range(count):
-                yield self._generate_recipe(recipe_id, serial, profile, region, tables)
-                recipe_id += 1
-
     def generate(self) -> RecipeDatabase:
-        """Generate the corpus and load it into a fresh :class:`RecipeDatabase`."""
-        database = RecipeDatabase()
+        """Generate the corpus into a fresh :class:`RecipeDatabase`, as ids."""
+        regions = [
+            Region(name, continent=profile.continent)
+            for name, profile in sorted(self.profiles.items())
+        ]
+        return RecipeDatabase.from_columns(self._columns(), regions)
+
+    # -- the id form ----------------------------------------------------------------
+
+    def _columns(self) -> RecipeColumns:
+        """Draw every region in name order and assemble the corpus columns.
+
+        Recipe ids run 0, 1, ... in that order.  Each kind's pool indices map
+        to the sorted table of its distinct normalised names, so two pool
+        names that normalise alike are one name, as in a ``Recipe``.  Each
+        region's ids are sorted as soon as it is drawn, so only its int32
+        ids stay until the regions are joined.
+        """
+        tables_of_names = []
+        for pool in (self._ingredient_pool, self._process_pool, self._utensil_pool):
+            names = sorted(set(pool.normalised))
+            rank = {normalised: position for position, normalised in enumerate(names)}
+            ranks = np.fromiter(map(rank.__getitem__, pool.normalised), dtype=np.int64)
+            tables_of_names.append((names, ranks))
+        parts: list[list[KindColumn]] = [[], [], []]
+        titles: list[str] = []
+        regions: list[str] = []
+        sizes: list[int] = []
         for name in sorted(self.profiles):
             profile = self.profiles[name]
-            database.register_region(Region(name, continent=profile.continent))
-        database.add_recipes(self.iter_recipes())
-        return database
+            tables = self._signature_tables(profile)
+            count = profile.scaled_recipe_count(self.config.scale)
+            state = self._rng.bit_generator.state
+            drawn = self._decode_region(tables, *self._stream_region(count, tables))
+            if drawn is None:
+                self._rng.bit_generator.state = state
+                drawn = self._exact_region(count, tables)
+            for kind, ((names, ranks), (rows, picks)) in enumerate(
+                zip(tables_of_names, drawn.picks)
+            ):
+                parts[kind].append(kind_column(rows, ranks[picks], names, count))
+            anchor_names = self._ingredient_pool.names
+            titles.extend(
+                normalize_name(f"{profile.name} {anchor_names[anchor]} dish {serial}")
+                for serial, anchor in enumerate(drawn.anchors)
+            )
+            regions.append(" ".join(profile.name.split()))
+            sizes.append(count)
 
-    # -- recipe construction --------------------------------------------------------
+        n = len(titles)
+        kinds = []
+        for (names, _ranks), columns in zip(tables_of_names, parts):
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.concatenate([column.lengths() for column in columns]), out=offsets[1:])
+            kinds.append(
+                KindColumn(tuple(names), np.concatenate([c.ids for c in columns]), offsets)
+            )
+        region_table = sorted(set(regions))
+        codes = [region_table.index(region) for region in regions]
+        return RecipeColumns(
+            np.arange(n, dtype=np.int64),
+            titles,
+            tuple(region_table),
+            np.repeat(np.array(codes, dtype=np.int32), sizes),
+            (_SOURCE,),
+            np.zeros(n, dtype=np.int32),
+            tuple(kinds),  # type: ignore[arg-type]
+        )
 
     def _signature_tables(
         self, profile: CuisineProfile
@@ -337,15 +473,34 @@ class SyntheticRecipeDBGenerator:
             _SignatureTable(profile.signature_utensils, rate, boost, self._utensil_pool),
         )
 
-    def _generate_recipe(
+    # -- the per-recipe path ---------------------------------------------------------
+
+    def _exact_region(
         self,
-        recipe_id: int,
-        serial: int,
-        profile: CuisineProfile,
-        region: str,
+        count: int,
         tables: tuple[_SignatureTable, _SignatureTable, _SignatureTable],
-    ) -> Recipe:
-        """One recipe; *region* is the profile name, normalised once per profile."""
+    ) -> _RegionDraws:
+        """Draw *count* recipes one at a time; this fixes the RNG stream."""
+        drawn = [self._draw_recipe(tables) for _ in range(count)]
+        picks = []
+        for kind in range(3):
+            lengths = [len(recipe[kind]) for recipe in drawn]
+            picks.append(
+                (
+                    np.repeat(np.arange(count, dtype=np.int64), lengths),
+                    np.fromiter(
+                        (index for recipe in drawn for index in recipe[kind]),
+                        dtype=np.int64,
+                        count=sum(lengths),
+                    ),
+                )
+            )
+        return _RegionDraws(tuple(picks), [recipe[0][0] for recipe in drawn])
+
+    def _draw_recipe(
+        self, tables: tuple[_SignatureTable, _SignatureTable, _SignatureTable]
+    ) -> tuple[list[int], list[int], list[int]]:
+        """One recipe's ingredient, process and utensil pool indices."""
         rng = self._rng
         item_table, process_table, utensil_table = tables
         # One flag per recipe correlates signature usage across entity kinds,
@@ -380,20 +535,148 @@ class SyntheticRecipeDBGenerator:
         if not ingredients:
             # Degenerate draw (tiny mean + no signature hit): force one staple.
             ingredients = [0]
+        return ingredients, processes, utensils
 
-        anchor = self._ingredient_pool.names[ingredients[0]]
-        ingredient_names = self._ingredient_pool.normalised
-        process_names = self._process_pool.normalised
-        utensil_names = self._utensil_pool.normalised
-        return Recipe.from_normalised(
-            recipe_id,
-            normalize_name(f"{profile.name} {anchor} dish {serial}"),
-            region,
-            tuple(sorted({ingredient_names[i] for i in ingredients})),
-            tuple(sorted({process_names[i] for i in processes})),
-            tuple(sorted({utensil_names[i] for i in utensils})),
-            _SOURCE,
-        )
+    # -- the same-stream pass ----------------------------------------------------------
+
+    def _stream_region(
+        self,
+        count: int,
+        tables: tuple[_SignatureTable, _SignatureTable, _SignatureTable],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw *count* recipes by the RNG calls :meth:`_draw_recipe` makes.
+
+        One sequential pass makes the same ``random``/``poisson`` calls in
+        the same order, merging neighbours into one call of the summed size
+        (the same stream): the traditional flag with the three signature
+        draws, the ingredient filler with the process filler and the utensil
+        flag, and the utensil filler with the next recipe's flag and
+        signature draws.  Each filler call draws only its first attempt.
+        Returns the uniforms drawn and one record per recipe for
+        :meth:`_decode_region`, which decodes the whole region at once and
+        reports whether any recipe needed a second attempt -- after one,
+        the stream is no longer the per-recipe path's.
+        """
+        rng, config = self._rng, self.config
+        random, poisson = rng.random, rng.poisson
+        item_table, process_table, utensil_table = tables
+        end_i = 1 + len(item_table.ids)
+        end_p = end_i + len(process_table.ids)
+        width = end_p + len(utensil_table.ids)
+        boosted = np.concatenate([table.boosted for table in tables])
+        reduced = np.concatenate([table.reduced for table in tables])
+        # Element 0 lines up with the traditional flag and is never counted.
+        boosted_list, reduced_list = [0.0, *boosted.tolist()], [0.0, *reduced.tolist()]
+        rate, missing_rate = config.traditional_recipe_rate, config.utensil_missing_rate
+        mean_i, mean_p = config.mean_ingredients, config.mean_processes
+        mean_u = config.mean_utensils
+        # The most uniforms one recipe draws (targets are clamped), plus the
+        # next recipe's head drawn along with its utensil filler.
+        most = 2 * width + (2 * 60 + 4) + (2 * 80 + 4) + 1 + (2 * 15 + 4)
+        stream = np.empty(count * (width + 100) + most)
+        limit = len(stream) - most
+        records = []
+        record = records.append
+        at = 0
+        head_drawn = False
+        for row in range(count):
+            if at > limit:
+                stream = np.concatenate((stream, np.empty(len(stream))))
+                limit = len(stream) - most
+            if not head_drawn:
+                random(out=stream[at : at + width])
+            head = at
+            values = stream[at : at + width].tolist()
+            at += width
+            hits = list(map(less, values, boosted_list if values[0] < rate else reduced_list))
+            target = poisson(mean_i)
+            need_i = (1 if target < 1 else 60 if target > 60 else target) - hits[
+                1:end_i
+            ].count(True)
+            target = poisson(mean_p)
+            need_p = (1 if target < 1 else 80 if target > 80 else target) - hits[
+                end_i:end_p
+            ].count(True)
+            at += (2 * need_i + 4 if need_i > 0 else 0) + (2 * need_p + 4 if need_p > 0 else 0) + 1
+            random(out=stream[head + width : at])
+            head_drawn = False
+            if stream[at - 1] < missing_rate:
+                record((head, need_i, need_p, 0, True))
+                continue
+            target = poisson(mean_u)
+            need_u = (1 if target < 1 else 15 if target > 15 else target) - hits[end_p:].count(
+                True
+            )
+            record((head, need_i, need_p, need_u, False))
+            if need_u > 0:
+                # The next recipe's head follows in the same call.
+                head_drawn = row + 1 < count
+                size = 2 * need_u + 4
+                random(out=stream[at : at + size + (width if head_drawn else 0)])
+                at += size
+        return stream, np.array(records, dtype=np.int64).reshape(-1, 5)
+
+    def _decode_region(
+        self,
+        tables: tuple[_SignatureTable, _SignatureTable, _SignatureTable],
+        stream: np.ndarray,
+        records: np.ndarray,
+    ) -> _RegionDraws | None:
+        """Turn one region's recorded stream into pool indices (see :func:`_fill`).
+
+        *records* holds one ``(head, need_i, need_p, need_u, missing)`` row
+        per recipe: where its head (flag and signature draws) starts, its
+        three filler counts and its utensil flag.  Its fillers and flag
+        follow the head in the stream.
+        """
+        head_at, needs_i, needs_p, needs_u, missing = records.T
+        missing = missing.astype(bool)
+        boosted = np.concatenate([table.boosted for table in tables])
+        reduced = np.concatenate([table.reduced for table in tables])
+        fill_at = head_at + 1 + len(boosted)
+        process_at = fill_at + np.where(needs_i > 0, 2 * needs_i + 4, 0)
+        utensil_at = process_at + np.where(needs_p > 0, 2 * needs_p + 4, 0) + 1
+        count = len(head_at)
+        pools = (self._ingredient_pool, self._process_pool, self._utensil_pool)
+        fills = []
+        for pool, table, starts, needs in zip(
+            pools, tables, (fill_at, process_at, utensil_at), (needs_i, needs_p, needs_u)
+        ):
+            excluded = np.zeros(len(pool.names), dtype=bool)
+            excluded[list(table.ids)] = True
+            filled = _fill(stream, starts, needs, pool, excluded)
+            if filled is None:
+                return None
+            fills.append(filled)
+
+        width = 1 + len(boosted)
+        heads = stream[head_at[:, None] + np.arange(width)]
+        traditional = heads[:, :1] < self.config.traditional_recipe_rate
+        hits = heads[:, 1:] < np.where(traditional, boosted, reduced)
+        hits[missing, width - 1 - len(tables[2].ids) :] = False
+        picks = []
+        column = 0
+        for table, (fill_rows, fill_indices) in zip(tables, fills):
+            sig_rows, sig_columns = np.nonzero(hits[:, column : column + len(table.ids)])
+            column += len(table.ids)
+            ids = np.array(table.ids, dtype=np.int64)
+            picks.append(
+                (
+                    np.concatenate((sig_rows, fill_rows)),
+                    np.concatenate((ids[sig_columns], fill_indices)),
+                )
+            )
+        # A title names the first ingredient drawn: the recipe's first
+        # signature hit, else its first filler.  Both lists are row-ordered
+        # (the signature pairs first), so writing the fillers' firsts and
+        # then the signatures' leaves the right one.
+        n_signature = len(picks[0][0]) - len(fills[0][0])
+        anchors = np.zeros(count, dtype=np.int64)
+        for rows, indices in (fills[0], (picks[0][0][:n_signature], picks[0][1][:n_signature])):
+            first = np.ones(len(rows), dtype=bool)
+            first[1:] = rows[1:] != rows[:-1]
+            anchors[rows[first]] = indices[first]
+        return _RegionDraws(tuple(picks), anchors.tolist())
 
 
 def generate_corpus(

@@ -7,6 +7,20 @@ entity vocabularies incrementally.  The store is append-oriented (recipes are
 inserted once and then read many times by the mining/clustering layers) but
 supports deletion for completeness.
 
+A database holds its corpus in one of two forms, or both:
+
+* :class:`~repro.recipedb.models.Recipe` objects, which recipes inserted by
+  :meth:`~RecipeDatabase.add_recipe` (and loaded corpora) arrive as;
+* :class:`~repro.recipedb.columns.RecipeColumns`, the integer-id form the
+  synthetic generator fills through :meth:`~RecipeDatabase.from_columns`.
+
+The analyses (corpus statistics, Table I counts, prevalence, the mining CSR,
+the corpus JSON) read :attr:`~RecipeDatabase.columns`, which a database of
+``Recipe`` objects derives once and keeps until the next mutation.  The
+``Recipe`` objects of a columns-built database are a view, built on first
+use by the query surface, an export or a mutation; the region index and the
+vocabularies are built with them.
+
 The inverted indexes serve only the query surface (:class:`RecipeQuery`,
 :meth:`~RecipeDatabase.item_support` and friends); the analysis pipeline and
 the serve layer never read them.  They are therefore built from the stored
@@ -28,12 +42,15 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import (
     DuplicateRecordError,
     SchemaError,
     UnknownRecordError,
     ValidationError,
 )
+from repro.recipedb.columns import RecipeColumns
 from repro.recipedb.index import InvertedIndex, RegionIndex, build_entity_indexes
 from repro.recipedb.models import EntityKind, Recipe, Region
 from repro.recipedb.query import QueryResult, RecipeQuery
@@ -65,12 +82,62 @@ class RecipeDatabase:
     ) -> None:
         self._schema = schema if schema is not None else RecipeSchema()
         self._validate_regions = validate_regions
-        self._recipes: dict[int, Recipe] = {}
+        # None while a columns-built corpus has no Recipe view yet; the
+        # region index and the vocabularies are then None too.
+        self._recipes: dict[int, Recipe] | None = {}
+        self._region_index: RegionIndex | None = RegionIndex()
+        self._vocabularies: EntityVocabularies | None = EntityVocabularies()
+        # The id form: the authority while _recipes is None, otherwise
+        # derived from the recipes on first use and dropped on mutation.
+        self._columns: RecipeColumns | None = None
         self._regions: dict[str, Region] = {}
-        self._region_index = RegionIndex()
         # Entity indexes plus the ``"combined"`` one; None until first use.
         self._indexes: dict[EntityKind | str, InvertedIndex] | None = None
-        self._vocabularies = EntityVocabularies()
+
+    @classmethod
+    def from_columns(
+        cls, columns: RecipeColumns, regions: Iterable[Region | str] = ()
+    ) -> "RecipeDatabase":
+        """A database holding *columns*, with *regions* registered first.
+
+        The checks :meth:`add_recipes` runs on every recipe run over the
+        arrays at once: distinct ids, registered regions, the schema's title
+        and per-kind size limits, and at least one ingredient per recipe.
+        No ``Recipe`` object is built unless one of them fails, to raise the
+        error the per-recipe path raises.
+        """
+        database = cls()
+        database.register_regions(regions)
+        ids = columns.recipe_ids
+        if len(ids) and np.any(ids[1:] <= ids[:-1]):
+            repeated = np.flatnonzero(ids[1:] == ids[:-1])
+            if len(repeated):
+                raise DuplicateRecordError(
+                    f"recipe id {int(ids[repeated[0] + 1])} already exists"
+                )
+            raise ValidationError("columns must hold recipes in ascending id order")
+        unknown = [
+            code for code, name in enumerate(columns.regions) if name not in database._regions
+        ]
+        rows = np.flatnonzero(np.isin(columns.region_codes, unknown))
+        if len(rows):
+            recipe = columns.recipe(int(rows[0]))
+            raise SchemaError(
+                f"recipe {recipe.recipe_id} references unregistered region "
+                f"{recipe.region!r}; call register_region first"
+            )
+        empty = np.flatnonzero(columns.kind(EntityKind.INGREDIENT).lengths() == 0)
+        if len(empty):
+            row = int(empty[0])
+            raise ValidationError(
+                f"recipe {int(ids[row])!r} ({columns.titles[row]!r}) has no ingredients"
+            )
+        database._schema.validate_columns(columns)
+        database._recipes = None
+        database._region_index = None
+        database._vocabularies = None
+        database._columns = columns
+        return database
 
     # -- region management ---------------------------------------------------
 
@@ -101,6 +168,7 @@ class RecipeDatabase:
 
     def add_recipe(self, recipe: Recipe) -> None:
         """Insert *recipe*; raises on duplicate ids or schema violations."""
+        self._mutable()
         self._insert(recipe)
         self._vocabularies.observe(recipe)
 
@@ -112,6 +180,7 @@ class RecipeDatabase:
         distinct name once, with the same ids one-at-a-time observation
         gives -- also when an insert raises part-way.
         """
+        self._mutable()
         added: list[Recipe] = []
         try:
             for recipe in recipes:
@@ -120,6 +189,24 @@ class RecipeDatabase:
         finally:
             self._vocabularies.observe_all(added)
         return len(added)
+
+    def _mutable(self) -> None:
+        """Make the ``Recipe`` objects the authority before a mutation.
+
+        The region index and the vocabularies are kept up incrementally from
+        here on, so they are built first; the id form goes stale.
+        """
+        self._built_region_index()
+        self._built_vocabularies()
+        self._columns = None
+
+    def _materialized(self) -> dict[int, Recipe]:
+        """The recipes by id, built from the columns on first use."""
+        if self._recipes is None:
+            self._recipes = {
+                recipe.recipe_id: recipe for recipe in self._columns.recipes()
+            }
+        return self._recipes
 
     def _insert(self, recipe: Recipe) -> None:
         """Store and index *recipe* (everything but the vocabularies)."""
@@ -141,6 +228,7 @@ class RecipeDatabase:
     def remove_recipe(self, recipe_id: int) -> Recipe:
         """Delete and return the recipe stored under *recipe_id*."""
         recipe = self.get(recipe_id)
+        self._mutable()
         del self._recipes[recipe_id]
         self._region_index.remove(recipe_id, recipe.region)
         if self._indexes is not None:
@@ -152,42 +240,57 @@ class RecipeDatabase:
     def get(self, recipe_id: int) -> Recipe:
         """Return the recipe stored under *recipe_id*."""
         try:
-            return self._recipes[recipe_id]
+            return self._materialized()[recipe_id]
         except KeyError as exc:
             raise UnknownRecordError(f"unknown recipe id: {recipe_id}") from exc
 
     def __contains__(self, recipe_id: object) -> bool:
-        return recipe_id in self._recipes
+        return recipe_id in self._materialized()
 
     def __len__(self) -> int:
+        if self._recipes is None:
+            return len(self._columns)
         return len(self._recipes)
 
     def __iter__(self) -> Iterator[Recipe]:
-        return iter(self._recipes[rid] for rid in sorted(self._recipes))
+        return iter(self.recipes())
 
     def recipe_ids(self) -> list[int]:
+        if self._recipes is None:
+            return self._columns.recipe_ids.tolist()
         return sorted(self._recipes)
 
     def recipes(self) -> list[Recipe]:
         """All recipes ordered by id."""
-        return [self._recipes[rid] for rid in sorted(self._recipes)]
+        recipes = self._materialized()
+        return [recipes[rid] for rid in sorted(recipes)]
 
     def next_recipe_id(self) -> int:
         """Smallest id strictly larger than every stored id (0 when empty)."""
-        return max(self._recipes, default=-1) + 1
+        return max(self.recipe_ids(), default=-1) + 1
+
+    @property
+    def columns(self) -> RecipeColumns:
+        """The corpus in its integer-id form (see :mod:`repro.recipedb.columns`)."""
+        if self._columns is None:
+            self._columns = RecipeColumns.from_recipes(self.recipes())
+        return self._columns
 
     # -- region-scoped views ------------------------------------------------------
 
     def recipes_in_region(self, region: str) -> list[Recipe]:
         """Every recipe of a cuisine, ordered by id."""
         self._require_region(region)
-        ids = sorted(self._region_index.recipe_ids(region))
-        return [self._recipes[rid] for rid in ids]
+        recipes = self._materialized()
+        ids = sorted(self.region_index.recipe_ids(region))
+        return [recipes[rid] for rid in ids]
 
     def region_recipe_counts(self) -> dict[str, int]:
-        """Recipe count per registered region (zero-filled)."""
-        counts = {name: 0 for name in self._regions}
-        counts.update(self._region_index.counts())
+        """Recipe count per registered region (zero-filled), from the id form."""
+        columns = self.columns
+        sizes = np.bincount(columns.region_codes, minlength=len(columns.regions))
+        counts = dict.fromkeys(self._regions, 0)
+        counts.update(zip(columns.regions, sizes.tolist()))
         return dict(sorted(counts.items()))
 
     def transactions_for_region(
@@ -213,11 +316,19 @@ class RecipeDatabase:
 
     @property
     def region_index(self) -> RegionIndex:
+        return self._built_region_index()
+
+    def _built_region_index(self) -> RegionIndex:
+        if self._region_index is None:
+            index = RegionIndex()
+            for recipe in self._materialized().values():
+                index.add(recipe.recipe_id, recipe.region)
+            self._region_index = index
         return self._region_index
 
     def _built_indexes(self) -> dict[EntityKind | str, InvertedIndex]:
         if self._indexes is None:
-            self._indexes = build_entity_indexes(self._recipes)
+            self._indexes = build_entity_indexes(self._materialized())
         return self._indexes
 
     @property
@@ -229,6 +340,13 @@ class RecipeDatabase:
 
     @property
     def vocabularies(self) -> EntityVocabularies:
+        return self._built_vocabularies()
+
+    def _built_vocabularies(self) -> EntityVocabularies:
+        if self._vocabularies is None:
+            vocabularies = EntityVocabularies()
+            vocabularies.observe_all(self.recipes())
+            self._vocabularies = vocabularies
         return self._vocabularies
 
     @property
@@ -250,7 +368,7 @@ class RecipeDatabase:
         if region is None:
             return self.combined_index.support(item)
         self._require_region(region)
-        region_ids = self._region_index.recipe_ids(region)
+        region_ids = self.region_index.recipe_ids(region)
         if not region_ids:
             return 0.0
         postings = self.combined_index.postings(item)
@@ -261,7 +379,7 @@ class RecipeDatabase:
         if region is None:
             return self.combined_index.itemset_support(items)
         self._require_region(region)
-        region_ids = self._region_index.recipe_ids(region)
+        region_ids = self.region_index.recipe_ids(region)
         if not region_ids:
             return 0.0
         matching = self.combined_index.all_of(items)

@@ -15,8 +15,11 @@ import hashlib
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import (
     DuplicateRecordError,
@@ -24,6 +27,7 @@ from repro.errors import (
     SerializationError,
     ValidationError,
 )
+from repro.recipedb.columns import RecipeColumns
 from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.models import Recipe, Region
 
@@ -101,16 +105,69 @@ def save_json(database: RecipeDatabase, path: str | Path, *, indent: int | None 
     """Write the whole database to a single JSON document; returns the path.
 
     The write is atomic (temp file + rename in the target directory).  The
-    document is encoded in one ``json.dumps`` call: the same bytes as
-    streaming ``json.dump``, through the C encoder instead of thousands of
-    small chunk writes.
+    compact document (``indent=None``) is assembled from the database's id
+    form (:func:`_recipes_text`) with the bytes ``json.dumps`` gives for the
+    recipe dictionaries; an indented one goes through ``json.dumps``.
     """
-    payload = {
-        **_database_header(database),
-        "recipes": database.to_dicts(),
-    }
-    text = json.dumps(payload, indent=indent, sort_keys=False)
+    header = _database_header(database)
+    if indent is None:
+        text = f'{json.dumps(header)[:-1]}, "recipes": [{_recipes_text(database.columns)}]}}'
+    else:
+        text = json.dumps({**header, "recipes": database.to_dicts()}, indent=indent)
     return _atomic_write(Path(path), lambda handle: handle.write(text), "database")
+
+
+def _recipes_text(columns: RecipeColumns) -> str:
+    """The recipes' compact JSON objects, comma-separated, from the id form.
+
+    Every distinct string is encoded once, as ``json.dumps`` encodes it.
+    The document is then one ``str.join`` over a table of those fragments:
+    each recipe is its own head (``{"recipe_id": ..., "ingredients": [``),
+    its ingredient names, a ``], "processes": [`` separator, its process
+    names, a ``], "utensils": [`` separator, its utensil names and a tail
+    with its source.  A name fragment has a ``", "`` prefix unless it opens
+    its list, and every head but the first has one too.
+    """
+    n = len(columns)
+    if n == 0:
+        return ""
+    regions = list(map(encode_basestring_ascii, columns.regions))
+    heads = [
+        f'{", " if row else ""}{{"recipe_id": {recipe_id}, '
+        f'"title": {encode_basestring_ascii(title)}, "region": {regions[code]}, '
+        f'"ingredients": ['
+        for row, (recipe_id, title, code) in enumerate(
+            zip(columns.recipe_ids.tolist(), columns.titles, columns.region_codes.tolist())
+        )
+    ]
+    table = heads + ['], "processes": [', '], "utensils": [']
+    table += [f'], "source": {encode_basestring_ascii(source)}}}' for source in columns.sources]
+    separators = (n, n + 1)
+    tail_base = n + 2
+
+    lengths = [column.lengths() for column in columns.kinds]
+    pieces = 4 + lengths[0] + lengths[1] + lengths[2]
+    ends = np.cumsum(pieces)
+    order = np.empty(int(ends[-1]), dtype=np.int64)
+    order[ends - pieces] = np.arange(n)
+    at = ends - pieces + 1
+    for kind, column in enumerate(columns.kinds):
+        if kind:
+            order[at] = separators[kind - 1]
+            at = at + 1
+        base = len(table)
+        encoded = list(map(encode_basestring_ascii, column.names))
+        table += encoded
+        table += [", " + name for name in encoded]
+        count = lengths[kind]
+        first = column.offsets[:-1]
+        within = np.arange(len(column.ids)) - np.repeat(first, count)
+        order[np.repeat(at, count) + within] = (
+            base + column.ids + np.where(within > 0, len(encoded), 0)
+        )
+        at = at + count
+    order[at] = tail_base + columns.source_codes
+    return "".join(np.array(table, dtype=object)[order].tolist())
 
 
 def load_json(path: str | Path) -> RecipeDatabase:

@@ -206,9 +206,12 @@ class Recipe:
         Skips :meth:`__post_init__`, so the caller guarantees what it would
         establish: a normalised title, a whitespace-collapsed region and a
         stripped source, and entity names that are normalised, distinct and
-        sorted, with at least one ingredient.  The synthetic generator, which
-        normalises each pool name once, is the only caller; every other
-        producer goes through the validating constructor.
+        sorted, with at least one ingredient.  The only caller is the
+        ``Recipe`` view of a corpus's id form
+        (:meth:`~repro.recipedb.columns.RecipeColumns.recipes`), whose names
+        were normalised once per distinct name and whose rows were checked
+        when the database took them; every other producer goes through the
+        validating constructor.
         """
         recipe = object.__new__(cls)
         for name, value in (

@@ -13,10 +13,15 @@ code can rely on clean inputs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+import numpy as np
 
 from repro.errors import SchemaError
 from repro.recipedb.models import EntityKind, Recipe
+
+if TYPE_CHECKING:
+    from repro.recipedb.columns import RecipeColumns
 
 __all__ = ["SchemaLimits", "RecipeSchema", "SchemaViolation"]
 
@@ -118,6 +123,32 @@ class RecipeSchema:
         if found:
             details = "; ".join(str(v) for v in found)
             raise SchemaError(f"recipe {recipe.recipe_id} violates schema: {details}")
+
+    def validate_columns(self, columns: "RecipeColumns") -> None:
+        """Raise :class:`SchemaError` when a row of *columns* breaks a limit.
+
+        The title, region and per-kind size checks of :meth:`violations`,
+        over the arrays at once (the strict catalogue check is left out: a
+        columns-built database starts with the default, non-strict schema).
+        The first violating row is then validated as a recipe, so the error
+        names it exactly as :meth:`validate` would.
+        """
+        limits = self.limits
+        titles = np.fromiter(map(len, columns.titles), dtype=np.int64, count=len(columns))
+        bad = titles > limits.max_title_length
+        if self.regions:
+            unknown = [
+                code for code, name in enumerate(columns.regions) if name not in self.regions
+            ]
+            bad |= np.isin(columns.region_codes, unknown)
+        for column, maximum in zip(
+            columns.kinds,
+            (limits.max_ingredients, limits.max_processes, limits.max_utensils),
+        ):
+            bad |= column.lengths() > maximum
+        rows = np.flatnonzero(bad)
+        if len(rows):
+            self.validate(columns.recipe(int(rows[0])))
 
     def is_valid(self, recipe: Recipe) -> bool:
         """Return ``True`` when *recipe* passes all schema checks."""

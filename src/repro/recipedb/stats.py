@@ -7,7 +7,9 @@ per recipe and 14,601 recipes with no utensil information.
 :func:`corpus_statistics` computes the same summary for any
 :class:`~repro.recipedb.database.RecipeDatabase`, and
 :func:`region_statistics` produces the per-cuisine breakdown used when
-building Table I.
+building Table I.  Both count over the database's integer-id form
+(:attr:`~repro.recipedb.database.RecipeDatabase.columns`), never over
+``Recipe`` objects.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
+from repro.errors import ValidationError
 from repro.recipedb.database import RecipeDatabase
-from repro.recipedb.models import EntityKind
 
 __all__ = [
     "CorpusStatistics",
@@ -155,42 +159,51 @@ class CorpusStatistics:
         }
 
 
+def _mean_length(lengths: np.ndarray) -> float:
+    """Mean of per-recipe entity counts, as ``sum / len`` of Python ints."""
+    return int(lengths.sum()) / len(lengths) if len(lengths) else 0.0
+
+
 def corpus_statistics(database: RecipeDatabase) -> CorpusStatistics:
-    """Compute whole-corpus statistics for *database*."""
-    recipes = database.recipes()
-    ingredient_counts = [r.n_ingredients for r in recipes]
-    process_counts = [r.n_processes for r in recipes]
-    utensil_counts = [r.n_utensils for r in recipes]
-    sizes = database.vocabularies.sizes()
+    """Compute whole-corpus statistics for *database* from its id form."""
+    columns = database.columns
+    ingredients, processes, utensils = columns.kinds
+    utensil_counts = utensils.lengths()
     return CorpusStatistics(
-        n_recipes=len(recipes),
+        n_recipes=len(columns),
         n_regions=len(database.region_names()),
-        n_unique_ingredients=sizes["ingredients"],
-        n_unique_processes=sizes["processes"],
-        n_unique_utensils=sizes["utensils"],
-        mean_ingredients_per_recipe=_mean(ingredient_counts),
-        mean_processes_per_recipe=_mean(process_counts),
-        mean_utensils_per_recipe=_mean(utensil_counts),
-        recipes_without_utensils=sum(1 for r in recipes if not r.has_utensils),
+        n_unique_ingredients=ingredients.n_used(),
+        n_unique_processes=processes.n_used(),
+        n_unique_utensils=utensils.n_used(),
+        mean_ingredients_per_recipe=_mean_length(ingredients.lengths()),
+        mean_processes_per_recipe=_mean_length(processes.lengths()),
+        mean_utensils_per_recipe=_mean_length(utensil_counts),
+        recipes_without_utensils=int(np.count_nonzero(utensil_counts == 0)),
         region_recipe_counts=database.region_recipe_counts(),
     )
 
 
 def region_statistics(database: RecipeDatabase, region: str) -> RegionStatistics:
     """Compute the per-cuisine breakdown used for Table I rows."""
-    recipes = database.recipes_in_region(region)
-    unique: dict[EntityKind, set[str]] = {kind: set() for kind in EntityKind}
-    for recipe in recipes:
-        for kind in EntityKind:
-            unique[kind].update(recipe.entities_of(kind))
+    if not database.has_region(region):
+        raise ValidationError(f"unknown region: {region!r}")
+    columns = database.columns
+    rows = columns.region_positions([region]) == 0
+    counts: list[np.ndarray] = []
+    unique: list[int] = []
+    for column in columns.kinds:
+        lengths = column.lengths()
+        counts.append(lengths[rows])
+        ids = column.ids[np.repeat(rows, lengths)]
+        unique.append(len(np.unique(ids)))
     return RegionStatistics(
         region=region,
-        n_recipes=len(recipes),
-        n_unique_ingredients=len(unique[EntityKind.INGREDIENT]),
-        n_unique_processes=len(unique[EntityKind.PROCESS]),
-        n_unique_utensils=len(unique[EntityKind.UTENSIL]),
-        mean_ingredients_per_recipe=_mean([r.n_ingredients for r in recipes]),
-        mean_processes_per_recipe=_mean([r.n_processes for r in recipes]),
-        mean_utensils_per_recipe=_mean([r.n_utensils for r in recipes]),
-        recipes_without_utensils=sum(1 for r in recipes if not r.has_utensils),
+        n_recipes=int(np.count_nonzero(rows)),
+        n_unique_ingredients=unique[0],
+        n_unique_processes=unique[1],
+        n_unique_utensils=unique[2],
+        mean_ingredients_per_recipe=_mean_length(counts[0]),
+        mean_processes_per_recipe=_mean_length(counts[1]),
+        mean_utensils_per_recipe=_mean_length(counts[2]),
+        recipes_without_utensils=int(np.count_nonzero(counts[2] == 0)),
     )

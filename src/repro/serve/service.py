@@ -704,7 +704,15 @@ class AnalysisService:
         )
 
     def _corpus_file_fingerprint(self, config: AnalysisConfig) -> str:
-        """Fingerprint of the persisted corpus file, or ``""`` without one."""
+        """Fingerprint of the persisted corpus file, or ``""`` without one.
+
+        The corpus stage keeps the fingerprint of every corpus it holds, so
+        only a corpus-cache miss hashes the file.
+        """
+        with self._lock:
+            cached = self._corpora.get(codec.corpus_key(config))
+        if cached is not None:
+            return cached[1]
         try:
             path = self.corpus_path(config)
         except ServeError:

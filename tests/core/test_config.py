@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.core.config import DEFAULT_CONFIG, AnalysisConfig
+from repro.core.config import DEFAULT_CONFIG, MAX_SCALE, AnalysisConfig
 
 
 class TestAnalysisConfig:
@@ -44,6 +44,9 @@ class TestAnalysisConfig:
             # Real fields take finite ints or floats, not booleans.
             ("scale", float("inf")),
             ("scale", float("nan")),
+            # Above the paper's full corpus: scale 50 would be 5.9M recipes.
+            ("scale", 1.5),
+            ("scale", 50),
             ("scale", True),
             ("scale", "0.1"),
             ("min_support", float("nan")),
@@ -53,6 +56,11 @@ class TestAnalysisConfig:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             AnalysisConfig(**{field: value})
+
+    def test_scale_bound_is_inclusive(self):
+        assert AnalysisConfig(scale=MAX_SCALE).scale == 1.0
+        with pytest.raises(ConfigurationError, match="scale must be in"):
+            AnalysisConfig(scale=1.0000001)
 
     def test_with_overrides(self):
         config = AnalysisConfig().with_overrides(scale=0.1, min_support=0.3)

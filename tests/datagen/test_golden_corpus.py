@@ -12,8 +12,8 @@ The analysis digest is checked through every producer of mining results:
 the pipeline, a cold service that builds and saves the corpus CSR, a second
 service that re-mines from the memory-mapped CSR sidecar, and a restart on
 the persisted corpus JSON whose sidecar is gone, so the CSR is rebuilt from
-the validated ``Recipe`` objects ``load_json`` returns rather than from the
-generator's.
+the id form derived from the validated ``Recipe`` objects ``load_json``
+returns rather than from the generator's.
 
 ``RESULTS_DIGEST`` was re-recorded when the production miner switched from
 FP-Growth to Eclat.  ``STRIPPED_RESULTS_DIGEST`` was recorded before that
@@ -31,8 +31,9 @@ import pytest
 from repro.core.config import AnalysisConfig
 from repro.core.pipeline import CuisineClusteringPipeline
 from repro.datagen.generator import generate_corpus
-from repro.mining.shm import CorpusMatrix, sidecar_paths
+from repro.mining.shm import sidecar_paths
 from repro.recipedb.io_json import save_json
+from repro.recipedb.models import Recipe
 from repro.serve import codec
 from repro.serve.service import AnalysisService
 
@@ -58,6 +59,30 @@ def _sha256(data: bytes) -> str:
 def test_corpus_bytes_match_golden_digest(seed, scale, tmp_path):
     path = save_json(generate_corpus(seed, scale), tmp_path / "corpus.json")
     assert _sha256(path.read_bytes()) == CORPUS_DIGESTS[(seed, scale)]
+
+
+def test_cold_service_builds_no_recipe_and_writes_golden_bytes(tmp_path, monkeypatch):
+    """A cold compute runs on the id form end to end: no ``Recipe`` is made."""
+    made = []
+    validate = Recipe.__post_init__
+    view = Recipe.from_normalised.__func__
+
+    def counting_validate(recipe):
+        made.append(recipe.recipe_id)
+        validate(recipe)
+
+    def counting_view(cls, *fields):
+        made.append(fields[0])
+        return view(cls, *fields)
+
+    monkeypatch.setattr(Recipe, "__post_init__", counting_validate)
+    monkeypatch.setattr(Recipe, "from_normalised", classmethod(counting_view))
+    service = AnalysisService(tmp_path / "cache")
+    config = AnalysisConfig(seed=7, scale=0.05)
+    assert service.get_or_run(config).source == "computed"
+    assert made == []
+    digest = _sha256(service.corpus_path(config).read_bytes())
+    assert digest == CORPUS_DIGESTS[(7, 0.05)]
 
 
 GOLDEN_CONFIG = AnalysisConfig(scale=0.02)
@@ -92,13 +117,13 @@ def _from_reloaded_corpus(tmp_path, monkeypatch):
     for path in sidecar_paths(cold.matrix_path(GOLDEN_CONFIG)).values():
         path.unlink()
     builds = []
-    original = CorpusMatrix.from_transactions.__func__
+    original = CuisineClusteringPipeline.build_transactions
 
-    def counting(cls, transactions):
+    def counting(pipeline, database):
         builds.append(1)
-        return original(cls, transactions)
+        return original(pipeline, database)
 
-    monkeypatch.setattr(CorpusMatrix, "from_transactions", classmethod(counting))
+    monkeypatch.setattr(CuisineClusteringPipeline, "build_transactions", counting)
     restarted = AnalysisService(tmp_path / "cache")
     restarted.invalidate(GOLDEN_CONFIG, mining=True)
     served = restarted.get_or_run(GOLDEN_CONFIG)

@@ -11,18 +11,17 @@ here only as a test oracle:
   maintained eagerly on every add and remove, wherever the first query
   falls in the sequence;
 * the analysis pipeline never materialising those indexes at all;
-* the generator's index draws and pre-normalised recipes against drawing
-  names and validating them through ``Recipe(...)``;
+* the generator's recipe view against validating it through
+  ``Recipe(...)``;
 * bulk vocabulary observation in ``add_recipes`` against observing one
   recipe at a time, including after a failing insert;
-* ``prevalence_matrix``'s ``Counter`` path against
+* ``prevalence_matrix``'s count over the generated corpus's id form against
   ``prevalence_from_transactions`` over the frozenset transactions.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -37,8 +36,6 @@ from repro.datagen.generator import (
     _WeightedPool,
     generate_corpus,
 )
-from repro.datagen.profiles import CuisineProfile, default_profiles
-from repro.datagen.random_utils import poisson_clamped
 from repro.errors import (
     DuplicateRecordError,
     GenerationError,
@@ -50,6 +47,7 @@ from repro.recipedb.index import InvertedIndex, build_entity_indexes
 from repro.recipedb.models import EntityKind, Recipe, normalize_name
 from repro.recipedb.query import RecipeQuery
 from repro.recipedb.vocabulary import Vocabulary
+from tests.oracles.generator import UNNORMALISED_PROFILES
 
 # -- normalize_name ------------------------------------------------------------------
 
@@ -358,100 +356,24 @@ def test_pipeline_run_leaves_indexes_unbuilt():
     assert corpus._indexes is not None
 
 
-# -- generator index draws ----------------------------------------------------------
-
-
-def _draw_names(pool, rng, count, exclude):
-    """Filler draws before index draws: reject by raw name."""
-    if count <= 0:
-        return []
-    chosen, seen = [], set(exclude)
-    attempts, max_attempts = 0, max(50, count * 20)
-    while len(chosen) < count and attempts < max_attempts:
-        draws = rng.random((count - len(chosen)) * 2 + 4)
-        for index in np.searchsorted(pool._cumulative, draws, side="left").tolist():
-            name = pool.names[index]
-            if name not in seen:
-                seen.add(name)
-                chosen.append(name)
-                if len(chosen) == count:
-                    break
-        attempts += 1
-    return chosen
-
-
-class _NameDrawingGenerator(SyntheticRecipeDBGenerator):
-    """The generator before index draws: it draws raw names and builds each
-    recipe through the validating ``Recipe(...)`` constructor."""
-
-    def _generate_recipe(self, recipe_id, serial, profile, region, tables):
-        rng, config = self._rng, self.config
-        signatures = (
-            profile.signature_items,
-            profile.signature_processes,
-            profile.signature_utensils,
-        )
-        traditional = rng.random() < config.traditional_recipe_rate
-        drawn = []
-        for table, names in zip(tables, signatures):
-            probabilities = table._boosted if traditional else table._reduced
-            hits = rng.random(len(names)) < probabilities if names else []
-            drawn.append(list(compress(tuple(names), list(hits))))
-        ingredients, processes, utensils = drawn
-        target_ingredients = poisson_clamped(rng, config.mean_ingredients, 1, 60)
-        target_processes = poisson_clamped(rng, config.mean_processes, 1, 80)
-        ingredients += _draw_names(
-            self._ingredient_pool, rng, target_ingredients - len(ingredients), signatures[0]
-        )
-        processes += _draw_names(
-            self._process_pool, rng, target_processes - len(processes), signatures[1]
-        )
-        if rng.random() < config.utensil_missing_rate:
-            utensils = []
-        else:
-            target_utensils = poisson_clamped(rng, config.mean_utensils, 1, 15)
-            utensils += _draw_names(
-                self._utensil_pool, rng, target_utensils - len(utensils), signatures[2]
-            )
-        if not ingredients:
-            ingredients = [self._ingredient_pool.names[0]]
-        return Recipe(
-            recipe_id=recipe_id,
-            title=f"{profile.name} {ingredients[0]} dish {serial}",
-            region=profile.name,
-            ingredients=tuple(ingredients),
-            processes=tuple(processes),
-            utensils=tuple(utensils),
-            source="synthetic-recipedb",
-        )
-
-
-_UNNORMALISED_PROFILES = {
-    "Test  Cuisine": CuisineProfile(
-        name="Test  Cuisine",
-        continent="Asia",
-        paper_recipe_count=40,
-        # "Soy  Sauce" is not a pool name, so it is appended raw beside the
-        # pool's own "soy sauce"; both normalise to one recipe entry.
-        signature_items={"Soy  Sauce": 0.6, "soy sauce": 0.3, "Ginger": 0.4},
-        signature_processes={"Stir Fry": 0.5},
-        signature_utensils={"Wok ": 0.5},
-    ),
-    "Other": default_profiles()["Japanese"],
-}
+# -- generator id form -----------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "profiles",
-    [None, _UNNORMALISED_PROFILES],
+    [None, UNNORMALISED_PROFILES],
     ids=["default-profiles", "unnormalised-signatures"],
 )
 def test_generator_recipes_match_validating_construction(profiles):
-    config = GeneratorConfig(seed=17, scale=0.01)
-    fast = list(SyntheticRecipeDBGenerator(config, profiles).iter_recipes())
-    slow = list(_NameDrawingGenerator(config, profiles).iter_recipes())
-    assert fast == slow
-    for recipe in fast:
+    """The generator's recipe view holds exactly what ``Recipe(...)`` stores.
+
+    The view is built by ``Recipe.from_normalised``, which skips validation;
+    re-validating each recipe must change nothing.  Equality with the
+    per-recipe oracle is ``tests/datagen/test_generator_oracle.py``.
+    """
+    database = SyntheticRecipeDBGenerator(GeneratorConfig(seed=17, scale=0.01), profiles).generate()
+    recipes = database.recipes()
+    for recipe in recipes:
         validated = Recipe(
             recipe.recipe_id,
             recipe.title,
@@ -463,8 +385,8 @@ def test_generator_recipes_match_validating_construction(profiles):
         )
         assert validated == recipe
     if profiles is not None:
-        assert any("soy sauce" in recipe.ingredients for recipe in fast)
-        assert {recipe.region for recipe in fast} == {"Japanese", "Test Cuisine"}
+        assert any("soy sauce" in recipe.ingredients for recipe in recipes)
+        assert {recipe.region for recipe in recipes} == {"Japanese", "Test Cuisine"}
 
 
 def test_generator_pool_rejects_repeated_names():

@@ -520,6 +520,8 @@ GARBAGE = {
     # the canonical key text cannot hold): a 500.
     "fractional-seed": (_FRACTIONAL_SEED, 400),
     "infinite-scale": (_post(b"/analyze", b'{"config": {"scale": 1e309}}'), 400),
+    # Any finite scale was accepted: 50 started a 5.9M-recipe compute.
+    "oversized-scale": (_post(b"/analyze", b'{"config": {"scale": 50}}'), 400),
     # int(float("inf")) raised OverflowError, which _int did not catch: a 500.
     "overflowing-k": (
         _post(

@@ -28,6 +28,7 @@ from repro.serve.classify import (
     classifier_sidecar_paths,
     rank_scores,
 )
+from repro.serve import service as service_module
 from repro.serve.service import AnalysisService
 from repro.serve.store import ArtifactStore
 
@@ -249,6 +250,24 @@ class TestServiceWarmPath:
         first = service.classifier_for(CONFIG, results=served.results)
         assert service.classifier_for(CONFIG) is first
         assert service.store.stats.classifier_sidecar_loads == 0
+
+    def test_memory_hit_hashes_no_corpus_file(self, tmp_path, monkeypatch):
+        # The corpus stage already holds the corpus fingerprint; a warm hit
+        # must not SHA-256 the whole corpus file again.
+        service = AnalysisService(tmp_path / "cache")
+        served = service.get_or_run(CONFIG)
+        first = service.classifier_for(CONFIG, results=served.results)
+        hashed = []
+        original = service_module.corpus_fingerprint
+
+        def counting(path):
+            hashed.append(path)
+            return original(path)
+
+        monkeypatch.setattr(service_module, "corpus_fingerprint", counting)
+        assert service.classifier_for(CONFIG) is first
+        assert service.classifier_for(CONFIG, pattern_weight=1.0) is first
+        assert hashed == []
 
     def test_weight_variants_share_one_sidecar(self, tmp_path):
         service = AnalysisService(tmp_path / "cache")

@@ -13,8 +13,8 @@ import json
 import pytest
 
 from repro.core.config import AnalysisConfig
+from repro.core.pipeline import CuisineClusteringPipeline
 from repro.mining.bitmatrix import TransactionMatrix
-from repro.mining.shm import CorpusMatrix
 from repro.serve.service import AnalysisService, MATRIX_FILE_SUFFIX
 
 CONFIG = AnalysisConfig(seed=11, scale=0.02, elbow_k_max=6)
@@ -27,15 +27,15 @@ def service(tmp_path) -> AnalysisService:
 
 @pytest.fixture()
 def compile_counter(monkeypatch):
-    """Count corpus CSR builds (``CorpusMatrix.from_transactions``) in this process."""
+    """Count corpus CSR builds (``CuisineClusteringPipeline.build_transactions``)."""
     calls = []
-    original = CorpusMatrix.from_transactions.__func__
+    original = CuisineClusteringPipeline.build_transactions
 
-    def counting(cls, transactions):
-        calls.append(len(transactions))
-        return original(cls, transactions)
+    def counting(pipeline, database):
+        calls.append(len(database))
+        return original(pipeline, database)
 
-    monkeypatch.setattr(CorpusMatrix, "from_transactions", classmethod(counting))
+    monkeypatch.setattr(CuisineClusteringPipeline, "build_transactions", counting)
     return calls
 
 

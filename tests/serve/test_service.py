@@ -305,16 +305,14 @@ class TestCorpusCache:
 
     def test_transaction_matrices_shared_across_sweep(self, service, monkeypatch):
         """A min_support sweep builds the corpus CSR once."""
-        from repro.mining.shm import CorpusMatrix
-
         builds = []
-        original = CorpusMatrix.from_transactions.__func__
+        original = CuisineClusteringPipeline.build_transactions
 
-        def counting(cls, transactions):
-            builds.append(len(transactions))
-            return original(cls, transactions)
+        def counting(pipeline, database):
+            builds.append(len(database))
+            return original(pipeline, database)
 
-        monkeypatch.setattr(CorpusMatrix, "from_transactions", classmethod(counting))
+        monkeypatch.setattr(CuisineClusteringPipeline, "build_transactions", counting)
         service.get_or_run(CONFIG)
         assert len(builds) == 1
         # Lowered support cannot reuse cached mining, so the miner runs again
