@@ -2,7 +2,7 @@
 
 The async front-end's coalescing (``test_bench_aio``) collapses a thundering
 herd *inside one process*.  This benchmark is its fleet-wide twin: **N real
-OS processes sharing one sqlite backend race a single cold config and must
+OS processes sharing one cache directory race a single cold config and must
 perform exactly one compute**, coordinated purely through the store's
 compute leases.  The compute count gates the test (deterministic, counted
 via an ``O_APPEND`` sidecar every pipeline run appends to); wall-clock
@@ -14,11 +14,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from pathlib import Path
 
 from _bench_report import record
 
-from repro.serve.backends import create_backend
+from repro.serve.backends import DirectoryBackend
 from repro.serve.service import AnalysisService
 from repro.serve.store import ArtifactStore
 
@@ -26,7 +25,7 @@ HERD = 6
 
 
 def _herd_worker(cache_root, counter_path, config, barrier, queue):
-    store = ArtifactStore(backend=create_backend("sqlite", Path(cache_root)))
+    store = ArtifactStore(backend=DirectoryBackend(cache_root))
     service = AnalysisService(
         store,
         max_memory_entries=2,
@@ -83,7 +82,7 @@ def test_lease_cold_herd_computes_once_fleet_wide(config, tmp_path):
     # A single cold run on a fresh store calibrates the coordination overhead
     # (the herd *is* one compute plus lease polling and process bookkeeping).
     fresh = AnalysisService(
-        ArtifactStore(backend=create_backend("sqlite", tmp_path / "fresh")),
+        ArtifactStore(backend=DirectoryBackend(tmp_path / "fresh")),
         max_memory_entries=2,
     )
     started = time.perf_counter()
@@ -93,14 +92,14 @@ def test_lease_cold_herd_computes_once_fleet_wide(config, tmp_path):
     overhead = herd_seconds / single_cold_seconds
     print()
     print(
-        f"{HERD}-process cold herd over shared sqlite: {herd_seconds:.3f}s vs "
+        f"{HERD}-process cold herd over a shared directory: {herd_seconds:.3f}s vs "
         f"single cold {single_cold_seconds:.3f}s ({overhead:.2f}x)"
     )
     record(
         "lease_cold_herd",
         {
             "herd_size": HERD,
-            "backend": "sqlite",
+            "backend": "directory",
             "computes": len(computes),
             "herd_seconds": round(herd_seconds, 4),
             "single_cold_seconds": round(single_cold_seconds, 4),

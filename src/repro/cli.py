@@ -17,14 +17,11 @@ Subcommands:
   traffic counters);
 * ``query`` -- read-path queries against a cached analysis (nearest cuisines,
   pattern search, authenticity profiles, cuisine cards);
-* ``classify`` -- classify ingredient lists against the cached cuisines;
-* ``store-migrate`` -- move cached artifacts between storage backends or
-  directory layouts.
+* ``classify`` -- classify ingredient lists against the cached cuisines.
 
-Every serve subcommand takes ``--store-backend`` (sharded ``directory``
-default, ``sqlite``, ``memory``), ``--store-shards`` for the directory
-layout, and a ``--disk-eviction`` policy spec such as ``ttl:600`` or
-``maxbytes:1048576+ttl:600`` (see ``docs/storage-engine.md``).
+Every serve subcommand stores its artifacts in the sharded directory
+``--cache-dir`` and takes a ``--disk-eviction`` policy spec such as
+``ttl:600`` or ``maxbytes:1048576+ttl:600`` (see ``docs/storage-engine.md``).
 
 Example::
 
@@ -33,7 +30,6 @@ Example::
     repro-cuisines serve --cache-dir .repro-cache --port 8340 --refresh ttl:600
     repro-cuisines query --cache-dir .repro-cache --nearest Japanese
     repro-cuisines classify --cache-dir .repro-cache "soy sauce, mirin, rice"
-    repro-cuisines store-migrate --cache-dir .repro-cache --to-backend sqlite
 """
 
 from __future__ import annotations
@@ -59,10 +55,9 @@ from repro.serve import (
     CuisineClassifier,
     QueryEngine,
 )
-from repro.serve.backends import BACKEND_NAMES, DEFAULT_SHARDS, create_backend
+from repro.serve.backends import DirectoryBackend
 from repro.serve.eviction import parse_policy
 from repro.serve.faults import FaultInjectingBackend, parse_fault_plan
-from repro.serve.migrate import migrate_backend
 from repro.serve.resilience import ResilientBackend, RetryPolicy
 from repro.serve.service import DEFAULT_LEASE_TTL, DEFAULT_LEASE_WAIT
 from repro.viz.ascii_dendrogram import render_dendrogram
@@ -130,29 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="which figure to print (default figure2)",
     )
 
-    def add_cache_dir(sub: argparse.ArgumentParser) -> None:
+    def add_store_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--cache-dir",
             type=Path,
             default=Path(".repro-cache"),
             help="serve-cache directory (default .repro-cache)",
-        )
-
-    def add_store_options(sub: argparse.ArgumentParser) -> None:
-        add_cache_dir(sub)
-        sub.add_argument(
-            "--store-backend",
-            choices=list(BACKEND_NAMES),
-            default="directory",
-            help="artifact storage backend (default directory)",
-        )
-        sub.add_argument(
-            "--store-shards",
-            type=int,
-            default=DEFAULT_SHARDS,
-            metavar="N",
-            help=f"directory-backend shard count, 0 = flat legacy layout "
-                 f"(default {DEFAULT_SHARDS})",
         )
         sub.add_argument(
             "--disk-eviction",
@@ -274,58 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="print the statistics as JSON on stdout (machine-readable)",
-    )
-
-    migrate = subparsers.add_parser(
-        "store-migrate", help="move cached artifacts between storage backends"
-    )
-    migrate.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=Path(".repro-cache"),
-        help="source cache directory (default .repro-cache)",
-    )
-    migrate.add_argument(
-        "--from-backend",
-        choices=list(BACKEND_NAMES),
-        default="directory",
-        help="source backend (default directory)",
-    )
-    migrate.add_argument(
-        "--to-backend",
-        choices=list(BACKEND_NAMES),
-        required=True,
-        help="destination backend",
-    )
-    migrate.add_argument(
-        "--dest-cache-dir",
-        type=Path,
-        default=None,
-        help="destination cache directory (default: same as --cache-dir)",
-    )
-    migrate.add_argument(
-        "--from-shards",
-        type=int,
-        default=DEFAULT_SHARDS,
-        metavar="N",
-        help=f"source directory layout, 0 = flat (default {DEFAULT_SHARDS})",
-    )
-    migrate.add_argument(
-        "--to-shards",
-        type=int,
-        default=DEFAULT_SHARDS,
-        metavar="N",
-        help=f"destination directory layout, 0 = flat (default {DEFAULT_SHARDS})",
-    )
-    migrate.add_argument(
-        "--delete-source",
-        action="store_true",
-        help="remove each artifact from the source after copying (a move)",
-    )
-    migrate.add_argument(
-        "--json",
-        action="store_true",
-        help="print the migration report as JSON on stdout",
     )
 
     query = subparsers.add_parser(
@@ -482,33 +408,29 @@ def _command_figures(args: argparse.Namespace) -> int:
 
 
 def _store_for(args: argparse.Namespace) -> ArtifactStore:
-    backend = create_backend(
-        getattr(args, "store_backend", "directory"),
-        args.cache_dir,
-        shards=getattr(args, "store_shards", DEFAULT_SHARDS),
-    )
+    backend = DirectoryBackend(args.cache_dir)
     # Wrap order matters: faults innermost (they impersonate backend I/O
     # errors), resilience outermost (its retries absorb the injected faults
     # exactly as they would absorb real ones).  Only the explicit flag arms
     # the harness here -- $REPRO_FAULT_PLAN drives the *test suite's* chaos
     # wrap, and ambient fault injection in a real CLI run would be a trap.
-    plan = parse_fault_plan(getattr(args, "inject_faults", None) or "")
+    plan = parse_fault_plan(args.inject_faults or "")
     if plan:
         backend = FaultInjectingBackend(backend, plan)
-    if getattr(args, "resilient", False):
-        retries = getattr(args, "store_retries", 3)
-        backend = ResilientBackend(backend, retry=RetryPolicy(max_attempts=retries))
-    disk_spec = getattr(args, "disk_eviction", None)
-    disk_policy = parse_policy(disk_spec) if disk_spec is not None else None
+    if args.resilient:
+        backend = ResilientBackend(
+            backend, retry=RetryPolicy(max_attempts=args.store_retries)
+        )
+    disk_policy = None if args.disk_eviction is None else parse_policy(args.disk_eviction)
     return ArtifactStore(backend=backend, disk_policy=disk_policy)
 
 
 def _service_for(args: argparse.Namespace) -> AnalysisService:
     return AnalysisService(
         _store_for(args),
-        leases=not getattr(args, "no_leases", False),
-        lease_ttl=getattr(args, "lease_ttl", DEFAULT_LEASE_TTL),
-        lease_wait=getattr(args, "lease_wait", DEFAULT_LEASE_WAIT),
+        leases=not args.no_leases,
+        lease_ttl=args.lease_ttl,
+        lease_wait=args.lease_wait,
     )
 
 
@@ -626,40 +548,6 @@ def _command_serve_stats(args: argparse.Namespace) -> int:
             title="Store traffic (this process)",
         )
     )
-    return 0
-
-
-def _command_store_migrate(args: argparse.Namespace) -> int:
-    destination_dir = args.dest_cache_dir if args.dest_cache_dir is not None else args.cache_dir
-    if args.from_backend == args.to_backend and destination_dir == args.cache_dir:
-        # directory layouts can still differ by shard count; every other
-        # backend pair over one cache dir is the same storage location.
-        if args.from_backend != "directory" or args.from_shards == args.to_shards:
-            raise ReproError(
-                "source and destination are the same storage location; change "
-                "--to-backend, --dest-cache-dir or (for directory) --to-shards"
-            )
-    if args.from_backend == "memory":
-        raise ReproError(
-            "cannot migrate from the memory backend: it is ephemeral and "
-            "empty in a fresh process"
-        )
-    source = create_backend(args.from_backend, args.cache_dir, shards=args.from_shards)
-    destination = create_backend(args.to_backend, destination_dir, shards=args.to_shards)
-    report = migrate_backend(source, destination, delete_source=args.delete_source)
-    source.close()
-    destination.close()
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-        return 0
-    print(f"migrated {report.migrated} artifacts ({report.bytes_moved} bytes) "
-          f"from {report.source} to {report.destination}")
-    for kind, count in sorted(report.per_kind.items()):
-        print(f"  {kind}: {count}")
-    if report.skipped_corrupt:
-        print(f"skipped {report.skipped_corrupt} corrupt artifacts (quarantined at source)")
-    if args.delete_source:
-        print(f"removed {report.deleted_source} artifacts from the source")
     return 0
 
 
@@ -781,7 +669,6 @@ _COMMANDS = {
     "serve-warm": _command_serve_warm,
     "serve": _command_serve,
     "serve-stats": _command_serve_stats,
-    "store-migrate": _command_store_migrate,
     "query": _command_query,
     "classify": _command_classify,
 }

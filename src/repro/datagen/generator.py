@@ -313,6 +313,11 @@ def _fill(
     return active[segment[keep]], indices[keep]
 
 
+def _region_name(name: str) -> str:
+    """A region name as :class:`~repro.recipedb.models.Region` stores it."""
+    return " ".join(name.split())
+
+
 class SyntheticRecipeDBGenerator:
     """Generates a synthetic RecipeDB-like corpus from cuisine profiles.
 
@@ -336,6 +341,16 @@ class SyntheticRecipeDBGenerator:
         )
         if not self.profiles:
             raise GenerationError("at least one cuisine profile is required")
+        # Regions are registered by key and recipes filed by profile name, so
+        # each key must name its own profile's region, and no two alike.
+        regions = [_region_name(profile.name) for profile in self.profiles.values()]
+        for key, region in zip(self.profiles, regions):
+            if _region_name(key) != region:
+                raise GenerationError(
+                    f"profile key {key!r} differs from its profile's region name {region!r}"
+                )
+        if len(set(regions)) != len(regions):
+            raise GenerationError("two profile keys name the same region")
         self._rng = make_rng(self.config.seed)
         self._ingredient_pool = self._build_ingredient_pool()
         self._process_pool = self._build_process_pool()
@@ -387,7 +402,7 @@ class SyntheticRecipeDBGenerator:
     def region_recipe_counts(self) -> dict[str, int]:
         """Planned recipe count per region at the configured scale."""
         return {
-            name: profile.scaled_recipe_count(self.config.scale)
+            _region_name(name): profile.scaled_recipe_count(self.config.scale)
             for name, profile in sorted(self.profiles.items())
         }
 
@@ -438,7 +453,7 @@ class SyntheticRecipeDBGenerator:
                 normalize_name(f"{profile.name} {anchor_names[anchor]} dish {serial}")
                 for serial, anchor in enumerate(drawn.anchors)
             )
-            regions.append(" ".join(profile.name.split()))
+            regions.append(_region_name(profile.name))
             sizes.append(count)
 
         n = len(titles)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import sqlite3
 from pathlib import Path
-from typing import Iterable
 
 from repro.errors import SerializationError
 from repro.recipedb.database import RecipeDatabase
@@ -64,25 +63,19 @@ SCHEMA_STATEMENTS: tuple[str, ...] = (
 )
 
 
-def connect(path: str | Path, *, check_same_thread: bool = True) -> sqlite3.Connection:
+def connect(path: str | Path) -> sqlite3.Connection:
     """Open a SQLite database with the library's shared connection settings.
 
     Raises :class:`SerializationError` (a :class:`~repro.errors.ReproError`)
-    instead of :class:`sqlite3.Error` so callers across subsystems -- corpus
-    I/O here, the serve layer's :class:`~repro.serve.backends.SqliteBackend`
-    -- share one failure mode.  ``check_same_thread=False`` allows callers
-    that serialize access themselves (the serve backend under its lock) to
-    share one connection across threads.
+    instead of :class:`sqlite3.Error`, so a corpus that cannot be opened
+    fails like any other corpus I/O error.
     """
     try:
-        connection = sqlite3.connect(str(path), check_same_thread=check_same_thread)
+        connection = sqlite3.connect(str(path))
     except sqlite3.Error as exc:  # pragma: no cover - environment dependent
         raise SerializationError(f"could not open sqlite database {path}: {exc}") from exc
     connection.execute("PRAGMA foreign_keys = ON")
     return connection
-
-
-_connect = connect  # internal alias kept for the readers below
 
 
 def save_sqlite(database: RecipeDatabase, path: str | Path) -> Path:
@@ -91,7 +84,7 @@ def save_sqlite(database: RecipeDatabase, path: str | Path) -> Path:
     if target.exists():
         raise SerializationError(f"refusing to overwrite existing file {target}")
     target.parent.mkdir(parents=True, exist_ok=True)
-    connection = _connect(target)
+    connection = connect(target)
     try:
         with connection:
             for statement in SCHEMA_STATEMENTS:
@@ -139,7 +132,7 @@ def load_sqlite(path: str | Path) -> RecipeDatabase:
     source = Path(path)
     if not source.exists():
         raise SerializationError(f"sqlite database {source} does not exist")
-    connection = _connect(source)
+    connection = connect(source)
     try:
         regions = [
             Region(str(name), continent=str(continent))
@@ -186,7 +179,7 @@ def corpus_summary(path: str | Path) -> dict[str, object]:
     source = Path(path)
     if not source.exists():
         raise SerializationError(f"sqlite database {source} does not exist")
-    connection = _connect(source)
+    connection = connect(source)
     try:
         per_region = dict(
             connection.execute(

@@ -16,21 +16,18 @@ Layout
     mining-stage key that ignores clustering-only parameters).
 ``store``
     :class:`~repro.serve.store.ArtifactStore` -- the storage engine:
-    validated reads and counted writes over a pluggable durable backend,
-    with corrupt-artifact quarantine on every read.
+    validated reads and counted writes over a storage backend, with
+    corrupt-artifact quarantine on every read.
 ``backends``
     The :class:`~repro.serve.backends.StorageBackend` implementations --
-    sharded :class:`~repro.serve.backends.DirectoryBackend`, WAL-mode
-    :class:`~repro.serve.backends.SqliteBackend` and the ephemeral
+    the durable, sharded :class:`~repro.serve.backends.DirectoryBackend`
+    and its ephemeral test double,
     :class:`~repro.serve.backends.MemoryBackend`.
 ``eviction``
     Composable :class:`~repro.serve.eviction.EvictionPolicy` primitives
     (:class:`~repro.serve.eviction.LRU`, :class:`~repro.serve.eviction.TTL`,
     :class:`~repro.serve.eviction.MaxBytes`) optionally bounding the backend,
     and the background refresher's staleness grammar.
-``migrate``
-    :func:`~repro.serve.migrate.migrate_backend` -- move artifacts between
-    any two backends or directory layouts (also ``store-migrate`` in the CLI).
 ``resilience``
     :class:`~repro.serve.resilience.ResilientBackend` -- retries with
     deterministic backoff, per-op deadlines and a circuit breaker that trips
@@ -86,13 +83,7 @@ from repro.serve.aio import (
     AsyncAnalysisService,
     AsyncQueryEngine,
 )
-from repro.serve.backends import (
-    DirectoryBackend,
-    MemoryBackend,
-    SqliteBackend,
-    StorageBackend,
-    create_backend,
-)
+from repro.serve.backends import DirectoryBackend, MemoryBackend, StorageBackend
 from repro.serve.classify import Classification, CuisineClassifier
 from repro.serve.codec import (
     analysis_key,
@@ -116,7 +107,6 @@ from repro.serve.faults import (
     parse_fault_plan,
     resolve_fault_plan,
 )
-from repro.serve.migrate import MigrationReport, migrate_backend
 from repro.serve.queries import PatternHit, QueryEngine
 from repro.serve.resilience import (
     CircuitBreaker,
@@ -138,17 +128,13 @@ __all__ = [
     "StoreStats",
     "StorageBackend",
     "DirectoryBackend",
-    "SqliteBackend",
     "MemoryBackend",
-    "create_backend",
     "EvictionPolicy",
     "LRU",
     "TTL",
     "MaxBytes",
     "CompositePolicy",
     "parse_policy",
-    "MigrationReport",
-    "migrate_backend",
     "ResilientBackend",
     "RetryPolicy",
     "CircuitBreaker",

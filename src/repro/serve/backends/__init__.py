@@ -1,25 +1,18 @@
-"""Pluggable storage backends for the serve layer's artifact store.
+"""Storage backends for the serve layer's artifact store.
 
-Three implementations of the :class:`~repro.serve.backends.base.StorageBackend`
+Two implementations of the :class:`~repro.serve.backends.base.StorageBackend`
 protocol:
 
 ``DirectoryBackend``
-    One JSON file per artifact, sharded into ``key[:2]`` prefix subdirectories
-    (256 by default; ``shards=0`` keeps the historical flat layout).
-``SqliteBackend``
-    One WAL-mode SQLite file; artifacts are rows, quarantine is a side table.
+    The durable backend: one JSON file per artifact, sharded into 256
+    ``key[:2]`` prefix subdirectories, with ``flock``-serialized compute
+    leases that coordinate every process sharing the directory.
 ``MemoryBackend``
-    Ephemeral in-process dict, for tests and hot read replicas.
-
-:func:`create_backend` maps the CLI's ``--store-backend`` names onto
-constructed backends rooted at a cache directory.
+    Ephemeral in-process dict, the test double.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.errors import ServeError
 from repro.serve.backends.base import (
     KEY_CHARS,
     BackendEntry,
@@ -30,49 +23,18 @@ from repro.serve.backends.base import (
     validate_owner,
     validate_ttl,
 )
-from repro.serve.backends.directory import DEFAULT_SHARDS, DirectoryBackend
+from repro.serve.backends.directory import DirectoryBackend
 from repro.serve.backends.memory import MemoryBackend
-from repro.serve.backends.sqlite import SqliteBackend
 
 __all__ = [
     "StorageBackend",
     "BackendEntry",
     "Lease",
     "DirectoryBackend",
-    "SqliteBackend",
     "MemoryBackend",
-    "create_backend",
-    "BACKEND_NAMES",
-    "DEFAULT_SHARDS",
-    "SQLITE_FILENAME",
     "KEY_CHARS",
     "validate_kind",
     "validate_key",
     "validate_owner",
     "validate_ttl",
 ]
-
-SQLITE_FILENAME = "artifacts.sqlite"
-
-BACKEND_NAMES: tuple[str, ...] = ("directory", "sqlite", "memory")
-
-
-def create_backend(
-    name: str, cache_dir: Path | str, *, shards: int = DEFAULT_SHARDS
-) -> StorageBackend:
-    """Construct a backend by CLI name, rooted at *cache_dir*.
-
-    The sqlite backend stores its single file *inside* the cache directory
-    (``artifacts.sqlite``) and the memory backend anchors only auxiliary
-    files there, so all three share one ``--cache-dir`` notion.
-    """
-    directory = Path(cache_dir)
-    if name == "directory":
-        return DirectoryBackend(directory, shards=shards)
-    if name == "sqlite":
-        return SqliteBackend(directory / SQLITE_FILENAME, root=directory)
-    if name == "memory":
-        return MemoryBackend(root=directory)
-    raise ServeError(
-        f"unknown storage backend {name!r} (expected one of {', '.join(BACKEND_NAMES)})"
-    )

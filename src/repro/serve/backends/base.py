@@ -6,19 +6,17 @@ live in the store engine -- but it owns atomicity (a reader never observes a
 half-written artifact) and quarantine (moving a payload the engine has judged
 corrupt out of the addressable namespace so the slot can be rewritten).
 
-Keys are hex digests and kinds are slugs, exactly as in the original flat
-directory store; the validators live here so every backend enforces the same
-namespace.
+Keys are hex digests and kinds are slugs; the validators live here so every
+backend enforces the same namespace.
 
 Backends also own **compute leases** -- the fleet-wide single-compute
 primitive behind :meth:`StorageBackend.claim`.  A lease is an advisory,
 TTL-bounded claim on one ``(kind, key)`` slot: any process (on any host
 sharing the backend) either *wins* the claim and performs the compute, or
 loses and awaits the winner's artifact.  Leases live in a side namespace
-(a side table, dot-files, a side dict) so they are never confused with
-artifacts, never scanned, never evicted and never migrated.  An expired
-lease (a crashed holder) is stealable: the next :meth:`~StorageBackend.claim`
-atomically replaces it.
+(dot-files, a side dict) so they are never confused with artifacts, never
+scanned and never evicted.  An expired lease (a crashed holder) is
+stealable: the next :meth:`~StorageBackend.claim` atomically replaces it.
 """
 
 from __future__ import annotations
@@ -96,7 +94,7 @@ class Lease:
 
 @dataclass(frozen=True, slots=True)
 class BackendEntry:
-    """One stored artifact as the backend sees it (for eviction / migration)."""
+    """One stored artifact as the backend sees it (for eviction and stats)."""
 
     kind: str
     key: str
@@ -110,8 +108,8 @@ class StorageBackend(ABC):
     Attributes
     ----------
     name:
-        Short backend slug (``"directory"``, ``"sqlite"``, ``"memory"``) used
-        in stats output and the CLI.
+        Short backend slug (``"directory"``, ``"memory"``) used in stats
+        output.
     root:
         Directory for auxiliary files stored *next to* the artifacts (corpus
         snapshots, ...).  ``None`` when the backend has no natural directory.
@@ -152,7 +150,7 @@ class StorageBackend(ABC):
     #
     # Contract (every backend, atomically with respect to concurrent
     # claimants -- including claimants in other processes for the durable
-    # backends):
+    # backend):
     #
     # * ``claim`` wins iff no *live* lease exists for the slot, replacing any
     #   expired one (a steal).  A re-claim by the current live holder renews
@@ -193,11 +191,6 @@ class StorageBackend(ABC):
         self, kind: str, key: str, *, now: float | None = None
     ) -> Lease | None:
         """The current live lease on ``(kind, key)``, or ``None``."""
-
-    def scan(self) -> Iterator[tuple[str, str]]:
-        """Every stored ``(kind, key)`` pair (drives migration)."""
-        for entry in self.entries():
-            yield entry.kind, entry.key
 
     def total_bytes(self) -> int:
         """Bytes currently stored across all artifacts."""

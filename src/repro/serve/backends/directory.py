@@ -1,36 +1,34 @@
-"""Sharded directory backend: one JSON file per artifact under prefix subdirs.
+"""Directory backend: one JSON file per artifact, sharded by key prefix.
 
-This is the original flat-directory layout scaled past ~10⁴ artifacts: files
-land in ``root/<shard>/<kind>-<key>.json`` where ``<shard>`` is the key's
-two-hex-digit prefix bucketed over ``shards`` subdirectories (256 by default,
-so bucket == ``key[:2]``).  ``shards=0`` (or 1) keeps the historical flat
-layout, which ``store-migrate`` can convert in either direction.
+Artifacts live at ``root/<key[:2]>/<kind>-<key>.json``: 256 two-hex-digit
+shard directories keep any one directory small past ~10⁴ artifacts.  Files
+at the root itself (corpus snapshots, sidecar directories, a pre-sharding
+flat cache) are not artifacts: reads, probes, scans and deletes only ever
+look inside the shards, so a flat ``root/<kind>-<key>.json`` left by an old
+cache is ignored and its config recomputed.
 
-A sharded backend still *reads* legacy flat files at the root (reads,
-existence probes, scans and deletes all fall back to ``root/<kind>-<key>.json``
-when the sharded path is absent), so a cache warmed before sharding keeps
-serving instead of silently recomputing; writes always go to the sharded
-location, and ``store-migrate --from-shards 0`` converts the layout properly.
-
-Compute leases are dot-prefixed lock files (``.lease-<kind>-<key>.json``)
-next to the slot's artifact.  A claim is an atomic ``os.link`` of a fully
-written temp file onto the lease name -- creation either succeeds whole or
-fails with ``FileExistsError``, so a reader can never observe a torn lease.
-Stealing an expired lease first renames it away (only one stealer wins the
-rename) and then re-runs the create, so concurrent stealers converge on one
-winner.  Dot-files are invisible to artifact scans, eviction and migration.
+Compute leases are dot-prefixed files (``.lease-<kind>-<key>.json``) next to
+the slot's artifact.  ``claim``, ``renew`` and ``release`` each hold an
+exclusive ``flock`` on the shard's ``.lease.lock`` across their read → check
+→ write, and write with an atomic ``os.replace``.  The lock serializes every
+lease transition in the shard, across threads and processes alike (each call
+opens its own file description), so two claimants can never both steal one
+expired lease.  ``lease()`` reads without the lock: the replace means it
+sees one whole lease or none.  Dot-files are invisible to artifact scans and
+eviction.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from repro.errors import ServeError
 from repro.serve.backends.base import (
     KEY_CHARS,
     BackendEntry,
@@ -42,23 +40,11 @@ from repro.serve.backends.base import (
     validate_ttl,
 )
 
-__all__ = ["DirectoryBackend", "DEFAULT_SHARDS", "AUXILIARY_PREFIXES"]
-
-#: How many create/inspect/steal rounds one claim attempt runs before
-#: conceding.  Each round loses only to another claimant making progress, so
-#: a small bound suffices; conceding is always safe (the claimant re-polls).
-_CLAIM_ROUNDS = 4
-
-DEFAULT_SHARDS = 256
+__all__ = ["DirectoryBackend"]
 
 _SHARD_GLOB = "[0-9a-f][0-9a-f]"
 
-# Service-level files persisted *next to* the artifacts (corpus snapshots,
-# see repro.serve.service.CORPUS_FILE_PREFIX).  In the flat layout they share
-# the artifact directory, so scans must not treat them as store artifacts --
-# otherwise migration would carry them away from where the service looks for
-# them and a disk eviction policy could delete them.
-AUXILIARY_PREFIXES: tuple[str, ...] = ("corpus-",)
+_LOCK_NAME = ".lease.lock"
 
 
 class DirectoryBackend(StorageBackend):
@@ -66,54 +52,26 @@ class DirectoryBackend(StorageBackend):
 
     name = "directory"
 
-    def __init__(self, root: Path | str, *, shards: int = DEFAULT_SHARDS) -> None:
-        if not 0 <= shards <= 256:
-            raise ServeError(f"shards must be in [0, 256], got {shards}")
+    def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
-        self.shards = shards
 
     # -- layout -----------------------------------------------------------------------
 
     def _shard_dir(self, key: str) -> Path:
-        if self.shards <= 1:
-            return self.root
-        bucket = int(key[:2].ljust(2, "0"), 16) % self.shards
-        return self.root / f"{bucket:02x}"
+        # A one-digit key pads to a two-digit shard, which scans match.
+        return self.root / key[:2].ljust(2, "0")
 
     def path_for(self, kind: str, key: str) -> Path:
-        """The canonical on-disk path of one artifact (shard dir + filename)."""
+        """The on-disk path of one artifact (shard dir + filename)."""
         return self._shard_dir(validate_key(key)) / f"{validate_kind(kind)}-{key}.json"
-
-    def _stored_path(self, kind: str, key: str) -> Path | None:
-        """Where the artifact actually lives: sharded path, else legacy flat."""
-        path = self.path_for(kind, key)
-        if path.exists():
-            return path
-        if self.shards > 1:
-            legacy = self.root / path.name
-            if legacy.exists():
-                return legacy
-        return None
 
     def _artifact_files(self) -> Iterator[Path]:
         if not self.root.is_dir():
             return
-        # Sharded scans include legacy flat files at the root so pre-sharding
-        # caches stay visible; the sharded copy wins when both exist.
-        patterns = ("*.json",) if self.shards <= 1 else (f"{_SHARD_GLOB}/*.json", "*.json")
-        seen: set[str] = set()
-        for pattern in patterns:
-            for path in self.root.glob(pattern):
-                # Dot-files are internal (lease lock files, temp files):
-                # pathlib's glob matches them, the artifact namespace excludes
-                # them.  Auxiliary files (corpus snapshots) are skipped too.
-                if (
-                    path.name.startswith(".")
-                    or path.name.startswith(AUXILIARY_PREFIXES)
-                    or path.name in seen
-                ):
-                    continue
-                seen.add(path.name)
+        for path in self.root.glob(f"{_SHARD_GLOB}/*.json"):
+            # Dot-files are internal (lease files, temp files): pathlib's
+            # glob matches them, the artifact namespace excludes them.
+            if not path.name.startswith("."):
                 yield path
 
     @staticmethod
@@ -126,16 +84,13 @@ class DirectoryBackend(StorageBackend):
     # -- reads ------------------------------------------------------------------------
 
     def read(self, kind: str, key: str) -> str | None:
-        path = self._stored_path(kind, key)
-        if path is None:
-            return None
         try:
-            return path.read_text(encoding="utf-8")
-        except FileNotFoundError:  # pragma: no cover - raced with a delete
+            return self.path_for(kind, key).read_text(encoding="utf-8")
+        except FileNotFoundError:
             return None
 
     def exists(self, kind: str, key: str) -> bool:
-        return self._stored_path(kind, key) is not None
+        return self.path_for(kind, key).exists()
 
     def keys(self, kind: str) -> list[str]:
         prefix = f"{validate_kind(kind)}-"
@@ -160,14 +115,15 @@ class DirectoryBackend(StorageBackend):
 
     # -- writes -----------------------------------------------------------------------
 
-    def write(self, kind: str, key: str, text: str) -> None:
-        path = self.path_for(kind, key)
+    @staticmethod
+    def _replace(path: Path, text: str) -> None:
+        """Write *text* to a temp file beside *path*, then rename it over *path*.
+
+        A crashed writer can never leave a half-written file under the final
+        name, and a concurrent reader sees the old file or the new one.
+        """
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic replace so a crashed writer can never leave a half-written
-        # artifact under the final name.
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{kind}-", suffix=".tmp"
-        )
+        descriptor, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -179,31 +135,39 @@ class DirectoryBackend(StorageBackend):
                 pass
             raise
 
+    def write(self, kind: str, key: str, text: str) -> None:
+        self._replace(self.path_for(kind, key), text)
+
     def delete(self, kind: str, key: str) -> bool:
-        # Remove the sharded copy *and* any legacy flat one, so a delete can
-        # never resurrect a stale pre-sharding file through the read fallback.
-        existed = False
-        path = self.path_for(kind, key)
-        for candidate in {path, self.root / path.name}:
-            try:
-                candidate.unlink()
-                existed = True
-            except FileNotFoundError:
-                pass
-        return existed
+        try:
+            self.path_for(kind, key).unlink()
+            return True
+        except FileNotFoundError:
+            return False
 
     # -- compute leases ---------------------------------------------------------------
 
     def lease_path(self, kind: str, key: str) -> Path:
-        """The on-disk lock file of one slot's compute lease."""
+        """The on-disk file of one slot's compute lease."""
         shard = self._shard_dir(validate_key(key))
         return shard / f".lease-{validate_kind(kind)}-{key}.json"
 
-    def _read_lease_file(self, path: Path) -> tuple[str, float] | None:
-        """``(owner, expires_at)`` from one lease file, ``None`` if unreadable.
+    @contextmanager
+    def _shard_locked(self, lease_path: Path) -> Iterator[None]:
+        """Hold the exclusive lease lock of *lease_path*'s shard."""
+        lease_path.parent.mkdir(parents=True, exist_ok=True)
+        descriptor = os.open(lease_path.parent / _LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(descriptor, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(descriptor)  # closing the description drops the lock
 
-        Lease files are created whole (linked from a fully written temp), so
-        an unreadable file means a racing steal/release, not a torn write.
+    def _read_lease_file(self, path: Path) -> tuple[str, float] | None:
+        """``(owner, expires_at)`` from one lease file, ``None`` if absent.
+
+        Lease files are only ever replaced whole, so an unreadable file is a
+        foreign one and reads as no lease.
         """
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -211,25 +175,9 @@ class DirectoryBackend(StorageBackend):
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def _write_lease_file(self, path: Path, owner: str, expires_at: float) -> bool:
-        """Atomically create *path* with the lease payload; False if it exists."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".lease-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump({"owner": owner, "expires_at": expires_at}, handle)
-            try:
-                os.link(temp_name, path)  # atomic create-with-content
-                return True
-            except FileExistsError:
-                return False
-        finally:
-            try:
-                os.unlink(temp_name)
-            except FileNotFoundError:  # pragma: no cover - raced cleanup
-                pass
+    def _grant(self, path: Path, kind: str, key: str, owner: str, expires_at: float) -> Lease:
+        self._replace(path, json.dumps({"owner": owner, "expires_at": expires_at}))
+        return Lease(kind, key, owner, expires_at)
 
     def claim(
         self, kind: str, key: str, owner: str, ttl: float, *, now: float | None = None
@@ -237,34 +185,13 @@ class DirectoryBackend(StorageBackend):
         owner, ttl = validate_owner(owner), validate_ttl(ttl)
         now = time.time() if now is None else now
         path = self.lease_path(kind, key)
-        expires_at = now + ttl
-        for round_number in range(_CLAIM_ROUNDS):
-            if self._write_lease_file(path, owner, expires_at):
-                return Lease(kind, key, owner, expires_at)
+        with self._shard_locked(path):
             stored = self._read_lease_file(path)
-            if stored is None:
-                continue  # racing steal/release removed it; retry the create
-            held_by, held_until = stored
-            if held_until > now:
-                if held_by == owner:
-                    # Idempotent re-claim by the live holder: renew in place.
-                    renewed = self.renew(kind, key, owner, ttl, now=now)
-                    if renewed is not None:
-                        return renewed
-                    continue
+            if stored is not None and stored[1] > now and stored[0] != owner:
                 return None
-            # Expired: steal by renaming the stale file away.  Only one
-            # stealer wins the rename; losers loop and contest the create.
-            tomb = path.with_name(f"{path.name}.stale-{os.getpid()}-{round_number}")
-            try:
-                os.rename(path, tomb)
-            except FileNotFoundError:
-                continue
-            try:
-                os.unlink(tomb)
-            except FileNotFoundError:  # pragma: no cover - raced cleanup
-                pass
-        return None
+            # Cold slot, expired lease (steal), or idempotent re-claim by the
+            # live holder: all converge on owning a fresh lease.
+            return self._grant(path, kind, key, owner, now + ttl)
 
     def renew(
         self, kind: str, key: str, owner: str, ttl: float, *, now: float | None = None
@@ -272,42 +199,21 @@ class DirectoryBackend(StorageBackend):
         owner, ttl = validate_owner(owner), validate_ttl(ttl)
         now = time.time() if now is None else now
         path = self.lease_path(kind, key)
-        stored = self._read_lease_file(path)
-        if stored is None:
-            return None
-        held_by, held_until = stored
-        if held_by != owner or held_until <= now:
-            return None
-        expires_at = now + ttl
-        # Replace-not-create: os.replace is atomic, and the owner check above
-        # makes a clobbered steal window as narrow as one read (the holder
-        # renews well before expiry, so a racing steal implies a dead clock).
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".lease-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump({"owner": owner, "expires_at": expires_at}, handle)
-            os.replace(temp_name, path)
-        except OSError:
-            try:
-                os.unlink(temp_name)
-            except FileNotFoundError:
-                pass
-            return None
-        return Lease(kind, key, owner, expires_at)
+        with self._shard_locked(path):
+            stored = self._read_lease_file(path)
+            if stored is None or stored[0] != owner or stored[1] <= now:
+                return None
+            return self._grant(path, kind, key, owner, now + ttl)
 
     def release(self, kind: str, key: str, owner: str) -> bool:
         owner = validate_owner(owner)
         path = self.lease_path(kind, key)
-        stored = self._read_lease_file(path)
-        if stored is None or stored[0] != owner:
-            return False  # not ours (possibly a successor's claim): never touch
-        try:
+        with self._shard_locked(path):
+            stored = self._read_lease_file(path)
+            if stored is None or stored[0] != owner:
+                return False  # a successor's claim is never clobbered
             path.unlink()
             return True
-        except FileNotFoundError:
-            return False
 
     def lease(
         self, kind: str, key: str, *, now: float | None = None
@@ -319,13 +225,13 @@ class DirectoryBackend(StorageBackend):
         return Lease(kind, key, stored[0], stored[1])
 
     def quarantine(self, kind: str, key: str) -> None:
-        path = self._stored_path(kind, key)
-        if path is None:
-            return
+        path = self.path_for(kind, key)
         try:
             # os.replace overwrites a stale *.json.corrupt left by an earlier
             # quarantine of the same slot, so collisions cannot wedge the slot.
             os.replace(path, path.with_suffix(".json.corrupt"))
+        except FileNotFoundError:
+            return
         except OSError:  # pragma: no cover - quarantine is best-effort
             try:
                 path.unlink()
@@ -333,5 +239,4 @@ class DirectoryBackend(StorageBackend):
                 pass
 
     def describe(self) -> str:
-        layout = "flat" if self.shards <= 1 else f"{self.shards} shards"
-        return f"directory ({layout}) at {self.root}"
+        return f"directory (256 shards) at {self.root}"

@@ -1,12 +1,11 @@
 """In-process backend: artifacts live in a dict and die with the process.
 
-Two uses: hermetic tests (the whole serve suite runs against it without
-touching disk), and hot read replicas -- a second :class:`ArtifactStore`
-warmed via ``store-migrate`` from a durable backend serves reads at memory
-speed with zero I/O.
+The test double of the durable :class:`~repro.serve.backends.DirectoryBackend`:
+the serve suite runs its storage contract against both, and this one touches
+no disk and is invisible to other processes.
 
 The text payloads go through the same serialize-then-parse read path as the
-durable backends, so engine-level validation and quarantine behave
+directory backend, so engine-level validation and quarantine behave
 identically (a hand-corrupted entry is quarantined into a side dict, not
 silently served).
 """

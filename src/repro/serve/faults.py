@@ -36,7 +36,7 @@ Examples::
 The wrapper is intentionally *below* the resilience layer
 (:mod:`repro.serve.resilience`), so retries observe injected faults exactly
 like real ones, and *above* the concrete backend, so one plan exercises the
-directory, sqlite and memory backends identically.
+directory backend and its memory test double identically.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The storage engine (:mod:`repro.serve.store`) assumes its backend either
 answers or is absent; a real deployment also sees *transient* failures -- a
-locked sqlite file, a momentarily full disk, NFS hiccups -- and *sustained*
+momentarily full disk, NFS hiccups -- and *sustained*
 ones (a dead volume).  :class:`ResilientBackend` wraps any
 :class:`~repro.serve.backends.base.StorageBackend` with the standard serving
 discipline for both:
@@ -23,9 +23,10 @@ discipline for both:
   success closes it, failure re-opens it.
 
 Transient means :class:`OSError` (and subclasses), ``sqlite3.OperationalError``
-and :class:`~repro.errors.ServeError` caused by one (the sqlite backend wraps
-its driver errors).  Anything else -- validation errors, programming bugs --
-propagates immediately and is never retried.
+(a locked database, which the fault harness's ``locked`` action injects) and
+:class:`~repro.errors.ServeError` caused by either.  Anything else --
+validation errors, programming bugs -- propagates immediately and is never
+retried.
 
 Everything is injectable (clock, sleep) and the jitter is a pure function of
 the attempt number, so every retry schedule is reproducible in tests and
@@ -66,8 +67,8 @@ def is_transient(error: BaseException) -> bool:
     """Whether *error* looks like a transient infrastructure fault.
 
     Covers the raw transient types plus :class:`ServeError` wrappers whose
-    cause is one (the sqlite backend re-raises driver errors as
-    ``ServeError`` with the original attached).
+    cause is one (a backend that re-raises an I/O error as ``ServeError``
+    with the original attached).
     """
     if isinstance(error, TRANSIENT_ERRORS):
         return True

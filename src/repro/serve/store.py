@@ -6,9 +6,9 @@ deterministic config digest from :mod:`repro.serve.codec`.  The engine layers
 two concerns:
 
 * a **storage backend** (:mod:`repro.serve.backends`) owning durability --
-  sharded directory of JSON files, single-file SQLite, or ephemeral memory;
+  the sharded directory of JSON files, or ephemeral memory in tests;
 * **validation + quarantine**: payloads are parsed and shape-checked on
-  every read, and corrupt data (a crashed writer, a hand-edited row) is
+  every read, and corrupt data (a crashed writer, a hand-edited file) is
   quarantined through the backend so the slot can be rewritten.  The store
   never raises on bad cached data; the worst case is a recompute.
 
@@ -16,9 +16,8 @@ The store keeps no payloads in memory: every :meth:`ArtifactStore.get` reads
 the backend.  The one memory layer for served analyses is the decoded cache
 of :class:`~repro.serve.service.AnalysisService`.
 
-``ArtifactStore(root)`` keeps the original facade: it builds a sharded
-:class:`~repro.serve.backends.DirectoryBackend` under *root*, so existing
-callers see the same API with a scalable layout underneath.  An optional
+``ArtifactStore(root)`` builds the
+:class:`~repro.serve.backends.DirectoryBackend` under *root*.  An optional
 *disk_policy* (an :class:`~repro.serve.eviction.EvictionPolicy`) bounds what
 the backend keeps durable, by TTL or total bytes.
 """
@@ -172,10 +171,9 @@ class ArtifactStore:
         """Location of one service-level auxiliary file or directory.
 
         Auxiliaries (corpus snapshots, compiled-matrix sidecar directories)
-        live next to the artifacts but are *not* store artifacts: backend
-        scans, disk eviction and migration all skip them (see
-        ``AUXILIARY_PREFIXES`` in the directory backend).  Raises for
-        rootless backends, which have nowhere to put them.
+        live at the backend's root, outside the artifact shards, so backend
+        scans and disk eviction never see them.  Raises for rootless
+        backends, which have nowhere to put them.
         """
         root = self.root
         if root is None:

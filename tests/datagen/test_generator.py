@@ -8,6 +8,7 @@ import pytest
 from repro.errors import GenerationError
 from repro.datagen.generator import GeneratorConfig, SyntheticRecipeDBGenerator, generate_corpus
 from repro.datagen.profiles import default_profiles, profile_for
+from tests.oracles.generator import UNNORMALISED_PROFILES
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,30 @@ class TestGenerator:
     def test_requires_profiles(self):
         with pytest.raises(GenerationError):
             SyntheticRecipeDBGenerator(GeneratorConfig(), profiles={})
+
+    @pytest.mark.parametrize(
+        "keys,bad_key",
+        [(("Other",), "Other"), (("Japanese", "Other"), "Other"), (("Left", "Right"), "Left")],
+    )
+    def test_profile_keyed_apart_from_its_region_is_rejected(self, keys, bad_key):
+        # Regions are registered by key and recipes filed by profile name, so
+        # a key other than the name would file recipes under no region.
+        profiles = {key: profile_for("Japanese") for key in keys}
+        with pytest.raises(GenerationError) as raised:
+            SyntheticRecipeDBGenerator(GeneratorConfig(seed=1, scale=0.01), profiles=profiles)
+        assert f"{bad_key!r}" in str(raised.value)
+        assert "'Japanese'" in str(raised.value)
+
+    def test_keys_naming_one_region_twice_are_rejected(self):
+        profiles = {key: profile_for("Japanese") for key in ("Japanese", "Japanese ")}
+        with pytest.raises(GenerationError):
+            SyntheticRecipeDBGenerator(GeneratorConfig(seed=1, scale=0.01), profiles=profiles)
+
+    def test_region_recipe_counts_match_the_corpus(self):
+        generator = SyntheticRecipeDBGenerator(
+            GeneratorConfig(seed=17, scale=0.01), profiles=UNNORMALISED_PROFILES
+        )
+        assert generator.region_recipe_counts() == generator.generate().region_recipe_counts()
 
     def test_region_recipe_counts_scale(self, small_generator):
         counts = small_generator.region_recipe_counts()

@@ -1,10 +1,10 @@
-"""Serve-suite fixtures: every storage backend behind one parametrized store.
+"""Serve-suite fixtures: both storage backends behind one parametrized store.
 
-The ``any_backend`` / ``any_store`` fixtures fan the serve tests out over all
-three :class:`~repro.serve.backends.StorageBackend` implementations, so the
+The ``any_backend`` / ``any_store`` fixtures fan the serve tests out over the
+durable sharded :class:`~repro.serve.backends.DirectoryBackend` and its
+in-process test double, :class:`~repro.serve.backends.MemoryBackend`, so the
 engine's contract (reads, writes, quarantine, eviction, stats) is asserted
-identically against the sharded directory layout, the WAL sqlite file and
-the in-process memory map.
+identically against both.
 
 Chaos mode: when ``$REPRO_FAULT_PLAN`` is set (the CI ``chaos`` job exports
 a canned plan), every ``any_backend`` is wrapped in the resilience stack --
@@ -20,17 +20,15 @@ import os
 
 import pytest
 
-from repro.serve.backends import BACKEND_NAMES, StorageBackend, create_backend
+from repro.serve.backends import DirectoryBackend, MemoryBackend, StorageBackend
 from repro.serve.faults import FAULT_PLAN_ENV, FaultInjectingBackend, parse_fault_plan
 from repro.serve.resilience import CircuitBreaker, ResilientBackend, RetryPolicy
 from repro.serve.store import ArtifactStore
 
-__all__ = ["BACKEND_NAMES"]
 
-
-@pytest.fixture(params=BACKEND_NAMES)
+@pytest.fixture(params=("directory", "memory"))
 def backend_name(request) -> str:
-    """Every storage backend name, one test instantiation per backend."""
+    """Each storage backend's name, one test instantiation per backend."""
     return request.param
 
 
@@ -52,7 +50,10 @@ def _chaos_wrap(backend: StorageBackend) -> StorageBackend:
 @pytest.fixture()
 def any_backend(backend_name, tmp_path) -> StorageBackend:
     """A fresh backend of each flavour rooted in the test's tmp dir."""
-    backend = _chaos_wrap(create_backend(backend_name, tmp_path / "cache"))
+    root = tmp_path / "cache"
+    # The memory backend anchors only auxiliary files (corpus snapshots) there.
+    backend = DirectoryBackend(root) if backend_name == "directory" else MemoryBackend(root=root)
+    backend = _chaos_wrap(backend)
     yield backend
     backend.close()
 

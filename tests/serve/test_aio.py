@@ -456,32 +456,6 @@ class TestRealService:
 class TestReviewHardening:
     """Regression tests for the review findings on the async layer."""
 
-    def test_sqlite_backend_survives_cross_thread_serving(self, tmp_path):
-        """serve --store-backend sqlite: computes happen on executor threads,
-        stats/refresh scans on the event-loop thread — one shared connection
-        must serve both."""
-        from repro.serve.backends import create_backend
-
-        backend = create_backend("sqlite", tmp_path / "cache")
-        service = AnalysisService(ArtifactStore(backend=backend))
-
-        async def scenario():
-            async with AsyncAnalysisService(
-                service, refresh_policy="ttl:0.0001"
-            ) as svc:
-                served = await svc.get(CONFIG)  # writes on an executor thread
-                list(service.store.backend.entries())  # loop-thread scan
-                payload = svc.describe()
-                await asyncio.sleep(0.01)
-                refreshed = await svc.refresh_once()  # stamps scan + rewrite
-                return served, payload, refreshed
-
-        served, payload, refreshed = run(scenario())
-        assert served.source == "computed"
-        assert payload["artifacts"]["analyses"] == 1
-        assert len(refreshed) == 1
-        backend.close()
-
     def test_known_configs_are_bounded_by_max_tracked(self, tmp_path):
         service = StubService(tmp_path)
 

@@ -1,23 +1,22 @@
-"""Backend parity: the storage contract holds for all three backends.
+"""Backend parity: the storage contract holds for both backends.
 
-Every test here runs three times (directory / sqlite / memory) through the
-parametrized fixtures in ``conftest.py``.  The corrupt-payload tests inject
-bad text through the backend's own ``write``, so validation and quarantine
-are exercised identically regardless of how each backend stores bytes.
+Every parametrized test here runs twice (directory / memory) through the
+fixtures in ``conftest.py``.  The corrupt-payload tests inject bad text
+through the backend's own ``write``, so validation and quarantine are
+exercised identically regardless of how each backend stores bytes.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.errors import ServeError
-from repro.serve.backends import (
-    DirectoryBackend,
-    MemoryBackend,
-    SqliteBackend,
-    create_backend,
-)
+from repro.serve.backends import DirectoryBackend, MemoryBackend
+from repro.serve.eviction import parse_policy
 from repro.serve.service import AnalysisService
 from repro.serve.store import ArtifactStore
 
@@ -64,7 +63,6 @@ class TestBackendContract:
         assert set(entries) == {("analysis", KEY_A), ("mining", KEY_B)}
         assert entries[("analysis", KEY_A)].size_bytes == len('{"v":1}')
         assert any_backend.total_bytes() == len('{"v":1}') + len('{"vv":22}')
-        assert set(any_backend.scan()) == set(entries)
 
     def test_quarantine_removes_from_namespace(self, any_backend):
         any_backend.write("analysis", KEY_A, "not json")
@@ -121,7 +119,7 @@ class TestServiceOverAnyBackend:
     CONFIG = AnalysisConfig(seed=11, scale=0.02, elbow_k_max=6)
 
     def test_served_results_identical_across_backends(self, any_backend):
-        # The memory backend needs a root for corpus snapshots; create_backend
+        # The memory backend needs a root for corpus snapshots; the fixture
         # anchored every backend at tmp_path/cache, so it already has one.
         service = AnalysisService(ArtifactStore(backend=any_backend))
         computed = service.get_or_run(self.CONFIG)
@@ -143,84 +141,43 @@ class TestServiceOverAnyBackend:
 
 
 class TestBackendConstruction:
-    def test_create_backend_maps_names(self, tmp_path):
-        assert isinstance(create_backend("directory", tmp_path), DirectoryBackend)
-        assert isinstance(create_backend("sqlite", tmp_path), SqliteBackend)
-        assert isinstance(create_backend("memory", tmp_path), MemoryBackend)
-        with pytest.raises(ServeError):
-            create_backend("s3", tmp_path)
-
     def test_directory_backend_shards_by_key_prefix(self, tmp_path):
-        backend = DirectoryBackend(tmp_path, shards=256)
+        backend = DirectoryBackend(tmp_path)
         backend.write("analysis", "ab" + "0" * 6, "{}")
         assert (tmp_path / "ab" / ("analysis-ab" + "0" * 6 + ".json")).exists()
         assert backend.keys("analysis") == ["ab" + "0" * 6]
 
-    def test_sharded_backend_reads_legacy_flat_files(self, tmp_path):
-        # A cache warmed before sharding keeps serving: reads, probes, scans
-        # and deletes fall back to the flat root/<kind>-<key>.json location.
-        flat = DirectoryBackend(tmp_path, shards=0)
-        flat.write("analysis", KEY_A, '{"v":1}')
-        (tmp_path / ("corpus-" + "9" * 8 + ".json")).write_text("{}", encoding="utf-8")
-        sharded = DirectoryBackend(tmp_path, shards=256)
-        assert sharded.read("analysis", KEY_A) == '{"v":1}'
-        assert sharded.exists("analysis", KEY_A)
-        assert sharded.keys("analysis") == [KEY_A]
-        assert [(e.kind, e.key) for e in sharded.entries()] == [("analysis", KEY_A)]
-        # A rewrite lands in the sharded location and wins over the flat copy.
-        sharded.write("analysis", KEY_A, '{"v":2}')
-        assert sharded.read("analysis", KEY_A) == '{"v":2}'
-        assert len(sharded.keys("analysis")) == 1
-        # Delete removes both copies so the flat one cannot resurrect.
-        assert sharded.delete("analysis", KEY_A)
-        assert not sharded.exists("analysis", KEY_A)
-        assert not (tmp_path / f"analysis-{KEY_A}.json").exists()
+    def test_describe_names_the_fixed_layout(self, tmp_path):
+        assert DirectoryBackend(tmp_path).describe() == f"directory (256 shards) at {tmp_path}"
 
-    def test_sharded_store_serves_legacy_flat_cache(self, tmp_path):
-        flat_store = ArtifactStore(tmp_path)
-        flat_store.backend.shards = 0  # simulate the pre-sharding writer
-        flat_store.put("analysis", KEY_A, {"v": 1})
-        upgraded = ArtifactStore(tmp_path)
-        assert upgraded.get("analysis", KEY_A) == {"v": 1}
-        assert upgraded.stats.disk_hits == 1
-        assert upgraded.stats.misses == 0
+    def test_root_level_flat_files_are_not_artifacts(self, tmp_path):
+        # Artifacts live only in the key[:2] shards.  A pre-sharding flat
+        # file at the root is never read, listed, quarantined or evicted,
+        # so its config is recomputed instead of served.
+        flat = tmp_path / f"analysis-{KEY_A}.json"
+        flat.write_text('{"v":1}', encoding="utf-8")
+        corrupt = tmp_path / f"mining-{KEY_B}.json"
+        corrupt.write_text("not json", encoding="utf-8")
+        corpus = tmp_path / ("corpus-" + "9" * 8 + ".json")
+        corpus.write_text("{}", encoding="utf-8")
+        backend = DirectoryBackend(tmp_path)
+        assert backend.read("analysis", KEY_A) is None
+        assert not backend.exists("analysis", KEY_A)
+        assert backend.keys("analysis") == []
+        assert list(backend.entries()) == []
 
-    def test_corrupt_legacy_flat_file_is_quarantined(self, tmp_path):
-        flat = DirectoryBackend(tmp_path, shards=0)
-        flat.write("analysis", KEY_A, "not json")
-        store = ArtifactStore(tmp_path)
+        store = ArtifactStore(backend=backend, disk_policy=parse_policy("maxbytes:1"))
         assert store.get("analysis", KEY_A) is None
-        assert store.stats.corrupt_recovered == 1
-        assert (tmp_path / f"analysis-{KEY_A}.json.corrupt").exists()
-
-    def test_directory_backend_flat_layout(self, tmp_path):
-        backend = DirectoryBackend(tmp_path, shards=0)
-        backend.write("analysis", KEY_A, "{}")
-        assert (tmp_path / f"analysis-{KEY_A}.json").exists()
-        assert backend.keys("analysis") == [KEY_A]
-
-    def test_directory_backend_rejects_bad_shards(self, tmp_path):
-        with pytest.raises(ServeError):
-            DirectoryBackend(tmp_path, shards=-1)
-        with pytest.raises(ServeError):
-            DirectoryBackend(tmp_path, shards=1000)
-
-    def test_sqlite_backend_is_one_file(self, tmp_path):
-        backend = create_backend("sqlite", tmp_path / "cache")
-        backend.write("analysis", KEY_A, "{}")
-        assert (tmp_path / "cache" / "artifacts.sqlite").exists()
-        backend.close()
-
-    def test_sqlite_quarantine_preserves_payload(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "artifacts.sqlite")
-        backend.write("analysis", KEY_A, "broken payload")
-        backend.quarantine("analysis", KEY_A)
-        assert backend.quarantined() == [("analysis", KEY_A)]
-        # A second quarantine of the same slot replaces the stale one.
-        backend.write("analysis", KEY_A, "broken again")
-        backend.quarantine("analysis", KEY_A)
-        assert backend.quarantined() == [("analysis", KEY_A)]
-        backend.close()
+        assert store.get("mining", KEY_B) is None
+        assert store.stats.misses == 2
+        assert store.stats.corrupt_recovered == 0
+        # The sweep after a sharded write evicts that artifact alone.
+        store.put("analysis", KEY_C, {"v": 2})
+        assert store.stats.disk_evictions == 1
+        assert not store.exists("analysis", KEY_C)
+        assert sorted(path.name for path in tmp_path.glob("*.json*")) == sorted(
+            [flat.name, corrupt.name, corpus.name]
+        )
 
     def test_store_requires_root_or_backend(self):
         with pytest.raises(ServeError):
@@ -306,3 +263,74 @@ class TestLeaseContract:
             any_backend.claim("analysis", KEY_A, "evil\nowner", 5.0)
         with pytest.raises(ServeError):
             any_backend.claim("analysis", KEY_A, "alpha", 0.0)
+
+
+class TestDirectoryLeaseSteal:
+    """Two claimants racing to steal one expired directory lease."""
+
+    def test_concurrent_steal_has_one_winner(self, tmp_path, monkeypatch):
+        # X's lease expired at t=1.  A reads it at t=10; before A steals it,
+        # B claims at t=10 in a second thread.  Exactly one of A and B may
+        # win, and lease() must name the winner.
+        backend = DirectoryBackend(tmp_path)
+        assert backend.claim("analysis", KEY_A, "x", 1.0, now=0.0)
+        read_lease_file = backend._read_lease_file
+        won: dict[str, object] = {}
+        b_done = threading.Event()
+
+        def claim_b() -> None:
+            won["b"] = backend.claim("analysis", KEY_A, "b", 5.0, now=10.0)
+            b_done.set()
+
+        b_thread = threading.Thread(target=claim_b)
+
+        def read_then_let_b_run(path):
+            stored = read_lease_file(path)
+            if not won:  # A's first read: B claims before A acts on it
+                won["reading"] = stored
+                b_thread.start()
+                # B finishes here unless A's read holds it back.
+                b_done.wait(timeout=0.5)
+            return stored
+
+        monkeypatch.setattr(backend, "_read_lease_file", read_then_let_b_run)
+        won["a"] = backend.claim("analysis", KEY_A, "a", 5.0, now=10.0)
+        b_thread.join(timeout=30)
+        assert not b_thread.is_alive()
+        assert won["reading"] == ("x", 1.0)
+
+        winners = [owner for owner in ("a", "b") if won[owner] is not None]
+        assert len(winners) == 1
+        held = backend.lease("analysis", KEY_A, now=10.0)
+        assert held is not None and held.owner == winners[0]
+
+    def test_threaded_steals_have_one_winner_per_round(self, tmp_path):
+        # Eight threads (more than cores) contend for one slot per round;
+        # each round's lease has expired by the next round's clock.
+        backend = DirectoryBackend(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_number in range(1, 21):
+                now = 10.0 * round_number
+                barrier = threading.Barrier(8)
+                winners: list[str] = []
+
+                def contend(owner: str) -> None:
+                    barrier.wait(timeout=30)
+                    if backend.claim("analysis", KEY_A, owner, 5.0, now=now) is not None:
+                        winners.append(owner)
+
+                threads = [
+                    threading.Thread(target=contend, args=(f"owner-{index}",))
+                    for index in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert len(winners) == 1, f"round {round_number}: {winners}"
+                assert backend.lease("analysis", KEY_A, now=now).owner == winners[0]
+        finally:
+            sys.setswitchinterval(interval)

@@ -82,16 +82,23 @@ class TestServeWarm:
 
 
 class TestStoreBackendFlags:
-    def test_serve_warm_on_sqlite_backend_hits_second_time(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        sqlite_args = [*ARGS, "serve-warm", "--cache-dir", str(cache),
-                       "--store-backend", "sqlite"]
-        assert main(sqlite_args) == 0
-        assert "cache miss" in capsys.readouterr().out
-        assert (cache / "artifacts.sqlite").exists()
-        assert not list(cache.glob("*/analysis-*.json"))  # no directory artifacts
-        assert main(sqlite_args) == 0
-        assert "cache hit" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-warm", "--store-backend", "sqlite"],
+            ["serve-warm", "--store-shards", "0"],
+            ["store-migrate", "--to-backend", "directory"],
+        ],
+        ids=["store-backend", "store-shards", "store-migrate"],
+    )
+    def test_backend_choice_options_are_gone(self, argv, tmp_path, capsys):
+        # The sharded cache directory is the one durable store: nothing
+        # selects, reshapes or converts it.
+        with pytest.raises(SystemExit) as exited:
+            main([*ARGS, *argv, "--cache-dir", str(tmp_path / "cache")])
+        assert exited.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_eviction_spec_is_honoured_and_reported(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -128,64 +135,6 @@ class TestStoreBackendFlags:
             )
         assert exited.value.code == 2
         assert "unrecognized arguments: --eviction" in capsys.readouterr().err
-
-
-class TestStoreMigrateRoundTrip:
-    """Acceptance: a warmed cache round-trips directory -> sqlite -> directory
-    with byte-identical artifacts and intact serve-stats reporting."""
-
-    def test_warmed_cache_round_trips_through_sqlite(self, cache_dir, tmp_path, capsys):
-        from repro.serve.backends import DirectoryBackend, SqliteBackend
-
-        source = DirectoryBackend(cache_dir)
-        original = {
-            (kind, key): source.read(kind, key) for kind, key in source.scan()
-        }
-        assert original  # the warm populated analysis/mining/miningindex kinds
-
-        # directory -> sqlite (same cache dir holds the sqlite file).
-        assert main(
-            ["store-migrate", "--cache-dir", str(cache_dir),
-             "--to-backend", "sqlite"]
-        ) == 0
-        capsys.readouterr()
-
-        # serve-stats over the sqlite backend reports the migrated artifacts.
-        assert main(
-            [*ARGS, "serve-stats", "--cache-dir", str(cache_dir),
-             "--store-backend", "sqlite", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"].startswith("sqlite")
-        assert payload["artifacts"]["analyses"] >= 1
-        assert payload["artifacts"]["mining_runs"] >= 1
-        assert payload["store_bytes"] > 0
-
-        # The read path serves from the migrated artifacts (no recompute).
-        assert main(
-            [*ARGS, "query", "--cache-dir", str(cache_dir),
-             "--store-backend", "sqlite", "--nearest", "Japanese"]
-        ) == 0
-        assert "Nearest to Japanese" in capsys.readouterr().out
-
-        # sqlite -> fresh directory: decoded artifacts are byte-identical.
-        restored_dir = tmp_path / "restored"
-        assert main(
-            ["store-migrate", "--cache-dir", str(cache_dir),
-             "--from-backend", "sqlite", "--to-backend", "directory",
-             "--dest-cache-dir", str(restored_dir)]
-        ) == 0
-        restored = DirectoryBackend(restored_dir)
-        assert {
-            (kind, key): restored.read(kind, key) for kind, key in restored.scan()
-        } == original
-
-        sqlite_backend = SqliteBackend(cache_dir / "artifacts.sqlite")
-        assert {
-            (kind, key): sqlite_backend.read(kind, key)
-            for kind, key in sqlite_backend.scan()
-        } == original
-        sqlite_backend.close()
 
 
 class TestExplicitCorpus:

@@ -11,8 +11,8 @@ are the ones the service documents:
 * a holder killed mid-compute (``os._exit``, no cleanup) lets a waiter
   steal the lease after the TTL lapses and compute the answer itself.
 
-The memory backend is process-local by construction, so only the two
-shareable backends (``directory``, ``sqlite``) are exercised.
+The memory backend is process-local by construction, so only the shared
+``directory`` backend is exercised.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.serve import codec
-from repro.serve.backends import create_backend
+from repro.serve.backends import DirectoryBackend
 from repro.serve.service import ANALYSIS_KIND, AnalysisService
 from repro.serve.store import ArtifactStore
 
@@ -34,14 +34,14 @@ CONFIG = AnalysisConfig(seed=5, scale=0.02)
 
 #: Backends whose state lives on disk and is therefore visible across
 #: ``fork()`` boundaries.  ``memory`` is deliberately absent.
-SHARED_BACKENDS = ("directory", "sqlite")
+SHARED_BACKENDS = {"directory": DirectoryBackend}
 
 HERD_SIZE = 8
 
 
 def _service_over(backend_name: str, cache_root: Path, **lease_options) -> AnalysisService:
     """A fresh service handle over the *shared* backend rooted at cache_root."""
-    store = ArtifactStore(backend=create_backend(backend_name, cache_root))
+    store = ArtifactStore(backend=SHARED_BACKENDS[backend_name](cache_root))
     return AnalysisService(store, max_memory_entries=2, **lease_options)
 
 
@@ -89,7 +89,7 @@ def _herd_worker(backend_name, cache_root, counter_path, barrier, queue):
 
 def _doomed_holder(backend_name, cache_root, key, ready):
     """Claim the key's lease, signal the parent, and die without cleanup."""
-    backend = create_backend(backend_name, cache_root)
+    backend = SHARED_BACKENDS[backend_name](cache_root)
     lease = backend.claim(ANALYSIS_KIND, key, "doomed-holder", 2.0)
     assert lease is not None
     ready.set()

@@ -29,7 +29,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.serve.backends import create_backend
+from repro.serve.backends import DirectoryBackend, MemoryBackend
 
 KIND = "analysis"
 KEY = "feedfacecafe"
@@ -50,7 +50,10 @@ class LeaseLifecycle(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.root = Path(tempfile.mkdtemp(prefix="lease-machine-"))
-        self.backend = create_backend(self.backend_name, self.root / "cache")
+        if self.backend_name == "directory":
+            self.backend = DirectoryBackend(self.root / "cache")
+        else:
+            self.backend = MemoryBackend()
         self.now = EPOCH
         # The reference model: (owner, expires_at) of the slot, or None.
         self.model: tuple[str, float] | None = None
@@ -132,13 +135,7 @@ class DirectoryLeaseLifecycle(LeaseLifecycle):
     backend_name = "directory"
 
 
-class SqliteLeaseLifecycle(LeaseLifecycle):
-    backend_name = "sqlite"
-
-
 TestMemoryLeaseLifecycle = MemoryLeaseLifecycle.TestCase
 TestMemoryLeaseLifecycle.settings = COMMON
 TestDirectoryLeaseLifecycle = DirectoryLeaseLifecycle.TestCase
 TestDirectoryLeaseLifecycle.settings = COMMON
-TestSqliteLeaseLifecycle = SqliteLeaseLifecycle.TestCase
-TestSqliteLeaseLifecycle.settings = COMMON
