@@ -55,10 +55,7 @@ from repro.serve import (
     CuisineClassifier,
     QueryEngine,
 )
-from repro.serve.backends import DirectoryBackend
 from repro.serve.eviction import parse_policy
-from repro.serve.faults import FaultInjectingBackend, parse_fault_plan
-from repro.serve.resilience import ResilientBackend, RetryPolicy
 from repro.serve.service import DEFAULT_LEASE_TTL, DEFAULT_LEASE_WAIT
 from repro.viz.ascii_dendrogram import render_dendrogram
 from repro.viz.report import write_report
@@ -140,29 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "ttl:600, maxbytes:1048576 or compositions like "
                  "maxbytes:1048576+ttl:600 (bounds what stays durable; "
                  "off by default)",
-        )
-        sub.add_argument(
-            "--resilient",
-            action="store_true",
-            help="wrap the backend in retries + a circuit breaker: transient "
-                 "faults are retried with deterministic backoff, a tripped "
-                 "breaker degrades to recompute instead of failing requests",
-        )
-        sub.add_argument(
-            "--store-retries",
-            type=int,
-            default=3,
-            metavar="N",
-            help="max attempts per storage operation under --resilient "
-                 "(default 3)",
-        )
-        sub.add_argument(
-            "--inject-faults",
-            metavar="SPEC",
-            default=None,
-            help="deterministic fault plan for chaos runs, e.g. "
-                 "'read:1-2:oserror;write:%%3:locked' "
-                 "(see docs/resilience.md for the grammar)",
         )
         sub.add_argument(
             "--no-leases",
@@ -408,21 +382,8 @@ def _command_figures(args: argparse.Namespace) -> int:
 
 
 def _store_for(args: argparse.Namespace) -> ArtifactStore:
-    backend = DirectoryBackend(args.cache_dir)
-    # Wrap order matters: faults innermost (they impersonate backend I/O
-    # errors), resilience outermost (its retries absorb the injected faults
-    # exactly as they would absorb real ones).  Only the explicit flag arms
-    # the harness here -- $REPRO_FAULT_PLAN drives the *test suite's* chaos
-    # wrap, and ambient fault injection in a real CLI run would be a trap.
-    plan = parse_fault_plan(args.inject_faults or "")
-    if plan:
-        backend = FaultInjectingBackend(backend, plan)
-    if args.resilient:
-        backend = ResilientBackend(
-            backend, retry=RetryPolicy(max_attempts=args.store_retries)
-        )
     disk_policy = None if args.disk_eviction is None else parse_policy(args.disk_eviction)
-    return ArtifactStore(backend=backend, disk_policy=disk_policy)
+    return ArtifactStore(args.cache_dir, disk_policy=disk_policy)
 
 
 def _service_for(args: argparse.Namespace) -> AnalysisService:

@@ -9,8 +9,8 @@ distance matrix used for tree-vs-tree validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 

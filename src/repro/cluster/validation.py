@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import ClusteringError
 from repro.cluster.dendrogram import Dendrogram
-from repro.distances.pdist import CondensedDistanceMatrix, condensed_index
+from repro.distances.pdist import CondensedDistanceMatrix
 from repro.features.matrix import FeatureMatrix
 
 __all__ = [

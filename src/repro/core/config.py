@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 

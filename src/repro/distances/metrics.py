@@ -10,7 +10,6 @@ name throughout the library.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np

@@ -13,7 +13,6 @@ so the clustering output can name cuisines rather than indexes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 

@@ -10,7 +10,7 @@ predicate scans otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import QueryError

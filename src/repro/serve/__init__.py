@@ -17,7 +17,11 @@ Layout
 ``store``
     :class:`~repro.serve.store.ArtifactStore` -- the storage engine:
     validated reads and counted writes over a storage backend, with
-    corrupt-artifact quarantine on every read.
+    corrupt-artifact quarantine on every read.  It also owns backend
+    faults: an ``OSError`` is retried at once, and a call that keeps
+    failing degrades (a read is a miss, a write is dropped, a lease is
+    granted locally) instead of failing the request; see
+    ``docs/resilience.md``.
 ``backends``
     The :class:`~repro.serve.backends.StorageBackend` implementations --
     the durable, sharded :class:`~repro.serve.backends.DirectoryBackend`
@@ -28,16 +32,6 @@ Layout
     (:class:`~repro.serve.eviction.LRU`, :class:`~repro.serve.eviction.TTL`,
     :class:`~repro.serve.eviction.MaxBytes`) optionally bounding the backend,
     and the background refresher's staleness grammar.
-``resilience``
-    :class:`~repro.serve.resilience.ResilientBackend` -- retries with
-    deterministic backoff, per-op deadlines and a circuit breaker that trips
-    the store into degraded mode (reads fall through to recompute, writes
-    are dropped-but-counted) instead of wedging the serving surface.
-``faults``
-    :class:`~repro.serve.faults.FaultInjectingBackend` -- a deterministic
-    fault harness wrapping any backend: scripted plans (``--inject-faults``
-    / ``$REPRO_FAULT_PLAN``) fail the Nth operation, inject latency or tear
-    a write mid-payload; see ``docs/resilience.md`` for the grammar.
 ``service``
     :class:`~repro.serve.service.AnalysisService` -- the memoizing facade:
     ``get_or_run(config)`` hits its bounded decoded cache → disk →
@@ -99,22 +93,7 @@ from repro.serve.eviction import (
     MaxBytes,
     parse_policy,
 )
-from repro.serve.faults import (
-    FAULT_PLAN_ENV,
-    FaultInjectingBackend,
-    FaultPlan,
-    FaultRule,
-    parse_fault_plan,
-    resolve_fault_plan,
-)
 from repro.serve.queries import PatternHit, QueryEngine
-from repro.serve.resilience import (
-    CircuitBreaker,
-    ResilienceStats,
-    ResilientBackend,
-    RetryPolicy,
-    is_transient,
-)
 from repro.serve.service import AnalysisService, ServedAnalysis
 from repro.serve.store import ArtifactStore, StoreStats
 
@@ -135,17 +114,6 @@ __all__ = [
     "MaxBytes",
     "CompositePolicy",
     "parse_policy",
-    "ResilientBackend",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "ResilienceStats",
-    "is_transient",
-    "FaultInjectingBackend",
-    "FaultPlan",
-    "FaultRule",
-    "parse_fault_plan",
-    "resolve_fault_plan",
-    "FAULT_PLAN_ENV",
     "QueryEngine",
     "PatternHit",
     "CuisineClassifier",

@@ -323,14 +323,13 @@ class AsyncAnalysisService:
 
         ``failing`` means ``failing_threshold`` consecutive computes have
         failed -- new work is not succeeding.  ``degraded`` means the
-        service still answers but below full fidelity: the storage backend's
-        circuit breaker is open (recompute fallthrough), some artifacts are
-        serving stale after failed refreshes, or a compute failure streak is
-        building.  One successful compute resets the streak to ``ok``.
+        service still answers but below full fidelity: the store's last
+        backend call failed every try (reads fall through to recompute,
+        writes are dropped), some artifacts are serving stale after failed
+        refreshes, or a compute failure streak is building.  One successful
+        compute resets the streak to ``ok``.
         """
-        backend = self.service.store.backend
-        probe = getattr(backend, "health", None)
-        backend_health = probe() if callable(probe) else "ok"
+        backend_health = self.service.store.health()
         if self._failure_streak >= self.failing_threshold:
             status = "failing"
         elif backend_health != "ok" or self._stale or self._failure_streak:
@@ -421,7 +420,7 @@ class AsyncAnalysisService:
         """Write stamps of every persisted analysis artifact (executor-side)."""
         return {
             entry.key: entry
-            for entry in self.service.store.backend.entries()
+            for entry in self.service.store.entries()
             if entry.kind == ANALYSIS_KIND
         }
 
@@ -983,7 +982,7 @@ class AnalysisServer:
                 raise _HttpError(
                     400, "recipes must be ingredient lists or comma-separated strings"
                 )
-        top = max(1, self._int(body, "top", 3))
+        top = self._int(body, "top", 3)
         # top-k is pushed into the classifier: only the k best cuisines are
         # ranked and materialised per recipe, which is the wire format too.
         classifications = await engine.classify(recipes, top_k=top)
@@ -1011,9 +1010,13 @@ class AnalysisServer:
 
     @staticmethod
     def _int(body: Mapping[str, object], field: str, default: int) -> int:
+        """*field* as a JSON integer of at least 1, else a 400.
+
+        Floats (``2.7``, and the ``inf`` that JSON's ``1e309`` parses to),
+        booleans and numeric strings are rejected rather than coerced, as
+        the config does for its own fields.
+        """
         value = body.get(field, default)
-        try:
-            return int(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: JSON's 1e309 and Infinity parse to float("inf").
-            raise _HttpError(400, f'"{field}" must be an integer') from exc
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise _HttpError(400, f'"{field}" must be an integer of at least 1')
+        return value

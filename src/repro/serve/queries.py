@@ -130,6 +130,8 @@ class QueryEngine:
         wanted = frozenset([items] if isinstance(items, str) else items)
         if not wanted:
             raise ServeError("pattern_search requires at least one item")
+        if limit is not None and limit < 1:
+            raise ServeError("limit must be positive")
         regions = [region] if region is not None else self.regions()
         hits: list[PatternHit] = []
         for name in regions:

@@ -126,8 +126,9 @@ class _LeaseKeeper:
     Renews every ``ttl / 3`` so a *live* holder never expires mid-compute no
     matter how long the pipeline takes; a holder that dies stops renewing and
     lapses within one TTL, which is exactly the steal signal waiters poll
-    for.  Renewal failures are swallowed: the lease is advisory, and a lost
-    claim only costs a duplicate compute (never correctness).
+    for.  A renewal the backend fails is granted locally by the store, so
+    the keeper keeps ticking: the lease is advisory, and a lost claim only
+    costs a duplicate compute (never correctness).
     """
 
     def __init__(self, store: ArtifactStore, kind: str, key: str, owner: str, ttl: float) -> None:
@@ -144,11 +145,8 @@ class _LeaseKeeper:
 
     def _run(self) -> None:
         while not self._stop.wait(self._ttl / 3.0):
-            try:
-                if self._store.renew(self._kind, self._key, self._owner, self._ttl) is None:
-                    return  # lost/expired: stop renewing, let a successor steal
-            except Exception:  # noqa: BLE001 - renewal is best-effort
-                continue  # transient backend fault: the next tick retries
+            if self._store.renew(self._kind, self._key, self._owner, self._ttl) is None:
+                return  # lost/expired: stop renewing, let a successor steal
 
     def stop(self) -> None:
         self._stop.set()
@@ -382,10 +380,9 @@ class AnalysisService:
                     return self._compute_and_store(config, key, started)
                 finally:
                     keeper.stop()
-                    try:
-                        self.store.release(ANALYSIS_KIND, key, self.owner)
-                    except Exception:  # noqa: BLE001 - release is best-effort
-                        pass  # an unreleased lease just expires one TTL later
+                    # A release the backend fails is dropped by the store:
+                    # the unreleased lease just expires one TTL later.
+                    self.store.release(ANALYSIS_KIND, key, self.owner)
             if not waited:
                 waited = True
                 self.store.stats.lease_waits += 1
@@ -543,15 +540,6 @@ class AnalysisService:
                 "steals": store.stats.lease_steals,
             },
         }
-        # The resilience / fault-injection wrappers (repro.serve.resilience,
-        # repro.serve.faults) surface their state when present, so serve-stats
-        # and /stats show breaker health and injected-fault telemetry.
-        describe_resilience = getattr(store.backend, "describe_resilience", None)
-        if callable(describe_resilience):
-            payload["resilience"] = describe_resilience()
-        injection_report = getattr(store.backend, "injection_report", None)
-        if callable(injection_report):
-            payload["fault_injection"] = injection_report()
         if self.last_mining_report is not None:
             payload["mining"] = self.last_mining_report.to_dict()
         if obs_enabled():

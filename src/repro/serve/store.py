@@ -1,16 +1,24 @@
-"""The artifact storage engine: validation and quarantine over a pluggable backend.
+"""The artifact storage engine: validation, quarantine and fault handling over a backend.
 
 Artifacts (serialised analyses, mining results, ...) are JSON documents keyed
 by ``(kind, key)`` where *kind* namespaces the artifact type and *key* is a
 deterministic config digest from :mod:`repro.serve.codec`.  The engine layers
-two concerns:
+three concerns:
 
 * a **storage backend** (:mod:`repro.serve.backends`) owning durability --
   the sharded directory of JSON files, or ephemeral memory in tests;
 * **validation + quarantine**: payloads are parsed and shape-checked on
   every read, and corrupt data (a crashed writer, a hand-edited file) is
   quarantined through the backend so the slot can be rewritten.  The store
-  never raises on bad cached data; the worst case is a recompute.
+  never raises on bad cached data; the worst case is a recompute;
+* **backend faults**: every backend call retries an :class:`OSError` at
+  once, up to :data:`BACKEND_ATTEMPTS` tries, and then degrades instead of
+  raising (each call's degraded answer is tabled on :class:`ArtifactStore`),
+  so a failing backend also costs at worst a recompute.  Every other
+  exception (:class:`~repro.errors.ServeError` included) propagates.
+  There is no backoff and no circuit breaker: the one durable backend is a
+  local directory whose failures return at once, so a dead cache directory
+  costs a few failing syscalls per call and no sleeping.
 
 The store keeps no payloads in memory: every :meth:`ArtifactStore.get` reads
 the backend.  The one memory layer for served analyses is the decoded cache
@@ -27,17 +35,23 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from repro.errors import ServeError
 from repro.serve.backends import DirectoryBackend, StorageBackend
-from repro.serve.backends.base import Lease
+from repro.serve.backends.base import BackendEntry, Lease
 from repro.serve.codec import dumps
 from repro.serve.eviction import EntryInfo, EvictionPolicy
 
-__all__ = ["StoreStats", "ArtifactStore"]
+__all__ = ["BACKEND_ATTEMPTS", "StoreStats", "ArtifactStore"]
+
+T = TypeVar("T")
+
+#: Tries per backend call: an ``OSError`` is retried at once until this
+#: many tries have failed, and then the call degrades.
+BACKEND_ATTEMPTS = 3
 
 
 @dataclass
@@ -64,6 +78,12 @@ class StoreStats:
     requests that lost the claim and waited for another process's artifact,
     and ``lease_steals`` counts claims won by replacing an expired lease (a
     crashed or stalled holder).
+
+    The store itself counts backend faults: ``backend_retries`` counts
+    tries repeated after an ``OSError``, ``backend_exhausted`` counts calls
+    whose every try failed and so degraded, ``dropped_writes`` counts the
+    writes among those, and ``lease_fallbacks`` counts claims and renewals
+    granted locally because the backend could not be asked.
     """
 
     memory_hits: int = 0
@@ -83,28 +103,14 @@ class StoreStats:
     lease_claims: int = 0
     lease_waits: int = 0
     lease_steals: int = 0
+    backend_retries: int = 0
+    backend_exhausted: int = 0
+    dropped_writes: int = 0
+    lease_fallbacks: int = 0
 
     def to_dict(self) -> dict[str, int]:
         """Every counter as one JSON-ready dict (the ``serve-stats`` payload)."""
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "deletes": self.deletes,
-            "corrupt_recovered": self.corrupt_recovered,
-            "evictions": self.evictions,
-            "disk_evictions": self.disk_evictions,
-            "bytes_written": self.bytes_written,
-            "coalesced_hits": self.coalesced_hits,
-            "background_refreshes": self.background_refreshes,
-            "request_errors": self.request_errors,
-            "classifier_compiles": self.classifier_compiles,
-            "classifier_sidecar_loads": self.classifier_sidecar_loads,
-            "lease_claims": self.lease_claims,
-            "lease_waits": self.lease_waits,
-            "lease_steals": self.lease_steals,
-        }
+        return asdict(self)
 
 
 class ArtifactStore:
@@ -113,6 +119,27 @@ class ArtifactStore:
     The store is safe to share across threads (the async front-end's
     executor drives it concurrently); a reentrant lock serializes each read
     with its quarantine, the traffic counters and the disk sweep.
+
+    Every backend call retries an ``OSError`` at once, up to
+    :data:`BACKEND_ATTEMPTS` tries.  Degraded, the store answers:
+
+    ========================== ============================================
+    call                       answer once every try failed
+    ========================== ============================================
+    ``get``                    ``None``, counted as a miss
+    ``put``                    the write is dropped (``dropped_writes``)
+    ``exists``                 ``False``
+    ``keys`` / ``entries``     empty
+    ``delete`` / ``release``   ``False``
+    ``claim`` / ``renew``      a local lease (``lease_fallbacks``): every
+                               process computes for itself, as without
+                               leases
+    ``lease``                  ``None``
+    ``total_bytes``            ``0``
+    ========================== ============================================
+
+    :meth:`health` reads ``"degraded"`` while the last backend call was
+    one of these, and ``"ok"`` again after the next call that succeeds.
 
     Parameters
     ----------
@@ -126,7 +153,8 @@ class ArtifactStore:
         bounding what stays durable.  Recency on disk is write time, so TTL
         and MaxBytes are the natural disk bounds.
     clock:
-        Time source for disk-policy decisions (injectable for tests).
+        Time source for disk-policy decisions and local leases (injectable
+        for tests).
     """
 
     def __init__(
@@ -150,6 +178,10 @@ class ArtifactStore:
         # atomic (two racing readers quarantine it once), keeps the counters
         # exact and serializes the disk sweep; put() re-enters it to sweep.
         self._lock = threading.RLock()
+        # Fault counters are also bumped by the lock-free probes and lease
+        # calls, so they take their own lock.
+        self._fault_lock = threading.Lock()
+        self._degraded = False
 
     # -- backend ----------------------------------------------------------------------
 
@@ -195,11 +227,41 @@ class ArtifactStore:
 
     def total_bytes(self) -> int:
         """Bytes currently stored in the backend."""
-        return self._backend.total_bytes()
+        return self._call(self._backend.total_bytes, lambda: 0)
 
     def close(self) -> None:
         """Release backend resources (connections, handles)."""
         self._backend.close()
+
+    # -- backend faults ---------------------------------------------------------------
+
+    def health(self) -> str:
+        """``"degraded"`` while the last backend call exhausted its tries, else ``"ok"``."""
+        return "degraded" if self._degraded else "ok"
+
+    def _count(self, counter: str) -> None:
+        with self._fault_lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+
+    def _call(self, call: Callable[[], T], degraded: Callable[[], T]) -> T:
+        """Run one backend call: retry an ``OSError`` at once, then degrade.
+
+        Returns *call*'s result, or ``degraded()`` once
+        :data:`BACKEND_ATTEMPTS` tries have all raised ``OSError``.  Any
+        other exception propagates from the first try.
+        """
+        for attempt in range(1, BACKEND_ATTEMPTS + 1):
+            try:
+                outcome = call()
+            except OSError:
+                if attempt < BACKEND_ATTEMPTS:
+                    self._count("backend_retries")
+                continue
+            self._degraded = False
+            return outcome
+        self._degraded = True
+        self._count("backend_exhausted")
+        return degraded()
 
     # -- reads ------------------------------------------------------------------------
 
@@ -208,10 +270,10 @@ class ArtifactStore:
 
         Corrupt data (unparseable JSON, a non-object root) is quarantined
         through the backend and counted in ``corrupt_recovered``; the read
-        then counts as a miss.
+        then counts as a miss, as does a read the backend failed.
         """
         with self._lock:
-            text = self._backend.read(kind, key)
+            text = self._call(lambda: self._backend.read(kind, key), lambda: None)
             if text is None:
                 self.stats.misses += 1
                 return None
@@ -220,7 +282,7 @@ class ArtifactStore:
                 if not isinstance(payload, dict):
                     raise ValueError("artifact root must be a JSON object")
             except (json.JSONDecodeError, ValueError):
-                self._backend.quarantine(kind, key)
+                self._call(lambda: self._backend.quarantine(kind, key), lambda: None)
                 self.stats.corrupt_recovered += 1
                 self.stats.misses += 1
                 return None
@@ -233,11 +295,16 @@ class ArtifactStore:
         The cheap durability probe behind the service's decoded cache: a
         delete through another handle over the same backend invalidates it.
         """
-        return self._backend.exists(kind, key)
+        return self._call(lambda: self._backend.exists(kind, key), lambda: False)
 
     def keys(self, kind: str) -> list[str]:
         """Every key stored in the backend for one artifact kind (sorted)."""
-        return self._backend.keys(kind)
+        return self._call(lambda: self._backend.keys(kind), list)
+
+    def entries(self) -> list[BackendEntry]:
+        """Every stored artifact with its size and write stamp."""
+        # Listed whole, so a retry restarts the scan instead of resuming it.
+        return self._call(lambda: list(self._backend.entries()), list)
 
     # -- writes -----------------------------------------------------------------------
 
@@ -245,11 +312,21 @@ class ArtifactStore:
         """Persist an artifact payload, then apply the disk policy.
 
         Returns the artifact's path for path-addressable backends, ``None``
-        otherwise.
+        otherwise and when the write was dropped.
         """
         text = dumps(payload)
-        with self._lock:
+
+        def write() -> bool:
             self._backend.write(kind, key, text)
+            return True
+
+        def drop() -> bool:
+            self._count("dropped_writes")
+            return False
+
+        with self._lock:
+            if not self._call(write, drop):
+                return None
             self.stats.writes += 1
             self.stats.bytes_written += len(text.encode("utf-8"))
             self.sweep_disk()
@@ -259,36 +336,50 @@ class ArtifactStore:
     def delete(self, kind: str, key: str) -> bool:
         """Drop an artifact from the backend; True when it existed."""
         with self._lock:
-            existed = self._backend.delete(kind, key)
+            existed = self._call(lambda: self._backend.delete(kind, key), lambda: False)
             if existed:
                 self.stats.deletes += 1
             return existed
 
     # -- compute leases ---------------------------------------------------------------
     #
-    # Pure delegation to the backend: leases coordinate *who computes*, not
-    # what is stored, so they deliberately bypass the store lock -- a claim
-    # poll must not serialize behind another thread's backend I/O.
+    # Leases coordinate *who computes*, not what is stored, so they
+    # deliberately bypass the store lock -- a claim poll must not serialize
+    # behind another thread's backend I/O.
+
+    def _local_lease(
+        self, kind: str, key: str, owner: str, ttl: float, now: float | None
+    ) -> Lease:
+        """A lease granted without the backend: the caller computes for itself."""
+        self._count("lease_fallbacks")
+        start = self._clock() if now is None else now
+        return Lease(kind, key, owner, start + ttl)
 
     def claim(
         self, kind: str, key: str, owner: str, ttl: float, *, now: float | None = None
     ) -> Lease | None:
         """Claim the compute lease for ``(kind, key)`` (see backend contract)."""
-        return self._backend.claim(kind, key, owner, ttl, now=now)
+        return self._call(
+            lambda: self._backend.claim(kind, key, owner, ttl, now=now),
+            lambda: self._local_lease(kind, key, owner, ttl, now),
+        )
 
     def renew(
         self, kind: str, key: str, owner: str, ttl: float, *, now: float | None = None
     ) -> Lease | None:
         """Extend a live lease held by *owner*."""
-        return self._backend.renew(kind, key, owner, ttl, now=now)
+        return self._call(
+            lambda: self._backend.renew(kind, key, owner, ttl, now=now),
+            lambda: self._local_lease(kind, key, owner, ttl, now),
+        )
 
     def release(self, kind: str, key: str, owner: str) -> bool:
         """Drop the slot's lease iff *owner* holds it."""
-        return self._backend.release(kind, key, owner)
+        return self._call(lambda: self._backend.release(kind, key, owner), lambda: False)
 
     def lease(self, kind: str, key: str, *, now: float | None = None) -> Lease | None:
         """The current live lease on ``(kind, key)``, or ``None``."""
-        return self._backend.lease(kind, key, now=now)
+        return self._call(lambda: self._backend.lease(kind, key, now=now), lambda: None)
 
     # -- disk policy ------------------------------------------------------------------
 
@@ -312,13 +403,13 @@ class ArtifactStore:
         with self._lock:
             evicted = 0
             now = self._clock()
-            stored = sorted(self._backend.entries(), key=lambda entry: entry.stored_at)
+            stored = sorted(self.entries(), key=lambda entry: entry.stored_at)
             view = [
                 ((entry.kind, entry.key), EntryInfo(entry.size_bytes, entry.stored_at))
                 for entry in stored
             ]
             for kind, key in self.disk_policy.victims(view, now):
-                if self._backend.delete(kind, key):
+                if self._call(lambda: self._backend.delete(kind, key), lambda: False):
                     self.stats.disk_evictions += 1
                     evicted += 1
             return evicted

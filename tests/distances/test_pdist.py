@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy.spatial.distance import pdist as scipy_pdist
 
 from repro.errors import DistanceError

@@ -1,13 +1,13 @@
-"""Deterministic fault injection for the storage layer.
+"""Deterministic fault injection for the storage layer (a test harness).
 
-Resilience code is only trustworthy when its failure paths run on every CI
-pass, not just on the day a disk actually fills up.  This module makes
-backend failures *scriptable*: :class:`FaultInjectingBackend` wraps any
+The store's fault handling is only trustworthy when its failure paths run
+on every CI pass, not just on the day a disk actually fills up.  This module
+makes backend failures *scriptable*: :class:`FaultInjectingBackend` wraps any
 :class:`~repro.serve.backends.base.StorageBackend` and executes a
 :class:`FaultPlan` -- "fail the 3rd read with ``OSError``", "make every 5th
 write take 50 ms", "tear the 2nd write mid-payload" -- with per-operation
-call counters, so a test (or a chaos run via ``--inject-faults`` /
-``$REPRO_FAULT_PLAN``) reproduces the exact same fault sequence every time.
+call counters, so a test (or the CI chaos run via ``$REPRO_FAULT_PLAN``)
+reproduces the exact same fault sequence every time.
 
 Fault-plan grammar (full spec in ``docs/resilience.md``)::
 
@@ -21,28 +21,26 @@ Fault-plan grammar (full spec in ``docs/resilience.md``)::
             | N+       every call from the Nth on
             | %K       every Kth call (K, 2K, 3K, ...)
             | *        every call
-    action := oserror[:MESSAGE]   raise OSError (a transient disk fault)
-            | locked              raise sqlite3.OperationalError("database is locked")
+    action := oserror[:MESSAGE]   raise OSError (a disk fault)
             | latency:SECONDS     sleep, then perform the operation normally
             | torn                write/read only half the payload (a torn write)
 
 Examples::
 
     read:3:oserror                   the 3rd read fails once
-    write:*:locked                   every write hits a locked database
+    write:*:oserror                  every write fails
     read:%5:latency:0.05             every 5th read takes an extra 50 ms
     write:2:torn;read:4-6:oserror    tear write #2, fail reads 4..6
 
-The wrapper is intentionally *below* the resilience layer
-(:mod:`repro.serve.resilience`), so retries observe injected faults exactly
-like real ones, and *above* the concrete backend, so one plan exercises the
-directory backend and its memory test double identically.
+The wrapper sits *below* :class:`~repro.serve.store.ArtifactStore`, so the
+store's retries observe injected faults exactly like real ones, and *above*
+the concrete backend, so one plan exercises the directory backend and its
+memory test double identically.
 """
 
 from __future__ import annotations
 
 import os
-import sqlite3
 import threading
 import time
 from dataclasses import dataclass
@@ -63,7 +61,7 @@ __all__ = [
 ]
 
 #: Environment default for the fault plan (the CI chaos job sets it so the
-#: injected-fault paths run on every PR; ``--inject-faults`` overrides).
+#: injected-fault paths run on every CI pass).
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 _OPS = (
@@ -80,7 +78,7 @@ _OPS = (
     "any",
 )
 _OP_ALIASES = {"get": "read", "put": "write"}
-_ACTIONS = ("oserror", "locked", "latency", "torn")
+_ACTIONS = ("oserror", "latency", "torn")
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,32 +326,14 @@ class FaultInjectingBackend(StorageBackend):
 
     @staticmethod
     def _raise(rule: FaultRule, op: str) -> None:
-        if rule.action == "oserror":
-            message = rule.message or f"injected fault on {op}"
-            raise OSError(message)
-        if rule.action == "locked":
-            raise sqlite3.OperationalError("database is locked (injected)")
-        raise AssertionError(f"unreachable fault action {rule.action!r}")
+        if rule.action != "oserror":
+            raise AssertionError(f"unreachable fault action {rule.action!r}")
+        raise OSError(rule.message or f"injected fault on {op}")
 
     def calls(self, op: str) -> int:
         """How many times *op* has been invoked (including faulted calls)."""
         with self._lock:
             return self._calls.get(op, 0)
-
-    def injection_report(self) -> dict[str, object]:
-        """JSON-ready summary of what fired (for chaos runs and stats output)."""
-        with self._lock:
-            injected = list(self.injected)
-            calls = dict(self._calls)
-        return {
-            "plan": self.plan.describe(),
-            "calls": calls,
-            "injections": len(injected),
-            "injected": [
-                {"op": fault.op, "call": fault.call, "action": fault.action}
-                for fault in injected
-            ],
-        }
 
     # -- the backend surface ----------------------------------------------------------
 

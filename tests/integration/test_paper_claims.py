@@ -15,8 +15,6 @@ These tests check the *shape* of the paper's results on the synthetic corpus:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.table1 import compare_with_paper
 
 

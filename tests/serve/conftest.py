@@ -7,23 +7,22 @@ engine's contract (reads, writes, quarantine, eviction, stats) is asserted
 identically against both.
 
 Chaos mode: when ``$REPRO_FAULT_PLAN`` is set (the CI ``chaos`` job exports
-a canned plan), every ``any_backend`` is wrapped in the resilience stack --
-``ResilientBackend(FaultInjectingBackend(backend, plan))`` -- so the whole
-serve suite runs with scripted faults firing underneath.  The suite's
-assertions are unchanged: transient faults must be absorbed by the retry
-layer, which is exactly the resilience contract.
+a canned plan), ``chaos_backend`` -- and so ``any_store`` -- puts the plan's
+faults between the store and the backend:
+``ArtifactStore(FaultInjectingBackend(backend, plan))``.  The store-level
+assertions are unchanged: the store's retries must absorb the faults, which
+is its fault-handling contract.  ``any_backend`` itself stays raw, because a
+test that calls backend methods directly has no retry layer between it and
+the injector.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.serve.backends import DirectoryBackend, MemoryBackend, StorageBackend
-from repro.serve.faults import FAULT_PLAN_ENV, FaultInjectingBackend, parse_fault_plan
-from repro.serve.resilience import CircuitBreaker, ResilientBackend, RetryPolicy
 from repro.serve.store import ArtifactStore
+from tests.faults import FaultInjectingBackend, resolve_fault_plan
 
 
 @pytest.fixture(params=("directory", "memory"))
@@ -32,33 +31,27 @@ def backend_name(request) -> str:
     return request.param
 
 
-def _chaos_wrap(backend: StorageBackend) -> StorageBackend:
-    """Wrap *backend* in the resilience stack when a fault plan is exported."""
-    plan = parse_fault_plan(os.environ.get(FAULT_PLAN_ENV, ""))
-    if not plan:
-        return backend
-    return ResilientBackend(
-        FaultInjectingBackend(backend, plan),
-        # Tight backoff and a huge failure budget: the chaos job asserts the
-        # suite's ordinary semantics *through* the faults, so the breaker
-        # must not trip into degraded mode and change read results.
-        retry=RetryPolicy(max_attempts=4, base_delay=0.001, max_delay=0.01),
-        breaker=CircuitBreaker(failure_threshold=10_000, reset_timeout=0.05),
-    )
-
-
 @pytest.fixture()
 def any_backend(backend_name, tmp_path) -> StorageBackend:
     """A fresh backend of each flavour rooted in the test's tmp dir."""
     root = tmp_path / "cache"
     # The memory backend anchors only auxiliary files (corpus snapshots) there.
     backend = DirectoryBackend(root) if backend_name == "directory" else MemoryBackend(root=root)
-    backend = _chaos_wrap(backend)
     yield backend
     backend.close()
 
 
 @pytest.fixture()
-def any_store(any_backend) -> ArtifactStore:
-    """An ArtifactStore over each backend."""
-    return ArtifactStore(backend=any_backend)
+def chaos_backend(any_backend) -> StorageBackend:
+    """``any_backend`` under the exported fault plan (itself without one).
+
+    Build stores over this one; assert on ``any_backend`` directly.
+    """
+    plan = resolve_fault_plan(None)
+    return FaultInjectingBackend(any_backend, plan) if plan else any_backend
+
+
+@pytest.fixture()
+def any_store(chaos_backend) -> ArtifactStore:
+    """An ArtifactStore over each backend (under the fault plan, if any)."""
+    return ArtifactStore(backend=chaos_backend)

@@ -1,11 +1,11 @@
 """Resilience acceptance tests for the async serving front door.
 
 Proves the degraded-mode contract end to end: failed background refreshes
-keep serving the prior artifact flagged ``stale``, ``/healthz`` reports
-``degraded`` once the storage breaker trips and ``failing`` after a compute
-failure streak, compute deadlines turn hung flights into 503s instead of
-wedged clients, and unexpected server errors come back as JSON 500s with an
-error id.
+keep serving the prior artifact flagged ``stale``, a dead storage backend
+serves ``/analyze`` by recompute while ``/healthz`` reports ``degraded``, a
+compute failure streak reports ``failing``, compute deadlines turn hung
+flights into 503s instead of wedged clients, and unexpected server errors
+come back as JSON 500s with an error id.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from repro.errors import DeadlineError
 from repro.serve import codec
 from repro.serve.aio import AnalysisServer, AsyncAnalysisService
 from repro.serve.backends import MemoryBackend
-from repro.serve.faults import FaultInjectingBackend
-from repro.serve.resilience import CircuitBreaker, ResilientBackend, RetryPolicy
 from repro.serve.service import ANALYSIS_KIND, AnalysisService, ServedAnalysis
 from repro.serve.store import ArtifactStore
+from tests.faults import FaultInjectingBackend
 
 CONFIG = AnalysisConfig(seed=5, scale=0.02)
 
@@ -107,17 +106,9 @@ class FlakyService:
         return key
 
 
-def tripped_resilient_backend() -> ResilientBackend:
-    """A resilient backend whose breaker has already tripped open."""
-    backend = ResilientBackend(
-        FaultInjectingBackend(MemoryBackend(), "any:*:oserror"),
-        retry=RetryPolicy(max_attempts=1, base_delay=0.0),
-        breaker=CircuitBreaker(failure_threshold=1, reset_timeout=3600.0),
-        sleep=lambda _s: None,
-    )
-    backend.read("analysis", "a" * 8)  # one exhausted read trips the breaker
-    assert backend.breaker.state == "open"
-    return backend
+def dead_backend(root=None) -> FaultInjectingBackend:
+    """A backend whose every call raises ``OSError``."""
+    return FaultInjectingBackend(MemoryBackend(root=root), "any:*:oserror")
 
 
 class TestServeStaleOnRefreshFailure:
@@ -168,8 +159,9 @@ class TestServeStaleOnRefreshFailure:
 
 
 class TestHealth:
-    def test_healthz_reports_degraded_when_breaker_open(self):
-        service = FlakyService(backend=tripped_resilient_backend())
+    def test_healthz_reports_degraded_when_the_backend_fails(self):
+        service = FlakyService(backend=dead_backend())
+        assert service.store.get(ANALYSIS_KIND, "a" * 8) is None  # every try failed
 
         async def scenario():
             async_service = AsyncAnalysisService(service)
@@ -220,14 +212,44 @@ class TestHealth:
         assert "deadline_timeouts" in payload["health"]
 
     def test_sync_describe_reports_resilience_and_faults(self, tmp_path):
-        backend = ResilientBackend(
-            FaultInjectingBackend(MemoryBackend(), "read:1:oserror"),
-            sleep=lambda _s: None,
-        )
+        backend = FaultInjectingBackend(MemoryBackend(), "read:1:oserror")
         service = AnalysisService(ArtifactStore(backend=backend))
+        assert service.store.get(ANALYSIS_KIND, "a" * 8) is None  # retried once
         payload = service.describe()
-        assert payload["resilience"]["breaker"] == "closed"
-        assert payload["fault_injection"]["plan"] == "read:1:oserror"
+        assert payload["counters"]["backend_retries"] == 1
+        assert payload["counters"]["backend_exhausted"] == 0
+        # The store's own counters report the fault it absorbed; the wrapper
+        # sections ("resilience", "fault_injection") are gone.
+        assert "resilience" not in payload and "fault_injection" not in payload
+
+
+class TestDeadBackend:
+    def test_analyze_is_served_by_recompute_and_health_degrades(self, tmp_path):
+        store = ArtifactStore(backend=dead_backend(tmp_path / "cache"))
+
+        async def scenario():
+            async_service = AsyncAnalysisService(AnalysisService(store))
+            server = AnalysisServer(async_service)
+            try:
+                host, port = await server.start()
+                analyze = await request(
+                    host, port, "POST", "/analyze", {"config": {"seed": 5, "scale": 0.02}}
+                )
+                health = await request(host, port, "GET", "/healthz")
+                return analyze, health
+            finally:
+                await server.aclose()
+
+        (status, payload), (health_status, health) = run(scenario())
+        assert status == 200
+        assert payload["served"]["source"] == "computed"
+        assert payload["summary"]["n_regions"] == 26
+        assert health_status == 200
+        assert health["backend"] == "degraded"
+        assert health["status"] == "degraded"
+        assert health["compute_failures"] == 0
+        assert store.stats.dropped_writes >= 1
+        assert store.stats.request_errors == 0
 
 
 class TestComputeDeadline:

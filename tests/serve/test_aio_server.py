@@ -542,6 +542,42 @@ GARBAGE = {
         + b"\r\n",
         431,
     ),
+    # k, limit and top were coerced with int() and clamped, each a wrong 200:
+    # hits[:-1] served 224 of 225 hits, 2.7 -> 2, true -> 1, "7" -> 7, and
+    # a top of 0 or below became 1.
+    "negative-limit": (
+        _post(
+            b"/query",
+            b'{"config": %s, "op": "patterns", "items": ["rice"], "limit": -1}' % _CONFIG_BYTES,
+        ),
+        400,
+    ),
+    "fractional-k": (
+        _post(
+            b"/query",
+            b'{"config": %s, "op": "top-patterns", "cuisine": "Japanese", "k": 2.7}'
+            % _CONFIG_BYTES,
+        ),
+        400,
+    ),
+    "boolean-k": (
+        _post(
+            b"/query",
+            b'{"config": %s, "op": "nearest", "cuisine": "Japanese", "k": true}' % _CONFIG_BYTES,
+        ),
+        400,
+    ),
+    "string-k": (
+        _post(
+            b"/query",
+            b'{"config": %s, "op": "cuisine", "cuisine": "Japanese", "k": "7"}' % _CONFIG_BYTES,
+        ),
+        400,
+    ),
+    "zero-top": (
+        _post(b"/classify", b'{"config": %s, "recipes": ["rice"], "top": 0}' % _CONFIG_BYTES),
+        400,
+    ),
 }
 
 

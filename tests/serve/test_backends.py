@@ -3,7 +3,10 @@
 Every parametrized test here runs twice (directory / memory) through the
 fixtures in ``conftest.py``.  The corrupt-payload tests inject bad text
 through the backend's own ``write``, so validation and quarantine are
-exercised identically regardless of how each backend stores bytes.
+exercised identically regardless of how each backend stores bytes.  The
+store and service tests build their stores over ``chaos_backend``, so the
+CI chaos plan's faults fire under them; the contract tests call the raw
+backend.
 """
 
 from __future__ import annotations
@@ -91,8 +94,8 @@ class TestStoreOverAnyBackend:
         assert any_store.stats.disk_hits == 2
         assert any_store.stats.memory_hits == 0
 
-    def test_corrupt_backend_payload_is_quarantined_miss(self, any_store):
-        any_store.backend.write("analysis", KEY_A, "not json at all")
+    def test_corrupt_backend_payload_is_quarantined_miss(self, any_backend, any_store):
+        any_backend.write("analysis", KEY_A, "not json at all")
         assert any_store.get("analysis", KEY_A) is None
         assert any_store.stats.corrupt_recovered == 1
         assert any_store.stats.misses == 1
@@ -101,8 +104,8 @@ class TestStoreOverAnyBackend:
         assert any_store.get("analysis", KEY_A) == {"v": 2}
         assert any_store.stats.disk_hits == 1
 
-    def test_non_object_root_is_a_miss(self, any_store):
-        any_store.backend.write("analysis", KEY_A, "[1, 2]")
+    def test_non_object_root_is_a_miss(self, any_backend, any_store):
+        any_backend.write("analysis", KEY_A, "[1, 2]")
         assert any_store.get("analysis", KEY_A) is None
         assert any_store.stats.corrupt_recovered == 1
 
@@ -118,24 +121,24 @@ class TestStoreOverAnyBackend:
 class TestServiceOverAnyBackend:
     CONFIG = AnalysisConfig(seed=11, scale=0.02, elbow_k_max=6)
 
-    def test_served_results_identical_across_backends(self, any_backend):
+    def test_served_results_identical_across_backends(self, chaos_backend):
         # The memory backend needs a root for corpus snapshots; the fixture
         # anchored every backend at tmp_path/cache, so it already has one.
-        service = AnalysisService(ArtifactStore(backend=any_backend))
+        service = AnalysisService(ArtifactStore(backend=chaos_backend))
         computed = service.get_or_run(self.CONFIG)
         assert computed.source == "computed"
         again = service.get_or_run(self.CONFIG)
         assert again.source == "memory"
         # A fresh service over the *same backend* must hit durable storage.
-        fresh = AnalysisService(ArtifactStore(backend=any_backend))
+        fresh = AnalysisService(ArtifactStore(backend=chaos_backend))
         reloaded = fresh.get_or_run(self.CONFIG)
         assert reloaded.source == "disk"
         assert reloaded.results == computed.results
 
-    def test_invalidate_across_handles(self, any_backend):
-        service = AnalysisService(ArtifactStore(backend=any_backend))
+    def test_invalidate_across_handles(self, chaos_backend):
+        service = AnalysisService(ArtifactStore(backend=chaos_backend))
         service.get_or_run(self.CONFIG)
-        other = AnalysisService(ArtifactStore(backend=any_backend))
+        other = AnalysisService(ArtifactStore(backend=chaos_backend))
         assert other.invalidate(self.CONFIG)
         assert service.get_or_run(self.CONFIG).source == "computed"
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 ARGS = ["--seed", "5", "--scale", "0.02"]
 
@@ -99,6 +99,25 @@ class TestStoreBackendFlags:
         assert exited.value.code == 2
         assert "usage:" in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["serve-warm", "serve", "serve-stats", "query", "classify"]
+    )
+    @pytest.mark.parametrize(
+        "option",
+        [["--resilient"], ["--store-retries", "3"], ["--inject-faults", "read:1:oserror"]],
+        ids=["resilient", "store-retries", "inject-faults"],
+    )
+    def test_fault_options_are_gone(self, command, option, tmp_path, capsys):
+        # The store owns backend faults: nothing wraps, tunes or faults it.
+        # Parse only: with the option accepted, `serve` would run forever.
+        argv = [*ARGS, command, "--cache-dir", str(tmp_path / "cache")]
+        build_parser().parse_args(argv)  # the command parses without the option
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([*argv, *option])
+        assert exited.value.code == 2
+        error = capsys.readouterr().err
+        assert "usage:" in error and option[0] in error
 
     def test_eviction_spec_is_honoured_and_reported(self, tmp_path, capsys):
         cache = tmp_path / "cache"

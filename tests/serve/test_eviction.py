@@ -107,9 +107,9 @@ class TestParsePolicy:
 
 
 class TestDiskPolicy:
-    def test_maxbytes_bounds_backend(self, any_backend):
+    def test_maxbytes_bounds_backend(self, any_backend, chaos_backend):
         size = len('{"v":"a"}')
-        store = ArtifactStore(backend=any_backend, disk_policy=MaxBytes(2 * size))
+        store = ArtifactStore(backend=chaos_backend, disk_policy=MaxBytes(2 * size))
         store.put("analysis", KEY_A, {"v": "a"})
         store.put("analysis", KEY_B, {"v": "b"})
         assert store.stats.disk_evictions == 0
@@ -120,8 +120,8 @@ class TestDiskPolicy:
         assert any_backend.exists("analysis", KEY_C)
         assert len(any_backend.keys("analysis")) == 2
 
-    def test_disk_eviction_does_not_count_as_delete(self, any_backend):
-        store = ArtifactStore(backend=any_backend, disk_policy=MaxBytes(0))
+    def test_disk_eviction_does_not_count_as_delete(self, chaos_backend):
+        store = ArtifactStore(backend=chaos_backend, disk_policy=MaxBytes(0))
         store.put("analysis", KEY_A, {"v": 1})
         assert store.stats.disk_evictions == 1
         assert store.stats.deletes == 0
@@ -151,8 +151,8 @@ class TestDiskPolicy:
         assert store.sweep_disk() == 1
         assert store.stats.disk_evictions == 1
 
-    def test_disk_eviction_drops_memory_copy(self, any_backend):
-        store = ArtifactStore(backend=any_backend, disk_policy=MaxBytes(0))
+    def test_disk_eviction_drops_memory_copy(self, chaos_backend):
+        store = ArtifactStore(backend=chaos_backend, disk_policy=MaxBytes(0))
         store.put("analysis", KEY_A, {"v": 1})
         # Evicted from the backend, so no copy is left to read anywhere.
         assert store.get("analysis", KEY_A) is None

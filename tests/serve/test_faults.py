@@ -1,21 +1,19 @@
-"""Unit tests for the deterministic fault-injection harness."""
+"""Unit tests for the deterministic fault-injection harness (``tests/faults.py``)."""
 
 from __future__ import annotations
-
-import sqlite3
 
 import pytest
 
 from repro.errors import ServeError
 from repro.serve.backends import MemoryBackend
-from repro.serve.faults import (
+from repro.serve.store import ArtifactStore
+from tests.faults import (
     FAULT_PLAN_ENV,
     FaultInjectingBackend,
     FaultRule,
     parse_fault_plan,
     resolve_fault_plan,
 )
-from repro.serve.store import ArtifactStore
 
 KEY = "a" * 8
 
@@ -27,12 +25,12 @@ class TestPlanParsing:
         assert (rule.op, rule.start, rule.stop, rule.action) == ("read", 3, 3, "oserror")
 
     def test_aliases_get_and_put(self):
-        plan = parse_fault_plan("get:1:oserror;put:2:locked")
+        plan = parse_fault_plan("get:1:oserror;put:2:oserror")
         assert [rule.op for rule in plan.rules] == ["read", "write"]
 
     def test_range_open_range_period_and_star(self):
         plan = parse_fault_plan(
-            "read:2-4:oserror;write:5+:locked;delete:%3:oserror;any:*:latency:0.1"
+            "read:2-4:oserror;write:5+:oserror;delete:%3:oserror;any:*:latency:0.1"
         )
         first, second, third, fourth = plan.rules
         assert (first.start, first.stop) == (2, 4)
@@ -41,7 +39,7 @@ class TestPlanParsing:
         assert (fourth.op, fourth.delay) == ("any", 0.1)
 
     def test_round_trips_through_describe(self):
-        spec = "read:2-4:oserror;write:5+:locked;delete:%3:oserror;any:*:latency:0.1"
+        spec = "read:2-4:oserror;write:5+:oserror;delete:%3:oserror;any:*:latency:0.1"
         assert parse_fault_plan(spec).describe() == spec
 
     def test_oserror_message_argument(self):
@@ -62,7 +60,8 @@ class TestPlanParsing:
             "read:%0:oserror",  # bad period
             "read:1:explode",  # unknown action
             "read:1:latency",  # latency needs seconds
-            "read:1:locked:arg",  # locked takes no argument
+            "read:1:locked:arg",  # locked is gone: no backend raises it
+            "read:1:torn:arg",  # torn takes no argument
             "keys:1:torn",  # torn only applies to read/write
             "claim:1:torn",  # lease ops are all-or-nothing, torn is meaningless
             "renew:1:torn",
@@ -73,7 +72,7 @@ class TestPlanParsing:
             parse_fault_plan(spec)
 
     def test_lease_ops_parse_and_round_trip(self):
-        spec = "claim:%5:locked;renew:%7:oserror;release:1:oserror;lease:2+:locked"
+        spec = "claim:%5:oserror;renew:%7:oserror;release:1:oserror;lease:2+:oserror"
         plan = parse_fault_plan(spec)
         assert [rule.op for rule in plan.rules] == [
             "claim",
@@ -86,14 +85,14 @@ class TestPlanParsing:
     def test_resolve_falls_back_to_environment(self, monkeypatch):
         monkeypatch.setenv(FAULT_PLAN_ENV, "read:1:oserror")
         assert resolve_fault_plan(None).describe() == "read:1:oserror"
-        assert resolve_fault_plan("write:1:locked").describe() == "write:1:locked"
+        assert resolve_fault_plan("write:1:oserror").describe() == "write:1:oserror"
         monkeypatch.delenv(FAULT_PLAN_ENV)
         assert not resolve_fault_plan(None)
 
     def test_first_matching_rule_wins(self):
-        plan = parse_fault_plan("read:1:oserror;read:*:locked")
+        plan = parse_fault_plan("read:1:oserror;read:*:latency:0.5")
         assert plan.rule_for("read", 1).action == "oserror"
-        assert plan.rule_for("read", 2).action == "locked"
+        assert plan.rule_for("read", 2).action == "latency"
 
 
 class TestRuleMatching:
@@ -119,11 +118,6 @@ class TestFaultInjectingBackend:
         assert faulty.calls("read") == 3
         assert len(faulty.injected) == 1
 
-    def test_locked_raises_sqlite_operational_error(self):
-        faulty = FaultInjectingBackend(MemoryBackend(), "write:1:locked")
-        with pytest.raises(sqlite3.OperationalError):
-            faulty.write("analysis", KEY, "{}")
-
     def test_latency_sleeps_then_succeeds(self):
         naps: list[float] = []
         faulty = FaultInjectingBackend(
@@ -142,8 +136,8 @@ class TestFaultInjectingBackend:
         stored = inner.read("analysis", KEY)
         assert stored == payload[: len(payload) // 2]
 
-    def test_torn_write_is_quarantined_by_the_store(self, any_backend):
-        faulty = FaultInjectingBackend(any_backend, "write:1:torn")
+    def test_torn_write_is_quarantined_by_the_store(self, chaos_backend):
+        faulty = FaultInjectingBackend(chaos_backend, "write:1:torn")
         store = ArtifactStore(backend=faulty)
         store.put("analysis", KEY, {"value": 12345678})
         assert store.get("analysis", KEY) is None
@@ -172,20 +166,11 @@ class TestFaultInjectingBackend:
             logs.append(outcomes)
         assert logs[0] == logs[1] == ["ok", "fault"] * 3
 
-    def test_injection_report(self):
-        faulty = FaultInjectingBackend(MemoryBackend(), "read:1:oserror")
-        with pytest.raises(OSError):
-            faulty.read("analysis", KEY)
-        report = faulty.injection_report()
-        assert report["plan"] == "read:1:oserror"
-        assert report["injections"] == 1
-        assert report["injected"] == [{"op": "read", "call": 1, "action": "oserror"}]
-
     def test_lease_ops_are_faultable(self, any_backend):
         faulty = FaultInjectingBackend(
-            any_backend, "claim:1:locked;renew:1:oserror;release:1:oserror"
+            any_backend, "claim:1:oserror;renew:1:oserror;release:1:oserror"
         )
-        with pytest.raises(sqlite3.OperationalError):
+        with pytest.raises(OSError):
             faulty.claim("analysis", KEY, "owner-a", 30.0)
         # The fault consumed call 1; call 2 reaches the real backend.
         lease = faulty.claim("analysis", KEY, "owner-a", 30.0, now=100.0)

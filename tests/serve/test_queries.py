@@ -65,6 +65,12 @@ class TestPatternSearch:
         assert all(hit.support >= 0.5 for hit in filtered)
         assert len(engine.pattern_search("soy sauce", limit=2)) <= 2
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_rejected(self, engine, limit):
+        # A negative limit used to slice from the end: -1 dropped one hit.
+        with pytest.raises(ServeError):
+            engine.pattern_search("soy sauce", limit=limit)
+
     def test_multi_item_conjunction(self, engine, full_results):
         # Find a real compound pattern to query for.
         compound = None

@@ -1,275 +1,203 @@
-"""Unit tests for retries, the circuit breaker and degraded mode."""
+"""The store's backend-fault handling: immediate retries, then degraded answers.
+
+Every backend call :class:`~repro.serve.store.ArtifactStore` makes retries an
+``OSError`` at once, up to ``BACKEND_ATTEMPTS`` tries, and then degrades
+instead of raising.  The faults come from the scripted harness in
+``tests/faults.py``.
+"""
 
 from __future__ import annotations
 
-import sqlite3
+import sys
 import threading
+import time
 
 import pytest
 
+from repro.core.config import AnalysisConfig
 from repro.errors import ServeError
-from repro.serve.backends import MemoryBackend
-from repro.serve.faults import FaultInjectingBackend
-from repro.serve.resilience import (
-    CircuitBreaker,
-    ResilientBackend,
-    RetryPolicy,
-    is_transient,
-)
-from repro.serve.store import ArtifactStore
+from repro.serve.backends import DirectoryBackend, MemoryBackend
+from repro.serve.backends.base import Lease
+from repro.serve.service import ANALYSIS_KIND, AnalysisService
+from repro.serve.store import BACKEND_ATTEMPTS, ArtifactStore
+from tests.faults import FaultInjectingBackend
 
 KEY = "a" * 8
+CONFIG = AnalysisConfig(seed=5, scale=0.02)
+DEAD = "any:*:oserror"
 
 
-class FakeClock:
-    """A manually-advanced clock so breaker timeouts need no real sleeping."""
-
-    def __init__(self) -> None:
-        self.now = 1000.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+def faulty_store(plan: str, inner=None) -> tuple[ArtifactStore, FaultInjectingBackend]:
+    """A default store over a fault-injecting backend (memory unless given)."""
+    backend = FaultInjectingBackend(inner if inner is not None else MemoryBackend(), plan)
+    return ArtifactStore(backend=backend, clock=lambda: 1000.0), backend
 
 
-def resilient(
-    plan: str,
-    *,
-    attempts: int = 3,
-    threshold: int = 5,
-    deadline: float | None = None,
-    clock: FakeClock | None = None,
-) -> tuple[ResilientBackend, list[float]]:
-    """A ResilientBackend over a fault-injecting memory backend, sleeps recorded."""
-    naps: list[float] = []
-    clock = clock if clock is not None else FakeClock()
-    backend = ResilientBackend(
-        FaultInjectingBackend(MemoryBackend(), plan),
-        retry=RetryPolicy(max_attempts=attempts, base_delay=0.05, deadline=deadline),
-        breaker=CircuitBreaker(failure_threshold=threshold, reset_timeout=30.0, clock=clock),
-        sleep=naps.append,
-        clock=clock,
-    )
-    return backend, naps
-
-
-class TestTransientClassification:
-    def test_raw_transient_types(self):
-        assert is_transient(OSError("disk"))
-        assert is_transient(sqlite3.OperationalError("locked"))
-        assert not is_transient(ValueError("nope"))
-
-    def test_serve_error_with_transient_cause(self):
-        wrapped = ServeError("backend failed")
-        wrapped.__cause__ = OSError("disk")
-        assert is_transient(wrapped)
-        bare = ServeError("malformed key")
-        assert not is_transient(bare)
-
-
-class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=0.05, max_delay=1.0)
-        schedule = [policy.backoff(attempt) for attempt in range(1, 5)]
-        assert schedule == [policy.backoff(attempt) for attempt in range(1, 5)]
-        for attempt, delay in enumerate(schedule, start=1):
-            raw = min(1.0, 0.05 * 2 ** (attempt - 1))
-            assert raw * 0.5 <= delay < raw
-
-    def test_validation(self):
-        with pytest.raises(ServeError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ServeError):
-            RetryPolicy(base_delay=-1)
-        with pytest.raises(ServeError):
-            RetryPolicy(deadline=0)
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=10.0, clock=clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_admits_one_probe(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0, clock=clock)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(10.0)
-        assert breaker.state == "half-open"
-        assert breaker.allow()  # the probe
-        assert not breaker.allow()  # concurrent callers wait for it
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_failed_probe_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-
-
-class TestResilientBackend:
-    def test_transient_read_fault_absorbed_by_retry(self):
-        backend, naps = resilient("read:1:oserror")
-        backend.write("analysis", KEY, "{}")
-        assert backend.read("analysis", KEY) == "{}"
-        assert backend.stats.retries == 1
-        assert backend.stats.transient_errors == 1
-        assert backend.stats.exhausted == 0
-        assert len(naps) == 1
-        assert backend.health() == "ok"
-
-    def test_locked_database_fault_absorbed(self):
-        backend, _naps = resilient("write:1:locked")
-        backend.write("analysis", KEY, "{}")
-        assert backend.read("analysis", KEY) == "{}"
+class TestStoreRetries:
+    def test_read_fault_absorbed_by_retry(self):
+        store, _backend = faulty_store("read:1:oserror")
+        store.put("analysis", KEY, {"value": 1})
+        assert store.get("analysis", KEY) == {"value": 1}
+        assert store.stats.backend_retries == 1
+        assert store.stats.backend_exhausted == 0
+        assert store.stats.disk_hits == 1
+        assert store.health() == "ok"
 
     def test_exhausted_read_degrades_to_miss(self):
-        backend, _naps = resilient("read:*:oserror", attempts=3)
-        backend.write("analysis", KEY, "{}")
-        assert backend.read("analysis", KEY) is None
-        assert backend.stats.exhausted == 1
-        assert backend.stats.fallthrough_reads == 1
-        assert backend.stats.transient_errors == 3
-        assert backend.health() == "degraded"
+        store, backend = faulty_store("read:*:oserror")
+        store.put("analysis", KEY, {"value": 1})
+        assert store.get("analysis", KEY) is None
+        assert backend.calls("read") == BACKEND_ATTEMPTS == 3
+        assert store.stats.backend_retries == 2
+        assert store.stats.backend_exhausted == 1
+        assert store.stats.misses == 1
+        assert store.health() == "degraded"
+        # The next call that reaches the backend clears the degraded state.
+        assert store.exists("analysis", KEY)
+        assert store.health() == "ok"
 
-    def test_non_transient_errors_propagate_immediately(self):
+    def test_non_oserror_propagates_immediately(self):
         class ExplodingBackend(MemoryBackend):
             def read(self, kind, key):
                 raise ValueError("programming bug")
 
-        backend = ResilientBackend(ExplodingBackend(), sleep=lambda _s: None)
+        store = ArtifactStore(backend=ExplodingBackend())
         with pytest.raises(ValueError):
-            backend.read("analysis", KEY)
-        assert backend.stats.retries == 0
-        assert backend.breaker.consecutive_failures == 0
+            store.get("analysis", KEY)
+        assert store.stats.backend_retries == 0
+        assert store.stats.backend_exhausted == 0
+        assert store.health() == "ok"
 
-    def test_breaker_trips_after_failure_budget_and_sheds(self):
-        backend, _naps = resilient("read:*:oserror", attempts=1, threshold=3)
-        backend.write("analysis", KEY, "{}")
-        for _ in range(3):
-            assert backend.read("analysis", KEY) is None
-        assert backend.breaker.state == "open"
-        # The next read never reaches the inner backend: it is shed.
-        inner = backend.inner
-        before = inner.calls("read")
-        assert backend.read("analysis", KEY) is None
-        assert inner.calls("read") == before
-        assert backend.stats.shed_ops == 1
-        assert backend.health() == "degraded"
+    def test_serve_error_propagates_even_with_an_oserror_cause(self):
+        class WrappingBackend(MemoryBackend):
+            def exists(self, kind, key):
+                self.tries = getattr(self, "tries", 0) + 1
+                raise ServeError("backend failed") from OSError("disk")
 
-    def test_open_breaker_degraded_semantics(self):
-        clock = FakeClock()
-        backend, _naps = resilient("any:*:oserror", attempts=1, threshold=1, clock=clock)
-        backend.read("analysis", KEY)  # trips the breaker
-        assert backend.breaker.state == "open"
-        backend.write("analysis", KEY, "{}")
-        assert backend.stats.dropped_writes == 1
-        assert backend.exists("analysis", KEY) is False
-        assert backend.keys("analysis") == []
-        assert list(backend.entries()) == []
-        assert backend.delete("analysis", KEY) is False
-        assert backend.total_bytes() == 0
-
-    def test_breaker_recovers_through_half_open_probe(self):
-        clock = FakeClock()
-        backend, _naps = resilient("read:1-2:oserror", attempts=1, threshold=2, clock=clock)
-        backend.write("analysis", KEY, "{}")
-        backend.read("analysis", KEY)
-        backend.read("analysis", KEY)
-        assert backend.breaker.state == "open"
-        clock.advance(30.0)
-        # The half-open probe succeeds (the plan only faults reads 1-2) and
-        # closes the breaker again.
-        assert backend.read("analysis", KEY) == "{}"
-        assert backend.breaker.state == "closed"
-        assert backend.health() == "ok"
-
-    def test_deadline_bounds_the_retry_schedule(self):
-        clock = FakeClock()
-        naps: list[float] = []
-
-        def sleep(seconds: float) -> None:
-            naps.append(seconds)
-            clock.advance(seconds)
-
-        backend = ResilientBackend(
-            FaultInjectingBackend(MemoryBackend(), "read:*:oserror"),
-            retry=RetryPolicy(
-                max_attempts=10, base_delay=5.0, max_delay=5.0, deadline=6.0
-            ),
-            breaker=CircuitBreaker(clock=clock),
-            sleep=sleep,
-            clock=clock,
-        )
-        assert backend.read("analysis", KEY) is None
-        assert backend.stats.deadline_exceeded == 1
-        # the first backoff (~4s) fits the 6s deadline, the second would not
-        assert len(naps) == 1
-
-    def test_store_over_resilient_backend_serves_through_faults(self):
-        backend, _naps = resilient("read:2:oserror;write:2:locked")
+        backend = WrappingBackend()
         store = ArtifactStore(backend=backend)
+        with pytest.raises(ServeError):
+            store.exists("analysis", KEY)
+        assert backend.tries == 1
+        # Validation errors are never retried either.
+        with pytest.raises(ServeError):
+            store.claim("analysis", KEY, "", 5.0)
+        assert store.stats.backend_retries == 0
+
+    def test_store_serves_through_faults(self):
+        store, _backend = faulty_store("read:2:oserror;write:2:oserror")
         store.put("analysis", KEY, {"value": 1})
-        assert store.get("analysis", KEY) == {"value": 1}  # faulted then retried
-        store.put("analysis", "b" * 8, {"value": 2})  # faulted write retried
-        assert store.get("analysis", "b" * 8) == {"value": 2}
-        assert backend.stats.retries == 2
-
-    def test_describe_resilience_payload(self):
-        backend, _naps = resilient("read:1:oserror")
-        backend.write("analysis", KEY, "{}")
-        backend.read("analysis", KEY)
-        payload = backend.describe_resilience()
-        assert payload["health"] == "ok"
-        assert payload["breaker"] == "closed"
-        assert payload["counters"]["retries"] == 1
-        assert "retry x3" in payload["retry"]
-
-    def test_identity_and_passthrough(self, any_backend):
-        backend = ResilientBackend(any_backend)
-        assert backend.name == any_backend.name
-        assert backend.root == any_backend.root
-        assert any_backend.describe() in backend.describe()
+        assert store.get("analysis", KEY) == {"value": 1}
+        store.put("analysis", "b" * 8, {"value": 2})  # faulted once, retried
+        assert store.get("analysis", "b" * 8) == {"value": 2}  # faulted once
+        assert store.stats.backend_retries == 2
+        assert store.stats.writes == 2
+        assert store.stats.dropped_writes == 0
 
     def test_counters_safe_under_concurrent_faults(self):
-        backend, _naps = resilient("read:%2:oserror", attempts=2, threshold=100)
-        backend.write("analysis", KEY, "{}")
-        results: list[str | None] = []
+        store, backend = faulty_store("read:%2:oserror")
+        store.put("analysis", KEY, {"value": 1})
+        results: list[dict | None] = []
 
         def reader() -> None:
             for _ in range(25):
-                results.append(backend.read("analysis", KEY))
+                results.append(store.get("analysis", KEY))
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Every fault is either retried into a success or degraded to None;
-        # the books must balance exactly.
-        stats = backend.stats
-        assert stats.transient_errors == stats.retries + stats.exhausted
-        assert results.count(None) == stats.fallthrough_reads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads' counter updates
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # Every injected fault is either retried or ends an exhausted call,
+        # and only exhausted reads come back empty: the books must balance.
+        stats = store.stats
+        assert len(backend.injected) == stats.backend_retries + stats.backend_exhausted
+        assert results.count(None) == stats.backend_exhausted == stats.misses
+        assert stats.disk_hits == 100 - stats.misses
+
+
+class TestDegradedStore:
+    """Every store call over a backend that fails every try (``any:*:oserror``)."""
+
+    def test_get_is_a_counted_miss(self):
+        store, _backend = faulty_store(DEAD)
+        assert store.get("analysis", KEY) is None
+        assert store.stats.misses == 1
+        assert store.health() == "degraded"
+
+    def test_put_is_dropped_and_counted(self):
+        store, _backend = faulty_store(DEAD)
+        assert store.put("analysis", KEY, {"value": 1}) is None
+        assert store.stats.dropped_writes == 1
+        assert store.stats.writes == 0
+        assert store.stats.bytes_written == 0
+
+    def test_exists_is_false(self):
+        store, _backend = faulty_store(DEAD)
+        assert store.exists("analysis", KEY) is False
+
+    def test_claim_grants_a_counted_local_lease(self):
+        store, _backend = faulty_store(DEAD)
+        lease = store.claim("analysis", KEY, "owner-a", 30.0)
+        assert lease == Lease("analysis", KEY, "owner-a", 1030.0)
+        assert store.stats.lease_fallbacks == 1
+
+    def test_every_call_degrades(self):
+        store, backend = faulty_store(DEAD)
+        assert store.keys("analysis") == []
+        assert store.entries() == []
+        assert store.delete("analysis", KEY) is False
+        assert store.release("analysis", KEY, "owner-a") is False
+        assert store.lease("analysis", KEY) is None
+        assert store.renew("analysis", KEY, "owner-a", 30.0, now=5.0) == Lease(
+            "analysis", KEY, "owner-a", 35.0
+        )
+        assert store.total_bytes() == 0
+        assert store.stats.lease_fallbacks == 1
+        assert store.stats.deletes == 0
+        assert store.stats.backend_exhausted == 6
+        # Every call tried exactly BACKEND_ATTEMPTS times.
+        assert {op: backend.calls(op) for op in ("keys", "delete", "lease")} == {
+            "keys": 3,
+            "delete": 3,
+            "lease": 3,
+        }
+
+
+class TestServiceOverAFailingBackend:
+    def test_get_or_run_computes_on_a_dead_backend(self, tmp_path, monkeypatch):
+        store, _backend = faulty_store(DEAD, MemoryBackend(root=tmp_path / "cache"))
+        service = AnalysisService(store)
+
+        def no_sleep(seconds: float) -> None:
+            raise AssertionError(f"slept {seconds}s over a dead backend")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        for _ in range(2):
+            served = service.get_or_run(CONFIG)
+            assert served.source == "computed"
+        assert store.stats.lease_fallbacks == 2
+        assert store.stats.lease_claims == 2
+        assert store.stats.dropped_writes >= 2
+        assert store.health() == "degraded"
+
+    def test_periodic_read_faults_are_served_from_disk(self, tmp_path):
+        root = tmp_path / "cache"
+        AnalysisService(root).get_or_run(CONFIG)  # warm through a clean store
+        store, backend = faulty_store("read:%2:oserror", DirectoryBackend(root))
+        service = AnalysisService(store, max_memory_entries=0)
+        first = service.get_or_run(CONFIG)  # read 1
+        second = service.get_or_run(CONFIG)  # read 2 faults, read 3 answers
+        assert (first.source, second.source) == ("disk", "disk")
+        assert second.results == first.results
+        assert backend.calls("read") == 3
+        assert store.stats.backend_retries == 1
+        assert store.stats.backend_exhausted == 0
+        assert store.health() == "ok"
+        assert store.exists(ANALYSIS_KIND, first.key)
