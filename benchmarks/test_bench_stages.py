@@ -1,23 +1,30 @@
-"""Per-stage seconds and peak RSS of a cold compute and of a restart re-mine.
+"""Per-stage seconds and peak RSS of a cold compute, a disk read and a restart re-mine.
 
-Two runs per corpus scale, each in its own subprocess so its peak RSS is its
-own:
+Three runs per corpus scale, each in its own subprocess so its peak RSS is
+its own:
 
 * ``cold`` -- a fresh :class:`~repro.serve.service.AnalysisService` on an
   empty cache computes the default analysis: corpus generation (its
   same-stream pass, decode and any per-recipe fallback), the corpus JSON,
   the corpus CSR and its sidecar, mining and stages 3-8, all over the
   corpus's id form -- it must build the CSR once and no ``Recipe`` object;
-* ``restart`` -- a second fresh service on the same cache, after
+  then ``ArtifactStore.put`` persists the analysis (``put_analysis``, of
+  which ``encode_analysis`` is packing plus canonical JSON);
+* ``disk`` -- a second fresh service on the same cache answers the
+  persisted analysis from disk: ``store_get`` reads, parses and unpacks it,
+  then ``results_from_dict`` decodes it.  This is what a restart pays per
+  warm config;
+* ``restart`` -- a third fresh service on the same cache, after
   ``invalidate(mining=True)``, re-mines: it reloads the corpus JSON into
   ``Recipe`` objects, derives their id form once, maps the CSR sidecar and
   must build no CSR at all.
 
-``recipes_materialized`` counts the ``Recipe`` objects a run constructs.
+``recipes_materialized`` counts the ``Recipe`` objects a run constructs, and
+``artifact_mb`` is the size of the analysis artifact on disk after the run.
 
-No ``perfbench`` workload reaches the restart path, so this is its number.
-Results go to ``BENCH_stages.json`` at the repository root; there is no
-wall-clock gate.  Scales 0.05 and 0.2 always run; set
+No ``perfbench`` workload reaches the disk or restart paths, so these are
+their numbers.  Results go to ``BENCH_stages.json`` at the repository root;
+there is no wall-clock gate.  Scales 0.05 and 0.2 always run; set
 ``REPRO_BENCH_FULL_SCALE=1`` to add the paper's full scale (1.0, ~118k
 recipes: about 25 s more, and the restart peaks near 0.8 GB).
 
@@ -51,7 +58,11 @@ def _instrument(seconds: dict[str, float], calls: dict[str, int]) -> None:
     from repro.mining.shm import CorpusMatrix
     from repro.recipedb.columns import RecipeColumns
     from repro.recipedb.models import Recipe
-    from repro.serve import service
+    from repro.serve import codec, service, store
+
+    def timer(stage: str, started: float) -> None:
+        seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - started
+        calls[stage] = calls.get(stage, 0) + 1
 
     stages = (
         ("generate", SyntheticRecipeDBGenerator, "generate"),
@@ -67,6 +78,8 @@ def _instrument(seconds: dict[str, float], calls: dict[str, int]) -> None:
         ("csr_load", CorpusMatrix, "load"),
         ("mine", service, "mine_corpus_with_report"),
         ("finish_run", CuisineClusteringPipeline, "finish_run"),
+        ("store_get", store.ArtifactStore, "get"),
+        ("results_from_dict", codec, "results_from_dict"),
     )
     for stage, owner, attribute in stages:
         raw = owner.__dict__[attribute] if isinstance(owner, type) else getattr(owner, attribute)
@@ -77,8 +90,7 @@ def _instrument(seconds: dict[str, float], calls: dict[str, int]) -> None:
             try:
                 return _function(*args, **kwargs)
             finally:
-                seconds[_stage] = seconds.get(_stage, 0.0) + time.perf_counter() - started
-                calls[_stage] = calls.get(_stage, 0) + 1
+                timer(_stage, started)
 
         wrapped = functools.wraps(function)(timed)
         setattr(owner, attribute, classmethod(wrapped) if isinstance(raw, classmethod) else wrapped)
@@ -97,6 +109,30 @@ def _instrument(seconds: dict[str, float], calls: dict[str, int]) -> None:
     Recipe.__post_init__ = counted_validate
     Recipe.from_normalised = classmethod(counted_view)
 
+    # Each put timed by artifact kind, and the encode inside it (packing
+    # plus canonical JSON) by the kind of the put it serves.
+    putting: list[str] = []
+    put, dumps = store.ArtifactStore.put, store.dumps
+
+    def timed_put(self, kind, key, payload):
+        putting.append(kind)
+        started = time.perf_counter()
+        try:
+            return put(self, kind, key, payload)
+        finally:
+            timer(f"put_{kind}", started)
+            putting.pop()
+
+    def timed_dumps(payload):
+        started = time.perf_counter()
+        try:
+            return dumps(payload)
+        finally:
+            timer(f"encode_{putting[-1]}", started)
+
+    store.ArtifactStore.put = timed_put
+    store.dumps = timed_dumps
+
 
 def _peak_rss_mb() -> float:
     """This process's peak resident set since its ``exec``.
@@ -114,13 +150,13 @@ def _peak_rss_mb() -> float:
 
 
 def measure(run: str, scale: float, cache_dir: str) -> dict[str, object]:
-    """One ``cold`` or ``restart`` run in this process."""
+    """One ``cold``, ``disk`` or ``restart`` run in this process."""
     seconds: dict[str, float] = {}
     calls: dict[str, int] = {}
     _instrument(seconds, calls)
 
     from repro.core.config import AnalysisConfig
-    from repro.serve.service import AnalysisService
+    from repro.serve.service import ANALYSIS_KIND, AnalysisService
 
     config = AnalysisConfig(seed=SEED, scale=scale)
     service = AnalysisService(cache_dir)
@@ -129,13 +165,18 @@ def measure(run: str, scale: float, cache_dir: str) -> dict[str, object]:
     started = time.perf_counter()
     served = service.get_or_run(config)
     total = time.perf_counter() - started
-    assert served.source == "computed" and not served.mining_reused
+    if run == "disk":
+        assert served.source == "disk"
+    else:
+        assert served.source == "computed" and not served.mining_reused
+    artifact = service.store.path_for(ANALYSIS_KIND, served.key)
     return {
         "total_s": round(total, 4),
         "stages_s": {stage: round(value, 4) for stage, value in sorted(seconds.items())},
         "csr_builds": calls.get("csr_build", 0),
         "recipes_materialized": calls.get("recipes", 0),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "artifact_mb": round(artifact.stat().st_size / 2**20, 2),
         "corpus_files_mb": round(
             sum(path.stat().st_size for path in Path(cache_dir).glob("corpus-*")) / 2**20, 2
         ),
@@ -169,7 +210,8 @@ def report(tmp_path_factory):
     for scale in SCALES:
         cache_dir = tmp_path_factory.mktemp(f"stages-{scale}")
         document["scales"][str(scale)] = {
-            run: _run_in_subprocess(run, scale, cache_dir) for run in ("cold", "restart")
+            run: _run_in_subprocess(run, scale, cache_dir)
+            for run in ("cold", "disk", "restart")
         }
     REPORT_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return document
@@ -181,6 +223,15 @@ def test_cold_compute_builds_the_csr_once(report, scale):
     assert cold["csr_builds"] == 1
     assert cold["recipes_materialized"] == 0
     assert cold["stages_s"]["generate"] > 0.0
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_disk_read_decodes_without_compute(report, scale):
+    disk = report["scales"][str(scale)]["disk"]
+    assert disk["csr_builds"] == 0
+    assert disk["recipes_materialized"] == 0
+    assert "generate" not in disk["stages_s"] and "mine" not in disk["stages_s"]
+    assert disk["stages_s"]["store_get"] > 0.0
 
 
 @pytest.mark.parametrize("scale", SCALES)

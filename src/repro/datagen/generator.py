@@ -448,9 +448,13 @@ class SyntheticRecipeDBGenerator:
                 zip(tables_of_names, drawn.picks)
             ):
                 parts[kind].append(kind_column(rows, ranks[picks], names, count))
-            anchor_names = self._ingredient_pool.names
+            # normalize_name(f"{profile.name} {anchor} dish {serial}"), with
+            # each part normalised once: the profile name here, every
+            # ingredient name in its pool.
+            title = normalize_name(profile.name)
+            anchor_names = self._ingredient_pool.normalised
             titles.extend(
-                normalize_name(f"{profile.name} {anchor_names[anchor]} dish {serial}")
+                f"{title} {anchor_names[anchor]} dish {serial}"
                 for serial, anchor in enumerate(drawn.anchors)
             )
             regions.append(_region_name(profile.name))

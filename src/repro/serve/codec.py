@@ -11,6 +11,11 @@ knows how an :class:`AnalysisResults` bundle maps to a JSON document:
   reuse them);
 * :func:`dumps` / :func:`loads` -- canonical JSON text (sorted keys, compact
   separators), which makes byte-identical documents for identical artifacts;
+* :func:`pack` / :func:`unpack` -- the stored form of a payload, in which
+  every large all-``float`` array is one base64 string of its float64 bytes
+  (see :func:`pack`); the artifact store writes ``dumps(pack(payload))``
+  and parses with ``json.loads(text, object_hook=unpack)``, so its readers
+  get back exactly the payload that was put;
 * :func:`config_key` / :func:`analysis_key` / :func:`mining_key` -- the
   deterministic cache keys derived from an :class:`AnalysisConfig`.
 
@@ -21,9 +26,14 @@ rebuilds an object that compares equal to the original, field by field.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
-from typing import Mapping
+import math
+from itertools import chain
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from repro.authenticity.fingerprint import CuisineFingerprint
 from repro.cluster.elbow import ElbowAnalysis
@@ -43,8 +53,12 @@ __all__ = [
     "MINING_CONFIG_FIELDS",
     "CORPUS_CONFIG_FIELDS",
     "MINING_GROUP_FIELDS",
+    "PACKED_MARKER",
+    "PACK_MIN_FLOATS",
     "dumps",
     "loads",
+    "pack",
+    "unpack",
     "config_key",
     "analysis_key",
     "mining_key",
@@ -88,6 +102,117 @@ def loads(text: str) -> dict[str, object]:
     if not isinstance(payload, dict):
         raise ServeError(f"expected a JSON object, got {type(payload).__name__}")
     return payload
+
+
+# -- packed float arrays ---------------------------------------------------------------
+
+#: The key of a packed array node: ``{"$f64le": <base64>, "shape": [n]}`` or
+#: ``{"$f64le": <base64>, "shape": [rows, columns]}``.
+PACKED_MARKER = "$f64le"
+
+#: The fewest elements an all-``float`` array holds before :func:`pack`
+#: packs it.  Smaller arrays stay readable decimals: packing them would
+#: save well under a millisecond per artifact, and for integral-valued
+#: floats it costs bytes (see ``docs/storage-engine.md``).
+PACK_MIN_FLOATS = 256
+
+
+def pack(payload: dict[str, object]) -> dict[str, object]:
+    """*payload* with every large all-``float`` array packed into one string.
+
+    A flat list, or a rectangular list of lists, whose every element is
+    exactly a Python ``float`` and which holds at least
+    :data:`PACK_MIN_FLOATS` of them becomes a node ``{"$f64le": <base64 of
+    its little-endian float64 bytes>, "shape": [...]}``.  Anything else --
+    an array holding an int, a bool or ``None``, a ragged or small one --
+    stays as it is, so :func:`unpack` gives back lists equal bit for bit,
+    ``-0.0`` and subnormals included.  *payload* is not modified: the
+    containers on the way to a packed array are copied, the rest shared.
+
+    Raises ``ValueError`` for a non-finite value in an array it packs, as
+    :func:`dumps` does for any other, and for a dict that already uses the
+    marker key, which :func:`unpack` could not tell from a packed node.
+    """
+    return _pack(payload)  # type: ignore[return-value]
+
+
+def unpack(node: dict[str, object]) -> dict[str, object] | list:
+    """One parsed JSON object, or the lists it holds when it is a packed node.
+
+    Made for ``json.loads(text, object_hook=unpack)``, which calls it on
+    every object of a document, innermost first: each :func:`pack` node
+    comes back as the nested lists it was packed from, wherever it sits.
+    An object without the ``"$f64le"`` key -- every object of an artifact
+    written before packing -- is returned as it is.
+
+    Raises ``ValueError`` for a malformed packed node: other keys beside
+    ``"$f64le"`` and ``"shape"``, a shape that is not a list of one or two
+    non-negative ints, data that is not base64, a byte length other than
+    8 × the shape's product, or a non-finite value.
+    """
+    if PACKED_MARKER not in node:
+        return node
+    data, shape = node[PACKED_MARKER], node.get("shape")
+    if len(node) != 2 or not isinstance(shape, list) or not 1 <= len(shape) <= 2:
+        raise ValueError(f"a packed array needs exactly {PACKED_MARKER!r} and a shape")
+    if any(type(size) is not int or size < 0 for size in shape):
+        raise ValueError(f"packed array shape {shape!r} is not non-negative ints")
+    if not isinstance(data, str):
+        raise ValueError("packed array data is not a base64 string")
+    raw = base64.b64decode(data, validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"packed array holds {len(raw)} bytes, not 8 × {shape}")
+    array = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(array).all():
+        raise ValueError("packed array holds a non-finite value")
+    return array.reshape(shape).tolist()
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _pack(node: dict | list | tuple) -> object:
+    """*node* with its large float arrays packed; copied only where it changed."""
+    if isinstance(node, dict):
+        if PACKED_MARKER in node:
+            raise ValueError(f"payload dicts must not use the key {PACKED_MARKER!r}")
+        pairs: Iterable[tuple[object, object]] = node.items()
+    else:
+        packed = _packed_array(node)
+        if packed is not None:
+            return packed
+        pairs = enumerate(node)
+    copy: dict | list | None = None
+    for key, value in pairs:
+        if isinstance(value, _CONTAINERS):
+            rewritten = _pack(value)
+            if rewritten is not value:
+                if copy is None:
+                    copy = dict(node) if isinstance(node, dict) else list(node)
+                copy[key] = rewritten  # type: ignore[index]
+    return node if copy is None else copy
+
+
+def _packed_array(node: list | tuple) -> dict[str, object] | None:
+    """The packed node for *node*, or ``None`` when it is not packed."""
+    if type(node) is not list or not node:
+        return None
+    if type(node[0]) is list:
+        shape = [len(node), len(node[0])]
+        if shape[0] * shape[1] < PACK_MIN_FLOATS:
+            return None
+        if set(map(type, node)) != {list} or set(map(len, node)) != {shape[1]}:
+            return None
+        if set(map(type, chain.from_iterable(node))) != {float}:
+            return None
+    else:
+        shape = [len(node)]
+        if shape[0] < PACK_MIN_FLOATS or set(map(type, node)) != {float}:
+            return None
+    array = np.array(node, dtype="<f8")
+    if not np.isfinite(array).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return {PACKED_MARKER: base64.b64encode(array.tobytes()).decode("ascii"), "shape": shape}
 
 
 # -- cache keys ------------------------------------------------------------------------

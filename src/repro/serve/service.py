@@ -246,6 +246,10 @@ class AnalysisService:
         # fingerprint).  The fingerprint ties the persisted matrix sidecar to
         # the exact corpus bytes.
         self._corpora: dict[str, tuple[RecipeDatabase, str]] = {}
+        # Corpus-file fingerprint memo: path -> ((st_ino, st_size,
+        # st_mtime_ns), SHA-256), so a file is hashed again only once it
+        # changes (an os.replace gives it a new inode).
+        self._fingerprints: dict[Path, tuple[tuple[int, int, int], str]] = {}
         # The async front-end computes different configs concurrently on
         # executor threads.  _lock guards the service's own compound cache
         # mutations (decoded cache, mining-family index read-modify-write);
@@ -592,8 +596,17 @@ class AnalysisService:
 
         Memory first, then the ``io_json`` file next to the artifact store,
         then regeneration (which persists the corpus for the next miss).  The
-        returned fingerprint digests the corpus file's bytes; matrix sidecars
-        carry it so they go stale with the corpus.
+        returned fingerprint digests the corpus file's bytes; the CSR and
+        classifier sidecars carry it so they go stale with the corpus.
+
+        A snapshot that cannot be saved (a full or read-only cache) is
+        dropped as the store drops a write: counted in ``dropped_writes``,
+        marking the store degraded, while the corpus serves from memory.
+        No file was written, so none is hashed: the fingerprint is ``""``,
+        the value :meth:`_corpus_file_fingerprint` gives for a missing
+        corpus file, and any CSR or classifier sidecar saved beside it
+        carries ``""``.  Such a sidecar goes stale once a corpus file is
+        written, since no SHA-256 is empty.
         """
         key = codec.corpus_key(config)
         with self._lock:
@@ -616,11 +629,16 @@ class AnalysisService:
                     corpus = load_json(path)
                 except SerializationError:
                     corpus = None  # truncated / hand-edited file: regenerate
+            saved = True
             if corpus is None:
                 corpus = pipeline.build_corpus()
-                path.parent.mkdir(parents=True, exist_ok=True)
-                save_json(corpus, path)
-            fingerprint = corpus_fingerprint(path)
+                try:
+                    save_json(corpus, path)
+                except SerializationError:
+                    # Serve from memory, as a dropped artifact write does.
+                    self.store.record_dropped_write()
+                    saved = False
+            fingerprint = self._file_fingerprint(path) if saved else ""
 
             with self._lock:
                 self._corpora[key] = (corpus, fingerprint)
@@ -694,8 +712,9 @@ class AnalysisService:
     def _corpus_file_fingerprint(self, config: AnalysisConfig) -> str:
         """Fingerprint of the persisted corpus file, or ``""`` without one.
 
-        The corpus stage keeps the fingerprint of every corpus it holds, so
-        only a corpus-cache miss hashes the file.
+        The corpus stage keeps the fingerprint of every corpus it holds;
+        past it, each file is hashed once until it changes (see
+        :meth:`_file_fingerprint`).
         """
         with self._lock:
             cached = self._corpora.get(codec.corpus_key(config))
@@ -705,9 +724,30 @@ class AnalysisService:
             path = self.corpus_path(config)
         except ServeError:
             return ""
-        if not path.exists():
+        return self._file_fingerprint(path)
+
+    def _file_fingerprint(self, path: Path) -> str:
+        """SHA-256 of the corpus file at *path*, or ``""`` without one.
+
+        Memoised per path and checked against the file's ``(st_ino,
+        st_size, st_mtime_ns)``, so a file replaced through ``os.replace``
+        (a new inode) or rewritten in place is hashed again.
+        """
+        try:
+            stat = path.stat()
+        except OSError:
             return ""
-        return corpus_fingerprint(path)
+        stamp = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        with self._lock:
+            memo = self._fingerprints.get(path)
+        if memo is not None and memo[0] == stamp:
+            return memo[1]
+        fingerprint = corpus_fingerprint(path)
+        with self._lock:
+            self._fingerprints[path] = (stamp, fingerprint)
+            while len(self._fingerprints) > _CORPUS_MEMORY_LIMIT:
+                self._fingerprints.pop(next(iter(self._fingerprints)))
+        return fingerprint
 
     def classifier_for(
         self,

@@ -7,10 +7,19 @@ three concerns:
 
 * a **storage backend** (:mod:`repro.serve.backends`) owning durability --
   the sharded directory of JSON files, or ephemeral memory in tests;
+* **packing**: :meth:`ArtifactStore.put` writes :func:`dumps`, the
+  canonical JSON of ``pack(payload)``, so every large all-``float`` array
+  is one base64 string of its float64 bytes
+  (:func:`repro.serve.codec.pack`), and :meth:`ArtifactStore.get`
+  parses with :func:`~repro.serve.codec.unpack` as the object hook, which
+  turns each back into the same lists -- readers see exactly the payload
+  that was put.  An artifact without packed arrays (written before
+  packing) reads as it is;
 * **validation + quarantine**: payloads are parsed and shape-checked on
-  every read, and corrupt data (a crashed writer, a hand-edited file) is
-  quarantined through the backend so the slot can be rewritten.  The store
-  never raises on bad cached data; the worst case is a recompute;
+  every read, and corrupt data (a crashed writer, a hand-edited file, a
+  malformed packed array) is quarantined through the backend so the slot
+  can be rewritten.  The store never raises on bad cached data; the worst
+  case is a recompute;
 * **backend faults**: every backend call retries an :class:`OSError` at
   once, up to :data:`BACKEND_ATTEMPTS` tries, and then degrades instead of
   raising (each call's degraded answer is tabled on :class:`ArtifactStore`),
@@ -42,16 +51,28 @@ from typing import Callable, TypeVar
 from repro.errors import ServeError
 from repro.serve.backends import DirectoryBackend, StorageBackend
 from repro.serve.backends.base import BackendEntry, Lease
-from repro.serve.codec import dumps
+from repro.serve.codec import dumps as canonical_dumps
+from repro.serve.codec import pack, unpack
 from repro.serve.eviction import EntryInfo, EvictionPolicy
 
-__all__ = ["BACKEND_ATTEMPTS", "StoreStats", "ArtifactStore"]
+__all__ = ["BACKEND_ATTEMPTS", "StoreStats", "ArtifactStore", "dumps"]
 
 T = TypeVar("T")
 
 #: Tries per backend call: an ``OSError`` is retried at once until this
 #: many tries have failed, and then the call degrades.
 BACKEND_ATTEMPTS = 3
+
+
+def dumps(payload: dict[str, object]) -> str:
+    """The stored text of *payload*: the canonical JSON of its packed form.
+
+    The store's one encode step, so a tracer that wraps this name times
+    packing and JSON together.  Raises ``ValueError`` for a payload
+    :func:`~repro.serve.codec.pack` or :func:`~repro.serve.codec.dumps`
+    cannot encode (a non-finite float).
+    """
+    return canonical_dumps(pack(payload))
 
 
 @dataclass
@@ -82,8 +103,10 @@ class StoreStats:
     The store itself counts backend faults: ``backend_retries`` counts
     tries repeated after an ``OSError``, ``backend_exhausted`` counts calls
     whose every try failed and so degraded, ``dropped_writes`` counts the
-    writes among those, and ``lease_fallbacks`` counts claims and renewals
-    granted locally because the backend could not be asked.
+    writes among those plus the auxiliary writes the service reports
+    through :meth:`ArtifactStore.record_dropped_write`, and
+    ``lease_fallbacks`` counts claims and renewals granted locally because
+    the backend could not be asked.
     """
 
     memory_hits: int = 0
@@ -139,7 +162,11 @@ class ArtifactStore:
     ========================== ============================================
 
     :meth:`health` reads ``"degraded"`` while the last backend call was
-    one of these, and ``"ok"`` again after the next call that succeeds.
+    one of these, and ``"ok"`` again after the next call that succeeds --
+    except that a failed write-class call (write, delete, quarantine,
+    claim, renew, release) or a dropped auxiliary write keeps it
+    ``"degraded"`` until a later write-class call succeeds, so a cache that
+    reads but cannot write never looks healthy.
 
     Parameters
     ----------
@@ -182,6 +209,7 @@ class ArtifactStore:
         # calls, so they take their own lock.
         self._fault_lock = threading.Lock()
         self._degraded = False
+        self._write_degraded = False
 
     # -- backend ----------------------------------------------------------------------
 
@@ -236,19 +264,34 @@ class ArtifactStore:
     # -- backend faults ---------------------------------------------------------------
 
     def health(self) -> str:
-        """``"degraded"`` while the last backend call exhausted its tries, else ``"ok"``."""
-        return "degraded" if self._degraded else "ok"
+        """``"degraded"`` while the last backend call, or the last write, failed; else ``"ok"``."""
+        return "degraded" if self._degraded or self._write_degraded else "ok"
+
+    def record_dropped_write(self) -> None:
+        """Count a failed write of an auxiliary file as a dropped write.
+
+        The service writes its corpus snapshot beside the backend, not
+        through it; when that write fails it serves from memory and reports
+        the drop here, so ``dropped_writes`` and :meth:`health` see it as
+        they see a dropped :meth:`put`.
+        """
+        self._count("dropped_writes")
+        self._write_degraded = True
 
     def _count(self, counter: str) -> None:
         with self._fault_lock:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
-    def _call(self, call: Callable[[], T], degraded: Callable[[], T]) -> T:
+    def _call(
+        self, call: Callable[[], T], degraded: Callable[[], T], *, write: bool = False
+    ) -> T:
         """Run one backend call: retry an ``OSError`` at once, then degrade.
 
         Returns *call*'s result, or ``degraded()`` once
         :data:`BACKEND_ATTEMPTS` tries have all raised ``OSError``.  Any
-        other exception propagates from the first try.
+        other exception propagates from the first try.  *write* marks a
+        write-class call, whose failure only a later write-class success
+        clears from :meth:`health`.
         """
         for attempt in range(1, BACKEND_ATTEMPTS + 1):
             try:
@@ -258,19 +301,24 @@ class ArtifactStore:
                     self._count("backend_retries")
                 continue
             self._degraded = False
+            if write:
+                self._write_degraded = False
             return outcome
         self._degraded = True
+        if write:
+            self._write_degraded = True
         self._count("backend_exhausted")
         return degraded()
 
     # -- reads ------------------------------------------------------------------------
 
     def get(self, kind: str, key: str) -> dict[str, object] | None:
-        """Read and validate an artifact payload from the backend, else ``None``.
+        """Read, validate and unpack an artifact payload from the backend, else ``None``.
 
-        Corrupt data (unparseable JSON, a non-object root) is quarantined
-        through the backend and counted in ``corrupt_recovered``; the read
-        then counts as a miss, as does a read the backend failed.
+        Corrupt data (unparseable or too deeply nested JSON, a non-object
+        root, a malformed packed array) is quarantined through the backend
+        and counted in ``corrupt_recovered``; the read then counts as a
+        miss, as does a read the backend failed.
         """
         with self._lock:
             text = self._call(lambda: self._backend.read(kind, key), lambda: None)
@@ -278,11 +326,13 @@ class ArtifactStore:
                 self.stats.misses += 1
                 return None
             try:
-                payload = json.loads(text)
+                payload = json.loads(text, object_hook=unpack)
                 if not isinstance(payload, dict):
                     raise ValueError("artifact root must be a JSON object")
-            except (json.JSONDecodeError, ValueError):
-                self._call(lambda: self._backend.quarantine(kind, key), lambda: None)
+            except (ValueError, RecursionError):
+                self._call(
+                    lambda: self._backend.quarantine(kind, key), lambda: None, write=True
+                )
                 self.stats.corrupt_recovered += 1
                 self.stats.misses += 1
                 return None
@@ -309,10 +359,11 @@ class ArtifactStore:
     # -- writes -----------------------------------------------------------------------
 
     def put(self, kind: str, key: str, payload: dict[str, object]) -> Path | None:
-        """Persist an artifact payload, then apply the disk policy.
+        """Persist an artifact payload, packed, then apply the disk policy.
 
         Returns the artifact's path for path-addressable backends, ``None``
-        otherwise and when the write was dropped.
+        otherwise and when the write was dropped.  Raises ``ValueError`` for
+        a payload :func:`dumps` cannot encode.
         """
         text = dumps(payload)
 
@@ -325,7 +376,7 @@ class ArtifactStore:
             return False
 
         with self._lock:
-            if not self._call(write, drop):
+            if not self._call(write, drop, write=True):
                 return None
             self.stats.writes += 1
             self.stats.bytes_written += len(text.encode("utf-8"))
@@ -336,7 +387,9 @@ class ArtifactStore:
     def delete(self, kind: str, key: str) -> bool:
         """Drop an artifact from the backend; True when it existed."""
         with self._lock:
-            existed = self._call(lambda: self._backend.delete(kind, key), lambda: False)
+            existed = self._call(
+                lambda: self._backend.delete(kind, key), lambda: False, write=True
+            )
             if existed:
                 self.stats.deletes += 1
             return existed
@@ -362,6 +415,7 @@ class ArtifactStore:
         return self._call(
             lambda: self._backend.claim(kind, key, owner, ttl, now=now),
             lambda: self._local_lease(kind, key, owner, ttl, now),
+            write=True,
         )
 
     def renew(
@@ -371,11 +425,14 @@ class ArtifactStore:
         return self._call(
             lambda: self._backend.renew(kind, key, owner, ttl, now=now),
             lambda: self._local_lease(kind, key, owner, ttl, now),
+            write=True,
         )
 
     def release(self, kind: str, key: str, owner: str) -> bool:
         """Drop the slot's lease iff *owner* holds it."""
-        return self._call(lambda: self._backend.release(kind, key, owner), lambda: False)
+        return self._call(
+            lambda: self._backend.release(kind, key, owner), lambda: False, write=True
+        )
 
     def lease(self, kind: str, key: str, *, now: float | None = None) -> Lease | None:
         """The current live lease on ``(kind, key)``, or ``None``."""
@@ -409,7 +466,9 @@ class ArtifactStore:
                 for entry in stored
             ]
             for kind, key in self.disk_policy.victims(view, now):
-                if self._call(lambda: self._backend.delete(kind, key), lambda: False):
+                if self._call(
+                    lambda: self._backend.delete(kind, key), lambda: False, write=True
+                ):
                     self.stats.disk_evictions += 1
                     evicted += 1
             return evicted

@@ -13,7 +13,8 @@ the pipeline, a cold service that builds and saves the corpus CSR, a second
 service that re-mines from the memory-mapped CSR sidecar, and a restart on
 the persisted corpus JSON whose sidecar is gone, so the CSR is rebuilt from
 the id form derived from the validated ``Recipe`` objects ``load_json``
-returns rather than from the generator's.
+returns rather than from the generator's.  A fifth producer reads the cold
+service's artifact back from disk, through the store's packed float arrays.
 
 ``RESULTS_DIGEST`` was re-recorded when the production miner switched from
 FP-Growth to Eclat.  ``STRIPPED_RESULTS_DIGEST`` was recorded before that
@@ -132,10 +133,24 @@ def _from_reloaded_corpus(tmp_path, monkeypatch):
     return served.results
 
 
+def _from_disk_read(tmp_path, monkeypatch):
+    """A fresh service decodes the cold service's persisted artifact."""
+    AnalysisService(tmp_path / "cache").get_or_run(GOLDEN_CONFIG)
+    served = AnalysisService(tmp_path / "cache").get_or_run(GOLDEN_CONFIG)
+    assert served.source == "disk"
+    return served.results
+
+
 @pytest.mark.parametrize(
     "produce",
-    [_from_pipeline, _from_cold_service, _from_mapped_arena, _from_reloaded_corpus],
-    ids=["pipeline", "cold-service", "mapped-arena", "reloaded-corpus"],
+    [
+        _from_pipeline,
+        _from_cold_service,
+        _from_mapped_arena,
+        _from_reloaded_corpus,
+        _from_disk_read,
+    ],
+    ids=["pipeline", "cold-service", "mapped-arena", "reloaded-corpus", "disk-read"],
 )
 def test_analysis_codec_digest_matches_golden(produce, tmp_path, monkeypatch):
     results = produce(tmp_path, monkeypatch)

@@ -252,6 +252,33 @@ class TestDeadBackend:
         assert store.stats.request_errors == 0
 
 
+    def test_a_cache_dir_that_is_a_file_serves_by_recompute(self, tmp_path):
+        root = tmp_path / "cache"
+        root.write_text("not a directory", encoding="utf-8")
+        service = AnalysisService(root)
+
+        async def scenario():
+            server = AnalysisServer(AsyncAnalysisService(service))
+            try:
+                host, port = await server.start()
+                analyze = await request(
+                    host, port, "POST", "/analyze", {"config": {"seed": 5, "scale": 0.02}}
+                )
+                health = await request(host, port, "GET", "/healthz")
+                return analyze, health
+            finally:
+                await server.aclose()
+
+        (status, payload), (health_status, health) = run(scenario())
+        assert status == 200
+        assert payload["served"]["source"] == "computed"
+        assert health_status == 200
+        assert health["backend"] == "degraded"
+        # The analysis, the mining run, its family index and the corpus.
+        assert service.store.stats.dropped_writes == 4
+        assert service.store.stats.request_errors == 0
+
+
 class TestComputeDeadline:
     def test_deadline_raises_instead_of_wedging(self):
         service = FlakyService()

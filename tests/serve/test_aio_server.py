@@ -9,13 +9,17 @@ routes and ops, wrong methods, invalid config fields).
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from repro.core.config import AnalysisConfig
+from repro.serve import codec
 from repro.serve.aio import AnalysisServer, AsyncAnalysisService
-from repro.serve.service import AnalysisService
+from repro.serve.service import ANALYSIS_KIND, AnalysisService
 
 CONFIG = AnalysisConfig(seed=5, scale=0.02)
 CONFIG_JSON = {"seed": 5, "scale": 0.02}
@@ -643,3 +647,40 @@ class TestClientGarbage:
         assert payload["status"] == "ok"
         assert payload["compute_failures"] == 0
         assert statuses == [400, 400, 400]
+
+
+def _nan_first(node):
+    raw = bytearray(base64.b64decode(node[codec.PACKED_MARKER]))
+    raw[:8] = np.array([np.nan], dtype="<f8").tobytes()
+    node[codec.PACKED_MARKER] = base64.b64encode(bytes(raw)).decode("ascii")
+
+
+#: One corruption of Figure 5's packed feature matrix per malformed-node kind.
+PACKED_CORRUPTIONS = {
+    "bad-base64": lambda node: node.update({codec.PACKED_MARKER: "*" + node[codec.PACKED_MARKER][1:]}),
+    "wrong-length": lambda node: node.update({"shape": [node["shape"][0], node["shape"][1] + 1]}),
+    "bad-shape": lambda node: node.update({"shape": [node["shape"][0], float(node["shape"][1])]}),
+    "non-finite": _nan_first,
+}
+
+
+class TestCorruptPackedArtifact:
+    @pytest.mark.parametrize("corrupt", PACKED_CORRUPTIONS.values(), ids=PACKED_CORRUPTIONS.keys())
+    def test_is_recomputed_not_a_500(self, warm_cache, tmp_path, corrupt):
+        cache = tmp_path / "cache"
+        shutil.copytree(warm_cache, cache)
+        path = AnalysisService(cache).store.path_for(ANALYSIS_KIND, codec.analysis_key(CONFIG))
+        artifact = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(artifact["figure5_authenticity"]["features"]["values"])
+        path.write_text(json.dumps(artifact), encoding="utf-8")
+
+        async def scenario(host, port):
+            analyze = await request(host, port, "POST", "/analyze", {"config": CONFIG_JSON})
+            return analyze, await request(host, port, "GET", "/stats")
+
+        (status, payload), (_status, stats) = serve(cache, scenario)
+        assert status == 200
+        assert payload["served"]["source"] == "computed"
+        assert stats["counters"]["corrupt_recovered"] == 1
+        assert stats["counters"]["request_errors"] == 0
+        assert path.with_suffix(".json.corrupt").exists()

@@ -14,6 +14,8 @@ Three property suites (Hypothesis) plus deterministic service-level tests:
 from __future__ import annotations
 
 import json
+import os
+import sys
 import threading
 
 import numpy as np
@@ -198,6 +200,20 @@ class TestSidecarRoundTrip:
             CuisineClassifier.load(prefix, expected_fingerprint="fp")
 
 
+@pytest.fixture()
+def hashed(monkeypatch) -> list:
+    """Every corpus file the service SHA-256s, in call order."""
+    calls = []
+    original = service_module.corpus_fingerprint
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(service_module, "corpus_fingerprint", counting)
+    return calls
+
+
 class TestServiceWarmPath:
     def test_warm_classifier_builds_zero_matrices(self, tmp_path, monkeypatch):
         cold = AnalysisService(tmp_path / "cache")
@@ -251,23 +267,72 @@ class TestServiceWarmPath:
         assert service.classifier_for(CONFIG) is first
         assert service.store.stats.classifier_sidecar_loads == 0
 
-    def test_memory_hit_hashes_no_corpus_file(self, tmp_path, monkeypatch):
+    def test_memory_hit_hashes_no_corpus_file(self, tmp_path, hashed):
         # The corpus stage already holds the corpus fingerprint; a warm hit
         # must not SHA-256 the whole corpus file again.
         service = AnalysisService(tmp_path / "cache")
         served = service.get_or_run(CONFIG)
         first = service.classifier_for(CONFIG, results=served.results)
-        hashed = []
-        original = service_module.corpus_fingerprint
-
-        def counting(path):
-            hashed.append(path)
-            return original(path)
-
-        monkeypatch.setattr(service_module, "corpus_fingerprint", counting)
+        hashed.clear()
         assert service.classifier_for(CONFIG) is first
         assert service.classifier_for(CONFIG, pattern_weight=1.0) is first
         assert hashed == []
+
+    def test_restarted_service_hashes_the_corpus_file_once(self, tmp_path, hashed):
+        # A restart answers /classify from the sidecar without running the
+        # corpus stage, so no corpus fingerprint is held in memory: the
+        # file is hashed once and then recognised by its stat stamp.
+        cold = AnalysisService(tmp_path / "cache")
+        cold.classifier_for(CONFIG, results=cold.get_or_run(CONFIG).results)
+        hashed.clear()
+        restarted = AnalysisService(tmp_path / "cache")
+        first = restarted.classifier_for(CONFIG)
+        assert restarted.classifier_for(CONFIG) is first
+        assert restarted.classifier_for(CONFIG) is first
+        assert hashed == [restarted.corpus_path(CONFIG)]
+        assert restarted.store.stats.classifier_sidecar_loads == 1
+
+    def test_concurrent_fingerprints_agree(self, tmp_path, hashed):
+        # Executor threads share the memo: every caller must get the file's
+        # hash, and each thread hashes at most once.
+        AnalysisService(tmp_path / "cache").get_or_run(CONFIG)
+        restarted = AnalysisService(tmp_path / "cache")
+        expected = service_module.corpus_fingerprint(restarted.corpus_path(CONFIG))
+        hashed.clear()
+        answers = []
+
+        def worker():
+            for _ in range(20):
+                answers.append(restarted._corpus_file_fingerprint(CONFIG))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * 160
+        assert 1 <= len(hashed) <= 8
+
+    def test_replaced_corpus_file_is_hashed_again(self, tmp_path, hashed):
+        cold = AnalysisService(tmp_path / "cache")
+        cold.classifier_for(CONFIG, results=cold.get_or_run(CONFIG).results)
+        restarted = AnalysisService(tmp_path / "cache")
+        restarted.classifier_for(CONFIG)
+        hashed.clear()
+        path = restarted.corpus_path(CONFIG)
+        replacement = path.with_name(path.name + ".new")
+        replacement.write_bytes(path.read_bytes() + b" ")
+        os.replace(replacement, path)
+        restarted.classifier_for(CONFIG)
+        assert hashed == [path]
+        # The new bytes stale the sidecar, so the classifier is rebuilt.
+        assert restarted.store.stats.classifier_compiles == 1
 
     def test_weight_variants_share_one_sidecar(self, tmp_path):
         service = AnalysisService(tmp_path / "cache")

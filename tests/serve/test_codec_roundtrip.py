@@ -2,9 +2,12 @@
 
 The full-results fixture exercises every artifact type with realistic values;
 the hypothesis tests additionally fuzz the small artifacts whose constructors
-accept arbitrary data.  All round-trips go through canonical JSON text (not
-just dictionaries) so the tests catch anything JSON cannot represent — numpy
-scalars, integer dict keys, tuples — exactly as the disk store would.
+accept arbitrary data, and the store's packing of float arrays over drawn
+nested payloads.  All round-trips go through an :class:`ArtifactStore` --
+canonical JSON text of the packed payload, unpacked on the way back -- so
+the tests catch anything JSON or packing cannot represent (numpy scalars,
+integer dict keys, tuples, the sign of a zero) exactly as the disk store
+would.
 """
 
 from __future__ import annotations
@@ -27,11 +30,18 @@ from repro.geo.comparison import ClaimCheck, TreeComparison
 from repro.mining.itemsets import MiningResult, Pattern
 from repro.recipedb.stats import CorpusStatistics
 from repro.serve import codec
+from repro.serve.backends import MemoryBackend
+from repro.serve.codec import PACK_MIN_FLOATS
+from repro.serve.store import ArtifactStore
 
 
 def json_roundtrip(payload: dict) -> dict:
-    """Push a payload through canonical JSON text, as the disk store does."""
-    return codec.loads(codec.dumps(payload))
+    """Push a payload through the store's encoding, as the disk store does."""
+    store = ArtifactStore(backend=MemoryBackend())
+    store.put("roundtrip", "0", payload)
+    restored = store.get("roundtrip", "0")
+    assert restored is not None
+    return restored
 
 
 class TestArtifactRoundTrips:
@@ -100,6 +110,15 @@ class TestFullResultsRoundTrip:
     def test_every_field_survives(self, full_results):
         rebuilt = codec.results_from_dict(json_roundtrip(codec.results_to_dict(full_results)))
         assert rebuilt == full_results
+
+    def test_stored_artifact_packs_the_feature_matrices(self, full_results):
+        store = ArtifactStore(backend=MemoryBackend())
+        store.put("analysis", "0", codec.results_to_dict(full_results))
+        stored = codec.loads(store.backend.read("analysis", "0"))
+        assert codec.PACKED_MARKER in stored["figure5_authenticity"]["features"]["values"]
+        assert codec.PACKED_MARKER in stored["pattern_features"]["values"]
+        # The 25 x 4 merge tables stay below the threshold, as decimals.
+        assert isinstance(stored["figure2_euclidean"]["linkage_matrix"]["merges"], list)
 
     def test_distances_bitwise_identical(self, full_results):
         rebuilt = codec.results_from_dict(json_roundtrip(codec.results_to_dict(full_results)))
@@ -262,3 +281,60 @@ class TestHypothesisRoundTrips:
             math.isclose(a, b, rel_tol=0, abs_tol=0)
             for a, b in zip(array.tolist(), restored)
         )
+
+
+# -- hypothesis fuzzing of the store's packing ---------------------------------------
+
+#: Doubles a lossy encoding would get wrong: signed zeros, subnormals, extremes.
+edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+     1.7976931348623157e308, 0.1, 1 / 3]
+)
+any_floats = st.one_of(finite_floats, edge_floats)
+scalars = st.one_of(
+    any_floats, st.integers(), st.booleans(), st.none(), st.text(max_size=4)
+)
+
+
+@st.composite
+def float_arrays(draw):
+    """A flat or rectangular float array on either side of the packing
+    threshold, sometimes spoiled by one int, bool or ``None`` or a short row."""
+    size = draw(st.sampled_from(
+        [1, PACK_MIN_FLOATS - 1, PACK_MIN_FLOATS, PACK_MIN_FLOATS + 1, 2 * PACK_MIN_FLOATS]
+    ))
+    cycle = draw(st.lists(any_floats, min_size=1, max_size=8))
+    width = draw(st.sampled_from([None, 1, 3, 16]))
+    spoiler = draw(st.one_of(st.just("none"), st.sampled_from(["int", "bool", "null", "ragged"])))
+    rows = 1 if width is None else -(-size // width)
+    values = [cycle[i % len(cycle)] for i in range(rows * (width or size))]
+    if spoiler != "ragged" and spoiler != "none":
+        values[draw(st.integers(0, len(values) - 1))] = {"int": 1, "bool": True, "null": None}[spoiler]
+    if width is None:
+        return values
+    matrix = [values[row * width : (row + 1) * width] for row in range(rows)]
+    if spoiler == "ragged":
+        matrix[-1] = matrix[-1][:-1]
+    return matrix
+
+
+trees = st.recursive(
+    st.one_of(float_arrays(), scalars),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=5), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+payloads = st.fixed_dictionaries(
+    {"arrays": st.lists(float_arrays(), min_size=1, max_size=3), "tree": trees}
+)
+
+
+class TestHypothesisPacking:
+    @settings(max_examples=100, deadline=None)
+    @given(payload=payloads)
+    def test_store_round_trip_is_canonically_identical(self, payload):
+        before = codec.dumps(payload)
+        assert codec.dumps(json_roundtrip(payload)) == before
+        assert codec.dumps(payload) == before  # packing copies, never mutates

@@ -18,6 +18,7 @@ from repro.core.config import AnalysisConfig
 from repro.errors import ServeError
 from repro.serve.backends import DirectoryBackend, MemoryBackend
 from repro.serve.backends.base import Lease
+from repro.serve import service as service_module
 from repro.serve.service import ANALYSIS_KIND, AnalysisService
 from repro.serve.store import BACKEND_ATTEMPTS, ArtifactStore
 from tests.faults import FaultInjectingBackend
@@ -55,6 +56,17 @@ class TestStoreRetries:
         # The next call that reaches the backend clears the degraded state.
         assert store.exists("analysis", KEY)
         assert store.health() == "ok"
+
+    def test_a_dropped_write_keeps_health_degraded_until_a_write_lands(self):
+        store, _backend = faulty_store("write:1-3:oserror")
+        assert store.put("analysis", KEY, {"value": 1}) is None
+        assert store.health() == "degraded"
+        # A read that succeeds does not vouch for writes.
+        assert store.exists("analysis", KEY) is False
+        assert store.health() == "degraded"
+        store.put("analysis", KEY, {"value": 1})
+        assert store.health() == "ok"
+        assert store.stats.dropped_writes == 1
 
     def test_non_oserror_propagates_immediately(self):
         class ExplodingBackend(MemoryBackend):
@@ -186,6 +198,24 @@ class TestServiceOverAFailingBackend:
         assert store.stats.lease_claims == 2
         assert store.stats.dropped_writes >= 2
         assert store.health() == "degraded"
+
+    def test_a_cache_dir_that_is_a_file_computes(self, tmp_path, monkeypatch):
+        # Nothing can be written under a regular file: the corpus snapshot
+        # is dropped like every artifact write, and no file is hashed.
+        root = tmp_path / "cache"
+        root.write_text("not a directory", encoding="utf-8")
+        hashed = []
+        monkeypatch.setattr(
+            service_module, "corpus_fingerprint", lambda path: hashed.append(path)
+        )
+        service = AnalysisService(root)
+        served = service.get_or_run(CONFIG)
+        assert served.source == "computed"
+        # The analysis, the mining run, its family index and the corpus.
+        assert service.store.stats.dropped_writes == 4
+        assert service.store.health() == "degraded"
+        assert hashed == []
+        assert service.get_or_run(CONFIG).results == served.results
 
     def test_periodic_read_faults_are_served_from_disk(self, tmp_path):
         root = tmp_path / "cache"

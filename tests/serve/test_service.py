@@ -166,6 +166,25 @@ class TestCorruptRecovery:
         assert fresh.get_or_run(CONFIG).source == "computed"
 
 
+    def test_all_decimal_artifact_is_served_from_disk(self, service, tmp_path, monkeypatch):
+        # Artifacts written before packing hold every float array as
+        # decimals; they are read as they are, with no recompute.
+        computed = service.get_or_run(CONFIG)
+        path = service.store.path_for(ANALYSIS_KIND, codec.analysis_key(CONFIG))
+        decimal = codec.dumps(codec.results_to_dict(computed.results))
+        assert codec.PACKED_MARKER in path.read_text(encoding="utf-8")
+        assert codec.PACKED_MARKER not in decimal
+        path.write_text(decimal, encoding="utf-8")
+        monkeypatch.setattr(
+            AnalysisService, "_compute", lambda *a: pytest.fail("recomputed")
+        )
+        fresh = AnalysisService(tmp_path / "cache")
+        served = fresh.get_or_run(CONFIG)
+        assert served.source == "disk"
+        assert served.results == computed.results
+        assert fresh.store.stats.corrupt_recovered == 0
+
+
 class TestServedResults:
     def test_served_equals_direct_pipeline_run(self, service):
         served = service.get_or_run(CONFIG)
