@@ -4,12 +4,16 @@ Three runs per corpus scale, each in its own subprocess so its peak RSS is
 its own:
 
 * ``cold`` -- a fresh :class:`~repro.serve.service.AnalysisService` on an
-  empty cache computes the default analysis: corpus generation (its
-  same-stream pass, decode and any per-recipe fallback), the corpus JSON,
-  the corpus CSR and its sidecar, mining and stages 3-8, all over the
-  corpus's id form -- it must build the CSR once and no ``Recipe`` object;
-  then ``ArtifactStore.put`` persists the analysis (``put_analysis``, of
-  which ``encode_analysis`` is packing plus canonical JSON);
+  empty cache computes the default analysis: the generator's set-up
+  (``generator_init``: its pools, built once per process and scale) and
+  corpus generation (its same-stream pass, decode and any per-recipe
+  fallback), the corpus JSON, the corpus CSR and its sidecar, mining and
+  stages 3-8 (``finish_run``, of which ``elbow``, ``authenticity``,
+  ``figure5``, ``fingerprints`` and ``validation`` are timed apart), all
+  over the corpus's id form -- it must build the CSR once and no
+  ``Recipe`` object; then ``ArtifactStore.put`` persists the analysis
+  (``put_analysis``, of which ``encode_analysis`` is packing plus
+  canonical JSON);
 * ``disk`` -- a second fresh service on the same cache answers the
   persisted analysis from disk: ``store_get`` reads, parses and unpacks it,
   then ``results_from_dict`` decodes it.  This is what a restart pays per
@@ -21,6 +25,10 @@ its own:
 
 ``recipes_materialized`` counts the ``Recipe`` objects a run constructs, and
 ``artifact_mb`` is the size of the analysis artifact on disk after the run.
+``peak_rss_mb`` is the run's high-water mark (``VmHWM``), and
+``peak_rss_rise_mb`` how far each stage raised it, summed over its calls
+(a stage's rise includes the stages inside it): the stages listed there
+are the ones that set the peak.
 
 No ``perfbench`` workload reaches the disk or restart paths, so these are
 their numbers.  Results go to ``BENCH_stages.json`` at the repository root;
@@ -51,8 +59,11 @@ SEED = 11
 SCALES = (0.05, 0.2) + ((1.0,) if os.environ.get("REPRO_BENCH_FULL_SCALE") == "1" else ())
 
 
-def _instrument(seconds: dict[str, float], calls: dict[str, int]) -> None:
-    """Wrap each stage's entry point with a timer (and a call counter)."""
+def _instrument(
+    seconds: dict[str, float], calls: dict[str, int], rises: dict[str, float]
+) -> None:
+    """Wrap each stage's entry point with a timer, a call counter and a
+    high-water-mark readout."""
     from repro.core.pipeline import CuisineClusteringPipeline
     from repro.datagen.generator import SyntheticRecipeDBGenerator
     from repro.mining.shm import CorpusMatrix
@@ -65,6 +76,7 @@ def _instrument(seconds: dict[str, float], calls: dict[str, int]) -> None:
         calls[stage] = calls.get(stage, 0) + 1
 
     stages = (
+        ("generator_init", SyntheticRecipeDBGenerator, "__init__"),
         ("generate", SyntheticRecipeDBGenerator, "generate"),
         ("generate_stream", SyntheticRecipeDBGenerator, "_stream_region"),
         ("generate_decode", SyntheticRecipeDBGenerator, "_decode_region"),
@@ -78,6 +90,11 @@ def _instrument(seconds: dict[str, float], calls: dict[str, int]) -> None:
         ("csr_load", CorpusMatrix, "load"),
         ("mine", service, "mine_corpus_with_report"),
         ("finish_run", CuisineClusteringPipeline, "finish_run"),
+        ("elbow", CuisineClusteringPipeline, "run_elbow"),
+        ("authenticity", CuisineClusteringPipeline, "build_authenticity"),
+        ("figure5", CuisineClusteringPipeline, "run_authenticity_clustering"),
+        ("fingerprints", CuisineClusteringPipeline, "build_fingerprints"),
+        ("validation", CuisineClusteringPipeline, "validate_against_geography"),
         ("store_get", store.ArtifactStore, "get"),
         ("results_from_dict", codec, "results_from_dict"),
     )
@@ -86,11 +103,13 @@ def _instrument(seconds: dict[str, float], calls: dict[str, int]) -> None:
         function = raw.__func__ if isinstance(raw, classmethod) else raw
 
         def timed(*args, _function=function, _stage=stage, **kwargs):
+            peak = _peak_rss_mb()
             started = time.perf_counter()
             try:
                 return _function(*args, **kwargs)
             finally:
                 timer(_stage, started)
+                rises[_stage] = rises.get(_stage, 0.0) + _peak_rss_mb() - peak
 
         wrapped = functools.wraps(function)(timed)
         setattr(owner, attribute, classmethod(wrapped) if isinstance(raw, classmethod) else wrapped)
@@ -153,7 +172,8 @@ def measure(run: str, scale: float, cache_dir: str) -> dict[str, object]:
     """One ``cold``, ``disk`` or ``restart`` run in this process."""
     seconds: dict[str, float] = {}
     calls: dict[str, int] = {}
-    _instrument(seconds, calls)
+    rises: dict[str, float] = {}
+    _instrument(seconds, calls, rises)
 
     from repro.core.config import AnalysisConfig
     from repro.serve.service import ANALYSIS_KIND, AnalysisService
@@ -176,6 +196,9 @@ def measure(run: str, scale: float, cache_dir: str) -> dict[str, object]:
         "csr_builds": calls.get("csr_build", 0),
         "recipes_materialized": calls.get("recipes", 0),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "peak_rss_rise_mb": {
+            stage: round(value, 1) for stage, value in sorted(rises.items()) if value >= 0.05
+        },
         "artifact_mb": round(artifact.stat().st_size / 2**20, 2),
         "corpus_files_mb": round(
             sum(path.stat().st_size for path in Path(cache_dir).glob("corpus-*")) / 2**20, 2

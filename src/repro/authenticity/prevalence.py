@@ -28,7 +28,30 @@ from repro.errors import FeatureError
 from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.models import EntityKind
 
-__all__ = ["PrevalenceMatrix", "prevalence_matrix", "prevalence_from_transactions"]
+__all__ = [
+    "PrevalenceMatrix",
+    "prevalence_matrix",
+    "prevalence_from_transactions",
+    "smallest_k",
+]
+
+
+def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[:k]`` without sorting every value.
+
+    ``np.partition`` finds the k-th smallest value; only the entries at or
+    below it are then sorted, stably and taken in index order, so equal
+    values keep their index order exactly as in the full stable sort
+    (``-0.0`` and ``0.0`` are equal to both).  For *k* at least the length,
+    or a NaN k-th value (NaN sorts last, and no comparison selects it), it
+    is the full sort.  *k* must be positive.
+    """
+    if k < len(values):
+        kth = np.partition(values, k - 1)[k - 1]
+        if not np.isnan(kth):
+            candidates = np.flatnonzero(values <= kth)
+            return candidates[np.argsort(values[candidates], kind="stable")[:k]]
+    return np.argsort(values, kind="stable")[:k]
 
 
 @dataclass(frozen=True)
@@ -83,8 +106,7 @@ class PrevalenceMatrix:
         if k <= 0:
             raise FeatureError("k must be positive")
         row = self.values[self.cuisine_index(cuisine)]
-        order = np.argsort(-row, kind="stable")[:k]
-        return [(self.items[i], float(row[i])) for i in order]
+        return [(self.items[i], float(row[i])) for i in smallest_k(-row, k)]
 
     def restrict_items(self, items: Sequence[str]) -> "PrevalenceMatrix":
         """Project the matrix onto a subset of items (order preserved)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import FeatureError
-from repro.authenticity.prevalence import PrevalenceMatrix
+from repro.authenticity.prevalence import PrevalenceMatrix, smallest_k
 
 __all__ = ["AuthenticityMatrix", "relative_prevalence"]
 
@@ -67,16 +67,14 @@ class AuthenticityMatrix:
         if k <= 0:
             raise FeatureError("k must be positive")
         row = self.values[self.cuisine_index(cuisine)]
-        order = np.argsort(-row, kind="stable")[:k]
-        return [(self.items[i], float(row[i])) for i in order]
+        return [(self.items[i], float(row[i])) for i in smallest_k(-row, k)]
 
     def least_authentic(self, cuisine: str, k: int = 10) -> list[tuple[str, float]]:
         """The *k* items with the most negative authenticity for a cuisine."""
         if k <= 0:
             raise FeatureError("k must be positive")
         row = self.values[self.cuisine_index(cuisine)]
-        order = np.argsort(row, kind="stable")[:k]
-        return [(self.items[i], float(row[i])) for i in order]
+        return [(self.items[i], float(row[i])) for i in smallest_k(row, k)]
 
     def to_dict(self) -> dict[str, object]:
         return {

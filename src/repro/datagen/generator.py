@@ -21,8 +21,10 @@ same configuration produce byte-identical corpora.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from operator import lt as less
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -154,18 +156,28 @@ class _WeightedPool:
 
     Draws are pool indices.  Each name is normalised once, here, so a recipe
     maps its indices to finished names without normalising any occurrence.
+    A pool depends on its names and exponent alone, so generators share one
+    (:func:`_shared_pool`); its arrays and its name map are read-only.
     """
 
     def __init__(self, names: Sequence[str], exponent: float) -> None:
         self.names: tuple[str, ...] = tuple(names)
         #: Raw name -> pool index; rejecting drawn indices equals rejecting
         #: drawn names only while the raw names are distinct.
-        self.index_of: dict[str, int] = {
-            name: index for index, name in enumerate(self.names)
-        }
+        self.index_of: Mapping[str, int] = MappingProxyType(
+            {name: index for index, name in enumerate(self.names)}
+        )
         if len(self.index_of) != len(self.names):
             raise GenerationError("a generator pool must not repeat a name")
         self.normalised: tuple[str, ...] = tuple(map(normalize_name, self.names))
+        #: The sorted distinct normalised names, and each pool index's
+        #: position among them: two names that normalise alike are one name,
+        #: as in a ``Recipe``.
+        self.table: tuple[str, ...] = tuple(sorted(set(self.normalised)))
+        rank = {name: position for position, name in enumerate(self.table)}
+        self.ranks = np.fromiter(
+            map(rank.__getitem__, self.normalised), dtype=np.int64, count=len(self.names)
+        )
         weights = zipf_weights(len(self.names), exponent)
         self.cumulative = np.cumsum(weights)
         # Guard against floating point drift in the final bucket.
@@ -178,6 +190,8 @@ class _WeightedPool:
         lower = self.cumulative.searchsorted(edges[:-1])
         upper = self.cumulative.searchsorted(edges[1:])
         self._bucket_index = np.where(lower == upper, lower, -1)
+        for shared in (self.ranks, self.cumulative, self._bucket_index):
+            shared.flags.writeable = False
 
     def indices(self, draws: np.ndarray) -> np.ndarray:
         """``self.cumulative.searchsorted(draws)`` for uniforms in [0, 1).
@@ -216,6 +230,21 @@ class _WeightedPool:
                         break
             attempts += 1
         return chosen
+
+
+#: How many pools the process keeps; the oldest unused one goes first.
+_SHARED_POOLS = 16
+
+
+@lru_cache(maxsize=_SHARED_POOLS)
+def _shared_pool(names: tuple[str, ...], exponent: float) -> _WeightedPool:
+    """The process's one pool for *names* and *exponent*.
+
+    A pool's names follow from the scale (the vocabulary size) and the
+    profiles' signature entities, not the seed, so every generator at one
+    scale after the first builds nothing here.
+    """
+    return _WeightedPool(names, exponent)
 
 
 class _SignatureTable:
@@ -362,19 +391,19 @@ class SyntheticRecipeDBGenerator:
         size = self.config.resolved_ingredient_vocabulary()
         names = list(expanded_ingredient_pool(size))
         self._ensure_signatures_present(names, "signature_items")
-        return _WeightedPool(names, self.config.zipf_exponent)
+        return _shared_pool(tuple(names), self.config.zipf_exponent)
 
     def _build_process_pool(self) -> _WeightedPool:
         size = self.config.resolved_process_vocabulary()
         names = list(expanded_process_pool(size))
         self._ensure_signatures_present(names, "signature_processes")
-        return _WeightedPool(names, self.config.zipf_exponent)
+        return _shared_pool(tuple(names), self.config.zipf_exponent)
 
     def _build_utensil_pool(self) -> _WeightedPool:
         size = self.config.resolved_utensil_vocabulary()
         names = list(expanded_utensil_pool(size))
         self._ensure_signatures_present(names, "signature_utensils")
-        return _WeightedPool(names, self.config.zipf_exponent)
+        return _shared_pool(tuple(names), self.config.zipf_exponent)
 
     def _ensure_signatures_present(self, names: list[str], attribute: str) -> None:
         """Append any profile signature entity missing from a pool."""
@@ -420,17 +449,14 @@ class SyntheticRecipeDBGenerator:
         """Draw every region in name order and assemble the corpus columns.
 
         Recipe ids run 0, 1, ... in that order.  Each kind's pool indices map
-        to the sorted table of its distinct normalised names, so two pool
-        names that normalise alike are one name, as in a ``Recipe``.  Each
-        region's ids are sorted as soon as it is drawn, so only its int32
-        ids stay until the regions are joined.
+        to the pool's sorted table of distinct normalised names
+        (``_WeightedPool.table``).  Each region's ids are sorted as soon as
+        it is drawn, so only its int32 ids stay until the regions are joined.
         """
-        tables_of_names = []
-        for pool in (self._ingredient_pool, self._process_pool, self._utensil_pool):
-            names = sorted(set(pool.normalised))
-            rank = {normalised: position for position, normalised in enumerate(names)}
-            ranks = np.fromiter(map(rank.__getitem__, pool.normalised), dtype=np.int64)
-            tables_of_names.append((names, ranks))
+        tables_of_names = [
+            (pool.table, pool.ranks)
+            for pool in (self._ingredient_pool, self._process_pool, self._utensil_pool)
+        ]
         parts: list[list[KindColumn]] = [[], [], []]
         titles: list[str] = []
         regions: list[str] = []

@@ -153,36 +153,87 @@ class CondensedDistanceMatrix:
         )
 
 
-def _condensed_vectorized(values: np.ndarray, metric: str) -> np.ndarray | None:
-    """Condensed distances for the built-in metrics in one numpy pass.
+def _squared_sum(u: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """``np.sum((u - rest) ** 2, axis=1)``, squaring the difference in place."""
+    difference = u - rest
+    np.square(difference, out=difference)
+    return np.sum(difference, axis=1)
 
-    Returns ``None`` for metric names without a broadcast implementation so
-    the caller can fall back to the per-pair loop.  The formulas (including
-    the zero-vector conventions for cosine and jaccard) mirror
+
+def _absolute(u: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """``np.abs(u - rest)``, taken in place."""
+    difference = u - rest
+    return np.abs(difference, out=difference)
+
+
+def _absolute_sum(u: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """``np.sum(np.abs(u - rest), axis=1)``."""
+    return np.sum(_absolute(u, rest), axis=1)
+
+
+def _by_row(values: np.ndarray, reduce_row, dtype=np.float64) -> np.ndarray:
+    """The condensed vector of ``reduce_row(values[i], values[i + 1:])`` over ``i``."""
+    n = values.shape[0]
+    condensed = np.empty(condensed_size(n), dtype=dtype)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        condensed[start:stop] = reduce_row(values[i], values[i + 1 :])
+        start = stop
+    return condensed
+
+
+#: Per built-in metric: how one row ``u`` reduces against the rows after it.
+_ROW_REDUCTIONS = {
+    "euclidean": _squared_sum,
+    "sqeuclidean": _squared_sum,
+    "cityblock": _absolute_sum,
+    "manhattan": _absolute_sum,
+    "chebyshev": lambda u, rest: np.max(_absolute(u, rest), axis=1),
+    "hamming": lambda u, rest: np.mean(u != rest, axis=1),
+    "cosine": lambda u, rest: np.sum(u * rest, axis=1),
+}
+
+
+def _condensed_vectorized(values: np.ndarray, metric: str) -> np.ndarray | None:
+    """Condensed distances for the built-in metrics, one first index at a time.
+
+    Row ``i`` is reduced against rows ``i+1 … n−1`` in one numpy call, so
+    the largest temporary is ``(n − 1) × columns``: no pairs × columns
+    array is ever made (Figure 5's 26 cuisines × 7,721 items would need
+    325 × 7,721 float64 per operand).  Each distance is bit-for-bit the
+    one a single broadcast over all pairs gives: the elementwise operands
+    and their order are the same, a row's reduction along ``axis=1`` does
+    not depend on how many rows are reduced with it, and what follows the
+    reductions is elementwise over the condensed vector.
+
+    Returns ``None`` for metric names without a vectorized implementation
+    so the caller can fall back to the per-pair loop.  The formulas
+    (including the zero-vector conventions for cosine and jaccard) mirror
     :mod:`repro.distances.metrics` exactly.
     """
-    n = values.shape[0]
-    rows, cols = np.triu_indices(n, k=1)
-    u = values[rows]
-    v = values[cols]
+    if metric == "jaccard":
+        bits = values != 0
+        union = _by_row(
+            bits, lambda u, rest: np.count_nonzero(u | rest, axis=1), np.intp
+        )
+        intersection = _by_row(
+            bits, lambda u, rest: np.count_nonzero(u & rest, axis=1), np.intp
+        )
+        return np.where(union == 0, 0.0, 1.0 - intersection / np.maximum(union, 1))
+    if metric not in _ROW_REDUCTIONS:
+        return None
+    reduced = _by_row(values, _ROW_REDUCTIONS[metric])
     if metric == "euclidean":
-        return np.sqrt(np.sum((u - v) ** 2, axis=1))
-    if metric == "sqeuclidean":
-        return np.sum((u - v) ** 2, axis=1)
-    if metric in ("cityblock", "manhattan"):
-        return np.sum(np.abs(u - v), axis=1)
-    if metric == "chebyshev":
-        return np.max(np.abs(u - v), axis=1)
-    if metric == "hamming":
-        return np.mean(u != v, axis=1)
+        return np.sqrt(reduced)
     if metric == "cosine":
         norms = np.linalg.norm(values, axis=1)
+        rows, cols = np.triu_indices(values.shape[0], k=1)
         norm_u = norms[rows]
         norm_v = norms[cols]
-        dots = np.sum(u * v, axis=1)
         denominator = norm_u * norm_v
         similarity = np.clip(
-            np.divide(dots, denominator, out=np.zeros_like(dots), where=denominator > 0),
+            np.divide(reduced, denominator, out=np.zeros_like(reduced), where=denominator > 0),
             -1.0,
             1.0,
         )
@@ -193,14 +244,7 @@ def _condensed_vectorized(values: np.ndarray, metric: str) -> np.ndarray | None:
         distances[u_zero & v_zero] = 0.0
         distances[u_zero ^ v_zero] = 1.0
         return distances
-    if metric == "jaccard":
-        bits = values != 0
-        bits_u = bits[rows]
-        bits_v = bits[cols]
-        union = np.count_nonzero(bits_u | bits_v, axis=1)
-        intersection = np.count_nonzero(bits_u & bits_v, axis=1)
-        return np.where(union == 0, 0.0, 1.0 - intersection / np.maximum(union, 1))
-    return None
+    return reduced
 
 
 def pairwise_distances(
@@ -209,8 +253,9 @@ def pairwise_distances(
 ) -> CondensedDistanceMatrix:
     """Compute the condensed pairwise distance matrix of a feature matrix.
 
-    Built-in metrics (by name) run as a single numpy broadcast over the upper
-    triangle; callable metrics fall back to the per-pair loop.
+    Built-in metrics (by name) run vectorized, one row against the rows
+    after it at a time, with no pairs × columns temporary; callable metrics
+    fall back to the per-pair loop.
     """
     if features.n_rows < 1:
         raise DistanceError("feature matrix must contain at least one row")

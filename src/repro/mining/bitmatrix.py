@@ -16,9 +16,10 @@ its extensions in lexicographic item order.
 The matrix is immutable and is memoized on
 :meth:`repro.mining.itemsets.TransactionDatabase.matrix`.  The pipeline and
 the serve layer never compile one from frozensets: they pack each region
-from the corpus's integer-id CSR
-(:meth:`repro.mining.shm.CorpusMatrix.region_matrix`), which builds the same
-matrix byte for byte.
+from the corpus's integer-id CSR, keeping only the items that can be
+frequent (:func:`repro.mining.regions.mine_corpus_with_report`).
+:meth:`repro.mining.shm.CorpusMatrix.region_matrix` packs every item and
+builds the compiled matrix byte for byte.
 """
 
 from __future__ import annotations
@@ -54,13 +55,23 @@ else:  # pragma: no cover - exercised only on numpy 1.x
 
 
 class TransactionMatrix:
-    """Items × transactions boolean matrix packed to bits, with popcounts."""
+    """Items × transactions boolean matrix packed to bits, with popcounts.
+
+    A matrix the miner packs from the corpus CSR holds only the items whose
+    support reaches its ``floor`` (see
+    :func:`repro.mining.regions.mine_corpus_with_report`) and no
+    per-transaction id arrays.  It answers every question about its own
+    items, and raises :class:`~repro.errors.MiningError` for anything that
+    would need a dropped item or a transaction -- never a support of 0 or a
+    transaction without its dropped items.
+    """
 
     __slots__ = (
         "items",
         "item_index",
         "n_transactions",
         "n_words",
+        "floor",
         "_rows",
         "_supports",
         "_transaction_ids",
@@ -76,6 +87,8 @@ class TransactionMatrix:
             item: index for index, item in enumerate(self.items)
         }
         self.n_transactions: int = len(transactions)
+        #: Every item at or above this support is a row; 1 means every item.
+        self.floor: int = 1
 
         n_items = len(self.items)
         presence = np.zeros((n_items, max(1, self.n_transactions)), dtype=bool)
@@ -104,13 +117,20 @@ class TransactionMatrix:
         n_transactions: int,
         rows: np.ndarray,
         supports: np.ndarray,
-        transaction_ids: tuple[np.ndarray, ...],
+        transaction_ids: tuple[np.ndarray, ...] | None,
+        *,
+        floor: int = 1,
     ) -> "TransactionMatrix":
-        """Assemble a matrix from already-packed rows and their item supports."""
+        """Assemble a matrix from already-packed rows and their item supports.
+
+        *items* are the items whose support reaches *floor*; without
+        *transaction_ids* the transactions cannot be read back.
+        """
         matrix = object.__new__(cls)
         matrix.items = items
         matrix.item_index = dict(zip(items, range(len(items))))
         matrix.n_transactions = n_transactions
+        matrix.floor = floor
         matrix._rows = rows
         matrix.n_words = rows.shape[1]
         matrix._supports = supports
@@ -145,6 +165,11 @@ class TransactionMatrix:
 
     def frequent_item_ids(self, min_count: int) -> np.ndarray:
         """Ids of items with support >= *min_count*, ascending (= lexicographic)."""
+        if min_count < self.floor:
+            raise MiningError(
+                f"support count {min_count} is below this matrix's floor {self.floor}: "
+                "the items under the floor were not packed"
+            )
         return np.flatnonzero(self._supports >= min_count)
 
     def tidset(self, item_id: int) -> np.ndarray:
@@ -171,10 +196,16 @@ class TransactionMatrix:
         return int(popcount(combined).sum())
 
     def support(self, itemset: Iterable[str]) -> int:
-        """Absolute support of an itemset of item *names*; 0 on unknown items."""
+        """Absolute support of an itemset of item *names*; 0 on unknown items.
+
+        Above a floor of 1 an unknown item may be one that was not packed,
+        so it raises instead.
+        """
         try:
             ids = self.ids_of(itemset)
         except MiningError:
+            if self.floor > 1:
+                raise
             return 0
         return self.support_of_ids(ids)
 
@@ -182,6 +213,8 @@ class TransactionMatrix:
 
     def transaction_id_arrays(self) -> tuple[np.ndarray, ...]:
         """Every transaction as a sorted array of item ids (shared, do not mutate)."""
+        if self._transaction_ids is None:
+            raise MiningError("this matrix was packed without its transactions")
         return self._transaction_ids
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

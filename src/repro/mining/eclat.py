@@ -6,8 +6,12 @@ tid-set is a packed bit row of the database's compiled
 :class:`~repro.mining.bitmatrix.TransactionMatrix`, so an intersection is one
 byte-wise AND and a support check is one popcount, both numpy-level
 operations.  A region packed from the corpus CSR
-(:meth:`~repro.mining.shm.CorpusMatrix.region_matrix`) arrives with its
-matrix, so mining it compiles nothing.
+(:func:`~repro.mining.regions.mine_corpus_with_report`) arrives with its
+matrix, so mining it compiles nothing, and the matrix holds only the items
+whose support reaches the miner's support count: an itemset is at most as
+frequent as each of its items (the anti-monotone property of Agrawal &
+Srikant, 1994, on which the tid-set search rests), so no other item is in
+a frequent itemset, and every row is a search root.
 
 The paper mines with FP-Growth (Section V-A); any exact miner returns the
 same frequent itemsets.  ``tests/mining/test_engine_parity.py`` checks that

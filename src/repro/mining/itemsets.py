@@ -128,7 +128,7 @@ class TransactionDatabase:
 
     def item_counts(self) -> dict[str, int]:
         """Absolute frequency of every single item."""
-        if self._transactions is None:
+        if self._transactions is None and self._matrix.floor == 1:
             # Matrix-backed: the precomputed popcount vector already holds
             # every item's frequency (every vocabulary item occurs at least
             # once, so no zero entries need filtering).
@@ -138,17 +138,17 @@ class TransactionDatabase:
                 for index, item in enumerate(self._matrix.items)
             }
         counts: dict[str, int] = {}
-        for transaction in self._transactions:
+        for transaction in self._materialised():
             for item in transaction:
                 counts[item] = counts.get(item, 0) + 1
         return counts
 
     def vocabulary(self) -> frozenset[str]:
         """Every distinct item across all transactions."""
-        if self._transactions is None:
+        if self._transactions is None and self._matrix.floor == 1:
             return frozenset(self._matrix.items)
         items: set[str] = set()
-        for transaction in self._transactions:
+        for transaction in self._materialised():
             items |= transaction
         return frozenset(items)
 

@@ -4,9 +4,10 @@ The paper mines every cuisine's patterns independently (Section V-A).  This
 module runs that loop in-process, one region after another:
 
 * :func:`mine_corpus_with_report` mines every region of a
-  :class:`~repro.mining.shm.CorpusMatrix` CSR, packing each region from it
-  on demand -- the one production path: the pipeline mines the CSR it just
-  built, the serve layer the one it built or memory-mapped;
+  :class:`~repro.mining.shm.CorpusMatrix` CSR, packing from it on demand
+  only the region's items that can be frequent -- the one production path:
+  the pipeline mines the CSR it just built, the serve layer the one it
+  built or memory-mapped;
 * :func:`mine_regions_with_report` mines a mapping of per-region
   :class:`~repro.mining.itemsets.TransactionDatabase` objects (each compiles
   its bit matrix on first use); the tests use it as the direct reference.
@@ -25,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from repro.mining.itemsets import MiningResult, TransactionDatabase
+from repro.mining.itemsets import MiningResult, TransactionDatabase, minimum_support_count
 from repro.mining.shm import CorpusMatrix
 from repro.obs import get_registry, span
 
@@ -114,9 +115,23 @@ def mine_corpus_with_report(
 ) -> tuple[dict[str, MiningResult], MiningReport]:
     """Mine every region of a corpus CSR, in sorted region order.
 
-    Each region is packed from the CSR with
-    :meth:`~repro.mining.shm.CorpusMatrix.region_database`, whether the CSR
-    was just built or memory-mapped from its sidecar, and arrives with its
-    matrix, so no region counts as a compile.
+    *miner* has ``min_support`` and ``mine(database)`` and reads nothing
+    but the database's matrix, as :class:`~repro.mining.eclat.EclatMiner`
+    does.  Each region is packed from the CSR, whether it was just built or
+    memory-mapped from its sidecar, keeping only the items whose region
+    support reaches the miner's own :func:`minimum_support_count`: no other
+    item can be in a frequent itemset, so the result is the one
+    :meth:`~repro.mining.shm.CorpusMatrix.region_database` would give.  No
+    per-transaction id array or frozenset is built, the packed database
+    stays inside this loop, and it raises on anything that would need a
+    dropped item.  Every region arrives with its matrix, so none counts as
+    a compile.
     """
-    return _mine(sorted(corpus.regions), corpus.region_database, miner)
+
+    def frequent_part(region: str) -> TransactionDatabase:
+        min_count = minimum_support_count(
+            miner.min_support, corpus.span_of(region).n_transactions
+        )
+        return TransactionDatabase.from_matrix(corpus._pack(region, min_count))
+
+    return _mine(sorted(corpus.regions), frequent_part, miner)

@@ -6,10 +6,13 @@ transaction's sorted, de-duplicated item ids flattened in region order, and
 ``offsets`` delimits the transactions.  Its size is the number of non-zeros,
 the same order as the corpus itself.  Mining needs only these ids in a
 vertical layout (Eclat, Zaki 2000), so each region is packed into its own
-:class:`~repro.mining.bitmatrix.TransactionMatrix` on demand, and that
-matrix equals a fresh compile of the region's transactions byte for byte
--- mining a region of the CSR is indistinguishable from mining the region
-database directly.
+:class:`~repro.mining.bitmatrix.TransactionMatrix` on demand, by one
+routine.  :meth:`CorpusMatrix.region_matrix` packs every item the region
+uses and equals a fresh compile of the region's transactions byte for
+byte; the miner's packing keeps only the items whose region support
+reaches its support count, which finds the same patterns -- mining a
+region of the CSR is indistinguishable from mining the region database
+directly.
 
 A corpus matrix persists as a single memory-mappable sidecar (a JSON meta
 file plus two ``.npy`` arrays), which is the serve layer's warm-start
@@ -174,12 +177,32 @@ class CorpusMatrix:
     def region_matrix(self, region: str) -> TransactionMatrix:
         """The region's own :class:`TransactionMatrix`, packed from its CSR slice.
 
-        ``np.bincount`` over the slice gives the region's vocabulary (every
-        id it uses); each id is then set as one bit of the packed rows.
-        Equal to a fresh compile of the region's transactions byte for byte:
-        the same vocabulary, the same packed rows and the same
-        per-transaction id arrays.  Time and memory are linear in the
-        slice's size plus the packed rows.
+        Every item the region uses is a row, and each transaction keeps its
+        id array: equal to a fresh compile of the region's transactions byte
+        for byte -- the same vocabulary, the same packed rows and the same
+        per-transaction id arrays.
+        """
+        return self._pack(region, 1, with_transactions=True)
+
+    def _pack(
+        self, region: str, min_count: int, *, with_transactions: bool = False
+    ) -> TransactionMatrix:
+        """Pack the region's items whose support reaches *min_count*.
+
+        ``np.bincount`` over the region's slice gives every item's support
+        in the region; the items reaching *min_count* become the packed
+        rows, in global id (= sorted name) order, and each of their
+        ``(item, transaction)`` pairs is set as one bit.  Time and memory
+        are linear in the slice's size plus the packed rows.
+
+        Mining at a support count of *min_count* needs no other row: an
+        itemset is at most as frequent as each of its items (the
+        anti-monotone property Eclat's tid-set search rests on), so a
+        dropped item is in no frequent itemset.  Such a matrix records
+        *min_count* as its ``floor`` and answers nothing that would need a
+        dropped item (see :class:`TransactionMatrix`).  Each transaction's
+        id array is built only *with_transactions*, which needs every item:
+        *min_count* 1.
         """
         span = self.span_of(region)
         n = span.n_transactions
@@ -187,15 +210,18 @@ class CorpusMatrix:
         rel = np.asarray(self.offsets[span.tx_start : span.tx_stop + 1]) - lo
         flat = np.asarray(self.tids[lo : lo + int(rel[-1])])
         counts = np.bincount(flat, minlength=len(self.items))
-        keep = np.flatnonzero(counts)
-        lookup = np.zeros(len(self.items), dtype=np.int64)
+        keep = np.flatnonzero(counts >= max(1, min_count))
+        lookup = np.full(len(self.items), -1, dtype=np.int64)
         lookup[keep] = np.arange(len(keep), dtype=np.int64)
         local = lookup[flat]
+        tx = np.repeat(np.arange(n, dtype=np.int64), np.diff(rel))
+        if min_count > 1:
+            kept = local >= 0
+            local, tx = local[kept], tx[kept]
         # Set each (item, transaction) bit straight into the packed rows, in
         # np.packbits' layout (first transaction in a byte's high bit), so
         # no dense items x transactions presence matrix is ever made.
         n_words = (max(1, n) + 7) // 8
-        tx = np.repeat(np.arange(n, dtype=np.int64), np.diff(rel))
         packed = np.zeros(len(keep) * n_words, dtype=np.uint8)
         np.bitwise_or.at(
             packed, local * n_words + (tx >> 3), (0x80 >> (tx & 7)).astype(np.uint8)
@@ -205,7 +231,10 @@ class CorpusMatrix:
             n,
             packed.reshape(len(keep), n_words),
             counts[keep],
-            tuple(local[rel[i] : rel[i + 1]] for i in range(n)),
+            tuple(local[rel[i] : rel[i + 1]] for i in range(n))
+            if with_transactions
+            else None,
+            floor=max(1, min_count),
         )
 
     def region_database(self, region: str) -> TransactionDatabase:

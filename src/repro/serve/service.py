@@ -666,7 +666,8 @@ class AnalysisService:
         (fingerprint-checked, so it goes stale with the corpus file) and
         builds nothing.  A miss builds the CSR from the corpus -- the only
         time this corpus's names are mapped to ids here -- and persists it
-        best-effort.
+        best-effort: a sidecar that cannot be saved is counted in
+        ``dropped_writes``, as :meth:`_corpus` counts the snapshot.
         """
         key = codec.corpus_key(config)
         with self._lock:
@@ -688,7 +689,8 @@ class AnalysisService:
             try:
                 corpus_matrix.save(prefix, fingerprint=fingerprint)
             except OSError:
-                pass  # read-only store: keep serving from memory
+                # Serve from memory, as a dropped artifact write does.
+                self.store.record_dropped_write()
 
         with self._lock:
             self._corpus_matrices[key] = (fingerprint, corpus_matrix)
@@ -763,7 +765,8 @@ class AnalysisService:
         (fingerprint-checked against the corpus file) and builds **zero**
         dense matrices -- counted in ``stats()['classifier_sidecar_loads']``.
         A miss compiles from *results*, counts a ``classifier_compiles``, and
-        persists the sidecar best-effort for the next worker.
+        persists the sidecar best-effort for the next worker (a failed save
+        counts in ``dropped_writes``).
 
         Without *results*, a memory miss serves the analysis through
         :meth:`get_or_run` before taking the corpus lock (a cold compute
@@ -816,7 +819,8 @@ class AnalysisService:
                     try:
                         classifier.save(prefix, fingerprint=fingerprint)
                     except OSError:
-                        pass  # read-only store: keep serving from memory
+                        # Serve from memory, as a dropped artifact write does.
+                        self.store.record_dropped_write()
 
             with self._lock:
                 self._classifiers[cache_key] = (fingerprint, classifier)

@@ -270,10 +270,11 @@ class ArtifactStore:
     def record_dropped_write(self) -> None:
         """Count a failed write of an auxiliary file as a dropped write.
 
-        The service writes its corpus snapshot beside the backend, not
-        through it; when that write fails it serves from memory and reports
-        the drop here, so ``dropped_writes`` and :meth:`health` see it as
-        they see a dropped :meth:`put`.
+        The service writes its corpus snapshot and its CSR and classifier
+        sidecars beside the backend, not through it; when such a write fails
+        it serves from memory and reports the drop here, so
+        ``dropped_writes`` and :meth:`health` see it as they see a dropped
+        :meth:`put`.
         """
         self._count("dropped_writes")
         self._write_degraded = True

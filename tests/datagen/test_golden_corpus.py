@@ -62,6 +62,15 @@ def test_corpus_bytes_match_golden_digest(seed, scale, tmp_path):
     assert _sha256(path.read_bytes()) == CORPUS_DIGESTS[(seed, scale)]
 
 
+@pytest.mark.parametrize(("seed", "scale"), sorted(CORPUS_DIGESTS))
+def test_corpus_bytes_match_after_another_seed_at_the_scale(seed, scale, tmp_path):
+    # The generator's pools are shared by every seed at a scale; drawing
+    # another corpus first must leave them as they were.
+    generate_corpus(seed + 1, scale)
+    path = save_json(generate_corpus(seed, scale), tmp_path / "corpus.json")
+    assert _sha256(path.read_bytes()) == CORPUS_DIGESTS[(seed, scale)]
+
+
 def test_cold_service_builds_no_recipe_and_writes_golden_bytes(tmp_path, monkeypatch):
     """A cold compute runs on the id form end to end: no ``Recipe`` is made."""
     made = []

@@ -274,8 +274,9 @@ class TestDeadBackend:
         assert payload["served"]["source"] == "computed"
         assert health_status == 200
         assert health["backend"] == "degraded"
-        # The analysis, the mining run, its family index and the corpus.
-        assert service.store.stats.dropped_writes == 4
+        # The analysis, the mining run, its family index, the corpus and
+        # the CSR sidecar.
+        assert service.store.stats.dropped_writes == 5
         assert service.store.stats.request_errors == 0
 
 

@@ -16,8 +16,10 @@ import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.errors import ServeError
+from repro.mining.shm import CorpusMatrix
 from repro.serve.backends import DirectoryBackend, MemoryBackend
 from repro.serve.backends.base import Lease
+from repro.serve.classify import CuisineClassifier
 from repro.serve import service as service_module
 from repro.serve.service import ANALYSIS_KIND, AnalysisService
 from repro.serve.store import BACKEND_ATTEMPTS, ArtifactStore
@@ -201,7 +203,8 @@ class TestServiceOverAFailingBackend:
 
     def test_a_cache_dir_that_is_a_file_computes(self, tmp_path, monkeypatch):
         # Nothing can be written under a regular file: the corpus snapshot
-        # is dropped like every artifact write, and no file is hashed.
+        # and the CSR sidecar are dropped like every artifact write, and no
+        # file is hashed.
         root = tmp_path / "cache"
         root.write_text("not a directory", encoding="utf-8")
         hashed = []
@@ -211,11 +214,54 @@ class TestServiceOverAFailingBackend:
         service = AnalysisService(root)
         served = service.get_or_run(CONFIG)
         assert served.source == "computed"
-        # The analysis, the mining run, its family index and the corpus.
-        assert service.store.stats.dropped_writes == 4
+        # The analysis, the mining run, its family index, the corpus and
+        # the CSR sidecar.
+        assert service.store.stats.dropped_writes == 5
         assert service.store.health() == "degraded"
         assert hashed == []
         assert service.get_or_run(CONFIG).results == served.results
+
+    def test_a_failed_csr_sidecar_save_is_a_dropped_write(self, tmp_path, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError("no space left for the sidecar")
+
+        monkeypatch.setattr(CorpusMatrix, "save", full_disk)
+        service = AnalysisService(tmp_path / "cache")
+        health_at_drop = []
+        record = service.store.record_dropped_write
+
+        def recording():
+            record()
+            health_at_drop.append(service.store.health())
+
+        monkeypatch.setattr(service.store, "record_dropped_write", recording)
+        served = service.get_or_run(CONFIG)
+        assert served.source == "computed"
+        assert service.store.stats.dropped_writes == 1
+        assert health_at_drop == ["degraded"]
+        # The mining run and the analysis land after the sidecar, and a
+        # landed write clears the degraded state, as after a dropped put.
+        assert service.store.health() == "ok"
+        assert service.store.exists(ANALYSIS_KIND, served.key)
+        assert AnalysisService(tmp_path / "cache").get_or_run(CONFIG).source == "disk"
+
+    def test_a_failed_classifier_sidecar_save_is_a_dropped_write(
+        self, tmp_path, monkeypatch
+    ):
+        def full_disk(*args, **kwargs):
+            raise OSError("no space left for the sidecar")
+
+        monkeypatch.setattr(CuisineClassifier, "save", full_disk)
+        service = AnalysisService(tmp_path / "cache")
+        served = service.get_or_run(CONFIG)
+        assert served.source == "computed"
+        classifier = service.classifier_for(CONFIG)
+        assert classifier.classify(["soy sauce", "mirin"]).best
+        assert service.store.stats.classifier_compiles == 1
+        assert service.store.stats.dropped_writes == 1
+        assert service.store.health() == "degraded"
+        assert service.store.exists(ANALYSIS_KIND, served.key)
+        assert AnalysisService(tmp_path / "cache").get_or_run(CONFIG).source == "disk"
 
     def test_periodic_read_faults_are_served_from_disk(self, tmp_path):
         root = tmp_path / "cache"
