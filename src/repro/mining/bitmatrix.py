@@ -24,7 +24,6 @@ builds the compiled matrix byte for byte.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,14 +31,6 @@ import numpy as np
 from repro.errors import MiningError
 
 __all__ = ["TransactionMatrix", "popcount"]
-
-
-def _replace_with(path: Path, array: np.ndarray) -> None:
-    """Atomically replace *path* with *array* serialised as ``.npy``."""
-    temp = path.with_name(path.name + ".tmp")
-    with temp.open("wb") as handle:
-        np.save(handle, array)
-    temp.replace(path)
 
 if hasattr(np, "bitwise_count"):
     #: Per-byte popcount: the native ufunc on numpy >= 2.0.

@@ -22,7 +22,6 @@ without rebuilding the CSR.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping
@@ -30,35 +29,21 @@ from typing import Collection, Iterable, Mapping
 import numpy as np
 
 from repro.errors import MiningError, SidecarError
-from repro.mining.bitmatrix import TransactionMatrix, _replace_with
+from repro.files import load_sidecar, save_sidecar
+from repro.mining.bitmatrix import TransactionMatrix
 from repro.mining.itemsets import TransactionDatabase
 
 __all__ = [
     "CORPUS_SIDECAR_VERSION",
     "RegionSpan",
     "CorpusMatrix",
-    "sidecar_paths",
 ]
 
 #: Bump when the corpus-sidecar layout changes; loaders reject other versions.
 CORPUS_SIDECAR_VERSION = 2
 
-_SIDECAR_SUFFIXES = {
-    "meta": ".meta.json",
-    "tids": ".tids.npy",
-    "offsets": ".offsets.npy",
-}
 #: The version-1 dense arena, deleted by :meth:`CorpusMatrix.save`.
 _LEGACY_ROWS_SUFFIX = ".rows.npy"
-
-
-def sidecar_paths(prefix: Path | str) -> dict[str, Path]:
-    """The three files one persisted corpus matrix occupies, keyed by role."""
-    prefix = Path(prefix)
-    return {
-        role: prefix.with_name(prefix.name + suffix)
-        for role, suffix in _SIDECAR_SUFFIXES.items()
-    }
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,6 +85,9 @@ class CorpusMatrix:
     """
 
     __slots__ = ("items", "spans", "_span_index", "tids", "offsets")
+
+    #: The sidecar's arrays, each a ``<prefix>.<role>.npy`` file.
+    SIDECAR_ROLES = ("tids", "offsets")
 
     def __init__(
         self,
@@ -244,28 +232,25 @@ class CorpusMatrix:
     # -- persistence -----------------------------------------------------------------
 
     def save(self, prefix: Path | str, *, fingerprint: str = "") -> Path:
-        """Persist as one memory-mappable sidecar (meta written last).
+        """Persist as one memory-mappable sidecar (see :mod:`repro.files`).
 
         A version-1 dense ``.rows.npy`` left at *prefix* is deleted.
         """
-        paths = sidecar_paths(prefix)
-        paths["meta"].parent.mkdir(parents=True, exist_ok=True)
-        _replace_with(paths["tids"], np.ascontiguousarray(self.tids))
-        _replace_with(paths["offsets"], np.ascontiguousarray(self.offsets))
-        meta = {
-            "version": CORPUS_SIDECAR_VERSION,
-            "kind": "corpus",
-            "fingerprint": fingerprint,
-            "items": list(self.items),
-            "regions": [span.to_dict() for span in self.spans],
-            "n_transactions": self.n_transactions,
-        }
-        temp = paths["meta"].with_name(paths["meta"].name + ".tmp")
-        temp.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
-        temp.replace(paths["meta"])
+        meta_path = save_sidecar(
+            prefix,
+            kind="corpus",
+            version=CORPUS_SIDECAR_VERSION,
+            fingerprint=fingerprint,
+            arrays={"tids": self.tids, "offsets": self.offsets},
+            meta={
+                "items": list(self.items),
+                "regions": [span.to_dict() for span in self.spans],
+                "n_transactions": self.n_transactions,
+            },
+        )
         prefix = Path(prefix)
         prefix.with_name(prefix.name + _LEGACY_ROWS_SUFFIX).unlink(missing_ok=True)
-        return paths["meta"]
+        return meta_path
 
     @classmethod
     def load(
@@ -275,48 +260,24 @@ class CorpusMatrix:
         mmap: bool = True,
         expected_fingerprint: str | None = None,
     ) -> "CorpusMatrix":
-        """Load a corpus sidecar; raises :class:`SidecarError` when missing,
-        corrupt, the wrong layout version, or stale (fingerprint mismatch)."""
-        paths = sidecar_paths(prefix)
-        try:
-            meta = json.loads(paths["meta"].read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise SidecarError(f"no corpus matrix sidecar at {prefix}") from exc
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SidecarError(
-                f"unreadable corpus sidecar meta {paths['meta']}: {exc}"
-            ) from exc
-        if (
-            not isinstance(meta, dict)
-            or meta.get("version") != CORPUS_SIDECAR_VERSION
-            or meta.get("kind") != "corpus"
-        ):
-            version = meta.get("version") if isinstance(meta, dict) else None
-            raise SidecarError(
-                f"unsupported corpus sidecar version {version!r} at {prefix}"
-            )
-        if (
-            expected_fingerprint is not None
-            and meta.get("fingerprint") != expected_fingerprint
-        ):
-            raise SidecarError(
-                f"stale corpus sidecar at {prefix}: corpus fingerprint changed"
-            )
+        """Load a corpus sidecar, memory-mapping ``tids`` if *mmap*; raises
+        :class:`SidecarError` when missing, corrupt, the wrong layout
+        version, stale (fingerprint mismatch) or inconsistent."""
+        meta, arrays = load_sidecar(
+            prefix,
+            kind="corpus",
+            version=CORPUS_SIDECAR_VERSION,
+            roles=cls.SIDECAR_ROLES,
+            mapped=("tids",) if mmap else (),
+            expected_fingerprint=expected_fingerprint,
+        )
         try:
             spans = tuple(RegionSpan.from_dict(row) for row in meta.get("regions", ()))
+            items = tuple(str(item) for item in meta.get("items", ()))
+            n_transactions = int(meta.get("n_transactions", -1))
         except (KeyError, TypeError, ValueError) as exc:
-            raise SidecarError(f"malformed corpus sidecar spans at {prefix}") from exc
-        try:
-            tids = np.load(
-                paths["tids"], mmap_mode="r" if mmap else None, allow_pickle=False
-            )
-            offsets = np.load(paths["offsets"], allow_pickle=False)
-        except (OSError, ValueError) as exc:
-            raise SidecarError(
-                f"unreadable corpus sidecar arrays at {prefix}: {exc}"
-            ) from exc
-        items = tuple(str(item) for item in meta.get("items", ()))
-        n_transactions = int(meta.get("n_transactions", -1))
+            raise SidecarError(f"malformed corpus sidecar meta at {prefix}") from exc
+        tids, offsets = arrays["tids"], arrays["offsets"]
         if (
             n_transactions < 0
             or tids.ndim != 1

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -27,6 +25,7 @@ from repro.errors import (
     SerializationError,
     ValidationError,
 )
+from repro.files import atomic_write
 from repro.recipedb.columns import RecipeColumns
 from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.models import Recipe, Region
@@ -74,39 +73,14 @@ def _database_header(database: RecipeDatabase) -> dict[str, object]:
     }
 
 
-def _atomic_write(target: Path, emit: Callable[[object], None], what: str) -> Path:
-    """Write via temp file + ``os.replace`` so crashes never tear *target*.
-
-    A corpus is the root of the artifact chain (its fingerprint keys every
-    sidecar), so a half-written file under the final name would poison
-    everything downstream; readers only ever see the old or the new bytes.
-    """
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=target.parent, prefix=f".{target.name}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                emit(handle)
-            os.replace(temp_name, target)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except FileNotFoundError:
-                pass
-            raise
-    except OSError as exc:
-        raise SerializationError(f"could not write {what} to {target}: {exc}") from exc
-    return target
-
-
 def save_json(database: RecipeDatabase, path: str | Path, *, indent: int | None = None) -> Path:
     """Write the whole database to a single JSON document; returns the path.
 
-    The write is atomic (temp file + rename in the target directory).  The
-    compact document (``indent=None``) is assembled from the database's id
-    form (:func:`_recipes_text`) with the bytes ``json.dumps`` gives for the
+    The write is atomic (:func:`repro.files.atomic_write`): a corpus is the
+    root of the artifact chain (its fingerprint keys every sidecar), so a
+    reader only ever sees the old bytes or the new.  The compact document
+    (``indent=None``) is assembled from the database's id form
+    (:func:`_recipes_text`) with the bytes ``json.dumps`` gives for the
     recipe dictionaries; an indented one goes through ``json.dumps``.
     """
     header = _database_header(database)
@@ -114,7 +88,10 @@ def save_json(database: RecipeDatabase, path: str | Path, *, indent: int | None 
         text = f'{json.dumps(header)[:-1]}, "recipes": [{_recipes_text(database.columns)}]}}'
     else:
         text = json.dumps({**header, "recipes": database.to_dicts()}, indent=indent)
-    return _atomic_write(Path(path), lambda handle: handle.write(text), "database")
+    try:
+        return atomic_write(path, text)
+    except OSError as exc:
+        raise SerializationError(f"could not write database to {path}: {exc}") from exc
 
 
 def _recipes_text(columns: RecipeColumns) -> str:
@@ -222,19 +199,22 @@ def save_jsonl(
 ) -> Path:
     """Write recipes as JSON-Lines (one recipe object per line).
 
-    The write is atomic (temp file + rename in the target directory).
+    The write is atomic (:func:`repro.files.atomic_write`).
     """
     if isinstance(recipes_or_database, RecipeDatabase):
         recipes: Iterable[Recipe] = recipes_or_database.recipes()
     else:
         recipes = recipes_or_database
 
-    def emit(handle: object) -> None:
+    def emit(handle: IO[bytes]) -> None:
         for recipe in recipes:
-            handle.write(json.dumps(recipe.to_dict(), sort_keys=True))
-            handle.write("\n")
+            line = json.dumps(recipe.to_dict(), sort_keys=True) + "\n"
+            handle.write(line.encode("utf-8"))
 
-    return _atomic_write(Path(path), emit, "recipes")
+    try:
+        return atomic_write(path, emit)
+    except OSError as exc:
+        raise SerializationError(f"could not write recipes to {path}: {exc}") from exc
 
 
 def iter_jsonl(path: str | Path) -> Iterator[Recipe]:

@@ -10,11 +10,12 @@ cache is ignored and its config recomputed.
 Compute leases are dot-prefixed files (``.lease-<kind>-<key>.json``) next to
 the slot's artifact.  ``claim``, ``renew`` and ``release`` each hold an
 exclusive ``flock`` on the shard's ``.lease.lock`` across their read → check
-→ write, and write with an atomic ``os.replace``.  The lock serializes every
-lease transition in the shard, across threads and processes alike (each call
-opens its own file description), so two claimants can never both steal one
-expired lease.  ``lease()`` reads without the lock: the replace means it
-sees one whole lease or none.  Dot-files are invisible to artifact scans and
+→ write, and write with :func:`repro.files.atomic_write`, as artifacts are
+written.  The lock serializes every lease transition in the shard, across
+threads and processes alike (each call opens its own file description), so
+two claimants can never both steal one expired lease.  ``lease()`` reads
+without the lock: the rename means it sees one whole lease or none.
+Dot-files, temp files included, are invisible to artifact scans and
 eviction.
 """
 
@@ -23,12 +24,12 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
+from repro.files import atomic_write
 from repro.serve.backends.base import (
     KEY_CHARS,
     BackendEntry,
@@ -115,28 +116,8 @@ class DirectoryBackend(StorageBackend):
 
     # -- writes -----------------------------------------------------------------------
 
-    @staticmethod
-    def _replace(path: Path, text: str) -> None:
-        """Write *text* to a temp file beside *path*, then rename it over *path*.
-
-        A crashed writer can never leave a half-written file under the final
-        name, and a concurrent reader sees the old file or the new one.
-        """
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except FileNotFoundError:
-                pass
-            raise
-
     def write(self, kind: str, key: str, text: str) -> None:
-        self._replace(self.path_for(kind, key), text)
+        atomic_write(self.path_for(kind, key), text)
 
     def delete(self, kind: str, key: str) -> bool:
         try:
@@ -176,7 +157,7 @@ class DirectoryBackend(StorageBackend):
             return None
 
     def _grant(self, path: Path, kind: str, key: str, owner: str, expires_at: float) -> Lease:
-        self._replace(path, json.dumps({"owner": owner, "expires_at": expires_at}))
+        atomic_write(path, json.dumps({"owner": owner, "expires_at": expires_at}))
         return Lease(kind, key, owner, expires_at)
 
     def claim(

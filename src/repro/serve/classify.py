@@ -31,7 +31,6 @@ arithmetic over the same float32/bitset representation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -41,14 +40,14 @@ import numpy as np
 from repro.core.results import AnalysisResults
 from repro.errors import ServeError, SidecarError
 from repro.features.matrix import pack_rows, unpack_rows
-from repro.mining.bitmatrix import _replace_with, popcount
+from repro.files import load_sidecar, save_sidecar
+from repro.mining.bitmatrix import popcount
 from repro.obs import get_registry
 
 __all__ = [
     "CLASSIFIER_SIDECAR_VERSION",
     "Classification",
     "CuisineClassifier",
-    "classifier_sidecar_paths",
     "rank_scores",
 ]
 
@@ -60,25 +59,9 @@ CLASSIFIER_SIDECAR_VERSION = 1
 #: zero-compile warm-path tests assert.
 COMPILE_COUNTER = "repro_classifier_compiles_total"
 
-_CLASSIFIER_SUFFIXES = {
-    "meta": ".meta.json",
-    "patterns": ".patterns.npy",
-    "supports": ".supports.npy",
-    "authenticity": ".authenticity.npy",
-}
-
 #: Byte budget for one containment chunk (recipes × patterns × words); keeps
 #: the AND/popcount temporaries cache-resident for any batch size.
 _CONTAINMENT_BUDGET = 1 << 23
-
-
-def classifier_sidecar_paths(prefix: Path | str) -> dict[str, Path]:
-    """The four files one persisted classifier occupies, keyed by role."""
-    prefix = Path(prefix)
-    return {
-        role: prefix.with_name(prefix.name + suffix)
-        for role, suffix in _CLASSIFIER_SUFFIXES.items()
-    }
 
 
 def rank_scores(
@@ -143,6 +126,9 @@ class CuisineClassifier:
         part of the persisted sidecar, so one sidecar serves any weighting.
     """
 
+    #: The sidecar's arrays, each a ``<prefix>.<role>.npy`` file.
+    SIDECAR_ROLES = ("patterns", "supports", "authenticity")
+
     def __init__(
         self,
         cuisines: Sequence[str],
@@ -205,31 +191,6 @@ class CuisineClassifier:
         lex = sorted(range(len(self.cuisines)), key=lambda c: self.cuisines[c])
         self._lex_order = np.asarray(lex, dtype=np.int64)
         self._lex_names = tuple(self.cuisines[c] for c in lex)
-
-    @classmethod
-    def _from_compiled(
-        cls,
-        cuisines: Sequence[str],
-        vocabulary: Sequence[str],
-        pattern_bits: np.ndarray,
-        pattern_supports: np.ndarray,
-        authenticity: np.ndarray,
-        *,
-        pattern_weight: float,
-        authenticity_weight: float,
-    ) -> "CuisineClassifier":
-        """Adopt already-compiled (typically memory-mapped) matrices as-is."""
-        self = cls.__new__(cls)
-        self._finish(
-            cuisines,
-            vocabulary,
-            pattern_bits,
-            pattern_supports,
-            authenticity,
-            pattern_weight,
-            authenticity_weight,
-        )
-        return self
 
     # -- construction -----------------------------------------------------------------
 
@@ -301,25 +262,24 @@ class CuisineClassifier:
     # -- persistence ------------------------------------------------------------------
 
     def save(self, prefix: Path | str, *, fingerprint: str = "") -> Path:
-        """Persist as one memory-mappable sidecar (meta written last)."""
-        paths = classifier_sidecar_paths(prefix)
-        paths["meta"].parent.mkdir(parents=True, exist_ok=True)
-        _replace_with(paths["patterns"], np.ascontiguousarray(self._pattern_bits))
-        _replace_with(paths["supports"], np.ascontiguousarray(self._pattern_supports))
-        _replace_with(paths["authenticity"], np.ascontiguousarray(self._authenticity))
-        meta = {
-            "version": CLASSIFIER_SIDECAR_VERSION,
-            "kind": "classifier",
-            "fingerprint": fingerprint,
-            "cuisines": list(self.cuisines),
-            "vocabulary": list(self.vocabulary),
-            "n_patterns": int(self._pattern_bits.shape[0]),
-            "n_words": int(self._pattern_bits.shape[1]),
-        }
-        temp = paths["meta"].with_name(paths["meta"].name + ".tmp")
-        temp.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
-        temp.replace(paths["meta"])
-        return paths["meta"]
+        """Persist as one memory-mappable sidecar (see :mod:`repro.files`)."""
+        return save_sidecar(
+            prefix,
+            kind="classifier",
+            version=CLASSIFIER_SIDECAR_VERSION,
+            fingerprint=fingerprint,
+            arrays={
+                "patterns": self._pattern_bits,
+                "supports": self._pattern_supports,
+                "authenticity": self._authenticity,
+            },
+            meta={
+                "cuisines": list(self.cuisines),
+                "vocabulary": list(self.vocabulary),
+                "n_patterns": int(self._pattern_bits.shape[0]),
+                "n_words": int(self._pattern_bits.shape[1]),
+            },
+        )
 
     @classmethod
     def load(
@@ -334,53 +294,27 @@ class CuisineClassifier:
         """Load a classifier sidecar without any dense matrix build.
 
         Raises :class:`~repro.errors.SidecarError` when the sidecar is
-        missing, corrupt, the wrong layout version, or stale (fingerprint
-        mismatch); callers fall back to :meth:`from_results`.
+        missing, corrupt, the wrong layout version, stale (fingerprint
+        mismatch) or inconsistent; callers fall back to :meth:`from_results`.
         """
-        paths = classifier_sidecar_paths(prefix)
+        meta, arrays = load_sidecar(
+            prefix,
+            kind="classifier",
+            version=CLASSIFIER_SIDECAR_VERSION,
+            roles=cls.SIDECAR_ROLES,
+            mapped=cls.SIDECAR_ROLES if mmap else (),
+            expected_fingerprint=expected_fingerprint,
+        )
         try:
-            meta = json.loads(paths["meta"].read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise SidecarError(f"no classifier sidecar at {prefix}") from exc
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SidecarError(
-                f"unreadable classifier sidecar meta {paths['meta']}: {exc}"
-            ) from exc
-        if (
-            not isinstance(meta, dict)
-            or meta.get("version") != CLASSIFIER_SIDECAR_VERSION
-            or meta.get("kind") != "classifier"
-        ):
-            raise SidecarError(
-                f"unsupported classifier sidecar version {meta.get('version')!r} "
-                f"at {prefix}"
-            )
-        if (
-            expected_fingerprint is not None
-            and meta.get("fingerprint") != expected_fingerprint
-        ):
-            raise SidecarError(
-                f"stale classifier sidecar at {prefix}: corpus fingerprint changed"
-            )
-        mmap_mode = "r" if mmap else None
-        try:
-            pattern_bits = np.load(
-                paths["patterns"], mmap_mode=mmap_mode, allow_pickle=False
-            )
-            pattern_supports = np.load(
-                paths["supports"], mmap_mode=mmap_mode, allow_pickle=False
-            )
-            authenticity = np.load(
-                paths["authenticity"], mmap_mode=mmap_mode, allow_pickle=False
-            )
-        except (OSError, ValueError) as exc:
-            raise SidecarError(
-                f"unreadable classifier sidecar arrays at {prefix}: {exc}"
-            ) from exc
-        cuisines = tuple(str(name) for name in meta.get("cuisines", ()))
-        vocabulary = tuple(str(item) for item in meta.get("vocabulary", ()))
-        n_patterns = int(meta.get("n_patterns", -1))
-        n_words = int(meta.get("n_words", -1))
+            cuisines = tuple(str(name) for name in meta.get("cuisines", ()))
+            vocabulary = tuple(str(item) for item in meta.get("vocabulary", ()))
+            n_patterns = int(meta.get("n_patterns", -1))
+            n_words = int(meta.get("n_words", -1))
+        except (TypeError, ValueError) as exc:
+            raise SidecarError(f"malformed classifier sidecar meta at {prefix}") from exc
+        pattern_bits = arrays["patterns"]
+        pattern_supports = arrays["supports"]
+        authenticity = arrays["authenticity"]
         if (
             not cuisines
             or len(set(vocabulary)) != len(vocabulary)
@@ -403,15 +337,18 @@ class CuisineClassifier:
                 raise SidecarError(
                     f"corrupt classifier sidecar at {prefix}: pad bits set"
                 )
-        return cls._from_compiled(
+        # Adopt the (typically memory-mapped) arrays as they are.
+        self = cls.__new__(cls)
+        self._finish(
             cuisines,
             vocabulary,
             pattern_bits,
             pattern_supports,
             authenticity,
-            pattern_weight=pattern_weight,
-            authenticity_weight=authenticity_weight,
+            pattern_weight,
+            authenticity_weight,
         )
+        return self
 
     # -- classification ---------------------------------------------------------------
 

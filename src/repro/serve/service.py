@@ -17,7 +17,7 @@ Caching is stage-aware, and the compute path itself is staged:
 
 * **corpus stage** -- the synthetic corpus depends only on ``(seed, scale)``;
   it is persisted through :mod:`repro.recipedb.io_json` next to the artifact
-  store and kept in a small in-memory LRU with its file fingerprint, and its
+  store and kept in a small bounded memo with its file fingerprint, and its
   integer-id CSR (:class:`~repro.mining.shm.CorpusMatrix`) in another, so
   every ``min_support`` sweep entry reuses the same corpus *and* the same CSR;
 * **mining stage** -- keyed by ``(seed, scale, min_support,
@@ -37,6 +37,10 @@ restarted service maps that sidecar and builds nothing; every pass packs
 each region from the CSR and mines it, one region after another in sorted
 order.
 
+The corpus file and both sidecars share one load-or-build step
+(:meth:`AnalysisService._load_or_build`); :mod:`repro.files` writes and
+checks them.
+
 The service records where every answer came from (``memory`` / ``disk`` /
 ``computed``) so callers, benchmarks and the CLI can report cache
 effectiveness.
@@ -51,7 +55,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from repro.core.config import AnalysisConfig, DEFAULT_CONFIG
 from repro.core.pipeline import CuisineClusteringPipeline
@@ -96,7 +100,12 @@ MATRIX_FILE_SUFFIX = ".matrix"
 #: Path suffix of the compiled-classifier sidecar (one per analysis key).
 CLASSIFIER_FILE_SUFFIX = ".classifier"
 
+T = TypeVar("T")
+
 _CORPUS_MEMORY_LIMIT = 4
+#: Corpus locks, one per hash stripe of the corpus key.  No corpus lock is
+#: taken inside another, so two keys that share one only wait.
+_CORPUS_LOCK_STRIPES = 16
 
 #: How long one compute lease lives without a renewal.  The lease keeper
 #: renews every ttl/3, so a holder only expires when its process dies (or
@@ -118,6 +127,42 @@ def lease_owner_id() -> str:
     exact service instance that claimed it.
     """
     return f"{socket.gethostname()}-{os.getpid()}-{secrets.token_hex(4)}"
+
+
+class _BoundedMemo:
+    """At most *limit* entries (0 keeps none), dropping the oldest insertion first.
+
+    A :meth:`get` whose *stamp* differs from the stored one misses.  Reads
+    take no lock (one dict lookup is atomic); writes take the memo's lock,
+    under which *on_evict* runs once per dropped entry.
+    """
+
+    def __init__(self, limit: int, on_evict: Callable[[], None] | None = None) -> None:
+        self._limit = limit
+        self._on_evict = on_evict
+        self._entries: dict[Hashable, tuple[object, object]] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, stamp: object = None):
+        entry = self._entries.get(key)
+        return entry[1] if entry is not None and entry[0] == stamp else None
+
+    def put(self, key: Hashable, value: object, stamp: object = None) -> None:
+        if self._limit == 0:
+            return
+        with self._lock:
+            self._entries[key] = (stamp, value)
+            while len(self._entries) > self._limit:
+                self._entries.pop(next(iter(self._entries)))
+                if self._on_evict is not None:
+                    self._on_evict()
+
+    def pop(self, key: Hashable) -> None:
+        with self._lock:
+            self._entries.pop(key, None)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 class _LeaseKeeper:
@@ -233,31 +278,27 @@ class AnalysisService:
         #: fresh mining pass (``None`` until one runs); surfaced in
         #: :meth:`describe` and thereby ``/stats``.
         self.last_mining_report: MiningReport | None = None
-        self._decoded: dict[str, AnalysisResults] = {}
-        # Corpus-matrix cache: corpus key -> (fingerprint, CorpusMatrix);
-        # the CSR every fresh mining pass packs its regions from.
-        self._corpus_matrices: dict[str, tuple[str, CorpusMatrix]] = {}
-        # Classifier cache: (analysis key, weights) -> (fingerprint,
-        # CuisineClassifier); warm entries wrap the memmapped sidecar arrays.
-        self._classifiers: dict[
-            tuple[str, float, float], tuple[str, CuisineClassifier]
-        ] = {}
-        # Corpus stage cache: corpus key -> (RecipeDatabase, corpus-file
-        # fingerprint).  The fingerprint ties the persisted matrix sidecar to
-        # the exact corpus bytes.
-        self._corpora: dict[str, tuple[RecipeDatabase, str]] = {}
-        # Corpus-file fingerprint memo: path -> ((st_ino, st_size,
-        # st_mtime_ns), SHA-256), so a file is hashed again only once it
-        # changes (an os.replace gives it a new inode).
-        self._fingerprints: dict[Path, tuple[tuple[int, int, int], str]] = {}
+        # Decoded analyses by analysis key, drops counted in ``evictions``;
+        # corpora by corpus key as (RecipeDatabase, corpus-file fingerprint);
+        # CSRs by corpus key and classifiers by (analysis key, weights), both
+        # stamped with that fingerprint; corpus-file SHA-256s by path,
+        # stamped with (st_ino, st_size, st_mtime_ns), so a replaced or
+        # rewritten file is hashed again.
+        self._decoded = _BoundedMemo(max_memory_entries, self._count_eviction)
+        self._corpora = _BoundedMemo(_CORPUS_MEMORY_LIMIT)
+        self._corpus_matrices = _BoundedMemo(_CORPUS_MEMORY_LIMIT)
+        self._classifiers = _BoundedMemo(_CORPUS_MEMORY_LIMIT)
+        self._fingerprints = _BoundedMemo(_CORPUS_MEMORY_LIMIT)
         # The async front-end computes different configs concurrently on
-        # executor threads.  _lock guards the service's own compound cache
-        # mutations (decoded cache, mining-family index read-modify-write);
-        # _corpus_locks serializes corpus generation + sidecar compilation
-        # per corpus key, so two configs sharing a (seed, scale) never build
-        # the same corpus or write the same sidecar files twice.
+        # executor threads.  _lock guards the mining-family index
+        # read-modify-write; the corpus locks serialize corpus generation and
+        # sidecar compilation per corpus key, so two configs sharing a
+        # (seed, scale) never build the same corpus or write the same
+        # sidecar files twice.
         self._lock = threading.RLock()
-        self._corpus_locks: dict[str, threading.Lock] = {}
+        self._corpus_locks = tuple(
+            threading.Lock() for _ in range(_CORPUS_LOCK_STRIPES)
+        )
 
     # -- read path --------------------------------------------------------------------
 
@@ -298,24 +339,11 @@ class AnalysisService:
                 key=key,
                 elapsed_seconds=time.perf_counter() - started,
             )
-        self._decoded.pop(key, None)
+        self._decoded.pop(key)
 
-        payload = self.store.get(ANALYSIS_KIND, key)
-        if payload is not None:
-            try:
-                results = codec.results_from_dict(payload)
-            except ServeError:
-                # Stale or hand-edited artifact: drop it and recompute.
-                self.store.delete(ANALYSIS_KIND, key)
-            else:
-                self._remember_decoded(key, results)
-                return ServedAnalysis(
-                    results=results,
-                    source="disk",
-                    key=key,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
-
+        served = self._from_backend(key, started, probe=False)
+        if served is not None:
+            return served
         return self._cold_compute(config, key, started)
 
     # -- fleet-coordinated cold path ---------------------------------------------------
@@ -326,7 +354,7 @@ class AnalysisService:
         """Run the pipeline and persist the artifact (the uncoordinated tail)."""
         results, mining_reused, mining_incremental = self._compute(config)
         self.store.put(ANALYSIS_KIND, key, codec.results_to_dict(results))
-        self._remember_decoded(key, results)
+        self._decoded.put(key, results)
         return ServedAnalysis(
             results=results,
             source="computed",
@@ -365,18 +393,10 @@ class AnalysisService:
                     self.store.release(ANALYSIS_KIND, key, self.owner)
                     return served
                 self.store.stats.lease_claims += 1
-                get_registry().counter(
-                    "repro_serve_lease_claims_total",
-                    "Cold computes won through a store compute lease.",
-                ).inc()
                 if waited:
                     # We only reach a successful claim after waiting when the
                     # previous holder lapsed or quit without an artifact.
                     self.store.stats.lease_steals += 1
-                    get_registry().counter(
-                        "repro_serve_lease_steals_total",
-                        "Compute leases stolen from expired (crashed) holders.",
-                    ).inc()
                 keeper = _LeaseKeeper(
                     self.store, ANALYSIS_KIND, key, self.owner, self.lease_ttl
                 )
@@ -390,10 +410,6 @@ class AnalysisService:
             if not waited:
                 waited = True
                 self.store.stats.lease_waits += 1
-                get_registry().counter(
-                    "repro_serve_lease_waits_total",
-                    "Cold requests that waited on another process's compute.",
-                ).inc()
             served = self._await_artifact(key, started, deadline)
             if served is not None:
                 return served
@@ -405,14 +421,17 @@ class AnalysisService:
                     f"compute lease for analysis {key}; retry"
                 )
 
-    def _from_backend(self, key: str, started: float) -> ServedAnalysis | None:
+    def _from_backend(
+        self, key: str, started: float, *, probe: bool = True
+    ) -> ServedAnalysis | None:
         """Decode the persisted artifact for *key* if a readable one exists.
 
-        Probes with :meth:`ArtifactStore.exists` first, so polling waiters
-        never inflate the store's miss counters; an undecodable artifact is
-        dropped (the caller recomputes it).
+        With *probe*, asks :meth:`ArtifactStore.exists` first, so polling
+        waiters never inflate the store's miss counters; a read miss goes
+        straight to the one ``get``.  A stale or hand-edited artifact that
+        does not decode is dropped (the caller recomputes it).
         """
-        if not self.store.exists(ANALYSIS_KIND, key):
+        if probe and not self.store.exists(ANALYSIS_KIND, key):
             return None
         payload = self.store.get(ANALYSIS_KIND, key)
         if payload is None:
@@ -422,7 +441,7 @@ class AnalysisService:
         except ServeError:
             self.store.delete(ANALYSIS_KIND, key)
             return None
-        self._remember_decoded(key, results)
+        self._decoded.put(key, results)
         return ServedAnalysis(
             results=results,
             source="disk",
@@ -481,7 +500,7 @@ class AnalysisService:
     def invalidate(self, config: AnalysisConfig, *, mining: bool = False) -> bool:
         """Drop the cached analysis for *config* (and optionally its mining)."""
         key = codec.analysis_key(config)
-        self._decoded.pop(key, None)
+        self._decoded.pop(key)
         removed = self.store.delete(ANALYSIS_KIND, key)
         if mining:
             mining_key = codec.mining_key(config)
@@ -553,28 +572,15 @@ class AnalysisService:
             }
         return payload
 
-    def _remember_decoded(self, key: str, results: AnalysisResults) -> None:
-        """Keep decoded results hot, at most ``max_memory_entries`` of them.
-
-        The oldest insertion is dropped first and counted in ``evictions``.
-        A capacity of 0 keeps nothing decoded, so every read goes through
-        the store.
-        """
-        if self.max_memory_entries == 0:
-            return
-        with self._lock:
-            self._decoded[key] = results
-            while len(self._decoded) > self.max_memory_entries:
-                self._decoded.pop(next(iter(self._decoded)))
-                self.store.stats.evictions += 1
+    def _count_eviction(self) -> None:
+        self.store.stats.evictions += 1
 
     # -- corpus stage -----------------------------------------------------------------
 
     def _corpus_lock(self, config: AnalysisConfig) -> threading.Lock:
-        """The per-corpus-key lock serializing corpus and sidecar builds."""
+        """The lock serializing corpus and sidecar builds for *config*'s corpus."""
         key = codec.corpus_key(config)
-        with self._lock:
-            return self._corpus_locks.setdefault(key, threading.Lock())
+        return self._corpus_locks[hash(key) % len(self._corpus_locks)]
 
     def corpus_path(self, config: AnalysisConfig) -> Path:
         """On-disk location of the persisted corpus for *config*'s seed/scale."""
@@ -589,6 +595,35 @@ class AnalysisService:
             return []
         return sorted(root.glob(f"{CORPUS_FILE_PREFIX}*.json"))
 
+    def _load_or_build(
+        self,
+        load: Callable[[], T | None],
+        build: Callable[[], T],
+        save: Callable[[T], object],
+    ) -> tuple[T, str]:
+        """One auxiliary file: load it, else build the value and save it.
+
+        A file *load* cannot trust (``SerializationError``, ``SidecarError``)
+        counts as missing.  A save that raises ``OSError`` or
+        ``SerializationError`` is a dropped write and the value serves from
+        memory; the store hears of every save, dropped or landed.  Returns
+        the value and where it lives: ``"file"``, ``"saved"`` or ``"memory"``.
+        """
+        try:
+            value = load()
+        except (SerializationError, SidecarError):
+            value = None
+        if value is not None:
+            return value, "file"
+        value = build()
+        try:
+            save(value)
+        except (OSError, SerializationError):
+            self.store.record_dropped_write()
+            return value, "memory"
+        self.store.record_landed_write()
+        return value, "saved"
+
     def _corpus(
         self, config: AnalysisConfig, pipeline: CuisineClusteringPipeline
     ) -> tuple[RecipeDatabase, str]:
@@ -599,20 +634,14 @@ class AnalysisService:
         returned fingerprint digests the corpus file's bytes; the CSR and
         classifier sidecars carry it so they go stale with the corpus.
 
-        A snapshot that cannot be saved (a full or read-only cache) is
-        dropped as the store drops a write: counted in ``dropped_writes``,
-        marking the store degraded, while the corpus serves from memory.
-        No file was written, so none is hashed: the fingerprint is ``""``,
-        the value :meth:`_corpus_file_fingerprint` gives for a missing
-        corpus file, and any CSR or classifier sidecar saved beside it
-        carries ``""``.  Such a sidecar goes stale once a corpus file is
-        written, since no SHA-256 is empty.
+        A snapshot that cannot be saved is not hashed: its fingerprint is
+        ``""``, as for a missing corpus file, so a sidecar saved beside it
+        goes stale once a corpus file is written (no SHA-256 is empty).
         """
         key = codec.corpus_key(config)
-        with self._lock:
-            cached = self._corpora.get(key)
-            if cached is not None:
-                return cached
+        cached = self._corpora.get(key)
+        if cached is not None:
+            return cached
 
         with self._corpus_lock(config):
             # Double-check under the corpus lock: a concurrent compute for a
@@ -621,30 +650,16 @@ class AnalysisService:
             cached = self._corpora.get(key)
             if cached is not None:
                 return cached
-
-            corpus: RecipeDatabase | None = None
             path = self.corpus_path(config)
-            if path.exists():
-                try:
-                    corpus = load_json(path)
-                except SerializationError:
-                    corpus = None  # truncated / hand-edited file: regenerate
-            saved = True
-            if corpus is None:
-                corpus = pipeline.build_corpus()
-                try:
-                    save_json(corpus, path)
-                except SerializationError:
-                    # Serve from memory, as a dropped artifact write does.
-                    self.store.record_dropped_write()
-                    saved = False
-            fingerprint = self._file_fingerprint(path) if saved else ""
-
-            with self._lock:
-                self._corpora[key] = (corpus, fingerprint)
-                while len(self._corpora) > _CORPUS_MEMORY_LIMIT:
-                    self._corpora.pop(next(iter(self._corpora)))
-            return corpus, fingerprint
+            corpus, source = self._load_or_build(
+                lambda: load_json(path) if path.exists() else None,
+                pipeline.build_corpus,
+                lambda corpus: save_json(corpus, path),
+            )
+            fingerprint = "" if source == "memory" else self._corpus_file_fingerprint(config)
+            entry = (corpus, fingerprint)
+            self._corpora.put(key, entry)
+            return entry
 
     # -- the corpus-matrix sidecar ----------------------------------------------------
 
@@ -653,50 +668,6 @@ class AnalysisService:
         return self.store.aux_path(
             f"{CORPUS_FILE_PREFIX}{codec.corpus_key(config)}{MATRIX_FILE_SUFFIX}"
         )
-
-    def _ensure_corpus_matrix(
-        self,
-        config: AnalysisConfig,
-        corpus: RecipeDatabase,
-        fingerprint: str,
-    ) -> CorpusMatrix:
-        """The corpus CSR for *config*: memory, sidecar, or a fresh build.
-
-        A warm hit memory-maps the single ``corpus-<key>.matrix`` sidecar
-        (fingerprint-checked, so it goes stale with the corpus file) and
-        builds nothing.  A miss builds the CSR from the corpus -- the only
-        time this corpus's names are mapped to ids here -- and persists it
-        best-effort: a sidecar that cannot be saved is counted in
-        ``dropped_writes``, as :meth:`_corpus` counts the snapshot.
-        """
-        key = codec.corpus_key(config)
-        with self._lock:
-            cached = self._corpus_matrices.get(key)
-            if cached is not None and cached[0] == fingerprint:
-                return cached[1]
-
-        prefix = self.matrix_path(config)
-        try:
-            corpus_matrix: CorpusMatrix | None = CorpusMatrix.load(
-                prefix, mmap=True, expected_fingerprint=fingerprint
-            )
-        except SidecarError:
-            corpus_matrix = None
-        if corpus_matrix is None or set(corpus_matrix.regions) != set(
-            corpus.region_names()
-        ):
-            corpus_matrix = CuisineClusteringPipeline(config).build_transactions(corpus)
-            try:
-                corpus_matrix.save(prefix, fingerprint=fingerprint)
-            except OSError:
-                # Serve from memory, as a dropped artifact write does.
-                self.store.record_dropped_write()
-
-        with self._lock:
-            self._corpus_matrices[key] = (fingerprint, corpus_matrix)
-            while len(self._corpus_matrices) > _CORPUS_MEMORY_LIMIT:
-                self._corpus_matrices.pop(next(iter(self._corpus_matrices)))
-        return corpus_matrix
 
     # -- the classifier sidecar -------------------------------------------------------
 
@@ -712,43 +683,24 @@ class AnalysisService:
         )
 
     def _corpus_file_fingerprint(self, config: AnalysisConfig) -> str:
-        """Fingerprint of the persisted corpus file, or ``""`` without one.
+        """SHA-256 of the persisted corpus file, or ``""`` without one.
 
         The corpus stage keeps the fingerprint of every corpus it holds;
-        past it, each file is hashed once until it changes (see
-        :meth:`_file_fingerprint`).
+        past it, each file is hashed once until its stat stamp changes.
         """
-        with self._lock:
-            cached = self._corpora.get(codec.corpus_key(config))
+        cached = self._corpora.get(codec.corpus_key(config))
         if cached is not None:
             return cached[1]
         try:
             path = self.corpus_path(config)
-        except ServeError:
-            return ""
-        return self._file_fingerprint(path)
-
-    def _file_fingerprint(self, path: Path) -> str:
-        """SHA-256 of the corpus file at *path*, or ``""`` without one.
-
-        Memoised per path and checked against the file's ``(st_ino,
-        st_size, st_mtime_ns)``, so a file replaced through ``os.replace``
-        (a new inode) or rewritten in place is hashed again.
-        """
-        try:
             stat = path.stat()
-        except OSError:
+        except (ServeError, OSError):
             return ""
         stamp = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
-        with self._lock:
-            memo = self._fingerprints.get(path)
-        if memo is not None and memo[0] == stamp:
-            return memo[1]
-        fingerprint = corpus_fingerprint(path)
-        with self._lock:
-            self._fingerprints[path] = (stamp, fingerprint)
-            while len(self._fingerprints) > _CORPUS_MEMORY_LIMIT:
-                self._fingerprints.pop(next(iter(self._fingerprints)))
+        fingerprint = self._fingerprints.get(path, stamp)
+        if fingerprint is None:
+            fingerprint = corpus_fingerprint(path)
+            self._fingerprints.put(path, fingerprint, stamp)
         return fingerprint
 
     def classifier_for(
@@ -765,8 +717,9 @@ class AnalysisService:
         (fingerprint-checked against the corpus file) and builds **zero**
         dense matrices -- counted in ``stats()['classifier_sidecar_loads']``.
         A miss compiles from *results*, counts a ``classifier_compiles``, and
-        persists the sidecar best-effort for the next worker (a failed save
-        counts in ``dropped_writes``).
+        persists the sidecar best-effort for the next worker (see
+        :meth:`_load_or_build`).  A store without a root directory compiles
+        in memory and saves nothing.
 
         Without *results*, a memory miss serves the analysis through
         :meth:`get_or_run` before taking the corpus lock (a cold compute
@@ -774,58 +727,39 @@ class AnalysisService:
         because that compute may have just written the corpus file.
         """
         config = config if config is not None else DEFAULT_CONFIG
-        key = codec.analysis_key(config)
-        cache_key = (key, float(pattern_weight), float(authenticity_weight))
+        weights = dict(pattern_weight=pattern_weight, authenticity_weight=authenticity_weight)
+        cache_key = (codec.analysis_key(config), float(pattern_weight), float(authenticity_weight))
         fingerprint = self._corpus_file_fingerprint(config)
-
-        with self._lock:
-            cached = self._classifiers.get(cache_key)
-            if cached is not None and cached[0] == fingerprint:
-                return cached[1]
+        cached = self._classifiers.get(cache_key, fingerprint)
+        if cached is not None:
+            return cached
 
         if results is None:
             results = self.get_or_run(config).results
             fingerprint = self._corpus_file_fingerprint(config)
 
         with self._corpus_lock(config):
-            with self._lock:
-                cached = self._classifiers.get(cache_key)
-                if cached is not None and cached[0] == fingerprint:
-                    return cached[1]
-
-            classifier: CuisineClassifier | None = None
-            prefix: Path | None = None
+            cached = self._classifiers.get(cache_key, fingerprint)
+            if cached is not None:
+                return cached
             try:
                 prefix = self.classifier_path(config)
-                classifier = CuisineClassifier.load(
-                    prefix,
-                    mmap=True,
-                    expected_fingerprint=fingerprint,
-                    pattern_weight=pattern_weight,
-                    authenticity_weight=authenticity_weight,
+            except ServeError:  # a rootless backend has nowhere for sidecars
+                classifier = CuisineClassifier.from_results(results, **weights)
+                source = "memory"
+            else:
+                classifier, source = self._load_or_build(
+                    lambda: CuisineClassifier.load(
+                        prefix, mmap=True, expected_fingerprint=fingerprint, **weights
+                    ),
+                    lambda: CuisineClassifier.from_results(results, **weights),
+                    lambda classifier: classifier.save(prefix, fingerprint=fingerprint),
                 )
-            except (SidecarError, ServeError):
-                classifier = None  # missing/stale sidecar or rootless backend
-            if classifier is not None:
+            if source == "file":
                 self.store.stats.classifier_sidecar_loads += 1
             else:
-                classifier = CuisineClassifier.from_results(
-                    results,
-                    pattern_weight=pattern_weight,
-                    authenticity_weight=authenticity_weight,
-                )
                 self.store.stats.classifier_compiles += 1
-                if prefix is not None:
-                    try:
-                        classifier.save(prefix, fingerprint=fingerprint)
-                    except OSError:
-                        # Serve from memory, as a dropped artifact write does.
-                        self.store.record_dropped_write()
-
-            with self._lock:
-                self._classifiers[cache_key] = (fingerprint, classifier)
-                while len(self._classifiers) > _CORPUS_MEMORY_LIMIT:
-                    self._classifiers.pop(next(iter(self._classifiers)))
+            self._classifiers.put(cache_key, classifier, fingerprint)
             return classifier
 
     # -- mining stage -----------------------------------------------------------------
@@ -977,11 +911,29 @@ class AnalysisService:
     ) -> dict[str, MiningResult]:
         """One full mining pass over the corpus CSR.
 
-        The CSR is memory-mapped (warm) or built once (cold, persisting the
-        sidecar best-effort); every region is then packed from it and mined.
+        The CSR comes from memory, from the memory-mapped
+        ``corpus-<key>.matrix`` sidecar (fingerprint-checked, so it goes
+        stale with the corpus file), or from a fresh build -- the only time
+        this corpus's names are mapped to ids here -- saved best-effort
+        (see :meth:`_load_or_build`).  Every region is then packed from it
+        and mined.
         """
+        key = codec.corpus_key(config)
+        prefix = self.matrix_path(config)
+
+        def load_matrix() -> CorpusMatrix | None:
+            matrix = CorpusMatrix.load(prefix, mmap=True, expected_fingerprint=fingerprint)
+            return matrix if set(matrix.regions) == set(corpus.region_names()) else None
+
         with self._corpus_lock(config):
-            corpus_matrix = self._ensure_corpus_matrix(config, corpus, fingerprint)
+            corpus_matrix = self._corpus_matrices.get(key, fingerprint)
+            if corpus_matrix is None:
+                corpus_matrix, _ = self._load_or_build(
+                    load_matrix,
+                    lambda: CuisineClusteringPipeline(config).build_transactions(corpus),
+                    lambda matrix: matrix.save(prefix, fingerprint=fingerprint),
+                )
+                self._corpus_matrices.put(key, corpus_matrix, fingerprint)
         for span in corpus_matrix.spans:
             if span.n_transactions == 0:
                 raise PipelineError(f"region {span.region!r} has no recipes to mine")

@@ -164,9 +164,10 @@ class ArtifactStore:
     :meth:`health` reads ``"degraded"`` while the last backend call was
     one of these, and ``"ok"`` again after the next call that succeeds --
     except that a failed write-class call (write, delete, quarantine,
-    claim, renew, release) or a dropped auxiliary write keeps it
-    ``"degraded"`` until a later write-class call succeeds, so a cache that
-    reads but cannot write never looks healthy.
+    claim, renew, release) keeps it ``"degraded"`` until a later
+    write-class call succeeds, and a dropped auxiliary write until a later
+    auxiliary write lands, so a cache that reads but cannot write, or takes
+    artifacts but not sidecars, never looks healthy.
 
     Parameters
     ----------
@@ -210,6 +211,7 @@ class ArtifactStore:
         self._fault_lock = threading.Lock()
         self._degraded = False
         self._write_degraded = False
+        self._aux_degraded = False
 
     # -- backend ----------------------------------------------------------------------
 
@@ -264,20 +266,25 @@ class ArtifactStore:
     # -- backend faults ---------------------------------------------------------------
 
     def health(self) -> str:
-        """``"degraded"`` while the last backend call, or the last write, failed; else ``"ok"``."""
-        return "degraded" if self._degraded or self._write_degraded else "ok"
+        """``"degraded"`` while the last backend call or write, or auxiliary write, failed."""
+        degraded = self._degraded or self._write_degraded or self._aux_degraded
+        return "degraded" if degraded else "ok"
 
     def record_dropped_write(self) -> None:
         """Count a failed write of an auxiliary file as a dropped write.
 
         The service writes its corpus snapshot and its CSR and classifier
         sidecars beside the backend, not through it; when such a write fails
-        it serves from memory and reports the drop here, so
-        ``dropped_writes`` and :meth:`health` see it as they see a dropped
-        :meth:`put`.
+        it serves from memory and reports the drop here.  :meth:`health`
+        then reads ``"degraded"`` until a later auxiliary write lands
+        (:meth:`record_landed_write`); a landed :meth:`put` does not clear it.
         """
         self._count("dropped_writes")
-        self._write_degraded = True
+        self._aux_degraded = True
+
+    def record_landed_write(self) -> None:
+        """Report an auxiliary write that landed (see :meth:`record_dropped_write`)."""
+        self._aux_degraded = False
 
     def _count(self, counter: str) -> None:
         with self._fault_lock:

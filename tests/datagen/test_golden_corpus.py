@@ -21,18 +21,25 @@ FP-Growth to Eclat.  ``STRIPPED_RESULTS_DIGEST`` was recorded before that
 switch, over the same codec text with every region's ``algorithm`` label
 removed (the view ``perfbench/oracle.py::analysis_digest`` checks), so it
 pins that the switch changed nothing but the label.
+
+``SIDECAR_DIGESTS`` pins the golden config's two sidecars, the CSR and the
+compiled classifier: the meta file's text and each array's dtype, shape and
+bytes (not the raw ``.npy`` files, whose header numpy owns).  A cache warmed
+by an earlier build stays warm only while these hold.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.core.pipeline import CuisineClusteringPipeline
 from repro.datagen.generator import generate_corpus
-from repro.mining.shm import sidecar_paths
+from repro.files import sidecar_paths
+from repro.mining.shm import CorpusMatrix
 from repro.recipedb.io_json import save_json
 from repro.recipedb.models import Recipe
 from repro.serve import codec
@@ -50,6 +57,19 @@ RESULTS_DIGEST = "cfd3cb752fac8354543ea67d1951a44b3779b94135e8610aa96d387b57b3b0
 
 #: The same, with every ``mining_results[*]["algorithm"]`` popped first.
 STRIPPED_RESULTS_DIGEST = "45b7aa2cc0f06e26938f9e9e9284315367c8c6971e9aaf70c9c387b9e0a9ac29"
+
+#: Per sidecar of the golden config: its array roles, in digest order, and
+#: the SHA-256 of its meta text plus each array's dtype, shape and bytes.
+SIDECAR_DIGESTS = {
+    "matrix": (
+        ("tids", "offsets"),
+        "ad150d481e3e2aa0bc27b8f149f314525bf9d9fac1d0df331b64181ae3f8fd67",
+    ),
+    "classifier": (
+        ("patterns", "supports", "authenticity"),
+        "d9232ef6cf60308c0ea743ec7b088070bdddf4f8841cff0a2edf3d463fc59f67",
+    ),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -124,7 +144,8 @@ def _from_reloaded_corpus(tmp_path, monkeypatch):
     """A restart on the corpus JSON alone rebuilds the CSR from ``load_json``."""
     cold = AnalysisService(tmp_path / "cache")
     cold.get_or_run(GOLDEN_CONFIG)
-    for path in sidecar_paths(cold.matrix_path(GOLDEN_CONFIG)).values():
+    prefix = cold.matrix_path(GOLDEN_CONFIG)
+    for path in sidecar_paths(prefix, CorpusMatrix.SIDECAR_ROLES).values():
         path.unlink()
     builds = []
     original = CuisineClusteringPipeline.build_transactions
@@ -168,3 +189,28 @@ def test_analysis_codec_digest_matches_golden(produce, tmp_path, monkeypatch):
     labels = [entry.pop("algorithm") for entry in payload["mining_results"].values()]
     assert labels == ["eclat"] * 26
     assert _sha256(codec.dumps(payload).encode("utf-8")) == STRIPPED_RESULTS_DIGEST
+
+
+@pytest.fixture(scope="module")
+def golden_sidecars(tmp_path_factory):
+    """A cold service's CSR and classifier sidecar prefixes, by name."""
+    service = AnalysisService(tmp_path_factory.mktemp("sidecars") / "cache")
+    served = service.get_or_run(GOLDEN_CONFIG)
+    service.classifier_for(GOLDEN_CONFIG, results=served.results)
+    return {
+        "matrix": service.matrix_path(GOLDEN_CONFIG),
+        "classifier": service.classifier_path(GOLDEN_CONFIG),
+    }
+
+
+@pytest.mark.parametrize("sidecar", sorted(SIDECAR_DIGESTS))
+def test_sidecar_contents_match_golden_digest(sidecar, golden_sidecars):
+    prefix = golden_sidecars[sidecar]
+    roles, expected = SIDECAR_DIGESTS[sidecar]
+    digest = hashlib.sha256()
+    digest.update(prefix.with_name(prefix.name + ".meta.json").read_bytes())
+    for role in roles:
+        array = np.load(prefix.with_name(f"{prefix.name}.{role}.npy"), allow_pickle=False)
+        digest.update(f"{role} {array.dtype.str} {array.shape}".encode("ascii"))
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == expected

@@ -24,12 +24,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import AnalysisConfig
 from repro.errors import SidecarError
+from repro.files import sidecar_paths
 from repro.serve.backends import MemoryBackend
-from repro.serve.classify import (
-    CuisineClassifier,
-    classifier_sidecar_paths,
-    rank_scores,
-)
+from repro.serve.classify import CuisineClassifier, rank_scores
 from repro.serve import service as service_module
 from repro.serve.service import AnalysisService
 from repro.serve.store import ArtifactStore
@@ -152,7 +149,7 @@ class TestSidecarRoundTrip:
         classifier = synthetic_classifier(seed)
         prefix = tmp_path / f"c{seed}-{corruption}" / "corpus-x.classifier"
         classifier.save(prefix, fingerprint="fp")
-        paths = classifier_sidecar_paths(prefix)
+        paths = sidecar_paths(prefix, CuisineClassifier.SIDECAR_ROLES)
         expected = "fp"
         if corruption == "missing":
             paths["meta"].unlink()
@@ -183,7 +180,7 @@ class TestSidecarRoundTrip:
         )
         prefix = tmp_path / "corpus-x.classifier"
         classifier.save(prefix, fingerprint="fp")
-        paths = classifier_sidecar_paths(prefix)
+        paths = sidecar_paths(prefix, CuisineClassifier.SIDECAR_ROLES)
         bits = np.load(paths["patterns"]).copy()
         bits[0, -1] |= 0x01  # a bit beyond the vocabulary
         np.save(paths["patterns"], bits)
@@ -194,7 +191,7 @@ class TestSidecarRoundTrip:
         classifier = synthetic_classifier(5)
         prefix = tmp_path / "corpus-x.classifier"
         classifier.save(prefix, fingerprint="fp")
-        paths = classifier_sidecar_paths(prefix)
+        paths = sidecar_paths(prefix, CuisineClassifier.SIDECAR_ROLES)
         np.save(paths["supports"], np.zeros((1, 1), dtype=np.float32))
         with pytest.raises(SidecarError, match="inconsistent"):
             CuisineClassifier.load(prefix, expected_fingerprint="fp")
@@ -349,7 +346,9 @@ class TestServiceWarmPath:
         cold = AnalysisService(tmp_path / "cache")
         cold.get_or_run(CONFIG)
         cold.classifier_for(CONFIG)
-        paths = classifier_sidecar_paths(cold.classifier_path(CONFIG))
+        paths = sidecar_paths(
+            cold.classifier_path(CONFIG), CuisineClassifier.SIDECAR_ROLES
+        )
         paths["patterns"].write_bytes(b"garbage")
 
         warm = AnalysisService(tmp_path / "cache")
@@ -366,7 +365,9 @@ class TestServiceWarmPath:
         cold = AnalysisService(tmp_path / "cache")
         cold.get_or_run(CONFIG)
         cold.classifier_for(CONFIG)
-        paths = classifier_sidecar_paths(cold.classifier_path(CONFIG))
+        paths = sidecar_paths(
+            cold.classifier_path(CONFIG), CuisineClassifier.SIDECAR_ROLES
+        )
         meta = json.loads(paths["meta"].read_text(encoding="utf-8"))
         meta["fingerprint"] = "some-older-corpus"
         paths["meta"].write_text(json.dumps(meta), encoding="utf-8")

@@ -239,11 +239,28 @@ class TestServiceOverAFailingBackend:
         assert served.source == "computed"
         assert service.store.stats.dropped_writes == 1
         assert health_at_drop == ["degraded"]
-        # The mining run and the analysis land after the sidecar, and a
-        # landed write clears the degraded state, as after a dropped put.
-        assert service.store.health() == "ok"
+        # The mining run and the analysis land after the sidecar, but an
+        # artifact write does not vouch for the files beside the backend: a
+        # cache that takes JSON but not .npy files stays degraded.
+        assert service.store.health() == "degraded"
         assert service.store.exists(ANALYSIS_KIND, served.key)
         assert AnalysisService(tmp_path / "cache").get_or_run(CONFIG).source == "disk"
+
+    def test_a_landed_sidecar_save_clears_a_dropped_one(self, tmp_path, monkeypatch):
+        save = CorpusMatrix.save
+
+        def full_disk(*args, **kwargs):
+            raise OSError("no space left for the sidecar")
+
+        monkeypatch.setattr(CorpusMatrix, "save", full_disk)
+        service = AnalysisService(tmp_path / "cache")
+        served = service.get_or_run(CONFIG)
+        assert service.store.health() == "degraded"
+        # Room again: the classifier sidecar lands, and health recovers.
+        monkeypatch.setattr(CorpusMatrix, "save", save)
+        service.classifier_for(CONFIG, results=served.results)
+        assert service.store.stats.dropped_writes == 1
+        assert service.store.health() == "ok"
 
     def test_a_failed_classifier_sidecar_save_is_a_dropped_write(
         self, tmp_path, monkeypatch

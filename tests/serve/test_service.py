@@ -7,12 +7,16 @@ corrupt cache files, and correctness of served (decoded) results.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.core.pipeline import CuisineClusteringPipeline
 from repro.errors import ServeError
 from repro.serve import codec
+from repro.serve import service as service_module
 from repro.serve.service import ANALYSIS_KIND, AnalysisService
 from repro.serve.store import ArtifactStore
 
@@ -338,3 +342,73 @@ class TestCorpusCache:
         # — but over the CSR already in memory.
         service.get_or_run(CONFIG.with_overrides(min_support=0.15))
         assert len(builds) == 1
+
+    def test_sibling_configs_computed_at_once_build_one_corpus(self, service, monkeypatch):
+        corpora, matrices = [], []
+        build_corpus = CuisineClusteringPipeline.build_corpus
+        build_transactions = CuisineClusteringPipeline.build_transactions
+
+        def counting_corpus(pipeline):
+            corpora.append(1)
+            return build_corpus(pipeline)
+
+        def counting_transactions(pipeline, database):
+            matrices.append(1)
+            return build_transactions(pipeline, database)
+
+        monkeypatch.setattr(CuisineClusteringPipeline, "build_corpus", counting_corpus)
+        monkeypatch.setattr(
+            CuisineClusteringPipeline, "build_transactions", counting_transactions
+        )
+        configs = [CONFIG.with_overrides(min_support=s) for s in (0.15, 0.2, 0.25)]
+        served = []
+        threads = [
+            threading.Thread(target=lambda c=c: served.append(service.get_or_run(c)))
+            for c in configs
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert len(served) == 3
+        assert (len(corpora), len(matrices)) == (1, 1)
+
+    def test_corpus_locks_stay_bounded(self, service):
+        configs = [
+            AnalysisConfig(seed=seed, scale=scale)
+            for seed in range(500)
+            for scale in (0.01, 0.02)
+        ]
+        locks = {id(service._corpus_lock(config)) for config in configs}
+        assert len({codec.corpus_key(config) for config in configs}) == 1000
+        assert len(locks) <= service_module._CORPUS_LOCK_STRIPES
+        # One corpus always maps to one lock.
+        assert service._corpus_lock(CONFIG) is service._corpus_lock(
+            CONFIG.with_overrides(min_support=0.3)
+        )
+
+
+def test_bounded_memo_counts_every_drop_under_contention():
+    # Eight threads put distinct keys into one memo of four with the switch
+    # interval shortened: every put must end up held or counted as dropped.
+    dropped = []
+    memo = service_module._BoundedMemo(4, lambda: dropped.append(1))
+
+    def worker(thread: int) -> None:
+        for i in range(300):
+            memo.put((thread, i), i, stamp=thread)
+            memo.get((thread, i), thread)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(memo) == 4
+    assert len(memo) + len(dropped) == 8 * 300
