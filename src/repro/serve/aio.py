@@ -6,10 +6,13 @@ the same cold config perform N identical computes.  This module puts an
 event-loop front door in front of it:
 
 :class:`AsyncAnalysisService`
-    ``await get(config)`` with **single-flight request coalescing** -- the
-    first request for a config key starts the compute on a thread-pool
-    executor (the event loop never blocks on mining), and every concurrent
-    request for the same key *joins* that in-flight compute instead of
+    ``await get(config)`` answers a memory hit on the event loop
+    (:meth:`AnalysisService.from_memory`: a dict lookup and one store
+    existence probe, no executor hop).  Everything else takes
+    **single-flight request coalescing** -- the first request for a key
+    memory does not hold starts a disk read or a compute on a thread-pool
+    executor (the event loop never blocks on decoding or mining), and every
+    concurrent request for the same key *joins* that flight instead of
     starting another.  All waiters receive the same results; joiners are
     marked ``coalesced`` and counted in ``StoreStats.coalesced_hits``.
     Waiter cancellation is safe: the shared flight is shielded, so one
@@ -25,14 +28,18 @@ event-loop front door in front of it:
     The query/classify read path (:class:`~repro.serve.queries.QueryEngine`
     + :class:`~repro.serve.classify.CuisineClassifier`) behind ``await``,
     bound to one config and rebuilt automatically when a refresh swaps the
-    underlying results.
+    underlying results.  Over a memory hit its ops run inline on the loop.
 
 :class:`AnalysisServer`
     A minimal HTTP/1.1 JSON loop on :func:`asyncio.start_server` (stdlib
     only, no web framework): ``GET /healthz``, ``GET /stats``,
     ``POST /analyze``, ``POST /query``, ``POST /classify``.  The CLI's
     ``serve`` subcommand wires it to the standard store/eviction/lease
-    flags; see ``docs/serving.md`` for the wire format.
+    flags; see ``docs/serving.md`` for the wire format.  A warm request
+    never suspends, so each connection yields to the loop once per request.
+
+What runs on the executor: computes, disk reads and their decodes,
+:meth:`AnalysisService.classifier_for`, ``/stats`` and the refresher.
 
 Quick start::
 
@@ -194,14 +201,15 @@ class AsyncAnalysisService:
     # -- read path --------------------------------------------------------------------
 
     async def get(self, config: AnalysisConfig | None = None) -> ServedAnalysis:
-        """Serve *config*, joining an identical in-flight compute if one exists.
+        """Serve *config*: from memory inline, else through a coalesced flight.
 
-        The first caller for a key starts the flight (``get_or_run`` on the
-        executor); concurrent callers for the same key await that flight and
-        receive the same results with ``coalesced=True``.  The flight is
-        shielded from waiter cancellation -- cancelling one ``await`` leaves
-        the compute running for everyone else, and its result still lands in
-        the cache.
+        A memory hit is answered on the event loop.  Otherwise the first
+        caller for a key starts the flight (``get_or_run`` on the executor:
+        a disk read or a compute); concurrent callers for the same key await
+        that flight and receive the same results with ``coalesced=True``.
+        The flight is shielded from waiter cancellation -- cancelling one
+        ``await`` leaves the compute running for everyone else, and its
+        result still lands in the cache.
 
         With *compute_deadline* set, a waiter blocks at most that many
         seconds before :class:`~repro.errors.DeadlineError`; answers whose
@@ -213,10 +221,13 @@ class AsyncAnalysisService:
         config = config if config is not None else DEFAULT_CONFIG
         key = codec.analysis_key(config)
         self._remember_config(key, config)
+        served = self.service.from_memory(key)
+        if served is not None:
+            return self._mark_stale(key, served)
         flight = self._flights.get(key)
         if flight is not None and not flight.done():
-            # Join the in-flight compute: no second compute, same results.
-            # (A *finished* flight whose done-callback has not run yet is not
+            # Join the in-flight compute or disk read: same results.  (A
+            # *finished* flight whose done-callback has not run yet is not
             # joined -- its artifact is already cached, so a fresh flight is
             # a cheap warm read and the coalesced flag stays honest.)
             self.service.store.stats.coalesced_hits += 1
@@ -467,11 +478,14 @@ class AsyncAnalysisService:
 class AsyncQueryEngine:
     """Async query/classify read path bound to one config.
 
-    Every call first awaits the (coalesced) analysis for the bound config,
-    then runs the synchronous :class:`QueryEngine` / ``CuisineClassifier``
-    operation on the executor.  The engine and the compiled classifier are
-    cached per results object and rebuilt transparently when a background
-    refresh swaps new results in.
+    Every call first awaits the analysis for the bound config (a memory hit
+    inline, else a coalesced flight), then runs the synchronous
+    :class:`QueryEngine` / ``CuisineClassifier`` operation inline on the
+    event loop: a lookup costs less than the executor hop it would take.
+    Only the classifier itself is fetched on the executor, once per
+    results object.  The engine and the classifier are cached per results
+    object and rebuilt transparently when a background refresh swaps new
+    results in.
     """
 
     def __init__(
@@ -492,34 +506,12 @@ class AsyncQueryEngine:
             self._classifier = None
         return self._engine
 
-    async def _classify_batch(
-        self, recipes: Sequence[Sequence[str]], top_k: int | None = None
-    ) -> list[Classification]:
-        engine = await self.engine()
-        if self._classifier is None:
-            # Route through the sync service's classifier cache: a warm
-            # sidecar is memory-mapped (zero matrix builds, shared across
-            # every executor thread); only a true miss compiles -- and the
-            # already-served results are injected so a miss never re-runs
-            # the pipeline.
-            self._classifier = await self.service._run_blocking(
-                lambda: self.service.service.classifier_for(
-                    self.config, results=engine.results
-                )
-            )
-        classifier = self._classifier
-        return await self.service._run_blocking(
-            lambda: classifier.classify_batch(recipes, top_k=top_k)
-        )
-
     async def nearest_cuisines(
         self, cuisine: str, *, k: int = 5, figure: str = "figure2"
     ) -> list[tuple[str, float]]:
         """The *k* nearest cuisines under one clustering view's metric."""
         engine = await self.engine()
-        return await self.service._run_blocking(
-            lambda: engine.nearest_cuisines(cuisine, k=k, figure=figure)
-        )
+        return engine.nearest_cuisines(cuisine, k=k, figure=figure)
 
     async def pattern_search(
         self,
@@ -531,32 +523,24 @@ class AsyncQueryEngine:
     ) -> list[PatternHit]:
         """Patterns containing every requested item, best-supported first."""
         engine = await self.engine()
-        return await self.service._run_blocking(
-            lambda: engine.pattern_search(
-                items, region=region, min_support=min_support, limit=limit
-            )
+        return engine.pattern_search(
+            items, region=region, min_support=min_support, limit=limit
         )
 
     async def top_patterns(self, region: str, *, k: int = 5) -> list[PatternHit]:
         """One cuisine's *k* strongest patterns."""
         engine = await self.engine()
-        return await self.service._run_blocking(
-            lambda: engine.top_patterns(region, k=k)
-        )
+        return engine.top_patterns(region, k=k)
 
     async def authenticity_profile(self, item: str) -> dict[str, float]:
         """One ingredient's signed authenticity across every cuisine."""
         engine = await self.engine()
-        return await self.service._run_blocking(
-            lambda: engine.authenticity_profile(item)
-        )
+        return engine.authenticity_profile(item)
 
     async def cuisine_profile(self, cuisine: str, *, k: int = 5) -> dict[str, object]:
         """The one-stop JSON summary card for a cuisine."""
         engine = await self.engine()
-        return await self.service._run_blocking(
-            lambda: engine.cuisine_profile(cuisine, k=k)
-        )
+        return engine.cuisine_profile(cuisine, k=k)
 
     async def classify(
         self, recipes: Sequence[Sequence[str]], *, top_k: int | None = None
@@ -566,7 +550,17 @@ class AsyncQueryEngine:
         ``top_k`` keeps only the k best cuisines per recipe (deterministic
         lexical tie-break); ``None`` returns the full per-cuisine scores.
         """
-        return await self._classify_batch(recipes, top_k)
+        engine = await self.engine()
+        if self._classifier is None:
+            # Through the sync service's classifier cache, on the executor: a
+            # warm sidecar is memory-mapped (zero matrix builds); only a true
+            # miss compiles, from the already-served results.
+            self._classifier = await self.service._run_blocking(
+                lambda: self.service.service.classifier_for(
+                    self.config, results=engine.results
+                )
+            )
+        return self._classifier.classify_batch(recipes, top_k=top_k)
 
 
 # -- the HTTP/JSON front door ---------------------------------------------------------
@@ -746,6 +740,9 @@ class AnalysisServer:
                     self._done.set()
                 if not keep_alive:
                     break
+                # A warm request never suspends, so one pipelining client
+                # would hold the loop; yield once per request.
+                await asyncio.sleep(0)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:

@@ -4,7 +4,7 @@
 with a three-level read path::
 
     get_or_run(config)
-        1. decoded-analysis cache  (microseconds)
+        1. decoded-analysis cache  (microseconds -- from_memory(key))
         2. disk artifact store     (milliseconds -- one JSON parse)
         3. recompute               (seconds -- the full eight-stage pipeline)
 
@@ -204,8 +204,9 @@ class ServedAnalysis:
 
     ``coalesced`` is set by the async front-end
     (:class:`~repro.serve.aio.AsyncAnalysisService`) on answers that joined
-    another request's in-flight compute instead of starting their own; the
-    synchronous service always leaves it ``False``.
+    another request's in-flight disk read or compute instead of starting
+    their own (a memory hit joins nothing); the synchronous service always
+    leaves it ``False``.
 
     ``stale`` is also an async front-end mark: ``True`` on answers served
     from an artifact whose last background refresh *failed* (the old value
@@ -327,24 +328,36 @@ class AnalysisService:
 
         key = codec.analysis_key(config)
         started = time.perf_counter()
-
-        cached = self._decoded.get(key)
-        if cached is not None and self.store.exists(ANALYSIS_KIND, key):
-            # The existence probe honours invalidate() on another service
-            # handle over the same backend, even for already-decoded entries.
-            self.store.stats.memory_hits += 1
-            return ServedAnalysis(
-                results=cached,
-                source="memory",
-                key=key,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-        self._decoded.pop(key)
-
-        served = self._from_backend(key, started, probe=False)
+        served = self.from_memory(key)
+        if served is None:
+            served = self._from_backend(key, started, probe=False)
         if served is not None:
             return served
         return self._cold_compute(config, key, started)
+
+    def from_memory(self, key: str) -> ServedAnalysis | None:
+        """The decoded analysis for *key*, if memory holds it; never blocks.
+
+        A dict lookup and, on a hit, one :meth:`ArtifactStore.exists` probe,
+        which honours :meth:`invalidate` on another service handle over the
+        same backend: a decoded entry whose artifact is gone is dropped.
+        The async front door calls this on its event loop before it starts
+        an executor flight; nothing here decodes or computes.
+        """
+        started = time.perf_counter()
+        cached = self._decoded.get(key)
+        if cached is None:
+            return None
+        if not self.store.exists(ANALYSIS_KIND, key):
+            self._decoded.pop(key)
+            return None
+        self.store.stats.memory_hits += 1
+        return ServedAnalysis(
+            results=cached,
+            source="memory",
+            key=key,
+            elapsed_seconds=time.perf_counter() - started,
+        )
 
     # -- fleet-coordinated cold path ---------------------------------------------------
 
@@ -609,10 +622,7 @@ class AnalysisService:
         memory; the store hears of every save, dropped or landed.  Returns
         the value and where it lives: ``"file"``, ``"saved"`` or ``"memory"``.
         """
-        try:
-            value = load()
-        except (SerializationError, SidecarError):
-            value = None
+        value = self._trusted(load)
         if value is not None:
             return value, "file"
         value = build()
@@ -623,6 +633,14 @@ class AnalysisService:
             return value, "memory"
         self.store.record_landed_write()
         return value, "saved"
+
+    @staticmethod
+    def _trusted(load: Callable[[], T | None]) -> T | None:
+        """*load*'s value, with a file it cannot trust read as missing."""
+        try:
+            return load()
+        except (SerializationError, SidecarError):
+            return None
 
     def _corpus(
         self, config: AnalysisConfig, pipeline: CuisineClusteringPipeline
@@ -721,10 +739,13 @@ class AnalysisService:
         :meth:`_load_or_build`).  A store without a root directory compiles
         in memory and saves nothing.
 
-        Without *results*, a memory miss serves the analysis through
-        :meth:`get_or_run` before taking the corpus lock (a cold compute
-        takes that lock itself) and then re-reads the corpus fingerprint,
-        because that compute may have just written the corpus file.
+        Without *results*, a memory miss tries the sidecar first, because
+        loading it needs no results (serving them on a restarted service
+        decodes the whole analysis artifact).  Only a sidecar miss serves
+        the analysis through :meth:`get_or_run`, outside the corpus lock (a
+        cold compute takes that lock itself), and then re-reads the corpus
+        fingerprint, because that compute may have just written the corpus
+        file.
         """
         config = config if config is not None else DEFAULT_CONFIG
         weights = dict(pattern_weight=pattern_weight, authenticity_weight=authenticity_weight)
@@ -733,8 +754,26 @@ class AnalysisService:
         cached = self._classifiers.get(cache_key, fingerprint)
         if cached is not None:
             return cached
+        try:
+            prefix = self.classifier_path(config)
+        except ServeError:  # a rootless backend has nowhere for sidecars
+            prefix = None
+
+        def load() -> CuisineClassifier | None:
+            # Reads the fingerprint current at the call.
+            if prefix is None:
+                return None
+            return CuisineClassifier.load(
+                prefix, mmap=True, expected_fingerprint=fingerprint, **weights
+            )
 
         if results is None:
+            with self._corpus_lock(config):
+                classifier = self._trusted(load)
+            if classifier is not None:
+                self.store.stats.classifier_sidecar_loads += 1
+                self._classifiers.put(cache_key, classifier, fingerprint)
+                return classifier
             results = self.get_or_run(config).results
             fingerprint = self._corpus_file_fingerprint(config)
 
@@ -742,16 +781,12 @@ class AnalysisService:
             cached = self._classifiers.get(cache_key, fingerprint)
             if cached is not None:
                 return cached
-            try:
-                prefix = self.classifier_path(config)
-            except ServeError:  # a rootless backend has nowhere for sidecars
+            if prefix is None:
                 classifier = CuisineClassifier.from_results(results, **weights)
                 source = "memory"
             else:
                 classifier, source = self._load_or_build(
-                    lambda: CuisineClassifier.load(
-                        prefix, mmap=True, expected_fingerprint=fingerprint, **weights
-                    ),
+                    load,
                     lambda: CuisineClassifier.from_results(results, **weights),
                     lambda classifier: classifier.save(prefix, fingerprint=fingerprint),
                 )

@@ -86,12 +86,12 @@ class StoreStats:
 
     ``coalesced_hits`` and ``background_refreshes`` are written by the async
     front-end (:mod:`repro.serve.aio`): the former counts requests that
-    joined an already-in-flight compute instead of starting their own, the
-    latter counts artifacts re-warmed by the background refresher before
-    their TTL expired.  ``request_errors`` counts HTTP requests the async
-    server answered with a 500 (each carries an ``error_id`` correlating the
-    response with this counter).  All three stay 0 under purely synchronous
-    serving.
+    joined an already-in-flight disk read or compute instead of starting
+    their own, the latter counts artifacts re-warmed by the background
+    refresher before their TTL expired.  ``request_errors`` counts HTTP
+    requests the async server answered with a 500 (each carries an
+    ``error_id`` correlating the response with this counter).  All three
+    stay 0 under purely synchronous serving.
 
     The ``lease_*`` counters are written by the service layer's fleet
     coordination (:mod:`repro.serve.service`): ``lease_claims`` counts cold

@@ -63,6 +63,9 @@ class StubService:
             time.sleep(self.delay)
         return self._serve("computed")
 
+    def from_memory(self, key):
+        return None  # no memory layer: every read takes a flight
+
     def refresh(self, config=None) -> ServedAnalysis:
         with self._lock:
             self.refreshes += 1

@@ -76,6 +76,9 @@ class FlakyService:
             assert self.compute_gate.wait(10), "compute gate never released"
         return self._serve(source)
 
+    def from_memory(self, key):
+        return None  # no memory layer: every read takes a flight
+
     def refresh(self, config=None) -> ServedAnalysis:
         with self._lock:
             self.refreshes += 1

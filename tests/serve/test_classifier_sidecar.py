@@ -28,7 +28,7 @@ from repro.files import sidecar_paths
 from repro.serve.backends import MemoryBackend
 from repro.serve.classify import CuisineClassifier, rank_scores
 from repro.serve import service as service_module
-from repro.serve.service import AnalysisService
+from repro.serve.service import ANALYSIS_KIND, AnalysisService
 from repro.serve.store import ArtifactStore
 
 CONFIG = AnalysisConfig(seed=17, scale=0.02, elbow_k_max=6)
@@ -256,6 +256,20 @@ class TestServiceWarmPath:
         warm.classifier_for(CONFIG)
         assert warm.store.stats.classifier_compiles == 0
         assert warm.store.stats.classifier_sidecar_loads == 1
+
+    def test_restarted_service_loads_the_sidecar_before_the_analysis(self, tmp_path):
+        # The sidecar needs no results: a restart over a warm cache must
+        # not decode the analysis artifact to answer classifier_for.
+        cold = AnalysisService(tmp_path / "cache")
+        cold.classifier_for(CONFIG, results=cold.get_or_run(CONFIG).results)
+        restarted = AnalysisService(tmp_path / "cache")
+        reads = []
+        read = restarted.store.get
+        restarted.store.get = lambda kind, key: reads.append(kind) or read(kind, key)
+        assert restarted.classifier_for(CONFIG).cuisines
+        assert ANALYSIS_KIND not in reads
+        assert restarted.store.stats.classifier_sidecar_loads == 1
+        assert restarted.store.stats.classifier_compiles == 0
 
     def test_memory_cache_returns_same_object(self, tmp_path):
         service = AnalysisService(tmp_path / "cache")
