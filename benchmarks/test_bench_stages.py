@@ -19,9 +19,10 @@ its own:
   then ``results_from_dict`` decodes it.  This is what a restart pays per
   warm config;
 * ``restart`` -- a third fresh service on the same cache, after
-  ``invalidate(mining=True)``, re-mines: it reloads the corpus JSON into
-  ``Recipe`` objects, derives their id form once, maps the CSR sidecar and
-  must build no CSR at all.
+  ``invalidate(mining=True)``, re-mines: it reloads the corpus JSON
+  straight into the id form (``corpus_load``, of which
+  ``columns_from_recipes``: each recipe is validated as a ``Recipe``, and
+  none is kept), maps the CSR sidecar and must build no CSR at all.
 
 ``recipes_materialized`` counts the ``Recipe`` objects a run constructs, and
 ``artifact_mb`` is the size of the analysis artifact on disk after the run.

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Working with the RecipeDB substrate directly: build, query, persist.
 
-The analysis layers sit on an in-memory recipe store (:mod:`repro.recipedb`).
-This example shows the substrate on its own, without the synthetic generator:
+The analysis layers sit on an in-memory recipe store (:mod:`repro.recipedb`)
+that holds its corpus as integer ids.  This example shows the substrate on
+its own, without the synthetic generator:
 
-1. register cuisines and insert hand-written recipes;
+1. register cuisines and insert hand-written recipes in one batch (each
+   insert rebuilds the id form, so a corpus goes in with one
+   ``add_recipes`` call);
 2. run queries through the composable :class:`RecipeQuery` builder;
-3. inspect supports via the inverted indexes;
+3. inspect item supports, counted over the id form;
 4. persist to JSON / CSV and load the corpus back.
 
 Run with::

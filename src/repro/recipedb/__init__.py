@@ -1,13 +1,13 @@
-"""RecipeDB-like substrate: models, in-memory store, indexes, persistence.
+"""RecipeDB-like substrate: models, the in-memory store, queries, persistence.
 
-This subpackage reproduces the *data* layer of the paper: a structured recipe
-store grouped into geo-cultural cuisines, exposing exactly the views the
-analysis layers need (per-cuisine transactions, item supports, vocabularies,
-corpus statistics).
+This subpackage reproduces the *data* layer of the paper: a recipe store
+grouped into geo-cultural cuisines, holding its corpus as integer ids
+(:class:`~repro.recipedb.columns.RecipeColumns`) and exposing exactly the
+views the analysis layers need (per-cuisine transactions, item supports,
+corpus statistics), with JSON, JSONL and CSV import and export.
 """
 
 from repro.recipedb.database import RecipeDatabase
-from repro.recipedb.index import InvertedIndex, RegionIndex, build_entity_indexes
 from repro.recipedb.io_csv import iter_csv, load_csv, save_csv
 from repro.recipedb.io_json import (
     corpus_fingerprint,
@@ -17,7 +17,6 @@ from repro.recipedb.io_json import (
     save_json,
     save_jsonl,
 )
-from repro.recipedb.io_sqlite import corpus_summary, load_sqlite, save_sqlite
 from repro.recipedb.models import (
     EntityKind,
     Ingredient,
@@ -37,13 +36,9 @@ from repro.recipedb.stats import (
     region_statistics,
     summarise_distribution,
 )
-from repro.recipedb.vocabulary import EntityVocabularies, Vocabulary
 
 __all__ = [
     "RecipeDatabase",
-    "InvertedIndex",
-    "RegionIndex",
-    "build_entity_indexes",
     "EntityKind",
     "Ingredient",
     "Process",
@@ -62,8 +57,6 @@ __all__ = [
     "corpus_statistics",
     "region_statistics",
     "summarise_distribution",
-    "EntityVocabularies",
-    "Vocabulary",
     "iter_csv",
     "load_csv",
     "save_csv",
@@ -73,7 +66,4 @@ __all__ = [
     "load_jsonl",
     "save_json",
     "save_jsonl",
-    "corpus_summary",
-    "load_sqlite",
-    "save_sqlite",
 ]

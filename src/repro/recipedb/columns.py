@@ -3,13 +3,15 @@
 :class:`RecipeColumns` stores a corpus column-wise, one row per recipe in
 recipe-id order: the ids, titles, region and source codes, and per entity
 kind a compressed sparse row (CSR) of each recipe's sorted, distinct name
-ids into that kind's sorted name table (:class:`KindColumn`).  The synthetic
-generator produces this form directly; a database built from
-:class:`~repro.recipedb.models.Recipe` objects derives it once
-(:meth:`RecipeColumns.from_recipes`).  Either way the corpus statistics,
-the Table I counts, prevalence, the mining CSR and the corpus JSON are all
-computed from these arrays, and ``Recipe`` objects are a view built only
-for callers that ask for them (:meth:`RecipeColumns.recipes`).
+ids into that kind's sorted name table (:class:`KindColumn`).  It is the
+only form a :class:`~repro.recipedb.database.RecipeDatabase` holds its
+corpus in.  The synthetic generator produces it directly; inserted or
+loaded :class:`~repro.recipedb.models.Recipe` objects are turned into it
+once per insert (:meth:`RecipeColumns.from_recipes`) and not kept.  The
+corpus statistics, the Table I counts, prevalence, the mining CSR, the
+corpus JSON, the supports and the queries are all computed from these
+arrays, and ``Recipe`` objects are a view built only for callers that ask
+for them (:meth:`RecipeColumns.recipes`, :meth:`RecipeColumns.recipe`).
 
 The kinds keep separate name tables, so a name that is both an ingredient
 and a process stays one of each for statistics; :meth:`RecipeColumns.item_rows`
@@ -19,6 +21,7 @@ single item, as a recipe's transaction view has it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import attrgetter
@@ -98,6 +101,12 @@ class ItemRows:
         """The region position of every entry of ``tids``."""
         rows = np.repeat(np.arange(len(self.region_sizes)), self.region_sizes)
         return np.repeat(rows, np.diff(self.offsets))
+
+    def item_sets(self) -> list[frozenset[str]]:
+        """Every row as the set of its item names."""
+        flat = list(map(self.items.__getitem__, self.tids.tolist()))
+        bounds = self.offsets.tolist()
+        return [frozenset(flat[start:stop]) for start, stop in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -200,6 +209,16 @@ class RecipeColumns:
             *names,
             self.sources[self.source_codes[row]],
         )
+
+    def holds(self, name: str) -> np.ndarray:
+        """Whether each recipe holds *name*, in any entity kind."""
+        held = np.zeros(len(self), dtype=bool)
+        for column in self.kinds:
+            position = bisect_left(column.names, name)
+            if position < len(column.names) and column.names[position] == name:
+                entries = np.flatnonzero(column.ids == position)
+                held[np.searchsorted(column.offsets, entries, side="right") - 1] = True
+        return held
 
     # -- region grouping ---------------------------------------------------------
 

@@ -1,31 +1,23 @@
 """The in-memory RecipeDB-like store.
 
 :class:`RecipeDatabase` is the substrate every analysis in the paper runs on.
-It stores recipes keyed by integer id, keeps a region index (the 26 cuisines),
-one inverted index per entity kind plus a combined index, and maintains the
-entity vocabularies incrementally.  The store is append-oriented (recipes are
-inserted once and then read many times by the mining/clustering layers) but
-supports deletion for completeness.
-
-A database holds its corpus in one of two forms, or both:
-
-* :class:`~repro.recipedb.models.Recipe` objects, which recipes inserted by
-  :meth:`~RecipeDatabase.add_recipe` (and loaded corpora) arrive as;
-* :class:`~repro.recipedb.columns.RecipeColumns`, the integer-id form the
-  synthetic generator fills through :meth:`~RecipeDatabase.from_columns`.
+It holds its registered regions (the 26 cuisines), its schema and the corpus
+as one :class:`~repro.recipedb.columns.RecipeColumns`, the integer-id form,
+and nothing else.  The synthetic generator fills it through
+:meth:`~RecipeDatabase.from_columns`; :meth:`~RecipeDatabase.add_recipes`
+(and :meth:`~RecipeDatabase.from_recipes`, which every corpus loader uses)
+validates :class:`~repro.recipedb.models.Recipe` objects and rebuilds the
+columns from them once per call, keeping no ``Recipe``.
 
 The analyses (corpus statistics, Table I counts, prevalence, the mining CSR,
-the corpus JSON) read :attr:`~RecipeDatabase.columns`, which a database of
-``Recipe`` objects derives once and keeps until the next mutation.  The
-``Recipe`` objects of a columns-built database are a view, built on first
-use by the query surface, an export or a mutation; the region index and the
-vocabularies are built with them.
-
-The inverted indexes serve only the query surface (:class:`RecipeQuery`,
-:meth:`~RecipeDatabase.item_support` and friends); the analysis pipeline and
-the serve layer never read them.  They are therefore built from the stored
-recipes on first use and maintained incrementally from then on, so a corpus
-that is only analysed never pays for them.
+the corpus JSON) read :attr:`~RecipeDatabase.columns`.  The query surface
+(:meth:`~RecipeDatabase.get`, :meth:`~RecipeDatabase.recipes_in_region`,
+:class:`RecipeQuery`, the transactions and the supports) computes from the
+columns on every call and keeps nothing; ``Recipe`` objects are built only
+for the callers that ask for them.  The store is append-oriented (recipes
+are inserted once and then read many times by the mining/clustering
+layers) but supports deletion for completeness: each insert or delete
+rebuilds the columns, so a corpus is best inserted in one batch.
 
 Typical usage::
 
@@ -40,6 +32,8 @@ Typical usage::
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -51,48 +45,33 @@ from repro.errors import (
     ValidationError,
 )
 from repro.recipedb.columns import RecipeColumns
-from repro.recipedb.index import InvertedIndex, RegionIndex, build_entity_indexes
 from repro.recipedb.models import EntityKind, Recipe, Region
 from repro.recipedb.query import QueryResult, RecipeQuery
 from repro.recipedb.schema import RecipeSchema
-from repro.recipedb.vocabulary import EntityVocabularies
 
 __all__ = ["RecipeDatabase"]
 
 
 class RecipeDatabase:
-    """In-memory recipe store with region and entity indexes.
+    """In-memory recipe store: registered regions, a schema and the id form.
 
     Parameters
     ----------
     schema:
         Optional :class:`RecipeSchema`.  When omitted a permissive schema is
         used whose region set is populated from :meth:`register_region` calls.
-    validate_regions:
-        When ``True`` (default) every inserted recipe must reference a region
-        previously registered with :meth:`register_region`.  This matches the
-        paper's setup where the 26 cuisines are fixed up-front.
+
+    Every inserted recipe must reference a region previously registered with
+    :meth:`register_region`, matching the paper's setup where the 26
+    cuisines are fixed up-front.
     """
 
-    def __init__(
-        self,
-        schema: RecipeSchema | None = None,
-        *,
-        validate_regions: bool = True,
-    ) -> None:
+    __slots__ = ("_schema", "_regions", "_columns")
+
+    def __init__(self, schema: RecipeSchema | None = None) -> None:
         self._schema = schema if schema is not None else RecipeSchema()
-        self._validate_regions = validate_regions
-        # None while a columns-built corpus has no Recipe view yet; the
-        # region index and the vocabularies are then None too.
-        self._recipes: dict[int, Recipe] | None = {}
-        self._region_index: RegionIndex | None = RegionIndex()
-        self._vocabularies: EntityVocabularies | None = EntityVocabularies()
-        # The id form: the authority while _recipes is None, otherwise
-        # derived from the recipes on first use and dropped on mutation.
-        self._columns: RecipeColumns | None = None
         self._regions: dict[str, Region] = {}
-        # Entity indexes plus the ``"combined"`` one; None until first use.
-        self._indexes: dict[EntityKind | str, InvertedIndex] | None = None
+        self._columns = RecipeColumns.from_recipes(())
 
     @classmethod
     def from_columns(
@@ -133,9 +112,6 @@ class RecipeDatabase:
                 f"recipe {int(ids[row])!r} ({columns.titles[row]!r}) has no ingredients"
             )
         database._schema.validate_columns(columns)
-        database._recipes = None
-        database._region_index = None
-        database._vocabularies = None
         database._columns = columns
         return database
 
@@ -168,102 +144,77 @@ class RecipeDatabase:
 
     def add_recipe(self, recipe: Recipe) -> None:
         """Insert *recipe*; raises on duplicate ids or schema violations."""
-        self._mutable()
-        self._insert(recipe)
-        self._vocabularies.observe(recipe)
+        self.add_recipes((recipe,))
 
     def add_recipes(self, recipes: Iterable[Recipe]) -> int:
         """Insert many recipes; returns the number inserted.
 
-        Each recipe gets the checks :meth:`add_recipe` runs.  The
-        vocabularies then observe every inserted recipe at once, each
-        distinct name once, with the same ids one-at-a-time observation
-        gives -- also when an insert raises part-way.
+        Each recipe is checked in turn: a new id, a registered region and
+        the schema.  The columns are then rebuilt once with every recipe
+        that passed -- also when a later one raises, so the recipes before
+        a failing one stay inserted.
         """
-        self._mutable()
+        ids = set(self._columns.recipe_ids.tolist())
         added: list[Recipe] = []
         try:
             for recipe in recipes:
-                self._insert(recipe)
+                if recipe.recipe_id in ids:
+                    raise DuplicateRecordError(f"recipe id {recipe.recipe_id} already exists")
+                if recipe.region not in self._regions:
+                    raise SchemaError(
+                        f"recipe {recipe.recipe_id} references unregistered region "
+                        f"{recipe.region!r}; call register_region first"
+                    )
+                self._schema.validate(recipe)
+                ids.add(recipe.recipe_id)
                 added.append(recipe)
         finally:
-            self._vocabularies.observe_all(added)
+            if added:
+                self._rebuild(chain(self._columns.recipes(), added))
         return len(added)
-
-    def _mutable(self) -> None:
-        """Make the ``Recipe`` objects the authority before a mutation.
-
-        The region index and the vocabularies are kept up incrementally from
-        here on, so they are built first; the id form goes stale.
-        """
-        self._built_region_index()
-        self._built_vocabularies()
-        self._columns = None
-
-    def _materialized(self) -> dict[int, Recipe]:
-        """The recipes by id, built from the columns on first use."""
-        if self._recipes is None:
-            self._recipes = {
-                recipe.recipe_id: recipe for recipe in self._columns.recipes()
-            }
-        return self._recipes
-
-    def _insert(self, recipe: Recipe) -> None:
-        """Store and index *recipe* (everything but the vocabularies)."""
-        if recipe.recipe_id in self._recipes:
-            raise DuplicateRecordError(f"recipe id {recipe.recipe_id} already exists")
-        if self._validate_regions and recipe.region not in self._regions:
-            raise SchemaError(
-                f"recipe {recipe.recipe_id} references unregistered region "
-                f"{recipe.region!r}; call register_region first"
-            )
-        self._schema.validate(recipe)
-        self._recipes[recipe.recipe_id] = recipe
-        self._region_index.add(recipe.recipe_id, recipe.region)
-        if self._indexes is not None:
-            for kind in EntityKind:
-                self._indexes[kind].add(recipe.recipe_id, recipe.entities_of(kind))
-            self._indexes["combined"].add(recipe.recipe_id, recipe.items())
 
     def remove_recipe(self, recipe_id: int) -> Recipe:
         """Delete and return the recipe stored under *recipe_id*."""
         recipe = self.get(recipe_id)
-        self._mutable()
-        del self._recipes[recipe_id]
-        self._region_index.remove(recipe_id, recipe.region)
-        if self._indexes is not None:
-            for kind in EntityKind:
-                self._indexes[kind].remove(recipe_id, recipe.entities_of(kind))
-            self._indexes["combined"].remove(recipe_id, recipe.items())
+        self._rebuild(kept for kept in self._columns.recipes() if kept.recipe_id != recipe_id)
         return recipe
+
+    def _rebuild(self, recipes: Iterable[Recipe]) -> None:
+        self._columns = RecipeColumns.from_recipes(
+            sorted(recipes, key=attrgetter("recipe_id"))
+        )
+
+    def _row(self, recipe_id: object) -> int:
+        """The row holding *recipe_id*, or -1."""
+        ids = self._columns.recipe_ids
+        if isinstance(recipe_id, (int, np.integer)):
+            row = int(np.searchsorted(ids, recipe_id))
+            if row < len(ids) and ids[row] == recipe_id:
+                return row
+        return -1
 
     def get(self, recipe_id: int) -> Recipe:
         """Return the recipe stored under *recipe_id*."""
-        try:
-            return self._materialized()[recipe_id]
-        except KeyError as exc:
-            raise UnknownRecordError(f"unknown recipe id: {recipe_id}") from exc
+        row = self._row(recipe_id)
+        if row < 0:
+            raise UnknownRecordError(f"unknown recipe id: {recipe_id}")
+        return self._columns.recipe(row)
 
     def __contains__(self, recipe_id: object) -> bool:
-        return recipe_id in self._materialized()
+        return self._row(recipe_id) >= 0
 
     def __len__(self) -> int:
-        if self._recipes is None:
-            return len(self._columns)
-        return len(self._recipes)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[Recipe]:
         return iter(self.recipes())
 
     def recipe_ids(self) -> list[int]:
-        if self._recipes is None:
-            return self._columns.recipe_ids.tolist()
-        return sorted(self._recipes)
+        return self._columns.recipe_ids.tolist()
 
     def recipes(self) -> list[Recipe]:
         """All recipes ordered by id."""
-        recipes = self._materialized()
-        return [recipes[rid] for rid in sorted(recipes)]
+        return self._columns.recipes()
 
     def next_recipe_id(self) -> int:
         """Smallest id strictly larger than every stored id (0 when empty)."""
@@ -272,18 +223,14 @@ class RecipeDatabase:
     @property
     def columns(self) -> RecipeColumns:
         """The corpus in its integer-id form (see :mod:`repro.recipedb.columns`)."""
-        if self._columns is None:
-            self._columns = RecipeColumns.from_recipes(self.recipes())
         return self._columns
 
     # -- region-scoped views ------------------------------------------------------
 
     def recipes_in_region(self, region: str) -> list[Recipe]:
         """Every recipe of a cuisine, ordered by id."""
-        self._require_region(region)
-        recipes = self._materialized()
-        ids = sorted(self.region_index.recipe_ids(region))
-        return [recipes[rid] for rid in ids]
+        rows = np.flatnonzero(self._region_mask(region))
+        return [self._columns.recipe(row) for row in rows.tolist()]
 
     def region_recipe_counts(self) -> dict[str, int]:
         """Recipe count per registered region (zero-filled), from the id form."""
@@ -299,55 +246,21 @@ class RecipeDatabase:
         kinds: Iterable[EntityKind] | None = None,
     ) -> list[frozenset[str]]:
         """Mining transactions (item sets) for one cuisine."""
-        kinds_tuple = tuple(kinds) if kinds is not None else None
-        return [r.items(kinds_tuple) for r in self.recipes_in_region(region)]
+        self._require_region(region)
+        return self._columns.item_rows([region], kinds).item_sets()
 
     def transactions_by_region(
         self, kinds: Iterable[EntityKind] | None = None
     ) -> dict[str, list[frozenset[str]]]:
         """Mining transactions grouped by cuisine, for all regions."""
-        kinds_tuple = tuple(kinds) if kinds is not None else None
+        regions = self.region_names()
+        rows = self._columns.item_rows(regions, kinds)
+        sets = rows.item_sets()
+        bounds = np.concatenate(([0], np.cumsum(rows.region_sizes))).tolist()
         return {
-            region: self.transactions_for_region(region, kinds_tuple)
-            for region in self.region_names()
+            region: sets[start:stop]
+            for region, start, stop in zip(regions, bounds, bounds[1:])
         }
-
-    # -- indexes and vocabularies ----------------------------------------------
-
-    @property
-    def region_index(self) -> RegionIndex:
-        return self._built_region_index()
-
-    def _built_region_index(self) -> RegionIndex:
-        if self._region_index is None:
-            index = RegionIndex()
-            for recipe in self._materialized().values():
-                index.add(recipe.recipe_id, recipe.region)
-            self._region_index = index
-        return self._region_index
-
-    def _built_indexes(self) -> dict[EntityKind | str, InvertedIndex]:
-        if self._indexes is None:
-            self._indexes = build_entity_indexes(self._materialized())
-        return self._indexes
-
-    @property
-    def combined_index(self) -> InvertedIndex:
-        return self._built_indexes()["combined"]
-
-    def entity_index(self, kind: EntityKind) -> InvertedIndex:
-        return self._built_indexes()[kind]
-
-    @property
-    def vocabularies(self) -> EntityVocabularies:
-        return self._built_vocabularies()
-
-    def _built_vocabularies(self) -> EntityVocabularies:
-        if self._vocabularies is None:
-            vocabularies = EntityVocabularies()
-            vocabularies.observe_all(self.recipes())
-            self._vocabularies = vocabularies
-        return self._vocabularies
 
     @property
     def schema(self) -> RecipeSchema:
@@ -365,30 +278,30 @@ class RecipeDatabase:
 
     def item_support(self, item: str, region: str | None = None) -> float:
         """Support of a single item, globally or within one cuisine."""
-        if region is None:
-            return self.combined_index.support(item)
-        self._require_region(region)
-        region_ids = self.region_index.recipe_ids(region)
-        if not region_ids:
-            return 0.0
-        postings = self.combined_index.postings(item)
-        return len(postings & region_ids) / len(region_ids)
+        return self.itemset_support((item,), region)
 
     def itemset_support(self, items: Sequence[str], region: str | None = None) -> float:
-        """Joint support of an itemset, globally or within one cuisine."""
+        """Joint support of an itemset, globally or within one cuisine.
+
+        An item counts in any entity kind; 0.0 when the scope holds no
+        recipe.
+        """
         if region is None:
-            return self.combined_index.itemset_support(items)
-        self._require_region(region)
-        region_ids = self.region_index.recipe_ids(region)
-        if not region_ids:
+            scope = np.ones(len(self._columns), dtype=bool)
+        else:
+            scope = self._region_mask(region)
+        total = int(np.count_nonzero(scope))
+        if not total:
             return 0.0
-        matching = self.combined_index.all_of(items)
-        return len(matching & region_ids) / len(region_ids)
+        for item in items:
+            scope &= self._columns.holds(item)
+        return int(np.count_nonzero(scope)) / total
 
     def ingredient_usage(self) -> dict[str, int]:
         """Document frequency of every ingredient across the whole corpus."""
-        index = self.entity_index(EntityKind.INGREDIENT)
-        return {item: index.document_frequency(item) for item in sorted(index.items())}
+        column = self._columns.kind(EntityKind.INGREDIENT)
+        counts = np.bincount(column.ids, minlength=len(column.names)).tolist()
+        return {name: count for name, count in zip(column.names, counts) if count}
 
     # -- serialisation hooks -----------------------------------------------------
 
@@ -406,18 +319,23 @@ class RecipeDatabase:
     ) -> "RecipeDatabase":
         """Build a database from recipes, auto-registering their regions.
 
-        ``region_metadata`` optionally maps region name -> continent.
+        ``region_metadata`` optionally maps region name -> continent.  The
+        recipes are consumed once, each region registered as it first
+        appears, and inserted in one :meth:`add_recipes` call.
         """
         database = cls()
         if regions is not None:
             database.register_regions(regions)
-        recipe_list = list(recipes)
         metadata = dict(region_metadata or {})
-        for recipe in recipe_list:
-            if not database.has_region(recipe.region):
-                continent = metadata.get(recipe.region, "unknown")
-                database.register_region(Region(recipe.region, continent=continent))
-        database.add_recipes(recipe_list)
+
+        def registered(recipes: Iterable[Recipe]) -> Iterator[Recipe]:
+            for recipe in recipes:
+                if not database.has_region(recipe.region):
+                    continent = metadata.get(recipe.region, "unknown")
+                    database.register_region(Region(recipe.region, continent=continent))
+                yield recipe
+
+        database.add_recipes(registered(recipes))
         return database
 
     # -- internals -----------------------------------------------------------------
@@ -425,3 +343,8 @@ class RecipeDatabase:
     def _require_region(self, region: str) -> None:
         if region not in self._regions:
             raise ValidationError(f"unknown region: {region!r}")
+
+    def _region_mask(self, region: str) -> np.ndarray:
+        """Whether each row belongs to the registered *region*."""
+        self._require_region(region)
+        return self._columns.region_positions([region]) == 0

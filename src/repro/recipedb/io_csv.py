@@ -9,11 +9,14 @@ never appears in normalised entity names).
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.errors import SerializationError
+from repro.errors import SerializationError, ValidationError
+from repro.files import atomic_write
 from repro.recipedb.database import RecipeDatabase
+from repro.recipedb.io_json import database_from_rows
 from repro.recipedb.models import Recipe
 
 __all__ = ["CSV_COLUMNS", "save_csv", "load_csv", "iter_csv"]
@@ -48,39 +51,45 @@ def save_csv(
     *,
     separator: str = _DEFAULT_SEPARATOR,
 ) -> Path:
-    """Write recipes to a flat CSV file; returns the path written."""
-    target = Path(path)
+    """Write recipes to a flat CSV file; returns the path written.
+
+    The write is atomic (:func:`repro.files.atomic_write`).
+    """
     if isinstance(recipes_or_database, RecipeDatabase):
         recipes: Iterable[Recipe] = recipes_or_database.recipes()
     else:
         recipes = recipes_or_database
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_COLUMNS)
+    for recipe in recipes:
+        writer.writerow(
+            [
+                recipe.recipe_id,
+                recipe.title,
+                recipe.region,
+                _pack(recipe.ingredients, separator),
+                _pack(recipe.processes, separator),
+                _pack(recipe.utensils, separator),
+                recipe.source,
+            ]
+        )
+    data = text.getvalue().encode("utf-8")
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_COLUMNS)
-            for recipe in recipes:
-                writer.writerow(
-                    [
-                        recipe.recipe_id,
-                        recipe.title,
-                        recipe.region,
-                        _pack(recipe.ingredients, separator),
-                        _pack(recipe.processes, separator),
-                        _pack(recipe.utensils, separator),
-                        recipe.source,
-                    ]
-                )
+        return atomic_write(path, lambda handle: handle.write(data))
     except OSError as exc:
-        raise SerializationError(f"could not write recipes to {target}: {exc}") from exc
-    return target
+        raise SerializationError(f"could not write recipes to {path}: {exc}") from exc
 
 
 def iter_csv(
     path: str | Path, *, separator: str = _DEFAULT_SEPARATOR
 ) -> Iterator[Recipe]:
     """Stream recipes from a CSV file written by :func:`save_csv`."""
-    source = Path(path)
+    return (recipe for _line, recipe in _csv_rows(Path(path), separator))
+
+
+def _csv_rows(source: Path, separator: str) -> Iterator[tuple[int, Recipe]]:
+    """Each recipe of a CSV file with its line number."""
     try:
         with source.open("r", encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle)
@@ -91,7 +100,7 @@ def iter_csv(
                 )
             for line_number, row in enumerate(reader, start=2):
                 try:
-                    yield Recipe(
+                    yield line_number, Recipe(
                         recipe_id=int(row["recipe_id"]),
                         title=row["title"],
                         region=row["region"],
@@ -100,7 +109,7 @@ def iter_csv(
                         utensils=_unpack(row["utensils"], separator),
                         source=row.get("source", "csv") or "csv",
                     )
-                except (ValueError, KeyError) as exc:
+                except (TypeError, AttributeError, KeyError, ValueError, ValidationError) as exc:
                     raise SerializationError(
                         f"{source}:{line_number}: malformed recipe row: {exc}"
                     ) from exc
@@ -110,4 +119,5 @@ def iter_csv(
 
 def load_csv(path: str | Path, *, separator: str = _DEFAULT_SEPARATOR) -> RecipeDatabase:
     """Load a CSV recipe file into a fresh database (regions auto-registered)."""
-    return RecipeDatabase.from_recipes(iter_csv(path, separator=separator))
+    source = Path(path)
+    return database_from_rows(source, _csv_rows(source, separator))

@@ -219,7 +219,11 @@ def save_jsonl(
 
 def iter_jsonl(path: str | Path) -> Iterator[Recipe]:
     """Stream recipes from a JSONL file, one at a time."""
-    source = Path(path)
+    return (recipe for _line, recipe in _jsonl_rows(Path(path)))
+
+
+def _jsonl_rows(source: Path) -> Iterator[tuple[int, Recipe]]:
+    """Each recipe of a JSONL file with its line number."""
     try:
         with source.open("r", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
@@ -227,7 +231,7 @@ def iter_jsonl(path: str | Path) -> Iterator[Recipe]:
                 if not line:
                     continue
                 try:
-                    yield Recipe.from_dict(json.loads(line))
+                    yield line_number, Recipe.from_dict(json.loads(line))
                 except (TypeError, AttributeError, KeyError, ValueError, ValidationError) as exc:
                     raise SerializationError(
                         f"{source}:{line_number}: malformed recipe line: {exc}"
@@ -240,4 +244,25 @@ def iter_jsonl(path: str | Path) -> Iterator[Recipe]:
 
 def load_jsonl(path: str | Path) -> RecipeDatabase:
     """Load a JSONL recipe file into a fresh database (regions auto-registered)."""
-    return RecipeDatabase.from_recipes(iter_jsonl(path))
+    source = Path(path)
+    return database_from_rows(source, _jsonl_rows(source))
+
+
+def database_from_rows(source: Path, rows: Iterable[tuple[int, Recipe]]) -> RecipeDatabase:
+    """A database of a row file's ``(line, recipe)`` rows, regions auto-registered.
+
+    A recipe the database refuses (a repeated id, a schema limit) raises
+    :class:`SerializationError` naming the file and its line, as a malformed
+    row does.
+    """
+    line = 0
+
+    def recipes() -> Iterator[Recipe]:
+        nonlocal line
+        for line, recipe in rows:
+            yield recipe
+
+    try:
+        return RecipeDatabase.from_recipes(recipes())
+    except (ValidationError, SchemaError, DuplicateRecordError) as exc:
+        raise SerializationError(f"{source}:{line}: inconsistent recipe: {exc}") from exc

@@ -46,8 +46,8 @@ def normalize_name(name: str) -> str:
     ``str.split()`` breaks on exactly the characters the regex whitespace
     class matches, and lower-casing never turns a space into a non-space or
     back, so the result equals collapsing regex whitespace runs in
-    ``name.strip().lower()``.  The function is idempotent, which
-    :class:`~repro.recipedb.vocabulary.Vocabulary` relies on.
+    ``name.strip().lower()``.  The function is idempotent: a stored name
+    comes back unchanged.
     """
     if not isinstance(name, str):
         raise ValidationError(f"name must be a string, got {type(name).__name__}")

@@ -4,8 +4,9 @@ The paper only needs "all recipes of cuisine X" and "recipes containing item
 Y", but a reusable library should expose a slightly richer, explicit query
 surface.  :class:`RecipeQuery` is an immutable builder: each refinement
 returns a new query, and :meth:`RecipeQuery.execute` evaluates it against a
-database using its inverted indexes where possible and falling back to
-predicate scans otherwise.
+database's integer-id form: the region and containment filters select rows
+of the arrays, and only the rows they keep become ``Recipe`` objects for
+the remaining predicates.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import QueryError
 from repro.recipedb.models import EntityKind, Recipe, normalize_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.recipedb.columns import RecipeColumns
     from repro.recipedb.database import RecipeDatabase
 
 __all__ = ["RecipeQuery", "QueryResult"]
@@ -141,10 +145,10 @@ class RecipeQuery:
 
     def execute(self, database: "RecipeDatabase") -> QueryResult:
         """Evaluate against *database* and return the matching recipes."""
-        candidate_ids = self._candidate_ids(database)
+        columns = database.columns
         matched: list[Recipe] = []
-        for recipe_id in sorted(candidate_ids):
-            recipe = database.get(recipe_id)
+        for row in np.flatnonzero(self._candidate_rows(columns)).tolist():
+            recipe = columns.recipe(row)
             if self._matches(recipe):
                 matched.append(recipe)
                 if self._limit is not None and len(matched) >= self._limit:
@@ -157,27 +161,18 @@ class RecipeQuery:
 
     # -- internals -----------------------------------------------------------
 
-    def _candidate_ids(self, database: "RecipeDatabase") -> frozenset[int]:
-        """Use indexes to pre-filter before running row predicates."""
-        candidates: frozenset[int] | None = None
-
+    def _candidate_rows(self, columns: "RecipeColumns") -> np.ndarray:
+        """The rows the region and containment filters keep, as a mask."""
+        keep = np.ones(len(columns), dtype=bool)
         if self._regions:
-            region_ids: set[int] = set()
-            for region in self._regions:
-                region_ids |= database.region_index.recipe_ids(region)
-            candidates = frozenset(region_ids)
-
-        if self._must_contain:
-            contained = database.combined_index.all_of(self._must_contain)
-            candidates = contained if candidates is None else candidates & contained
-
+            keep &= columns.region_positions(self._regions) >= 0
+        for item in self._must_contain:
+            keep &= columns.holds(item)
         if self._must_contain_any:
-            any_contained = database.combined_index.any_of(self._must_contain_any)
-            candidates = any_contained if candidates is None else candidates & any_contained
-
-        if candidates is None:
-            candidates = frozenset(database.recipe_ids())
-        return candidates
+            keep &= np.logical_or.reduce(
+                [columns.holds(item) for item in self._must_contain_any]
+            )
+        return keep
 
     def _matches(self, recipe: Recipe) -> bool:
         if self._must_not_contain and recipe.items() & set(self._must_not_contain):

@@ -652,6 +652,8 @@ class AnalysisServer:
         self._server: asyncio.AbstractServer | None = None
         self._done = asyncio.Event()
         self._engines: dict[str, AsyncQueryEngine] = {}
+        #: Each open connection's handler task and its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the actual (host, port)."""
@@ -672,9 +674,21 @@ class AnalysisServer:
         await self._done.wait()
 
     async def aclose(self) -> None:
-        """Stop accepting connections and close the async service."""
+        """Stop accepting, close every connection, then close the async service.
+
+        An idle keep-alive handler would wait for its next request forever
+        (and ``wait_closed`` waits for it from Python 3.12 on), so each
+        connection's transport is closed: its handler reads EOF and returns
+        as at a client's close.  Cancelling the handlers instead would log
+        their ``CancelledError``.  A request already being served runs to
+        its end, and its answer is lost with the connection.
+        """
         if self._server is not None:
             self._server.close()
+            while self._connections:
+                for writer in self._connections.values():
+                    writer.close()
+                await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self._done.set()
@@ -701,8 +715,10 @@ class AnalysisServer:
         after a framing failure (oversized or malformed body) the byte stream
         is unsynchronized, and legacy one-shot clients read to EOF.
         """
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
-            while True:
+            while self._server is not None and self._server.is_serving():
                 status, payload = 200, {}
                 keep_alive = False
                 try:
@@ -746,6 +762,7 @@ class AnalysisServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
+            del self._connections[task]
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -12,8 +12,8 @@ The analysis digest is checked through every producer of mining results:
 the pipeline, a cold service that builds and saves the corpus CSR, a second
 service that re-mines from the memory-mapped CSR sidecar, and a restart on
 the persisted corpus JSON whose sidecar is gone, so the CSR is rebuilt from
-the id form derived from the validated ``Recipe`` objects ``load_json``
-returns rather than from the generator's.  A fifth producer reads the cold
+the id form ``load_json`` builds from validated ``Recipe`` objects rather
+than from the generator's.  A fifth producer reads the cold
 service's artifact back from disk, through the store's packed float arrays.
 
 ``RESULTS_DIGEST`` was re-recorded when the production miner switched from

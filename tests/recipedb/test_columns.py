@@ -9,14 +9,21 @@ recipes, recipes inserted out of id order):
 * the mining CSR equals ``CorpusMatrix.from_transactions`` over names;
 * prevalence equals ``prevalence_from_transactions`` over frozensets;
 * corpus and region statistics equal a walk over the recipes;
-* the corpus JSON equals ``json.dumps`` of the recipe dictionaries.
+* the corpus JSON equals ``json.dumps`` of the recipe dictionaries;
+* ``holds`` and ``item_rows`` equal a walk over the recipes, and
+  ``kind_column`` orders each row and drops repeated pairs.
 
 Then the columns-built database: the checks ``add_recipes`` runs, run over
-the arrays, and mutation through the ``Recipe`` view.
+the arrays, and mutation, which rebuilds the columns.  A database holds its
+regions, its schema and the columns, and its reads keep nothing.  Last, a
+loaded corpus: it goes through ``RecipeColumns.from_recipes`` once, keeps
+no ``Recipe`` and analyses as the generated corpus it was saved from.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 from dataclasses import replace
 
@@ -25,15 +32,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.authenticity.prevalence import prevalence_from_transactions, prevalence_matrix
+from repro.core.config import AnalysisConfig
 from repro.core.pipeline import CuisineClusteringPipeline
+from repro.datagen.generator import generate_corpus
 from repro.errors import DuplicateRecordError, FeatureError, SchemaError, ValidationError
 from repro.mining.shm import CorpusMatrix
-from repro.recipedb.columns import KindColumn, RecipeColumns
+from repro.recipedb.columns import KindColumn, RecipeColumns, kind_column
 from repro.recipedb.database import RecipeDatabase
-from repro.recipedb.io_json import save_json
+from repro.recipedb.io_json import load_json, save_json
 from repro.recipedb.models import EntityKind, Recipe, Region
+from repro.recipedb.query import RecipeQuery
+from repro.recipedb.schema import RecipeSchema
 from repro.recipedb.stats import corpus_statistics, region_statistics
-from repro.recipedb.vocabulary import EntityVocabularies
+from repro.serve import codec
 
 _REGIONS = ("East", "North", "West")
 _INGREDIENTS = ("salt", "cream", "soy sauce", "olive oil", "Ünïcode leaf")
@@ -183,6 +194,47 @@ def test_corpus_json_equals_dumping_the_dictionaries(tmp_path_factory, recipes):
     assert path.read_text(encoding="utf-8") == json.dumps(payload)
 
 
+@settings(max_examples=120, deadline=None)
+@given(_recipes, st.sampled_from(_INGREDIENTS + _PROCESSES + _UTENSILS + ("unknown",)))
+def test_holds_equals_a_walk_over_the_recipes(recipes, name):
+    database = _database(recipes)
+    held = database.columns.holds(name)
+    assert held.dtype == bool
+    assert held.tolist() == [name in recipe.items() for recipe in database.recipes()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_recipes, st.lists(st.sampled_from(_REGIONS), unique=True), st.sampled_from(_KIND_CHOICES))
+def test_item_rows_keep_only_the_asked_regions(recipes, regions, kinds):
+    database = _database(recipes)
+    rows = database.columns.item_rows(regions, kinds)
+    grouped = [
+        (position, recipe.items(kinds))
+        for position, region in enumerate(regions)
+        for recipe in database.recipes()
+        if recipe.region == region
+    ]
+    expected = [items for _position, items in grouped]
+    assert rows.item_sets() == expected
+    assert rows.items == tuple(sorted(set().union(*expected)))
+    assert rows.region_sizes.tolist() == [
+        sum(recipe.region == region for recipe in database.recipes()) for region in regions
+    ]
+    assert rows.region_of_ids().tolist() == [
+        position for position, items in grouped for _item in items
+    ]
+
+
+def test_kind_column_orders_each_row_and_drops_repeats():
+    names = ("cream", "heat", "salt")
+    column = kind_column(np.array([2, 0, 2, 2, 0]), np.array([2, 1, 0, 2, 1]), names, 4)
+    assert column.names == names
+    assert column.rows() == [("heat",), (), ("cream", "salt"), ()]
+    assert column.lengths().tolist() == [1, 0, 2, 0]
+    assert column.ids.dtype == np.int32 and column.offsets.dtype == np.int64
+    assert column.n_used() == 3
+
+
 # -- a database built from columns ---------------------------------------------------
 
 
@@ -199,9 +251,7 @@ def test_from_columns_builds_no_recipe_until_asked():
     )
     assert len(database) == 2 and database.recipe_ids() == [0, 3]
     assert database.region_recipe_counts() == {"East": 2, "North": 0, "West": 0}
-    assert database._recipes is None
     assert database.get(3) == replace(_RECIPE, recipe_id=3)
-    assert database._recipes is not None
 
 
 def test_from_columns_rejects_what_add_recipes_rejects():
@@ -263,9 +313,6 @@ def test_mutating_a_columns_built_database_matches_a_recipe_built_one(first, mor
         RecipeColumns.from_recipes(sorted(first, key=lambda r: r.recipe_id)), _REGIONS
     )
     recipe_built = _database(sorted(first, key=lambda r: r.recipe_id))
-    vocabularies = EntityVocabularies()
-    vocabularies.observe_all(recipe_built.recipes())
-    assert columns_built.vocabularies == vocabularies
     for database in (columns_built, recipe_built):
         database.add_recipes(more)
         if first:
@@ -280,3 +327,46 @@ def test_regions_registered_by_region_objects_keep_their_continent():
     regions = [Region("East", continent="Asia")]
     database = RecipeDatabase.from_columns(_columns(_RECIPE), regions)
     assert [region.continent for region in database.regions()] == ["Asia"]
+
+
+def test_a_database_holds_its_regions_schema_and_columns_and_reads_keep_nothing(toy_db):
+    columns = toy_db.columns
+    assert toy_db.get(3).title == "spaghetti al pomodoro"
+    assert len(toy_db.recipes_in_region("Japanese")) == 3
+    assert len(toy_db.transactions_by_region()["UK"]) == 3
+    assert toy_db.item_support("soy sauce", region="Japanese") == 1.0
+    assert toy_db.ingredient_usage()["butter"] == 3
+    assert len(toy_db.find(RecipeQuery().containing_all(["soy sauce"]))) == 3
+    assert toy_db.columns is columns
+    assert not hasattr(toy_db, "__dict__")
+    assert {name: type(getattr(toy_db, name)) for name in RecipeDatabase.__slots__} == {
+        "_schema": RecipeSchema,
+        "_regions": dict,
+        "_columns": RecipeColumns,
+    }
+
+
+# -- a loaded corpus -----------------------------------------------------------------
+
+
+def _analysis_digest(corpus: RecipeDatabase, config: AnalysisConfig) -> str:
+    results = CuisineClusteringPipeline(config).run(corpus)
+    return hashlib.sha256(codec.dumps(codec.results_to_dict(results)).encode("utf-8")).hexdigest()
+
+
+def test_a_loaded_corpus_keeps_no_recipe_and_analyses_like_the_generated_one(tmp_path):
+    config = AnalysisConfig(scale=0.02)
+    generated = generate_corpus(config.seed, config.scale)
+    saved = save_json(generated, tmp_path / "generated.json")
+
+    gc.collect()
+    before = [obj for obj in gc.get_objects() if isinstance(obj, Recipe)]  # held: ids stay unique
+    known = {id(obj) for obj in before}
+    loaded = load_json(saved)
+    gc.collect()
+    alive = sum(isinstance(obj, Recipe) and id(obj) not in known for obj in gc.get_objects())
+
+    resaved = save_json(loaded, tmp_path / "loaded.json")
+    assert resaved.read_bytes() == saved.read_bytes()
+    assert _analysis_digest(loaded, config) == _analysis_digest(generated, config)
+    assert alive == 0

@@ -5,16 +5,13 @@ here only as a test oracle:
 
 * :func:`normalize_name` against the regex formulation, exhaustively over
   every code point and with Hypothesis over arbitrary text;
-* :class:`Vocabulary`'s raw-first probes against normalise-first lookups,
-  including unnormalised duplicates, non-strings and unhashable input;
-* :class:`RecipeDatabase`'s lazily built inverted indexes against indexes
-  maintained eagerly on every add and remove, wherever the first query
-  falls in the sequence;
-* the analysis pipeline never materialising those indexes at all;
+* :class:`RecipeDatabase`'s supports and queries, computed from its id form
+  on every call, against a walk over the recipes, through any sequence of
+  adds and removes;
 * the generator's recipe view against validating it through
   ``Recipe(...)``;
-* bulk vocabulary observation in ``add_recipes`` against observing one
-  recipe at a time, including after a failing insert;
+* a bulk ``add_recipes`` against inserting one recipe at a time, including
+  after a failing insert;
 * ``prevalence_matrix``'s count over the generated corpus's id form against
   ``prevalence_from_transactions`` over the frozenset transactions.
 """
@@ -22,14 +19,13 @@ here only as a test oracle:
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.authenticity.prevalence import prevalence_from_transactions, prevalence_matrix
-from repro.core.config import AnalysisConfig
-from repro.core.pipeline import CuisineClusteringPipeline
 from repro.datagen.generator import (
     GeneratorConfig,
     SyntheticRecipeDBGenerator,
@@ -43,10 +39,8 @@ from repro.errors import (
     ValidationError,
 )
 from repro.recipedb.database import RecipeDatabase
-from repro.recipedb.index import InvertedIndex, build_entity_indexes
 from repro.recipedb.models import EntityKind, Recipe, normalize_name
 from repro.recipedb.query import RecipeQuery
-from repro.recipedb.vocabulary import Vocabulary
 from tests.oracles.generator import UNNORMALISED_PROFILES
 
 # -- normalize_name ------------------------------------------------------------------
@@ -88,105 +82,7 @@ def test_normalize_name_matches_regex_on_text(name):
     assert _outcome(normalize_name, name) == _outcome(_oracle_normalize, name)
 
 
-# -- Vocabulary ------------------------------------------------------------------------
-
-
-class _NormaliseFirstVocabulary:
-    """The lookup semantics before the raw-first probe: normalise, then probe."""
-
-    def __init__(self) -> None:
-        self.name_to_id: dict[str, int] = {}
-        self.names: list[str] = []
-
-    def add(self, name) -> int:
-        normalised = normalize_name(name)
-        if normalised not in self.name_to_id:
-            self.name_to_id[normalised] = len(self.names)
-            self.names.append(normalised)
-        return self.name_to_id[normalised]
-
-    def id_of(self, name) -> int:
-        try:
-            return self.name_to_id[normalize_name(name)]
-        except KeyError as exc:
-            raise ValidationError(f"unknown vocabulary entry: {name!r}") from exc
-
-    def get(self, name, default=None):
-        try:
-            return self.name_to_id[normalize_name(name)]
-        except (KeyError, ValidationError):
-            return default
-
-    def contains(self, name) -> bool:
-        if not isinstance(name, str):
-            return False
-        try:
-            return normalize_name(name) in self.name_to_id
-        except ValidationError:
-            return False
-
-
-class _UnhashableStr(str):
-    """A str subclass that cannot be hashed: must never reach a dict probe."""
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-_vocabulary_inputs = st.one_of(
-    st.sampled_from(
-        ["soy sauce", "Soy Sauce", " soy  sauce ", "SOY\tSAUCE", "salt", "Salt\n", "", "  "]
-    ),
-    st.text(alphabet="aB \t  ", max_size=6),
-    st.builds(_UnhashableStr, st.sampled_from(["salt", " Salt", "pepper", ""])),
-    st.integers(),
-    st.none(),
-    st.binary(max_size=4),
-    st.lists(st.integers(), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
-)
-
-_vocabulary_ops = st.lists(
-    st.tuples(st.sampled_from(["add", "id_of", "get", "contains"]), _vocabulary_inputs),
-    max_size=40,
-)
-
-
-def _call(method, *args):
-    try:
-        return method(*args)
-    except ValidationError:
-        return ValidationError
-
-
-@given(_vocabulary_ops)
-def test_vocabulary_raw_first_probe_matches_normalise_first(ops):
-    vocab, reference = Vocabulary(), _NormaliseFirstVocabulary()
-    for op, name in ops:
-        if op == "add":
-            assert _call(vocab.add, name) == _call(reference.add, name)
-        elif op == "id_of":
-            assert _call(vocab.id_of, name) == _call(reference.id_of, name)
-        elif op == "get":
-            assert vocab.get(name, -1) == reference.get(name, -1)
-        else:
-            assert (name in vocab) == reference.contains(name)
-    assert list(vocab) == reference.names
-
-
-def test_vocabulary_unhashable_input_is_a_validation_error():
-    vocab = Vocabulary(["salt"])
-    for name in ([1], {"a": 1}, _UnhashableStr(" SALT ")):
-        assert vocab.get(name, -1) == (0 if isinstance(name, str) else -1)
-        assert (name in vocab) is isinstance(name, str)
-    with pytest.raises(ValidationError):
-        vocab.add([1])  # type: ignore[arg-type]
-    with pytest.raises(ValidationError):
-        vocab.id_of({"a": 1})  # type: ignore[arg-type]
-    assert vocab.add(_UnhashableStr("Pepper")) == 1
-    assert vocab.id_of(_UnhashableStr(" pepper ")) == 1
-
-
-# -- lazily built inverted indexes ------------------------------------------------------
+# -- supports and queries over the id form ------------------------------------------------
 
 _REGIONS = ("East", "West")
 _INGREDIENTS = ("salt", "soy sauce", "olive oil", "tomato", "smoke")
@@ -197,8 +93,6 @@ _QUERIES = (
     "item_support",
     "itemset_support",
     "ingredient_usage",
-    "entity_index",
-    "combined_index",
     "recipe_query",
 )
 
@@ -218,74 +112,45 @@ _query = st.tuples(st.just("query"), st.sampled_from(_QUERIES))
 _index_ops = st.lists(st.one_of(_add, _remove, _query), max_size=30)
 
 
-class _EagerReference:
-    """Recipes plus inverted indexes maintained eagerly on every mutation."""
+class _WalkReference:
+    """The recipes by id; every expected value is a walk over them."""
 
     def __init__(self) -> None:
         self.recipes: dict[int, Recipe] = {}
-        self.indexes: dict[object, InvertedIndex] = {
-            **{kind: InvertedIndex() for kind in EntityKind},
-            "combined": InvertedIndex(),
-        }
 
     def add(self, recipe: Recipe) -> None:
         self.recipes[recipe.recipe_id] = recipe
-        for kind in EntityKind:
-            self.indexes[kind].add(recipe.recipe_id, recipe.entities_of(kind))
-        self.indexes["combined"].add(recipe.recipe_id, recipe.items())
 
     def remove(self, recipe_id: int) -> None:
-        recipe = self.recipes.pop(recipe_id)
-        for kind in EntityKind:
-            self.indexes[kind].remove(recipe_id, recipe.entities_of(kind))
-        self.indexes["combined"].remove(recipe_id, recipe.items())
+        del self.recipes[recipe_id]
 
     def matching_ids(self, keep) -> list[int]:
         return sorted(rid for rid, recipe in self.recipes.items() if keep(recipe))
 
-
-def _index_view(index: InvertedIndex) -> dict[str, object]:
-    return {
-        "items": sorted(index.items()),
-        "postings": {item: index.postings(item) for item in _UNIVERSE},
-        "frequencies": {item: index.document_frequency(item) for item in _UNIVERSE},
-        "ids": index.indexed_ids,
-        "size": len(index),
-        "top": index.top_items(3),
-    }
+    def support(self, keep) -> float:
+        return len(self.matching_ids(keep)) / len(self.recipes) if self.recipes else 0.0
 
 
 def _run_query(database: RecipeDatabase, name: str) -> object:
-    """One query of the lazily indexed surface, run as a possible first use."""
+    """One call of the supports and query surface, run between mutations."""
     if name == "item_support":
         return database.item_support("salt")
     if name == "itemset_support":
         return database.itemset_support(["salt", "heat"], region="East")
     if name == "ingredient_usage":
         return database.ingredient_usage()
-    if name == "entity_index":
-        return _index_view(database.entity_index(EntityKind.PROCESS))
-    if name == "combined_index":
-        return _index_view(database.combined_index)
     return database.find(RecipeQuery().containing_all(["smoke"])).ids()
 
 
-def _assert_matches(database: RecipeDatabase, reference: _EagerReference) -> None:
-    for kind in EntityKind:
-        assert _index_view(database.entity_index(kind)) == _index_view(reference.indexes[kind])
-    assert _index_view(database.combined_index) == _index_view(reference.indexes["combined"])
-    rebuilt = build_entity_indexes(reference.recipes)
-    assert _index_view(database.combined_index) == _index_view(rebuilt["combined"])
-
-    combined = reference.indexes["combined"]
-    ingredients = reference.indexes[EntityKind.INGREDIENT]
-    assert database.ingredient_usage() == {
-        item: ingredients.document_frequency(item) for item in sorted(ingredients.items())
-    }
+def _assert_matches(database: RecipeDatabase, reference: _WalkReference) -> None:
+    usage = Counter(name for r in reference.recipes.values() for name in r.ingredients)
+    assert database.ingredient_usage() == dict(sorted(usage.items()))
     for item in _UNIVERSE:
-        assert database.item_support(item) == combined.support(item)
-        assert database.itemset_support([item, "salt"]) == combined.itemset_support(
-            [item, "salt"]
+        assert database.item_support(item) == reference.support(
+            lambda r, item=item: item in r.items()
+        )
+        assert database.itemset_support([item, "salt"]) == reference.support(
+            lambda r, item=item: {item, "salt"} <= r.items()
         )
         for region in _REGIONS:
             in_region = reference.matching_ids(lambda r, region=region: r.region == region)
@@ -315,8 +180,8 @@ def _assert_matches(database: RecipeDatabase, reference: _EagerReference) -> Non
 
 @settings(max_examples=150, deadline=None)
 @given(_index_ops)
-def test_lazy_indexes_match_eager_reference(ops):
-    database, reference = RecipeDatabase(), _EagerReference()
+def test_queries_match_a_walk_over_the_recipes(ops):
+    database, reference = RecipeDatabase(), _WalkReference()
     database.register_regions(_REGIONS)
     for op, argument in ops:
         if op == "add":
@@ -337,23 +202,6 @@ def test_lazy_indexes_match_eager_reference(ops):
             assert _run_query(database, argument) is not None
             _assert_matches(database, reference)
     _assert_matches(database, reference)
-
-
-def test_index_handles_stay_live_after_first_use(toy_db):
-    index = toy_db.combined_index
-    assert toy_db.combined_index is index
-    toy_db.add_recipe(Recipe(99, "extra", "Japanese", ("wasabi", "soy sauce")))
-    assert index.postings("wasabi") == {99}
-    toy_db.remove_recipe(99)
-    assert "wasabi" not in index
-
-
-def test_pipeline_run_leaves_indexes_unbuilt():
-    corpus = generate_corpus(seed=5, scale=0.01)
-    CuisineClusteringPipeline(AnalysisConfig(seed=5, scale=0.01)).run(corpus)
-    assert corpus._indexes is None
-    assert corpus.item_support("soy sauce") > 0.0  # first use builds them
-    assert corpus._indexes is not None
 
 
 # -- generator id form -----------------------------------------------------------
@@ -394,7 +242,7 @@ def test_generator_pool_rejects_repeated_names():
         _WeightedPool(["salt", "pepper", "salt"], 0.35)
 
 
-# -- bulk vocabulary observation -----------------------------------------------------
+# -- bulk inserts -----------------------------------------------------
 
 
 @settings(max_examples=100, deadline=None)
@@ -409,8 +257,8 @@ def test_bulk_add_observes_like_a_loop(adds, split):
     ):
         database.register_regions(_REGIONS)
         try:
-            # One-at-a-time inserts first, so the bulk path extends
-            # vocabularies that already hold names.
+            # One-at-a-time inserts first, so the bulk path extends a
+            # corpus that already holds recipes.
             for recipe in recipes[:split]:
                 database.add_recipe(recipe)
             insert_rest(database, recipes[split:])
@@ -420,9 +268,6 @@ def test_bulk_add_observes_like_a_loop(adds, split):
             outcomes.append(None)
     assert outcomes[0] == outcomes[1]
     assert bulk.recipe_ids() == loop.recipe_ids()
-    assert bulk.vocabularies == loop.vocabularies
-    for kind in ("ingredients", "processes", "utensils", "combined"):
-        assert list(getattr(bulk.vocabularies, kind)) == list(getattr(loop.vocabularies, kind))
 
 
 def test_bulk_add_returns_the_inserted_count():
@@ -430,7 +275,6 @@ def test_bulk_add_returns_the_inserted_count():
     database.register_regions(_REGIONS)
     recipes = [Recipe(rid, f"dish {rid}", "East", ("salt",)) for rid in range(3)]
     assert database.add_recipes(recipes) == 3
-    assert list(database.vocabularies.combined) == ["salt"]
 
 
 # -- prevalence ------------------------------------------------------------------------

@@ -118,6 +118,15 @@ class TestJsonl:
         assert len(loaded) == len(toy_db)
         assert loaded.get(3).title == toy_db.get(3).title
 
+    def test_loaded_copy_holds_the_same_recipes(self, toy_db, tmp_path):
+        loaded = load_jsonl(save_jsonl(toy_db, tmp_path / "corpus.jsonl"))
+        assert loaded.recipes() == toy_db.recipes()
+        assert loaded.region_recipe_counts() == toy_db.region_recipe_counts()
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(SerializationError, match="missing.jsonl"):
+            load_jsonl(tmp_path / "missing.jsonl")
+
     def test_accepts_recipe_iterable(self, toy_recipes, tmp_path):
         path = save_jsonl(toy_recipes, tmp_path / "recipes.jsonl")
         assert len(list(iter_jsonl(path))) == len(toy_recipes)
@@ -134,21 +143,51 @@ class TestJsonl:
             list(iter_jsonl(path))
 
     @pytest.mark.parametrize(
-        "line",
+        ("lines", "line"),
         [
-            '{"recipe_id": 0, "title": "t", "region": "X", "ingredients": "salt"}',
-            '{"recipe_id": 0, "title": "t", "region": "X", "ingredients": ["salt"],'
-            ' "utensils": "wok"}',
-            '{"recipe_id": "abc", "title": "t", "region": "X", "ingredients": ["salt"]}',
-            '["not", "a", "recipe"]',
+            (['{"recipe_id": 0, "title": "t", "region": "X", "ingredients": "salt"}'], 1),
+            (
+                [
+                    '{"recipe_id": 0, "title": "t", "region": "X", "ingredients": ["salt"],'
+                    ' "utensils": "wok"}'
+                ],
+                1,
+            ),
+            (['{"recipe_id": "abc", "title": "t", "region": "X", "ingredients": ["salt"]}'], 1),
+            (['["not", "a", "recipe"]'], 1),
+            (['{"recipe_id": 0, "title": "t", "region": "X", "ingredients": []}'], 1),
+            (
+                [
+                    '{"recipe_id": 0, "title": "t", "region": "X", "ingredients": ["salt"]}',
+                    "",
+                    '{"recipe_id": 0, "title": "u", "region": "X", "ingredients": ["salt"]}',
+                ],
+                3,
+            ),
+            (
+                [
+                    '{"recipe_id": 0, "title": "t", "region": "X", "ingredients": ["salt"]}',
+                    f'{{"recipe_id": 1, "title": "{"x" * 301}", "region": "X",'
+                    ' "ingredients": ["salt"]}',
+                ],
+                2,
+            ),
         ],
-        ids=["string-ingredients", "string-utensils", "non-integer-id", "list"],
+        ids=[
+            "string-ingredients",
+            "string-utensils",
+            "non-integer-id",
+            "list",
+            "no-ingredients",
+            "duplicate-id",
+            "title-too-long",
+        ],
     )
-    def test_wrong_shape_line_rejected(self, tmp_path, line):
+    def test_wrong_shape_line_rejected(self, tmp_path, lines, line):
         path = tmp_path / "broken.jsonl"
-        path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(SerializationError, match="broken.jsonl:1"):
-            list(iter_jsonl(path))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SerializationError, match=f"broken.jsonl:{line}:"):
+            load_jsonl(path)
 
     def test_undecodable_bytes_rejected(self, tmp_path):
         path = tmp_path / "broken.jsonl"
@@ -165,6 +204,29 @@ class TestCsv:
         assert loaded.get(6).ingredients == toy_db.get(6).ingredients
         assert loaded.get(8).utensils == ()
 
+    def test_loaded_copy_holds_the_same_recipes(self, toy_db, tmp_path):
+        loaded = load_csv(save_csv(toy_db, tmp_path / "corpus.csv"))
+        assert loaded.recipes() == toy_db.recipes()
+        assert loaded.region_recipe_counts() == toy_db.region_recipe_counts()
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(SerializationError, match="missing.csv"):
+            load_csv(tmp_path / "missing.csv")
+
+    def test_names_are_normalised_on_load(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text(
+            "recipe_id,title,region,ingredients,processes,utensils,source\n"
+            "0,Teriyaki  Chicken,Japanese,Soy Sauce|MIRIN| soy sauce ,Heat,,book\n"
+        )
+        loaded = load_csv(path)
+        assert loaded.get(0).title == "teriyaki chicken"
+        assert loaded.get(0).ingredients == ("mirin", "soy sauce")
+        assert loaded.ingredient_usage() == {"mirin": 1, "soy sauce": 1}
+        assert loaded.transactions_for_region("Japanese") == [
+            frozenset({"heat", "mirin", "soy sauce"})
+        ]
+
     def test_iter_csv_streams_recipes(self, toy_db, tmp_path):
         path = save_csv(toy_db, tmp_path / "corpus.csv")
         recipes = list(iter_csv(path))
@@ -177,13 +239,24 @@ class TestCsv:
         with pytest.raises(SerializationError):
             list(iter_csv(path))
 
-    def test_malformed_row_rejected(self, toy_db, tmp_path):
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "not-an-int,title,Japanese,salt,heat,wok,src",
+            "9,soup,Japanese,,heat,pot,src",
+            "9,short row",
+            "0,again,Japanese,salt,heat,wok,src",
+            f"9,{'x' * 301},Japanese,salt,heat,wok,src",
+        ],
+        ids=["non-integer-id", "no-ingredients", "short-row", "duplicate-id", "title-too-long"],
+    )
+    def test_malformed_row_rejected(self, toy_db, row, tmp_path):
         path = save_csv(toy_db, tmp_path / "corpus.csv")
         content = path.read_text().splitlines()
-        content.append("not-an-int,title,Japanese,salt,heat,wok,src")
+        content.append(row)
         path.write_text("\n".join(content) + "\n")
-        with pytest.raises(SerializationError):
-            list(iter_csv(path))
+        with pytest.raises(SerializationError, match=f"corpus.csv:{len(content)}:"):
+            load_csv(path)
 
     def test_custom_separator(self, toy_db, tmp_path):
         path = save_csv(toy_db, tmp_path / "corpus.csv", separator=";")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import QueryError
-from repro.recipedb.models import EntityKind
+from repro.recipedb.database import RecipeDatabase
+from repro.recipedb.models import EntityKind, Recipe
 from repro.recipedb.query import RecipeQuery
 
 
@@ -27,6 +28,15 @@ class TestBuilderValidation:
             RecipeQuery().with_ingredient_count(minimum=5, maximum=2)
         with pytest.raises(QueryError):
             RecipeQuery().with_ingredient_count(minimum=-1)
+
+    @pytest.mark.parametrize("step", ["containing_any", "excluding"])
+    def test_item_steps_require_items(self, step):
+        with pytest.raises(QueryError, match=f"{step} requires at least one item"):
+            getattr(RecipeQuery(), step)([])
+
+    def test_from_source_requires_argument(self):
+        with pytest.raises(QueryError, match="from_source requires at least one source"):
+            RecipeQuery().from_source()
 
     def test_builder_is_immutable(self):
         base = RecipeQuery()
@@ -105,3 +115,42 @@ class TestExecution:
     def test_database_query_helpers(self, toy_db):
         query = toy_db.query().in_region("Italian")
         assert len(toy_db.find(query)) == 3
+
+    def test_excluding_alone(self, toy_db):
+        result = RecipeQuery().excluding(["soy sauce", "butter"]).execute(toy_db)
+        assert result.ids() == [3, 4, 5]
+
+    def test_containment_matches_every_entity_kind(self, toy_db):
+        assert RecipeQuery().containing_all(["bake"]).execute(toy_db).ids() == [6, 7]
+        assert RecipeQuery().containing_all(["oven", "egg"]).execute(toy_db).ids() == [6]
+        assert RecipeQuery().containing_any(["pot", "pan"]).execute(toy_db).ids() == [1, 3]
+        assert RecipeQuery().excluding(["toast"]).in_region("UK").execute(toy_db).ids() == [6, 7]
+
+    def test_unknown_items_match_nothing(self, toy_db):
+        assert len(RecipeQuery().containing_all(["unknown"]).execute(toy_db)) == 0
+        assert RecipeQuery().containing_any(["unknown", "mirin"]).execute(toy_db).ids() == [0, 1]
+        assert len(RecipeQuery().excluding(["unknown"]).execute(toy_db)) == 9
+
+    def test_item_names_are_normalised(self, toy_db):
+        result = RecipeQuery().containing_all(["  Soy\tSAUCE "]).execute(toy_db)
+        assert result.ids() == [0, 1, 2]
+
+    def test_unknown_region_matches_nothing(self, toy_db):
+        assert len(RecipeQuery().in_region("Atlantis").execute(toy_db)) == 0
+
+    def test_query_sees_inserts_and_removals(self, toy_db):
+        query = RecipeQuery().containing_all(["mirin"])
+        assert query.execute(toy_db).ids() == [0, 1]
+        toy_db.add_recipe(Recipe(9, "mirin glaze", "Japanese", ingredients=("mirin", "sugar")))
+        toy_db.remove_recipe(0)
+        assert query.execute(toy_db).ids() == [1, 9]
+
+    def test_empty_database_matches_nothing(self):
+        database = RecipeDatabase()
+        assert len(RecipeQuery().execute(database)) == 0
+        assert RecipeQuery().containing_all(["salt"]).count(database) == 0
+
+    def test_limit_counts_recipes_that_pass_every_filter(self, toy_db):
+        query = RecipeQuery().where(lambda r: r.n_ingredients == 3).limit(2)
+        assert query.execute(toy_db).ids() == [0, 1]
+        assert query.excluding(["mirin"]).execute(toy_db).ids() == [2, 4]

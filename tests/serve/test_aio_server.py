@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
+import logging
 import shutil
 
 import numpy as np
@@ -467,6 +468,31 @@ class TestKeepAlive:
         assert headers["connection"] == "close"
         assert "too large" in payload["error"]
         assert trailing == b""  # framing is void after an error: server closed
+
+
+class TestShutdown:
+    def test_aclose_closes_an_idle_keep_alive_connection(self, warm_cache, caplog):
+        """An idle client neither holds ``aclose`` up nor leaves a task to cancel."""
+
+        async def main():
+            server = AnalysisServer(AsyncAnalysisService(AnalysisService(warm_cache)))
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(_frame("GET", "/healthz"))
+                await writer.drain()
+                status, headers, _ = await _read_framed(reader)
+                await asyncio.wait_for(server.aclose(), 2)
+                trailing = await asyncio.wait_for(reader.read(), timeout=2)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return status, headers["connection"], trailing
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            outcome = asyncio.run(main())
+        assert outcome == (200, "keep-alive", b"")
+        assert [record.getMessage() for record in caplog.records] == []
 
 
 # -- client garbage -------------------------------------------------------------------

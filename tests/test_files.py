@@ -3,8 +3,8 @@
 Every file the service writes goes through ``atomic_write``.  A write that
 fails -- the rename refused, or the disk filling up part-way through the
 bytes -- must leave the old file whole and no temp file behind, for every
-kind of file: an artifact, a compute lease, the corpus JSON and JSONL, and
-each role of both sidecars.  Two writers of one sidecar must both land, and
+kind of file: an artifact, a compute lease, the corpus JSON, JSONL and CSV,
+and each role of both sidecars.  Two writers of one sidecar must both land, and
 every way a sidecar fails to load is a ``SidecarError``.
 """
 
@@ -25,6 +25,7 @@ import pytest
 from repro.errors import SerializationError, SidecarError
 from repro.files import atomic_write, sidecar_paths
 from repro.mining.shm import CorpusMatrix
+from repro.recipedb.io_csv import save_csv
 from repro.recipedb.io_json import save_json, save_jsonl
 from repro.serve.backends import DirectoryBackend
 from repro.serve.classify import CuisineClassifier
@@ -101,6 +102,16 @@ def _corpus_jsonl(tmp_path, toy_db) -> Writer:
     )
 
 
+def _corpus_csv(tmp_path, toy_db) -> Writer:
+    path = tmp_path / "corpus-x.csv"
+    recipes = list(toy_db.recipes())
+    return Writer(
+        path,
+        lambda version: save_csv(recipes[::-1] if version else recipes, path),
+        SerializationError,
+    )
+
+
 def _sidecar(values, name: str, role: str):
     def build(tmp_path, toy_db) -> Writer:
         prefix = tmp_path / name
@@ -119,6 +130,7 @@ WRITERS = {
     "lease": _lease,
     "corpus-json": _corpus_json,
     "corpus-jsonl": _corpus_jsonl,
+    "corpus-csv": _corpus_csv,
     **{
         f"csr-{role}": _sidecar(MATRICES, "corpus-x.matrix", role)
         for role in ("meta", *CorpusMatrix.SIDECAR_ROLES)
