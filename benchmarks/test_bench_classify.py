@@ -3,9 +3,10 @@
 The serving hot path for ``/classify`` is :meth:`CuisineClassifier.classify_batch`
 -- packed-bitset containment plus two float32 matmuls over the whole batch.
 The gate requires it to be ≥3× faster per recipe than
-:meth:`classify_batch_naive`, the kept per-recipe Python reference (in
-practice it is orders of magnitude faster; the baseline is therefore timed
-on a small subset and compared per recipe).  The sidecar round-trip is also
+``classify_batch_naive``, the per-recipe Python reference in
+``tests/oracles/classify.py`` (in practice it is orders of magnitude
+faster; the baseline is therefore timed on a small subset and compared per
+recipe).  The sidecar round-trip is also
 timed: a warm worker adopts the memory-mapped matrices in milliseconds
 instead of recompiling.  Results land in ``BENCH_core.json`` under
 ``classify_serving``.
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.serve.classify import CuisineClassifier
+from tests.oracles.classify import classify_batch_naive
 
 from _bench_report import record
 
@@ -62,7 +64,7 @@ def test_classify_serving_speedup(results, tmp_path):
         batch_seconds = min(batch_seconds, time.perf_counter() - started)
 
     started = time.perf_counter()
-    naive = classifier.classify_batch_naive(recipes[:NAIVE_SUBSET])
+    naive = classify_batch_naive(classifier, recipes[:NAIVE_SUBSET])
     naive_seconds = time.perf_counter() - started
 
     # Parity: the naive pass is the reference for the vectorized scoring.

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.mining.eclat import EclatMiner
-from repro.mining.itemsets import TransactionDatabase
 from tests.oracles.fpgrowth import FPGrowthMiner
 
 _REGION = "Italian"  # the largest cuisine in Table I
@@ -19,7 +18,7 @@ _REGION = "Italian"  # the largest cuisine in Table I
 
 @pytest.fixture(scope="module")
 def italian_transactions(corpus):
-    return TransactionDatabase(corpus.transactions_for_region(_REGION))
+    return corpus.transactions_for_region(_REGION)
 
 
 @pytest.fixture(scope="module")

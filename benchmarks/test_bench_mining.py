@@ -2,11 +2,13 @@
 
 Production mines with Eclat over a packed-bitset ``TransactionMatrix`` (one
 broadcast AND + popcount per search node) instead of Python passes over
-frozensets.  This benchmark mines the same ≥2k transaction database with
-Eclat and with the paper's FP-Growth, the pure-Python oracle in
+frozensets.  This benchmark mines the same ≥2k raw transactions with Eclat
+and with the paper's FP-Growth, the pure-Python oracle in
 ``tests/oracles/``, asserts the two results are identical apart from the
 ``algorithm`` label, requires Eclat to be ≥3× faster, and records both in
-``BENCH_core.json``.
+``BENCH_core.json``.  Each side's time covers its whole way in: Eclat's
+includes building the corpus CSR and packing the bit matrix from it, the
+oracle's its frozensets.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import time
 import numpy as np
 
 from repro.mining.eclat import EclatMiner
-from repro.mining.itemsets import TransactionDatabase
 from repro.viz.tables import format_table
 from tests.oracles.fpgrowth import FPGrowthMiner
 
@@ -30,7 +31,7 @@ MAX_LENGTH = 3
 REQUIRED_SPEEDUP = 3.0
 
 
-def _synthetic_database(seed: int = 7) -> TransactionDatabase:
+def _synthetic_database(seed: int = 7) -> list[list[str]]:
     """A dense, skewed transaction database (recipe-like item popularity)."""
     rng = np.random.default_rng(seed)
     items = np.array([f"item{k:03d}" for k in range(VOCABULARY)])
@@ -41,7 +42,7 @@ def _synthetic_database(seed: int = 7) -> TransactionDatabase:
         size = int(rng.integers(6, 16))
         chosen = rng.choice(VOCABULARY, size=size, replace=False, p=weights)
         transactions.append(items[chosen].tolist())
-    return TransactionDatabase(transactions)
+    return transactions
 
 
 def _time_mine(miner, database, *, runs: int = 1) -> tuple[float, object]:
@@ -59,10 +60,6 @@ def _time_mine(miner, database, *, runs: int = 1) -> tuple[float, object]:
 
 def test_bitset_miners_speedup_at_2k_transactions(benchmark):
     database = _synthetic_database()
-    # Compile the matrix up front (the oracle never reads it) so the Eclat
-    # timing reflects steady-state (shared-matrix) serving.
-    database.matrix()
-
     oracle_seconds, oracle_result = _time_mine(
         FPGrowthMiner(MIN_SUPPORT, max_length=MAX_LENGTH), database
     )
@@ -119,30 +116,3 @@ def test_bitset_miners_speedup_at_2k_transactions(benchmark):
         f"n={N_TRANSACTIONS}; expected >= {REQUIRED_SPEEDUP}x"
     )
 
-
-def test_shared_matrix_amortizes_compilation():
-    """A min_support sweep over one database compiles its matrix exactly once."""
-    database = _synthetic_database(seed=11)
-
-    started = time.perf_counter()
-    database.matrix()
-    compile_seconds = time.perf_counter() - started
-
-    sweep_seconds = []
-    for min_support in (0.04, 0.06, 0.08, 0.12):
-        started = time.perf_counter()
-        EclatMiner(min_support, max_length=MAX_LENGTH).mine(database)
-        sweep_seconds.append(time.perf_counter() - started)
-
-    assert database.matrix() is database.matrix()
-    print(
-        f"\nmatrix compile {compile_seconds:.3f}s; sweep runs "
-        + ", ".join(f"{s:.3f}s" for s in sweep_seconds)
-    )
-    record(
-        "mining_sweep",
-        {
-            "compile_seconds": compile_seconds,
-            "sweep_seconds": sweep_seconds,
-        },
-    )

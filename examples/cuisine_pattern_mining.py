@@ -25,7 +25,6 @@ import time
 
 from repro.datagen.generator import GeneratorConfig, SyntheticRecipeDBGenerator
 from repro.mining.eclat import EclatMiner
-from repro.mining.itemsets import TransactionDatabase
 from repro.viz.tables import format_table
 
 
@@ -39,9 +38,9 @@ def main() -> int:
         print(f"unknown region {region!r}; available: {', '.join(corpus.region_names())}")
         return 1
 
-    transactions = TransactionDatabase(corpus.transactions_for_region(region))
+    transactions = corpus.transactions_for_region(region)
     print(f"{region}: {len(transactions)} recipes, "
-          f"{len(transactions.vocabulary())} distinct items")
+          f"{len(frozenset().union(*transactions))} distinct items")
 
     # -- mine at the paper's threshold ------------------------------------------
     print("\n--- mining at the paper's 0.20 support threshold --------------------")

@@ -5,11 +5,7 @@ from repro.authenticity.fingerprint import (
     cuisine_fingerprints,
     fingerprint_overlap,
 )
-from repro.authenticity.prevalence import (
-    PrevalenceMatrix,
-    prevalence_from_transactions,
-    prevalence_matrix,
-)
+from repro.authenticity.prevalence import PrevalenceMatrix, prevalence_matrix
 from repro.authenticity.relative import AuthenticityMatrix, relative_prevalence
 
 __all__ = [
@@ -17,7 +13,6 @@ __all__ = [
     "cuisine_fingerprints",
     "fingerprint_overlap",
     "PrevalenceMatrix",
-    "prevalence_from_transactions",
     "prevalence_matrix",
     "AuthenticityMatrix",
     "relative_prevalence",

@@ -17,10 +17,9 @@ array with the label bookkeeping needed by the downstream relative-prevalence
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
-from typing import Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from repro.recipedb.models import EntityKind
 __all__ = [
     "PrevalenceMatrix",
     "prevalence_matrix",
-    "prevalence_from_transactions",
     "smallest_k",
 ]
 
@@ -125,79 +123,6 @@ class PrevalenceMatrix:
         }
 
 
-def prevalence_from_transactions(
-    transactions_by_cuisine: Mapping[str, Sequence[Iterable[str]]],
-    *,
-    min_document_frequency: int = 1,
-) -> PrevalenceMatrix:
-    """Compute a prevalence matrix directly from per-cuisine transactions.
-
-    ``min_document_frequency`` drops items appearing in fewer than that many
-    recipes across the whole corpus, which keeps the authenticity matrix from
-    being dominated by hapax items at full corpus scale.
-    """
-    return _prevalence_from_counts(
-        {
-            cuisine: (
-                Counter(chain.from_iterable(map(set, transactions))),
-                len(transactions),
-            )
-            for cuisine, transactions in transactions_by_cuisine.items()
-        },
-        min_document_frequency,
-    )
-
-
-def _prevalence_from_counts(
-    counted: Mapping[str, tuple[Mapping[str, int], int]],
-    min_document_frequency: int,
-) -> PrevalenceMatrix:
-    """The matrix from each cuisine's ``(item document counts, recipe count)``."""
-    cuisines = tuple(sorted(counted))
-    vocabulary = sorted(set().union(*(counts for counts, _size in counted.values())))
-    column_of = {item: column for column, item in enumerate(vocabulary)}
-    document_counts = np.zeros((len(cuisines), len(vocabulary)), dtype=np.int64)
-    for row, cuisine in enumerate(cuisines):
-        counts = counted[cuisine][0]
-        columns = np.fromiter(
-            map(column_of.__getitem__, counts), dtype=np.intp, count=len(counts)
-        )
-        document_counts[row, columns] = np.fromiter(
-            counts.values(), dtype=np.int64, count=len(counts)
-        )
-    sizes = np.array([counted[cuisine][1] for cuisine in cuisines], dtype=np.int64)
-    return _prevalence(cuisines, vocabulary, document_counts, sizes, min_document_frequency)
-
-
-def _prevalence(
-    cuisines: tuple[str, ...],
-    vocabulary: Sequence[str],
-    document_counts: np.ndarray,
-    sizes: np.ndarray,
-    min_document_frequency: int,
-) -> PrevalenceMatrix:
-    """Drop rare items from the ``cuisines x vocabulary`` counts, then divide.
-
-    An item is kept when its corpus-wide document count reaches
-    *min_document_frequency*; *vocabulary* is sorted, and an item no recipe
-    holds counts 0, so it never survives.
-    """
-    if not cuisines:
-        raise FeatureError("at least one cuisine is required")
-    if min_document_frequency < 1:
-        raise FeatureError("min_document_frequency must be at least 1")
-    keep = document_counts.sum(axis=0) >= min_document_frequency
-    items = tuple(compress(vocabulary, keep.tolist()))
-    if not items:
-        raise FeatureError("no items survive the document-frequency filter")
-
-    # count / size as doubles, exactly what Python's int division gives.
-    sizes = sizes.reshape(-1, 1)
-    values = np.zeros((len(cuisines), len(items)), dtype=np.float64)
-    np.divide(document_counts[:, keep], sizes, out=values, where=sizes > 0)
-    return PrevalenceMatrix(cuisines=cuisines, items=items, values=values)
-
-
 def prevalence_matrix(
     database: RecipeDatabase,
     *,
@@ -214,14 +139,28 @@ def prevalence_matrix(
     recipes as rows of the selected kinds' item ids
     (:meth:`~repro.recipedb.columns.RecipeColumns.item_rows`, where a name
     held by two kinds is one item), and one ``np.bincount`` of
-    ``(cuisine, item)`` pairs gives every document count.
+    ``(cuisine, item)`` pairs gives every document count.  An item is kept
+    when its corpus-wide document count reaches *min_document_frequency*,
+    which keeps hapax items from dominating the authenticity matrix at full
+    corpus scale.
     """
     cuisines = tuple(database.region_names())
     rows = database.columns.item_rows(cuisines, kinds)
+    if not cuisines:
+        raise FeatureError("at least one cuisine is required")
+    if min_document_frequency < 1:
+        raise FeatureError("min_document_frequency must be at least 1")
     width = len(rows.items)
     document_counts = np.bincount(
         rows.region_of_ids() * width + rows.tids, minlength=len(cuisines) * width
     ).reshape(len(cuisines), width)
-    return _prevalence(
-        cuisines, rows.items, document_counts, rows.region_sizes, min_document_frequency
-    )
+    keep = document_counts.sum(axis=0) >= min_document_frequency
+    items = tuple(compress(rows.items, keep.tolist()))
+    if not items:
+        raise FeatureError("no items survive the document-frequency filter")
+
+    # count / size as doubles, exactly what Python's int division gives.
+    sizes = rows.region_sizes.reshape(-1, 1)
+    values = np.zeros((len(cuisines), len(items)), dtype=np.float64)
+    np.divide(document_counts[:, keep], sizes, out=values, where=sizes > 0)
+    return PrevalenceMatrix(cuisines=cuisines, items=items, values=values)

@@ -106,7 +106,7 @@ class CuisineClusteringPipeline:
 
         Eclat, not the paper's FP-Growth: both are exact, so they find the
         same itemsets with the same supports, and Eclat's tid-set ANDs over
-        the compiled bit matrix are the faster of the two.  Only the
+        the packed bit matrix are the faster of the two.  Only the
         results' ``algorithm`` label says which one ran.
         """
         return EclatMiner(

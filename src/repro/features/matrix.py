@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import FeatureError
 
-__all__ = ["FeatureMatrix", "pack_rows", "unpack_rows"]
+__all__ = ["FeatureMatrix", "pack_rows"]
 
 
 def pack_rows(dense: np.ndarray) -> np.ndarray:
@@ -26,27 +26,14 @@ def pack_rows(dense: np.ndarray) -> np.ndarray:
 
     Each row of the result holds ``ceil(n_columns / 8)`` bytes, big-endian
     bit order (``np.packbits`` default), so row *r*, column *c* lives in byte
-    ``c // 8`` at bit ``7 - c % 8``.  The inverse is :func:`unpack_rows`.
-    Shared by the classifier sidecar (pattern-incidence storage) and any
-    other consumer that wants an 8×-denser representation of a binary
-    matrix whose membership tests run through popcounts.
+    ``c // 8`` at bit ``7 - c % 8``.  The classifier sidecar stores its
+    pattern incidence this way, 8× denser than a boolean matrix, and tests
+    membership with word-wise ANDs.
     """
     dense = np.asarray(dense)
     if dense.ndim != 2:
         raise FeatureError("pack_rows expects a two-dimensional matrix")
     return np.packbits(dense.astype(bool, copy=False), axis=1)
-
-
-def unpack_rows(packed: np.ndarray, n_columns: int) -> np.ndarray:
-    """Inverse of :func:`pack_rows`: bitset rows back to a boolean matrix."""
-    packed = np.asarray(packed)
-    if packed.ndim != 2 or packed.dtype != np.uint8:
-        raise FeatureError("unpack_rows expects a two-dimensional uint8 matrix")
-    if n_columns < 0 or n_columns > packed.shape[1] * 8:
-        raise FeatureError(
-            f"cannot unpack {n_columns} columns from {packed.shape[1]} bytes per row"
-        )
-    return np.unpackbits(packed, axis=1, count=n_columns).astype(bool)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ the test oracle in ``tests/oracles/``.
 
 from repro.mining.bitmatrix import TransactionMatrix
 from repro.mining.eclat import EclatMiner
-from repro.mining.itemsets import MiningResult, Pattern, TransactionDatabase
+from repro.mining.itemsets import MiningResult, Pattern
 from repro.mining.regions import (
     MiningReport,
     mine_corpus_with_report,
@@ -26,5 +26,4 @@ __all__ = [
     "mine_regions_with_report",
     "MiningResult",
     "Pattern",
-    "TransactionDatabase",
 ]

@@ -2,16 +2,18 @@
 
 Eclat represents every item by the set of transaction ids (tid-set)
 containing it and grows itemsets depth-first by intersecting tid-sets.  Every
-tid-set is a packed bit row of the database's compiled
+tid-set is a packed bit row of a
 :class:`~repro.mining.bitmatrix.TransactionMatrix`, so an intersection is one
 byte-wise AND and a support check is one popcount, both numpy-level
-operations.  A region packed from the corpus CSR
-(:func:`~repro.mining.regions.mine_corpus_with_report`) arrives with its
-matrix, so mining it compiles nothing, and the matrix holds only the items
-whose support reaches the miner's support count: an itemset is at most as
-frequent as each of its items (the anti-monotone property of Agrawal &
-Srikant, 1994, on which the tid-set search rests), so no other item is in
-a frequent itemset, and every row is a search root.
+operations.  The miner takes a matrix packed from the corpus CSR
+(:func:`~repro.mining.regions.mine_corpus_with_report` hands it each
+region's), or raw transactions, which it packs the same way through
+:meth:`~repro.mining.shm.CorpusMatrix.from_transactions`.  Either way the
+matrix holds only the items whose support reaches the miner's support
+count: an itemset is at most as frequent as each of its items (the
+anti-monotone property of Agrawal & Srikant, 1994, on which the tid-set
+search rests), so no other item is in a frequent itemset, and every row is
+a search root.
 
 The paper mines with FP-Growth (Section V-A); any exact miner returns the
 same frequent itemsets.  ``tests/mining/test_engine_parity.py`` checks that
@@ -27,8 +29,9 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import MiningError
-from repro.mining.bitmatrix import popcount
-from repro.mining.itemsets import MiningResult, Pattern, TransactionDatabase
+from repro.mining.bitmatrix import TransactionMatrix, popcount
+from repro.mining.itemsets import MiningResult, Pattern, minimum_support_count
+from repro.mining.shm import CorpusMatrix
 
 __all__ = ["EclatMiner"]
 
@@ -52,25 +55,35 @@ class EclatMiner:
         self.min_support = min_support
         self.max_length = max_length
 
-    def mine(self, transactions: TransactionDatabase | Iterable[Iterable[str]]) -> MiningResult:
-        """Mine all frequent itemsets from *transactions*."""
-        database = (
-            transactions
-            if isinstance(transactions, TransactionDatabase)
-            else TransactionDatabase(transactions)
-        )
-        n = len(database)
+    def mine(
+        self, transactions: TransactionMatrix | Iterable[Iterable[str]]
+    ) -> MiningResult:
+        """Mine all frequent itemsets from *transactions*.
+
+        A :class:`TransactionMatrix` is mined as packed; it must hold every
+        item at this miner's support count (its ``floor`` at most that
+        count).  Any other iterable of item iterables is packed through the
+        corpus CSR: empty transactions are dropped, a repeated item counts
+        once and items are taken as strings.
+        """
+        matrix = transactions
+        if not isinstance(matrix, TransactionMatrix):
+            corpus = CorpusMatrix.from_transactions({"": transactions})
+            matrix = corpus.pack(
+                "", minimum_support_count(self.min_support, corpus.n_transactions)
+            )
+        n = matrix.n_transactions
         if n == 0:
             return MiningResult(
                 [], n_transactions=0, min_support=self.min_support, algorithm="eclat"
             )
-        patterns = self._mine(database, n, database.minimum_count(self.min_support))
+        patterns = self._mine(matrix, n, minimum_support_count(self.min_support, n))
         return MiningResult(
             patterns, n_transactions=n, min_support=self.min_support, algorithm="eclat"
         )
 
     def _mine(
-        self, database: TransactionDatabase, n: int, min_count: int
+        self, matrix: TransactionMatrix, n: int, min_count: int
     ) -> list[Pattern]:
         """Depth-first growth over packed tid-bitsets (AND + popcount).
 
@@ -79,7 +92,6 @@ class EclatMiner:
         popcount), so the per-candidate cost is a few bytes of vector work
         instead of a Python ``set`` intersection.
         """
-        matrix = database.matrix()
         rows = matrix.packed_rows
         frequent_ids = [int(i) for i in matrix.frequent_item_ids(min_count)]
         supports = matrix.item_supports

@@ -1,11 +1,11 @@
-"""Transactions, itemsets and mined-pattern containers.
+"""Mined-pattern containers and the support-threshold rule.
 
 The mining layer works on *transactions*: each recipe is an unordered set of
 item names (ingredients + processes + utensils, Section V-A of the paper).
 This module provides:
 
-* :class:`TransactionDatabase` -- an immutable collection of transactions with
-  support counting utilities shared by every miner;
+* :func:`minimum_support_count` -- the one rule turning a relative support
+  threshold into an absolute count;
 * :class:`Pattern` -- one mined frequent itemset with its support;
 * :class:`MiningResult` -- the ordered collection of patterns a miner returns,
   with the filtering / ranking helpers the paper's Table I needs (top pattern,
@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.errors import MiningError
 
-__all__ = ["minimum_support_count", "TransactionDatabase", "Pattern", "MiningResult"]
+__all__ = ["minimum_support_count", "Pattern", "MiningResult"]
 
 
 def minimum_support_count(min_support: float, n_transactions: int) -> int:
@@ -33,157 +33,6 @@ def minimum_support_count(min_support: float, n_transactions: int) -> int:
     if not 0.0 < min_support <= 1.0:
         raise MiningError(f"min_support must be in (0, 1], got {min_support}")
     return max(1, math.ceil(min_support * n_transactions))
-
-
-class TransactionDatabase:
-    """An immutable list of transactions (item frozensets) with support helpers.
-
-    A database normally materialises its transactions up front; one built
-    with :meth:`from_matrix` instead wraps an already-compiled
-    :class:`~repro.mining.bitmatrix.TransactionMatrix` and reconstructs the
-    frozensets only if something actually needs them -- the Eclat miner
-    never does, so mining a region packed from the corpus CSR makes no
-    frozensets.
-    """
-
-    def __init__(self, transactions: Iterable[Iterable[str]]) -> None:
-        materialised: list[frozenset[str]] = []
-        for transaction in transactions:
-            items = frozenset(str(item) for item in transaction)
-            if not items:
-                continue  # empty transactions carry no information for mining
-            materialised.append(items)
-        self._transactions: tuple[frozenset[str], ...] | None = tuple(materialised)
-        self._matrix = None  # compiled TransactionMatrix, built on first use
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "TransactionDatabase":
-        """Wrap a compiled matrix without materialising the transactions.
-
-        The matrix must come from a database with no empty transactions
-        (always true for one compiled by this class), so its transaction
-        count and the reconstructed frozensets match ``__init__`` exactly.
-        """
-        database = cls.__new__(cls)
-        database._transactions = None
-        database._matrix = matrix
-        return database
-
-    def _materialised(self) -> tuple[frozenset[str], ...]:
-        """The transaction tuple, reconstructed from the matrix when lazy."""
-        if self._transactions is None:
-            items = self._matrix.items
-            self._transactions = tuple(
-                frozenset(items[i] for i in ids.tolist())
-                for ids in self._matrix.transaction_id_arrays()
-            )
-        return self._transactions
-
-    # -- container protocol -----------------------------------------------------
-
-    def __len__(self) -> int:
-        if self._transactions is None:
-            return self._matrix.n_transactions
-        return len(self._transactions)
-
-    def __iter__(self) -> Iterator[frozenset[str]]:
-        return iter(self._materialised())
-
-    def __getitem__(self, index: int) -> frozenset[str]:
-        return self._materialised()[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransactionDatabase):
-            return NotImplemented
-        return self._materialised() == other._materialised()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TransactionDatabase(n={len(self)})"
-
-    @property
-    def transactions(self) -> tuple[frozenset[str], ...]:
-        return self._materialised()
-
-    # -- compiled engine --------------------------------------------------------------
-
-    def matrix(self):
-        """The compiled :class:`~repro.mining.bitmatrix.TransactionMatrix`.
-
-        Compiled lazily on first use and memoized, so every miner (and every
-        ``min_support`` sweep entry in the serve layer) shares one packed
-        bitset engine per database instance.
-        """
-        if self._matrix is None:
-            from repro.mining.bitmatrix import TransactionMatrix
-
-            self._matrix = TransactionMatrix(self._transactions)
-        return self._matrix
-
-    @property
-    def has_matrix(self) -> bool:
-        """Whether a compiled matrix is already memoized (or wrapped)."""
-        return self._matrix is not None
-
-    # -- support utilities ----------------------------------------------------------
-
-    def item_counts(self) -> dict[str, int]:
-        """Absolute frequency of every single item."""
-        if self._transactions is None and self._matrix.floor == 1:
-            # Matrix-backed: the precomputed popcount vector already holds
-            # every item's frequency (every vocabulary item occurs at least
-            # once, so no zero entries need filtering).
-            supports = self._matrix.item_supports
-            return {
-                item: int(supports[index])
-                for index, item in enumerate(self._matrix.items)
-            }
-        counts: dict[str, int] = {}
-        for transaction in self._materialised():
-            for item in transaction:
-                counts[item] = counts.get(item, 0) + 1
-        return counts
-
-    def vocabulary(self) -> frozenset[str]:
-        """Every distinct item across all transactions."""
-        if self._transactions is None and self._matrix.floor == 1:
-            return frozenset(self._matrix.items)
-        items: set[str] = set()
-        for transaction in self._materialised():
-            items |= transaction
-        return frozenset(items)
-
-    def absolute_support(self, itemset: Iterable[str]) -> int:
-        """Number of transactions containing every item of *itemset*."""
-        if self._matrix is not None:
-            return self._matrix.support(itemset)
-        target = frozenset(itemset)
-        if not target:
-            return len(self._transactions)
-        return sum(1 for transaction in self._transactions if target <= transaction)
-
-    def support(self, itemset: Iterable[str]) -> float:
-        """Relative support of *itemset* (0 when the database is empty)."""
-        if len(self) == 0:
-            return 0.0
-        return self.absolute_support(itemset) / len(self)
-
-    def minimum_count(self, min_support: float) -> int:
-        """Convert a relative support threshold to an absolute count (≥ 1)."""
-        return minimum_support_count(min_support, len(self))
-
-    @classmethod
-    def from_recipes(cls, recipes: Iterable[object]) -> "TransactionDatabase":
-        """Build from objects exposing an ``items()`` -> frozenset method."""
-        transactions = []
-        for recipe in recipes:
-            items = getattr(recipe, "items", None)
-            if not callable(items):
-                raise MiningError(
-                    "from_recipes expects objects with an items() method; "
-                    f"got {type(recipe).__name__}"
-                )
-            transactions.append(items())
-        return cls(transactions)
 
 
 @dataclass(frozen=True, slots=True, order=False)

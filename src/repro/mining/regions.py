@@ -8,9 +8,8 @@ module runs that loop in-process, one region after another:
   only the region's items that can be frequent -- the one production path:
   the pipeline mines the CSR it just built, the serve layer the one it
   built or memory-mapped;
-* :func:`mine_regions_with_report` mines a mapping of per-region
-  :class:`~repro.mining.itemsets.TransactionDatabase` objects (each compiles
-  its bit matrix on first use); the tests use it as the direct reference.
+* :func:`mine_regions_with_report` mines a mapping of per-region raw
+  transactions by building their CSR first.
 
 Both return the results keyed in sorted region order plus a
 :class:`MiningReport`, so either entry point is byte-identical (through
@@ -24,9 +23,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from repro.mining.itemsets import MiningResult, TransactionDatabase, minimum_support_count
+from repro.mining.itemsets import MiningResult, minimum_support_count
 from repro.mining.shm import CorpusMatrix
 from repro.obs import get_registry, span
 
@@ -40,11 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class RegionOutcome:
-    """How one region was mined: pattern count, compile flag, wall seconds."""
+    """How one region was mined: pattern count and wall seconds."""
 
     region: str
     n_patterns: int
-    compiled: bool  # True when this run compiled a fresh matrix for the region
     seconds: float
 
 
@@ -59,55 +57,20 @@ class MiningReport:
     #: it to tag every mining call as serial.
     dispatch = None
 
-    @property
-    def compiles(self) -> int:
-        """How many regions compiled a matrix during this pass."""
-        return sum(1 for outcome in self.outcomes if outcome.compiled)
-
     def to_dict(self) -> dict[str, object]:
-        return {"regions": len(self.outcomes), "matrix_compiles": self.compiles}
-
-
-def _mine(
-    regions: Sequence[str],
-    database_of: Callable[[str], TransactionDatabase],
-    miner,
-) -> tuple[dict[str, MiningResult], MiningReport]:
-    """Mine *regions* in the given order; *miner* has ``mine(database)``."""
-    registry = get_registry()
-    mined = registry.counter("repro_mining_regions_total", "Regions mined.")
-    region_seconds = registry.histogram(
-        "repro_mining_region_seconds", "Wall seconds spent mining one region."
-    )
-    compiles = registry.counter(
-        "repro_mining_matrix_compiles_total",
-        "Transaction matrices compiled during mining runs.",
-    )
-    results: dict[str, MiningResult] = {}
-    outcomes: list[RegionOutcome] = []
-    with span("mining.regions", regions=len(regions)):
-        for region in regions:
-            with span("mining.region", region=region):
-                started = time.perf_counter()
-                database = database_of(region)
-                had_matrix = database.has_matrix
-                result = miner.mine(database)
-                seconds = time.perf_counter() - started
-            compiled = not had_matrix and database.has_matrix
-            results[region] = result
-            outcomes.append(RegionOutcome(region, len(result), compiled, seconds))
-            mined.inc()
-            region_seconds.observe(seconds)
-            if compiled:
-                compiles.inc()
-    return results, MiningReport(tuple(outcomes))
+        return {"regions": len(self.outcomes)}
 
 
 def mine_regions_with_report(
-    transactions: Mapping[str, TransactionDatabase], miner
+    transactions: Mapping[str, Iterable[Iterable[str]]], miner
 ) -> tuple[dict[str, MiningResult], MiningReport]:
-    """Mine every region's transaction database, in sorted region order."""
-    return _mine(sorted(transactions), transactions.__getitem__, miner)
+    """Mine every region's raw transactions, in sorted region order.
+
+    The transactions are built into one CSR
+    (:meth:`~repro.mining.shm.CorpusMatrix.from_transactions`) and mined as
+    :func:`mine_corpus_with_report` mines it.
+    """
+    return mine_corpus_with_report(CorpusMatrix.from_transactions(transactions), miner)
 
 
 def mine_corpus_with_report(
@@ -115,23 +78,33 @@ def mine_corpus_with_report(
 ) -> tuple[dict[str, MiningResult], MiningReport]:
     """Mine every region of a corpus CSR, in sorted region order.
 
-    *miner* has ``min_support`` and ``mine(database)`` and reads nothing
-    but the database's matrix, as :class:`~repro.mining.eclat.EclatMiner`
-    does.  Each region is packed from the CSR, whether it was just built or
-    memory-mapped from its sidecar, keeping only the items whose region
-    support reaches the miner's own :func:`minimum_support_count`: no other
-    item can be in a frequent itemset, so the result is the one
-    :meth:`~repro.mining.shm.CorpusMatrix.region_database` would give.  No
-    per-transaction id array or frozenset is built, the packed database
-    stays inside this loop, and it raises on anything that would need a
-    dropped item.  Every region arrives with its matrix, so none counts as
-    a compile.
+    *miner* has ``min_support`` and ``mine(matrix)``, as
+    :class:`~repro.mining.eclat.EclatMiner` does.  Each region is packed
+    from the CSR, whether it was just built or memory-mapped from its
+    sidecar, keeping only the items whose region support reaches the
+    miner's own :func:`minimum_support_count`: no other item can be in a
+    frequent itemset.  No per-transaction id array or frozenset is built,
+    and the packed matrix stays inside this loop.
     """
-
-    def frequent_part(region: str) -> TransactionDatabase:
-        min_count = minimum_support_count(
-            miner.min_support, corpus.span_of(region).n_transactions
-        )
-        return TransactionDatabase.from_matrix(corpus._pack(region, min_count))
-
-    return _mine(sorted(corpus.regions), frequent_part, miner)
+    registry = get_registry()
+    mined = registry.counter("repro_mining_regions_total", "Regions mined.")
+    region_seconds = registry.histogram(
+        "repro_mining_region_seconds", "Wall seconds spent mining one region."
+    )
+    regions = sorted(corpus.regions)
+    results: dict[str, MiningResult] = {}
+    outcomes: list[RegionOutcome] = []
+    with span("mining.regions", regions=len(regions)):
+        for region in regions:
+            with span("mining.region", region=region):
+                started = time.perf_counter()
+                min_count = minimum_support_count(
+                    miner.min_support, corpus.span_of(region).n_transactions
+                )
+                result = miner.mine(corpus.pack(region, min_count))
+                seconds = time.perf_counter() - started
+            results[region] = result
+            outcomes.append(RegionOutcome(region, len(result), seconds))
+            mined.inc()
+            region_seconds.observe(seconds)
+    return results, MiningReport(tuple(outcomes))

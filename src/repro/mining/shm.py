@@ -6,13 +6,11 @@ transaction's sorted, de-duplicated item ids flattened in region order, and
 ``offsets`` delimits the transactions.  Its size is the number of non-zeros,
 the same order as the corpus itself.  Mining needs only these ids in a
 vertical layout (Eclat, Zaki 2000), so each region is packed into its own
-:class:`~repro.mining.bitmatrix.TransactionMatrix` on demand, by one
-routine.  :meth:`CorpusMatrix.region_matrix` packs every item the region
-uses and equals a fresh compile of the region's transactions byte for
-byte; the miner's packing keeps only the items whose region support
-reaches its support count, which finds the same patterns -- mining a
-region of the CSR is indistinguishable from mining the region database
-directly.
+:class:`~repro.mining.bitmatrix.TransactionMatrix` on demand by
+:meth:`CorpusMatrix.pack`, the one routine that builds a bit matrix.  It
+keeps only the items whose region support reaches the miner's support
+count, which finds every frequent itemset.  Raw transactions enter through
+:meth:`CorpusMatrix.from_transactions`.
 
 A corpus matrix persists as a single memory-mappable sidecar (a JSON meta
 file plus two ``.npy`` arrays), which is the serve layer's warm-start
@@ -24,14 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import MiningError, SidecarError
 from repro.files import load_sidecar, save_sidecar
 from repro.mining.bitmatrix import TransactionMatrix
-from repro.mining.itemsets import TransactionDatabase
 
 __all__ = [
     "CORPUS_SIDECAR_VERSION",
@@ -104,17 +101,15 @@ class CorpusMatrix:
 
     @classmethod
     def from_transactions(
-        cls, transactions: Mapping[str, Iterable[Collection[str]]]
+        cls, transactions: Mapping[str, Iterable[Iterable[str]]]
     ) -> "CorpusMatrix":
         """Build the CSR from per-region transactions.
 
-        Each region maps to an iterable of item collections: a
-        :class:`~repro.mining.itemsets.TransactionDatabase`, or plain tuples
-        of names in which a name may repeat.  Names map to ids in one pass;
-        one sort of the ``(row, id)`` keys then sorts every row, and equal
-        neighbouring keys are a row's repeats.  Empty transactions are
-        dropped, as ``TransactionDatabase`` drops them; a region without
-        transactions keeps an empty span.
+        Each region maps to an iterable of item iterables, in which an item
+        may repeat; items are taken as strings.  Names map to ids in one
+        pass; one sort of the ``(row, id)`` keys then sorts every row, and
+        equal neighbouring keys are a row's repeats.  Empty transactions
+        are dropped; a region without transactions keeps an empty span.
         """
         names: list[str] = []
         lengths: list[int] = []
@@ -122,12 +117,17 @@ class CorpusMatrix:
         for region in sorted(transactions):
             start = len(lengths)
             for transaction in transactions[region]:
-                if transaction:
-                    names.extend(transaction)
-                    lengths.append(len(transaction))
+                before = len(names)
+                names.extend(transaction)
+                if len(names) > before:
+                    lengths.append(len(names) - before)
             spans.append(RegionSpan(region, start, len(lengths)))
 
-        items = tuple(sorted(set(names)))
+        unique = set(names)
+        if not all(isinstance(name, str) for name in unique):
+            names = list(map(str, names))
+            unique = set(names)
+        items = tuple(sorted(unique))
         item_index = {item: index for index, item in enumerate(items)}
         ids = np.fromiter(
             map(item_index.__getitem__, names), dtype=np.int32, count=len(names)
@@ -162,19 +162,7 @@ class CorpusMatrix:
 
     # -- region packing --------------------------------------------------------------
 
-    def region_matrix(self, region: str) -> TransactionMatrix:
-        """The region's own :class:`TransactionMatrix`, packed from its CSR slice.
-
-        Every item the region uses is a row, and each transaction keeps its
-        id array: equal to a fresh compile of the region's transactions byte
-        for byte -- the same vocabulary, the same packed rows and the same
-        per-transaction id arrays.
-        """
-        return self._pack(region, 1, with_transactions=True)
-
-    def _pack(
-        self, region: str, min_count: int, *, with_transactions: bool = False
-    ) -> TransactionMatrix:
+    def pack(self, region: str, min_count: int) -> TransactionMatrix:
         """Pack the region's items whose support reaches *min_count*.
 
         ``np.bincount`` over the region's slice gives every item's support
@@ -186,24 +174,23 @@ class CorpusMatrix:
         Mining at a support count of *min_count* needs no other row: an
         itemset is at most as frequent as each of its items (the
         anti-monotone property Eclat's tid-set search rests on), so a
-        dropped item is in no frequent itemset.  Such a matrix records
-        *min_count* as its ``floor`` and answers nothing that would need a
-        dropped item (see :class:`TransactionMatrix`).  Each transaction's
-        id array is built only *with_transactions*, which needs every item:
-        *min_count* 1.
+        dropped item is in no frequent itemset.  The matrix records
+        *min_count* (at least 1) as its ``floor`` and answers nothing that
+        would need a dropped item (see :class:`TransactionMatrix`).
         """
         span = self.span_of(region)
         n = span.n_transactions
+        floor = max(1, min_count)
         lo = int(self.offsets[span.tx_start])
         rel = np.asarray(self.offsets[span.tx_start : span.tx_stop + 1]) - lo
         flat = np.asarray(self.tids[lo : lo + int(rel[-1])])
         counts = np.bincount(flat, minlength=len(self.items))
-        keep = np.flatnonzero(counts >= max(1, min_count))
+        keep = np.flatnonzero(counts >= floor)
         lookup = np.full(len(self.items), -1, dtype=np.int64)
         lookup[keep] = np.arange(len(keep), dtype=np.int64)
         local = lookup[flat]
         tx = np.repeat(np.arange(n, dtype=np.int64), np.diff(rel))
-        if min_count > 1:
+        if floor > 1:
             kept = local >= 0
             local, tx = local[kept], tx[kept]
         # Set each (item, transaction) bit straight into the packed rows, in
@@ -214,20 +201,13 @@ class CorpusMatrix:
         np.bitwise_or.at(
             packed, local * n_words + (tx >> 3), (0x80 >> (tx & 7)).astype(np.uint8)
         )
-        return TransactionMatrix._from_arrays(
+        return TransactionMatrix(
             tuple(map(self.items.__getitem__, keep.tolist())),
             n,
             packed.reshape(len(keep), n_words),
             counts[keep],
-            tuple(local[rel[i] : rel[i + 1]] for i in range(n))
-            if with_transactions
-            else None,
-            floor=max(1, min_count),
+            floor=floor,
         )
-
-    def region_database(self, region: str) -> TransactionDatabase:
-        """The region as a matrix-backed database, ready for any miner."""
-        return TransactionDatabase.from_matrix(self.region_matrix(region))
 
     # -- persistence -----------------------------------------------------------------
 

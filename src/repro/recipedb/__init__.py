@@ -17,16 +17,7 @@ from repro.recipedb.io_json import (
     save_json,
     save_jsonl,
 )
-from repro.recipedb.models import (
-    EntityKind,
-    Ingredient,
-    Process,
-    Recipe,
-    Region,
-    Utensil,
-    normalize_name,
-    recipes_to_transactions,
-)
+from repro.recipedb.models import EntityKind, Recipe, Region, normalize_name
 from repro.recipedb.query import QueryResult, RecipeQuery
 from repro.recipedb.schema import RecipeSchema, SchemaLimits, SchemaViolation
 from repro.recipedb.stats import (
@@ -40,13 +31,9 @@ from repro.recipedb.stats import (
 __all__ = [
     "RecipeDatabase",
     "EntityKind",
-    "Ingredient",
-    "Process",
     "Recipe",
     "Region",
-    "Utensil",
     "normalize_name",
-    "recipes_to_transactions",
     "QueryResult",
     "RecipeQuery",
     "RecipeSchema",

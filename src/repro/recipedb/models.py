@@ -5,8 +5,6 @@ kinds -- ingredients, cooking processes and utensils -- attributed to one of 26
 geo-cultural cuisines (called *regions* in Table I).  The models below mirror
 that structure:
 
-* :class:`Ingredient`, :class:`Process`, :class:`Utensil` -- catalogue entries
-  with a stable integer id and a normalised name.
 * :class:`Recipe` -- a recipe row: name, region and the three entity lists.
 * :class:`Region` -- a cuisine/region descriptor with the recipe count that the
   database maintains.
@@ -14,7 +12,7 @@ that structure:
 All models are frozen dataclasses: a database hands out values, never shared
 mutable state.  Names are normalised (lower-case, single-spaced) at
 construction time through :func:`normalize_name` so that "Soy Sauce" and
-"soy  sauce" refer to the same catalogue entry, which mirrors the paper's
+"soy  sauce" name the same entity, which mirrors the paper's
 pre-processing of RecipeDB dumps.
 """
 
@@ -22,16 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.errors import ValidationError
 
 __all__ = [
     "EntityKind",
     "normalize_name",
-    "Ingredient",
-    "Process",
-    "Utensil",
     "Recipe",
     "Region",
 ]
@@ -41,7 +36,7 @@ def normalize_name(name: str) -> str:
 
     Lower-cases, strips surrounding whitespace and collapses internal runs of
     whitespace to a single space.  Raises :class:`ValidationError` when the
-    result is empty, because every catalogue entry must have a usable name.
+    result is empty, because every entity and recipe must have a usable name.
 
     ``str.split()`` breaks on exactly the characters the regex whitespace
     class matches, and lower-casing never turns a space into a non-space or
@@ -66,61 +61,6 @@ class EntityKind(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-@dataclass(frozen=True, slots=True)
-class _CatalogueEntry:
-    """Common shape of ingredient / process / utensil catalogue rows."""
-
-    entity_id: int
-    name: str
-    aliases: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.entity_id < 0:
-            raise ValidationError("entity_id must be non-negative")
-        object.__setattr__(self, "name", normalize_name(self.name))
-        object.__setattr__(
-            self, "aliases", tuple(sorted({normalize_name(a) for a in self.aliases}))
-        )
-
-    @property
-    def kind(self) -> EntityKind:
-        raise NotImplementedError
-
-    def matches(self, name: str) -> bool:
-        """Return ``True`` when *name* equals this entry's name or an alias."""
-        candidate = normalize_name(name)
-        return candidate == self.name or candidate in self.aliases
-
-
-@dataclass(frozen=True, slots=True)
-class Ingredient(_CatalogueEntry):
-    """A raw ingredient such as ``soy sauce`` or ``olive oil``."""
-
-    category: str = "uncategorised"
-
-    @property
-    def kind(self) -> EntityKind:
-        return EntityKind.INGREDIENT
-
-
-@dataclass(frozen=True, slots=True)
-class Process(_CatalogueEntry):
-    """A cooking process such as ``add``, ``heat`` or ``bake``."""
-
-    @property
-    def kind(self) -> EntityKind:
-        return EntityKind.PROCESS
-
-
-@dataclass(frozen=True, slots=True)
-class Utensil(_CatalogueEntry):
-    """A cooking utensil such as ``skillet``, ``oven`` or ``bowl``."""
-
-    @property
-    def kind(self) -> EntityKind:
-        return EntityKind.UTENSIL
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,11 +242,3 @@ class Recipe:
         except KeyError as exc:  # missing required field
             raise ValidationError(f"recipe payload missing field: {exc}") from exc
 
-
-def recipes_to_transactions(
-    recipes: Sequence[Recipe],
-    kinds: Iterable[EntityKind] | None = None,
-) -> list[frozenset[str]]:
-    """Convert recipes into mining transactions (list of item frozensets)."""
-    kinds_tuple = tuple(kinds) if kinds is not None else None
-    return [recipe.items(kinds_tuple) for recipe in recipes]

@@ -735,8 +735,8 @@ class AnalysisServer:
                     status, payload = 503, {"error": str(exc), "retry": True}
                 except ReproError as exc:
                     status, payload = 400, {"error": str(exc)}
-                except asyncio.CancelledError:
-                    raise
+                except (asyncio.CancelledError, ConnectionError, asyncio.IncompleteReadError):
+                    raise  # cancelled, or the client went away mid-request
                 except Exception as exc:  # never let one request kill the loop
                     self._error_seq += 1
                     error_id = f"e{self._error_seq:06d}"
@@ -775,7 +775,10 @@ class AnalysisServer:
         """One framed request: ``(method, path, body, keep_alive)``.
 
         ``None`` means the client closed the connection cleanly before
-        sending another request -- the keep-alive loop's normal exit.
+        sending another request -- the keep-alive loop's normal exit.  EOF
+        later, inside the head or the body, raises
+        :class:`asyncio.IncompleteReadError`: the client went away, and
+        nothing is answered.
 
         Bodies are framed by ``Content-Length`` only.  Any
         ``Transfer-Encoding`` gets 501, since its body would otherwise be
@@ -798,8 +801,11 @@ class AnalysisServer:
         header_lines = 0
         while True:
             line = await _read_line(reader, "header line")
-            if line in (b"\r\n", b"\n", b""):
+            if line in (b"\r\n", b"\n"):
                 break
+            if not line:
+                # EOF inside the head: the client went away mid-request.
+                raise asyncio.IncompleteReadError(b"", None)
             header_lines += 1
             if header_lines > _MAX_HEADER_LINES:
                 raise _HttpError(431, "too many header lines")

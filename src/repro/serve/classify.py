@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.results import AnalysisResults
 from repro.errors import ServeError, SidecarError
-from repro.features.matrix import pack_rows, unpack_rows
+from repro.features.matrix import pack_rows
 from repro.files import load_sidecar, save_sidecar
 from repro.mining.bitmatrix import popcount
 from repro.obs import get_registry
@@ -477,59 +477,3 @@ class CuisineClassifier:
     ) -> Classification:
         """Score a single ingredient list."""
         return self.classify_batch([list(recipe)], top_k=top_k)[0]
-
-    # -- the naive baseline -----------------------------------------------------------
-
-    def classify_batch_naive(
-        self, recipes: Sequence[Iterable[str]]
-    ) -> list[Classification]:
-        """Per-recipe reference scorer (Python loops over patterns and items).
-
-        Kept as the baseline the classify benchmark gates the vectorized
-        path against, and as an independent oracle for its scoring
-        semantics.  Accumulation order differs from the matmul path, so
-        scores agree to float32 round-off, not bit-for-bit.
-        """
-        vocabulary = self.vocabulary
-        n_cuisines = len(self.cuisines)
-        dense = unpack_rows(self._pattern_bits, len(vocabulary))
-        pattern_sets = [
-            frozenset(vocabulary[i] for i in np.flatnonzero(row)) for row in dense
-        ]
-        classifications: list[Classification] = []
-        for recipe in recipes:
-            items = {str(item) for item in recipe}
-            missing = items.difference(self._item_index)
-            known = items - missing
-            matched = 0
-            pattern_totals = [0.0] * n_cuisines
-            for row, pattern in enumerate(pattern_sets):
-                if pattern <= known:
-                    matched += 1
-                    for column in range(n_cuisines):
-                        pattern_totals[column] += float(self._pattern_supports[row, column])
-            authenticity_totals = [0.0] * n_cuisines
-            for item in known:
-                index = self._item_index[item]
-                for column in range(n_cuisines):
-                    authenticity_totals[column] += float(self._authenticity[index, column])
-            pattern_norm = float(max(matched, 1))
-            item_norm = float(max(len(known), 1))
-            scores = {
-                cuisine: (
-                    self.pattern_weight * pattern_totals[column] / pattern_norm
-                    + self.authenticity_weight * authenticity_totals[column] / item_norm
-                )
-                for column, cuisine in enumerate(self.cuisines)
-            }
-            ranked = rank_scores(scores)
-            classifications.append(
-                Classification(
-                    best=ranked[0][0],
-                    scores=scores,
-                    matched_patterns=matched,
-                    known_items=len(known),
-                    unknown_items=tuple(sorted(missing)),
-                )
-            )
-        return classifications

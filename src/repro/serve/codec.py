@@ -79,7 +79,7 @@ MINING_CONFIG_FIELDS = ("seed", "scale", "min_support", "max_pattern_length")
 
 #: The config fields the synthetic corpus depends on; every ``min_support``
 #: sweep entry over one corpus shares this key (and hence the persisted
-#: corpus and its compiled transaction matrices).
+#: corpus and its CSR sidecar).
 CORPUS_CONFIG_FIELDS = ("seed", "scale")
 
 #: The fields a *family* of mining runs shares when only ``min_support``

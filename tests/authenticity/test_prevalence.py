@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import FeatureError
-from repro.authenticity.prevalence import (
-    PrevalenceMatrix,
-    prevalence_from_transactions,
-    prevalence_matrix,
-)
+from repro.authenticity.prevalence import PrevalenceMatrix, prevalence_matrix
 from repro.recipedb.models import EntityKind
+from tests.oracles.prevalence import prevalence_from_transactions
 
 
 class TestPrevalenceFromTransactions:

@@ -136,7 +136,6 @@ def _from_mapped_arena(tmp_path, monkeypatch):
     warm.invalidate(GOLDEN_CONFIG, mining=True)
     served = warm.get_or_run(GOLDEN_CONFIG)
     assert served.source == "computed" and not served.mining_reused
-    assert warm.last_mining_report.compiles == 0
     return served.results
 
 

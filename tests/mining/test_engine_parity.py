@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mining.eclat import EclatMiner
-from repro.mining.itemsets import MiningResult, TransactionDatabase
+from repro.mining.itemsets import MiningResult
 from tests.oracles.fpgrowth import FPGrowthMiner
 
 MINERS = (EclatMiner, FPGrowthMiner)
@@ -44,9 +44,8 @@ def _unlabelled(result: MiningResult) -> dict[str, object]:
     max_length=st.sampled_from([1, 2, 3, None]),
 )
 def test_all_miners_and_engines_agree(transactions, min_support, max_length):
-    database = TransactionDatabase(transactions)
-    eclat = EclatMiner(min_support, max_length=max_length).mine(database)
-    oracle = FPGrowthMiner(min_support, max_length=max_length).mine(database)
+    eclat = EclatMiner(min_support, max_length=max_length).mine(transactions)
+    oracle = FPGrowthMiner(min_support, max_length=max_length).mine(transactions)
     assert (eclat.algorithm, oracle.algorithm) == ("eclat", "fp-growth")
     assert _unlabelled(eclat) == _unlabelled(oracle)
 
@@ -59,6 +58,32 @@ def test_bitset_results_sorted_identically(data, min_support):
     shuffled = data.draw(st.permutations(transactions))
     eclat = EclatMiner(min_support, max_length=3).mine(shuffled)
     oracle = FPGrowthMiner(min_support, max_length=3).mine(transactions)
+    assert _unlabelled(eclat) == _unlabelled(oracle)
+
+
+#: Raw transactions in every form a miner takes: empty ones (dropped),
+#: repeated items (counted once) and non-string items (taken as strings,
+#: so 1 and "1" are one item).
+raw_transactions_strategy = st.lists(
+    st.lists(
+        st.one_of(st.sampled_from(ITEMS[:5] + ["1", "2"]), st.integers(0, 3)),
+        max_size=6,
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    transactions=raw_transactions_strategy,
+    min_support=st.sampled_from([0.05, 0.2, 0.5]),
+)
+def test_raw_input_forms_mine_alike(transactions, min_support):
+    non_empty = [frozenset(map(str, row)) for row in transactions if row]
+    # One-shot iterators, outside and in: each is read exactly once.
+    eclat = EclatMiner(min_support, max_length=3).mine(iter(row) for row in transactions)
+    oracle = FPGrowthMiner(min_support, max_length=3).mine(transactions)
+    assert eclat.n_transactions == len(non_empty)
     assert _unlabelled(eclat) == _unlabelled(oracle)
 
 

@@ -7,21 +7,25 @@ pattern.  Over drawn multi-region corpora (an empty region, a
 one-transaction region, items exactly on the support count and one below
 it) its results must equal mining each region's database directly and the
 FP-Growth oracle, pattern order included, on the built CSR and on the CSR
-saved and memory-mapped back.  The pruned database it hands the miner must
-never answer wrong: whatever would need a dropped item raises.
+saved and memory-mapped back.  The pruned matrix it hands the miner must
+never answer wrong: its rows and supports are the direct counts, and a
+support count that would need a dropped item raises.
 """
 
 from __future__ import annotations
 
 import tempfile
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import MiningError
+from repro.mining.bitmatrix import TransactionMatrix, popcount
 from repro.mining.eclat import EclatMiner
-from repro.mining.itemsets import TransactionDatabase, minimum_support_count
+from repro.mining.itemsets import minimum_support_count
 from repro.mining.regions import mine_corpus_with_report, mine_regions_with_report
 from repro.mining.shm import CorpusMatrix
 
@@ -34,16 +38,16 @@ ON_THE_COUNT, BELOW_THE_COUNT = "edge", "under"
 
 
 class RecordingMiner:
-    """An Eclat miner that keeps every database the mining loop hands it."""
+    """An Eclat miner that keeps every matrix the mining loop hands it."""
 
     def __init__(self, miner: EclatMiner) -> None:
         self.miner = miner
         self.min_support = miner.min_support
-        self.seen: list[TransactionDatabase] = []
+        self.seen: list[TransactionMatrix] = []
 
-    def mine(self, database: TransactionDatabase):
-        self.seen.append(database)
-        return self.miner.mine(database)
+    def mine(self, matrix: TransactionMatrix):
+        self.seen.append(matrix)
+        return self.miner.mine(matrix)
 
 
 @st.composite
@@ -85,12 +89,11 @@ def _same(left, right) -> None:
 @given(corpora())
 def test_frequent_packing_mines_what_the_direct_databases_mine(drawn):
     regions, min_support, max_length = drawn
-    databases = {region: TransactionDatabase(rows) for region, rows in regions.items()}
     eclat = EclatMiner(min_support, max_length=max_length)
-    direct, _report = mine_regions_with_report(databases, eclat)
+    direct, _report = mine_regions_with_report(regions, eclat)
     oracle = {
-        region: FPGrowthMiner(min_support, max_length=max_length).mine(databases[region])
-        for region in sorted(databases)
+        region: FPGrowthMiner(min_support, max_length=max_length).mine(regions[region])
+        for region in sorted(regions)
     }
     _same(direct, oracle)
 
@@ -99,9 +102,8 @@ def test_frequent_packing_mines_what_the_direct_databases_mine(drawn):
         corpus.save(Path(directory) / "corpus")
         mapped = CorpusMatrix.load(Path(directory) / "corpus", mmap=True)
         for matrix in (corpus, mapped):
-            results, report = mine_corpus_with_report(matrix, eclat)
+            results, _report = mine_corpus_with_report(matrix, eclat)
             assert results == direct
-            assert report.compiles == 0
             _same(results, oracle)
 
 
@@ -113,54 +115,25 @@ def test_the_pruned_database_never_answers_wrong(drawn):
     miner = RecordingMiner(EclatMiner(min_support, max_length=max_length))
     mine_corpus_with_report(corpus, miner)
     assert len(miner.seen) == len(regions)
-    for region, pruned in zip(sorted(regions), miner.seen):
-        direct = TransactionDatabase(regions[region])
+    for region, matrix in zip(sorted(regions), miner.seen):
+        direct = [frozenset(row) for row in regions[region] if row]
+        item_counts = Counter(chain.from_iterable(direct))
         count = minimum_support_count(min_support, len(direct))
-        assert len(pruned) == len(direct)
-        matrix = pruned.matrix()
+        assert matrix.n_transactions == len(direct)
         assert matrix.floor == count
         assert set(matrix.items) == {
-            item for item, support in direct.item_counts().items() if support >= count
+            item for item, support in item_counts.items() if support >= count
         }
-        for item in matrix.items:
-            assert pruned.absolute_support([item]) == direct.absolute_support([item])
-        for first in matrix.items:
-            for second in matrix.items:
-                pair = (first, second)
-                assert pruned.absolute_support(pair) == direct.absolute_support(pair)
-        assert pruned.absolute_support([]) == len(direct)
-        # No per-transaction id arrays were built: the transactions cannot
-        # be read back, whatever was dropped.
-        with pytest.raises(MiningError):
-            pruned.transactions
-        with pytest.raises(MiningError):
-            list(pruned)
-        with pytest.raises(MiningError):
-            matrix.transaction_id_arrays()
-        if len(direct):
+        for first_id, first in enumerate(matrix.items):
+            assert matrix.item_supports[first_id] == item_counts[first]
+            for second_id, second in enumerate(matrix.items):
+                both = matrix.tidset(first_id) & matrix.tidset(second_id)
+                assert int(popcount(both).sum()) == sum(
+                    1 for row in direct if first in row and second in row
+                )
+        if count > 1:
             with pytest.raises(MiningError):
-                pruned[0]
-        dropped = sorted((set(ITEMS) | {ON_THE_COUNT, BELOW_THE_COUNT}) - set(matrix.items))
-        if count == 1:
-            # Nothing was dropped: every answer is the direct one.
-            assert pruned.item_counts() == direct.item_counts()
-            assert pruned.vocabulary() == direct.vocabulary()
-            for item in dropped:
-                assert pruned.absolute_support([item]) == 0 == direct.absolute_support([item])
-            continue
-        with pytest.raises(MiningError):
-            pruned.item_counts()
-        with pytest.raises(MiningError):
-            pruned.vocabulary()
-        with pytest.raises(MiningError):
-            matrix.frequent_item_ids(count - 1)
-        for item in dropped:
-            with pytest.raises(MiningError):
-                pruned.absolute_support([item])
-            with pytest.raises(MiningError):
-                pruned.support([item])
-            with pytest.raises(MiningError):
-                matrix.support([item, *matrix.items[:1]])
+                matrix.frequent_item_ids(count - 1)
 
 
 def test_the_boundary_items_are_kept_and_dropped():
@@ -168,17 +141,10 @@ def test_the_boundary_items_are_kept_and_dropped():
     corpus = CorpusMatrix.from_transactions({"Only": rows})
     miner = RecordingMiner(EclatMiner(0.6, max_length=None))
     (result,) = mine_corpus_with_report(corpus, miner)[0].values()
-    matrix = miner.seen[0].matrix()
+    matrix = miner.seen[0]
     # 0.6 of 5 transactions: a count of 3, which "a" and "edge" reach.
     assert matrix.floor == 3
     assert matrix.items == ("a", "edge")
     assert [pattern.sorted_items() for pattern in result] == [("a",), ("edge",)]
-    assert result == EclatMiner(0.6, max_length=None).mine(TransactionDatabase(rows))
+    assert result == EclatMiner(0.6, max_length=None).mine(rows)
 
-
-def test_region_matrix_still_packs_every_item():
-    rows = [{"a", "edge"}, {"a", "edge", "under"}, {"b", "edge"}, {"a"}, {"b"}]
-    matrix = CorpusMatrix.from_transactions({"Only": rows}).region_matrix("Only")
-    assert matrix.floor == 1
-    assert matrix.items == ("a", "b", "edge", "under")
-    assert len(matrix.transaction_id_arrays()) == len(rows)

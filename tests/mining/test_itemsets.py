@@ -1,67 +1,21 @@
-"""Unit tests for transactions, patterns and mining results."""
+"""Unit tests for the support-count rule, patterns and mining results."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import MiningError
-from repro.mining.itemsets import MiningResult, Pattern, TransactionDatabase
+from repro.mining.itemsets import MiningResult, Pattern, minimum_support_count
 
 
-@pytest.fixture()
-def transactions() -> TransactionDatabase:
-    return TransactionDatabase(
-        [
-            {"soy sauce", "mirin", "heat"},
-            {"soy sauce", "heat"},
-            {"soy sauce", "mirin"},
-            {"butter", "flour"},
-        ]
-    )
-
-
-class TestTransactionDatabase:
-    def test_length_and_iteration(self, transactions):
-        assert len(transactions) == 4
-        assert all(isinstance(t, frozenset) for t in transactions)
-        assert transactions[0] == frozenset({"soy sauce", "mirin", "heat"})
-
-    def test_empty_transactions_dropped(self):
-        db = TransactionDatabase([{"a"}, set(), {"b"}])
-        assert len(db) == 2
-
-    def test_item_counts_and_vocabulary(self, transactions):
-        counts = transactions.item_counts()
-        assert counts["soy sauce"] == 3
-        assert counts["butter"] == 1
-        assert transactions.vocabulary() == {"soy sauce", "mirin", "heat", "butter", "flour"}
-
-    def test_support(self, transactions):
-        assert transactions.support(["soy sauce"]) == pytest.approx(0.75)
-        assert transactions.support(["soy sauce", "mirin"]) == pytest.approx(0.5)
-        assert transactions.support(["missing"]) == 0.0
-        assert transactions.support([]) == 1.0
-        assert TransactionDatabase([]).support(["x"]) == 0.0
-
-    def test_minimum_count(self, transactions):
-        assert transactions.minimum_count(0.5) == 2
-        assert transactions.minimum_count(0.2) == 1
-        assert transactions.minimum_count(1.0) == 4
-        with pytest.raises(MiningError):
-            transactions.minimum_count(0.0)
-        with pytest.raises(MiningError):
-            transactions.minimum_count(1.5)
-
-    def test_from_recipes(self, toy_recipes):
-        db = TransactionDatabase.from_recipes(toy_recipes)
-        assert len(db) == len(toy_recipes)
-        with pytest.raises(MiningError):
-            TransactionDatabase.from_recipes([object()])
-
-    def test_equality(self, transactions):
-        same = TransactionDatabase(list(transactions))
-        assert same == transactions
-        assert transactions != TransactionDatabase([{"x"}])
+def test_minimum_support_count():
+    assert minimum_support_count(0.5, 4) == 2
+    assert minimum_support_count(0.2, 4) == 1
+    assert minimum_support_count(1.0, 4) == 4
+    with pytest.raises(MiningError):
+        minimum_support_count(0.0, 4)
+    with pytest.raises(MiningError):
+        minimum_support_count(1.5, 4)
 
 
 class TestPattern:

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MiningError
 from repro.mining.eclat import EclatMiner
-from repro.mining.itemsets import TransactionDatabase
+from repro.mining.itemsets import minimum_support_count
+from repro.mining.shm import CorpusMatrix
 from tests.oracles.fpgrowth import FPGrowthMiner
 
 
@@ -27,17 +28,17 @@ def eclat(transactions, min_support, max_length=4):
 
 def brute_force_frequent(transactions, min_support, max_length=None):
     """Reference miner: enumerate every candidate subset (exponential)."""
-    db = TransactionDatabase(transactions)
+    db = [frozenset(transaction) for transaction in transactions if transaction]
     n = len(db)
     if n == 0:
         return {}
-    vocabulary = sorted(db.vocabulary())
-    min_count = db.minimum_count(min_support)
+    vocabulary = sorted(frozenset().union(*db))
+    min_count = minimum_support_count(min_support, n)
     limit = max_length if max_length is not None else len(vocabulary)
     frequent = {}
     for size in range(1, min(limit, len(vocabulary)) + 1):
         for combo in combinations(vocabulary, size):
-            count = db.absolute_support(combo)
+            count = sum(1 for transaction in db if transaction.issuperset(combo))
             if count >= min_count:
                 frequent[frozenset(combo)] = count
     return frequent
@@ -149,3 +150,66 @@ class TestEclatSpecifics:
     def test_max_length_respected(self):
         result = eclat(SIMPLE_TRANSACTIONS, min_support=0.3, max_length=2)
         assert all(p.length <= 2 for p in result)
+
+
+class TestRawTransactions:
+    """Every raw input Eclat takes is packed through the corpus CSR first."""
+
+    def test_empty_transactions_dropped(self):
+        result = eclat([{"a"}, set(), {"a", "b"}, ()], min_support=0.5)
+        assert result.n_transactions == 2
+        assert result.support_map() == {
+            frozenset({"a"}): 1.0,
+            frozenset({"b"}): 0.5,
+            frozenset({"a", "b"}): 0.5,
+        }
+
+    def test_repeated_items_counted_once(self):
+        result = eclat([["a", "a", "b"], ["a"]], min_support=0.5, max_length=None)
+        supports = {p.items: p.absolute_support for p in result}
+        assert supports == {frozenset({"a"}): 2, frozenset({"b"}): 1, frozenset({"a", "b"}): 1}
+
+    def test_items_taken_as_strings(self):
+        result = eclat([[1, "1"], [2, 1]], min_support=0.5, max_length=None)
+        assert {p.items: p.absolute_support for p in result} == {
+            frozenset({"1"}): 2,
+            frozenset({"2"}): 1,
+            frozenset({"1", "2"}): 1,
+        }
+
+    def test_only_empty_transactions_give_an_empty_result(self):
+        result = eclat([[], set(), ()], min_support=0.2)
+        assert len(result) == 0
+        assert result.n_transactions == 0
+
+    def test_one_shot_iterators_are_read_once(self):
+        rows = [["soy sauce", "mirin"], ["soy sauce"], ["rice"]]
+        result = eclat((iter(row) for row in rows), min_support=0.3, max_length=None)
+        assert result == eclat(rows, min_support=0.3, max_length=None)
+        assert result.n_transactions == 3
+
+    def test_supports_are_fractions_of_the_non_empty_transactions(self):
+        rows = [
+            {"soy sauce", "mirin", "heat"},
+            {"soy sauce", "heat"},
+            set(),
+            {"soy sauce", "mirin"},
+            {"butter", "flour"},
+        ]
+        supports = eclat(rows, min_support=0.25, max_length=None).support_map()
+        assert supports[frozenset({"soy sauce"})] == pytest.approx(0.75)
+        assert supports[frozenset({"soy sauce", "mirin"})] == pytest.approx(0.5)
+        assert supports[frozenset({"butter", "flour"})] == pytest.approx(0.25)
+
+    def test_a_packed_matrix_is_mined_as_packed(self):
+        corpus = CorpusMatrix.from_transactions({"": SIMPLE_TRANSACTIONS})
+        for min_support in (0.2, 0.5):
+            count = minimum_support_count(min_support, len(SIMPLE_TRANSACTIONS))
+            for floor in (1, count):
+                packed = corpus.pack("", floor)
+                assert eclat(packed, min_support) == eclat(SIMPLE_TRANSACTIONS, min_support)
+
+    def test_a_matrix_packed_above_the_support_count_is_refused(self):
+        packed = CorpusMatrix.from_transactions({"": SIMPLE_TRANSACTIONS}).pack("", 4)
+        with pytest.raises(MiningError, match="floor"):
+            eclat(packed, min_support=0.2)

@@ -1,8 +1,8 @@
-"""Serial per-region mining over transaction databases and the corpus CSR.
+"""Serial per-region mining over raw transactions and the corpus CSR.
 
 Both entry points of :mod:`repro.mining.regions` must return exactly what
-mining each region's database directly returns -- byte for byte through the
-serve codec, keyed in sorted region order -- and report how each region
+mining each region's transactions directly returns -- byte for byte through
+the serve codec, keyed in sorted region order -- and report how each region
 was mined.
 """
 
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.mining.eclat import EclatMiner
-from repro.mining.itemsets import TransactionDatabase
 from repro.mining.regions import mine_corpus_with_report, mine_regions_with_report
 from repro.mining.shm import CorpusMatrix
 from repro.serve.codec import dumps, mining_to_dict
@@ -20,18 +19,16 @@ from repro.serve.codec import dumps, mining_to_dict
 ITEMS = [f"item{k:02d}" for k in range(24)]
 
 
-def _region_database(seed: int, n: int = 120) -> TransactionDatabase:
+def _region_database(seed: int, n: int = 120) -> list[list[str]]:
     rng = np.random.default_rng(seed)
-    return TransactionDatabase(
-        [
-            [ITEMS[j] for j in rng.choice(len(ITEMS), size=int(rng.integers(3, 8)), replace=False)]
-            for _ in range(n)
-        ]
-    )
+    return [
+        [ITEMS[j] for j in rng.choice(len(ITEMS), size=int(rng.integers(3, 8)), replace=False)]
+        for _ in range(n)
+    ]
 
 
 @pytest.fixture(scope="module")
-def regions() -> dict[str, TransactionDatabase]:
+def regions() -> dict[str, list[list[str]]]:
     # Inserted out of order: results must still come back sorted.
     return {f"Region{k}": _region_database(seed=k) for k in (3, 1, 4, 0, 2)}
 
@@ -57,27 +54,36 @@ class TestSerialMining:
             assert list(results) == sorted(regions)
             assert _byte_form(results) == _byte_form(direct)
 
-    def test_fresh_databases_compile_once(self):
-        fresh = {f"R{k}": _region_database(seed=10 + k, n=40) for k in range(3)}
-        miner = EclatMiner(0.1, max_length=2)
-        _results, report = mine_regions_with_report(fresh, miner)
-        assert report.compiles == len(fresh)
-        _results, again = mine_regions_with_report(fresh, miner)
-        assert again.compiles == 0  # each database memoized its matrix
-
-    def test_corpus_pass_compiles_nothing(self, regions):
+    def test_corpus_pass_reports_each_region(self, regions):
         miner = EclatMiner(0.08, max_length=3)
         results, report = mine_corpus_with_report(
             CorpusMatrix.from_transactions(regions), miner
         )
         assert _byte_form(results) == _byte_form(_direct(regions, miner))
-        assert report.compiles == 0  # regions are sliced, never recompiled
         assert [outcome.region for outcome in report.outcomes] == sorted(regions)
         assert [outcome.n_patterns for outcome in report.outcomes] == [
             len(results[region]) for region in sorted(regions)
         ]
-        assert report.to_dict() == {"regions": len(regions), "matrix_compiles": 0}
+        assert report.to_dict() == {"regions": len(regions)}
         assert report.dispatch is None
+
+    def test_raw_regions_may_be_one_shot_iterables(self, regions):
+        miner = EclatMiner(0.08, max_length=3)
+        one_shot = {
+            region: (iter(row) for row in rows) for region, rows in regions.items()
+        }
+        results, report = mine_regions_with_report(one_shot, miner)
+        assert _byte_form(results) == _byte_form(_direct(regions, miner))
+        assert [outcome.region for outcome in report.outcomes] == sorted(regions)
+
+    def test_a_region_of_empty_transactions_mines_an_empty_result(self):
+        results, report = mine_regions_with_report(
+            {"Blank": [[], ()], "Full": [["a", "b"], ["a"]]}, EclatMiner(0.5)
+        )
+        assert len(results["Blank"]) == 0
+        assert results["Blank"].n_transactions == 0
+        assert results["Full"].n_transactions == 2
+        assert [outcome.n_patterns for outcome in report.outcomes] == [0, 3]
 
     def test_empty_mapping_mines_nothing(self):
         results, report = mine_regions_with_report({}, EclatMiner(0.2))

@@ -1,11 +1,10 @@
-"""The corpus CSR: region packing identity, lazy region databases, sidecars.
+"""The corpus CSR: region packing, region spans, sidecars.
 
 ``CorpusMatrix`` holds every transaction's global item ids as one CSR, and
-packing a region from it is *exact*: it must reproduce the matrix a direct
-``TransactionMatrix`` compile of that region's transactions would build --
-same vocabulary, same packed bytes, same transaction-id arrays.  The CSR
-persists as one memory-mappable sidecar, the serve layer's warm-start
-format.
+packing a region from it is *exact*: every packed row is the item's
+membership over the region's non-empty transactions, as a scan of their
+frozensets finds it.  The CSR persists as one memory-mappable sidecar, the
+serve layer's warm-start format.
 """
 
 from __future__ import annotations
@@ -17,26 +16,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import MiningError, SidecarError
-from repro.mining.bitmatrix import TransactionMatrix
 from repro.mining.eclat import EclatMiner
-from repro.mining.itemsets import TransactionDatabase
+from repro.mining.regions import mine_corpus_with_report
 from repro.mining.shm import CORPUS_SIDECAR_VERSION, CorpusMatrix, RegionSpan
 
 ITEMS = [f"ing{k:02d}" for k in range(18)]
 
 
-def _database(seed: int, n: int) -> TransactionDatabase:
+def _database(seed: int, n: int) -> list[list[str]]:
     rng = np.random.default_rng(seed)
-    return TransactionDatabase(
-        [
-            [ITEMS[j] for j in rng.choice(len(ITEMS), size=int(rng.integers(2, 7)), replace=False)]
-            for _ in range(n)
-        ]
-    )
+    return [
+        [ITEMS[j] for j in rng.choice(len(ITEMS), size=int(rng.integers(2, 7)), replace=False)]
+        for _ in range(n)
+    ]
 
 
 @pytest.fixture(scope="module")
-def regions() -> dict[str, TransactionDatabase]:
+def regions() -> dict[str, list[list[str]]]:
     return {
         "Big": _database(seed=1, n=90),
         "Medium": _database(seed=2, n=33),
@@ -50,56 +46,14 @@ def corpus(regions) -> CorpusMatrix:
     return CorpusMatrix.from_transactions(regions)
 
 
-def _assert_matrices_identical(extracted: TransactionMatrix, direct: TransactionMatrix):
-    assert extracted.items == direct.items
-    assert extracted.n_transactions == direct.n_transactions
-    assert extracted.n_words == direct.n_words
-    assert np.array_equal(extracted.packed_rows, direct.packed_rows)
-    assert np.array_equal(extracted.item_supports, direct.item_supports)
-    assert len(extracted.transaction_id_arrays()) == len(direct.transaction_id_arrays())
-    for ours, theirs in zip(
-        extracted.transaction_id_arrays(), direct.transaction_id_arrays()
-    ):
-        assert np.array_equal(ours, theirs)
-
-
 class TestExtractionIdentity:
-    def test_every_region_extracts_byte_identical(self, regions, corpus):
-        for region, database in regions.items():
-            extracted = corpus.region_matrix(region)
-            direct = TransactionMatrix(database.transactions)
-            _assert_matrices_identical(extracted, direct)
-
-    def test_extracted_database_mines_identically(self, regions, corpus):
-        miner = EclatMiner(0.1, max_length=3)
-        for region, database in regions.items():
-            assert miner.mine(corpus.region_database(region)) == miner.mine(database)
-
-    def test_lazy_region_database_materialises_identically(self, regions, corpus):
-        for region, database in regions.items():
-            lazy = corpus.region_database(region)
-            # Matrix-backed answers first: nothing needs the frozensets yet.
-            assert len(lazy) == len(database)
-            assert lazy.item_counts() == database.item_counts()
-            assert lazy._transactions is None
-            assert lazy == database  # forces materialisation
-            assert lazy.transactions == database.transactions
-            assert lazy.vocabulary() == database.vocabulary()
-        big = corpus.region_database("Big")
-        pair = sorted(big.vocabulary())[:2]
-        assert big.absolute_support(pair) == regions["Big"].absolute_support(pair)
-
     def test_empty_region_round_trips(self):
         corpus = CorpusMatrix.from_transactions(
-            {"Empty": TransactionDatabase([]), "Full": _database(seed=9, n=12)}
+            {"Empty": [], "Full": _database(seed=9, n=12)}
         )
-        empty = corpus.region_matrix("Empty")
+        empty = corpus.pack("Empty", 1)
         assert empty.n_transactions == 0
         assert empty.items == ()
-        _assert_matrices_identical(
-            corpus.region_matrix("Full"),
-            TransactionMatrix(_database(seed=9, n=12).transactions),
-        )
 
     def test_regions_sorted_and_span_lookup(self, corpus):
         assert corpus.regions == tuple(sorted(corpus.regions))
@@ -114,6 +68,48 @@ class TestExtractionIdentity:
         assert corpus.offsets[-1] == len(corpus.tids)
         assert corpus.tids.dtype == np.int32 and corpus.offsets.dtype == np.int64
 
+    def test_every_region_packs_as_a_frozenset_scan(self, regions, corpus):
+        for region, transactions in regions.items():
+            matrix = corpus.pack(region, 1)
+            membership = np.array(
+                [[item in row for row in transactions] for item in matrix.items], dtype=bool
+            )
+            assert matrix.items == tuple(sorted(frozenset().union(*map(frozenset, transactions))))
+            assert np.array_equal(matrix.packed_rows, np.packbits(membership, axis=1))
+            assert matrix.item_supports.tolist() == membership.sum(axis=1).tolist()
+
+
+class TestCsrLayout:
+    def test_rows_hold_sorted_distinct_ids(self):
+        corpus = CorpusMatrix.from_transactions(
+            {"A": [["c", "a", "c", "b"], ["b"]], "B": [["a", "a"], ["c", "b", "a"]]}
+        )
+        assert corpus.items == ("a", "b", "c")
+        assert corpus.offsets.tolist() == [0, 3, 4, 5, 8]
+        assert corpus.tids.tolist() == [0, 1, 2, 1, 0, 0, 1, 2]
+
+    def test_region_without_transactions_keeps_an_empty_span(self):
+        corpus = CorpusMatrix.from_transactions({"Blank": [[], ()], "Full": [["x"]]})
+        assert corpus.regions == ("Blank", "Full")
+        assert corpus.span_of("Blank").n_transactions == 0
+        assert corpus.span_of("Full") == RegionSpan("Full", 0, 1)
+        assert corpus.n_transactions == 1
+
+    def test_non_string_items_become_strings(self):
+        corpus = CorpusMatrix.from_transactions({"": [[1, "1", 2.5], ["2.5"]]})
+        assert corpus.items == ("1", "2.5")
+        assert corpus.offsets.tolist() == [0, 2, 3]
+
+    def test_one_shot_iterables_are_read_once(self):
+        rows = {"B": [["y", "x"], ["x"]], "A": [["z"]]}
+        one_shot = {region: (iter(row) for row in rows[region]) for region in rows}
+        corpus = CorpusMatrix.from_transactions(one_shot)
+        expected = CorpusMatrix.from_transactions(rows)
+        assert corpus.items == expected.items
+        assert corpus.spans == expected.spans
+        assert np.array_equal(corpus.tids, expected.tids)
+        assert np.array_equal(corpus.offsets, expected.offsets)
+
 
 class TestCorpusSidecar:
     def test_save_load_round_trip(self, regions, corpus, tmp_path):
@@ -124,19 +120,20 @@ class TestCorpusSidecar:
                 prefix, mmap=mmap, expected_fingerprint="abc123"
             )
             assert loaded.regions == corpus.regions
-            for region, database in regions.items():
-                _assert_matrices_identical(
-                    loaded.region_matrix(region),
-                    TransactionMatrix(database.transactions),
-                )
+            for region in regions:
+                ours, theirs = loaded.pack(region, 1), corpus.pack(region, 1)
+                assert ours.items == theirs.items
+                assert ours.n_transactions == theirs.n_transactions
+                assert np.array_equal(ours.packed_rows, theirs.packed_rows)
+                assert np.array_equal(ours.item_supports, theirs.item_supports)
 
     def test_mining_on_loaded_arena_matches_direct(self, regions, corpus, tmp_path):
         prefix = tmp_path / "corpus.matrix"
         corpus.save(prefix, fingerprint="abc123")
         loaded = CorpusMatrix.load(prefix, expected_fingerprint="abc123")
         miner = EclatMiner(0.1, max_length=3)
-        for region, database in regions.items():
-            assert miner.mine(loaded.region_database(region)) == miner.mine(database)
+        mined, _report = mine_corpus_with_report(loaded, miner)
+        assert mined == {region: miner.mine(rows) for region, rows in regions.items()}
 
     def test_memory_map_is_read_only(self, corpus, tmp_path):
         prefix = tmp_path / "corpus.matrix"
@@ -203,7 +200,7 @@ class TestCorpusSidecar:
         ]
 
 
-# -- the CSR against TransactionDatabase, over drawn corpora -------------------------
+# -- the CSR against a frozenset scan, over drawn corpora ------------------------------
 
 # Names shared across kinds and repeated within a transaction, as when a
 # recipe's ingredient, process and utensil tuples are concatenated.
@@ -219,14 +216,22 @@ _regions = st.dictionaries(
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_regions)
-def test_region_packing_matches_a_direct_compile(tmp_path, regions):
+def test_region_packing_matches_a_frozenset_scan(tmp_path, regions):
     corpus = CorpusMatrix.from_transactions(regions)
     assert corpus.regions == tuple(sorted(regions))
     prefix = tmp_path / "drawn.matrix"
     corpus.save(prefix, fingerprint="drawn")
     loaded = CorpusMatrix.load(prefix, mmap=True, expected_fingerprint="drawn")
     for region, transactions in regions.items():
-        direct = TransactionDatabase(transactions).matrix()
-        assert corpus.span_of(region).n_transactions == direct.n_transactions
-        _assert_matrices_identical(corpus.region_matrix(region), direct)
-        _assert_matrices_identical(loaded.region_matrix(region), direct)
+        direct = [frozenset(row) for row in transactions if row]
+        assert corpus.span_of(region).n_transactions == len(direct)
+        for matrix in (corpus.pack(region, 1), loaded.pack(region, 1)):
+            assert matrix.n_transactions == len(direct)
+            assert matrix.items == tuple(sorted(frozenset().union(*direct)))
+            membership = np.array(
+                [[item in row for row in direct] for item in matrix.items], dtype=bool
+            ).reshape(len(matrix.items), len(direct))
+            # With no transactions there are no items either: no rows of one byte.
+            packed = np.packbits(membership, axis=1) if direct else np.zeros((0, 1), np.uint8)
+            assert np.array_equal(matrix.packed_rows, packed)
+            assert matrix.item_supports.tolist() == membership.sum(axis=1).tolist()

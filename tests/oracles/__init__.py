@@ -14,9 +14,19 @@ do, from the repository root (``python -m pytest`` puts it on ``sys.path``).
   :class:`repro.datagen.generator.SyntheticRecipeDBGenerator`, which draws
   whole regions into integer ids, must materialise the same recipes
   (``tests/datagen/test_generator_oracle.py``).
+* :mod:`tests.oracles.prevalence` -- equation 1's prevalence counted over
+  per-cuisine frozensets.
+  :func:`repro.authenticity.prevalence.prevalence_matrix`, which counts the
+  corpus's integer ids with one ``np.bincount``, must return the same
+  matrix exactly (``tests/recipedb/test_fast_paths.py`` and
+  ``tests/recipedb/test_columns.py``).
+* :mod:`tests.oracles.classify` -- ``classify_batch_naive``, a classifier's
+  recipes scored one at a time with Python loops.
+  :meth:`repro.serve.classify.CuisineClassifier.classify_batch` must match
+  it within 1e-5 (``tests/serve/test_classify.py``), and
+  ``benchmarks/test_bench_classify.py`` gates its speed against it.
 
-An oracle stays here while the fast path it checks exists.  One reference
-stays next to its fast path: ``CuisineClassifier.classify_batch_naive`` in
-``repro.serve.classify``.  ``repro.cluster.linkage.linkage`` has no fast
-path to check; ``tests/cluster/test_linkage.py`` pins its merge tables.
+An oracle stays here while the fast path it checks exists.
+``repro.cluster.linkage.linkage`` has no fast path to check;
+``tests/cluster/test_linkage.py`` pins its merge tables.
 """

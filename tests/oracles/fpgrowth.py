@@ -23,11 +23,12 @@ implementations.
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from typing import Iterable
 
 from repro.errors import MiningError
-from repro.mining.itemsets import MiningResult, Pattern, TransactionDatabase
+from repro.mining.itemsets import MiningResult, Pattern, minimum_support_count
 
 from tests.oracles.fptree import FPTree
 
@@ -55,19 +56,23 @@ class FPGrowthMiner:
 
     # -- public API -------------------------------------------------------------
 
-    def mine(self, transactions: TransactionDatabase | Iterable[Iterable[str]]) -> MiningResult:
-        """Mine all frequent itemsets from *transactions*."""
-        database = (
-            transactions
-            if isinstance(transactions, TransactionDatabase)
-            else TransactionDatabase(transactions)
-        )
+    def mine(self, transactions: Iterable[Iterable[str]]) -> MiningResult:
+        """Mine all frequent itemsets from *transactions*.
+
+        Each transaction is taken as the frozenset of its items as strings;
+        empty transactions are dropped.
+        """
+        database = [
+            items
+            for items in (frozenset(map(str, transaction)) for transaction in transactions)
+            if items
+        ]
         n = len(database)
         if n == 0:
             return MiningResult(
                 [], n_transactions=0, min_support=self.min_support, algorithm="fp-growth"
             )
-        min_count = database.minimum_count(self.min_support)
+        min_count = minimum_support_count(self.min_support, n)
         patterns = [
             Pattern(items=items, support=count / n, absolute_support=count)
             for items, count in self._mine(database, min_count).items()
@@ -77,10 +82,10 @@ class FPGrowthMiner:
         )
 
     def _mine(
-        self, database: TransactionDatabase, min_count: int
+        self, database: list[frozenset[str]], min_count: int
     ) -> dict[frozenset[str], int]:
         """The string-keyed FP-Growth pass."""
-        item_counts = database.item_counts()
+        item_counts = Counter(chain.from_iterable(database))
         frequent = {
             item: count for item, count in item_counts.items() if count >= min_count
         }

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.authenticity.prevalence import prevalence_from_transactions, prevalence_matrix
+from repro.authenticity.prevalence import prevalence_matrix
 from repro.core.config import AnalysisConfig
 from repro.core.pipeline import CuisineClusteringPipeline
 from repro.datagen.generator import generate_corpus
@@ -45,6 +45,7 @@ from repro.recipedb.query import RecipeQuery
 from repro.recipedb.schema import RecipeSchema
 from repro.recipedb.stats import corpus_statistics, region_statistics
 from repro.serve import codec
+from tests.oracles.prevalence import prevalence_from_transactions
 
 _REGIONS = ("East", "North", "West")
 _INGREDIENTS = ("salt", "cream", "soy sauce", "olive oil", "Ünïcode leaf")

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.authenticity.prevalence import prevalence_from_transactions, prevalence_matrix
+from repro.authenticity.prevalence import prevalence_matrix
 from repro.datagen.generator import (
     GeneratorConfig,
     SyntheticRecipeDBGenerator,
@@ -42,6 +42,7 @@ from repro.recipedb.database import RecipeDatabase
 from repro.recipedb.models import EntityKind, Recipe, normalize_name
 from repro.recipedb.query import RecipeQuery
 from tests.oracles.generator import UNNORMALISED_PROFILES
+from tests.oracles.prevalence import prevalence_from_transactions
 
 # -- normalize_name ------------------------------------------------------------------
 

@@ -6,16 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from repro.errors import ValidationError
-from repro.recipedb.models import (
-    EntityKind,
-    Ingredient,
-    Process,
-    Recipe,
-    Region,
-    Utensil,
-    normalize_name,
-    recipes_to_transactions,
-)
+from repro.recipedb.models import EntityKind, Recipe, Region, normalize_name
 
 
 class TestNormalizeName:
@@ -37,24 +28,6 @@ class TestNormalizeName:
         assume(name.strip())
         once = normalize_name(name)
         assert normalize_name(once) == once
-
-
-class TestCatalogueEntries:
-    def test_ingredient_kind_and_alias_matching(self):
-        ingredient = Ingredient(0, "Soy Sauce", aliases=("shoyu", "SOYA sauce"))
-        assert ingredient.kind is EntityKind.INGREDIENT
-        assert ingredient.name == "soy sauce"
-        assert ingredient.matches("SHOYU")
-        assert ingredient.matches("soy sauce")
-        assert not ingredient.matches("fish sauce")
-
-    def test_process_and_utensil_kinds(self):
-        assert Process(1, "Stir Fry").kind is EntityKind.PROCESS
-        assert Utensil(2, "Wok").kind is EntityKind.UTENSIL
-
-    def test_negative_id_rejected(self):
-        with pytest.raises(ValidationError):
-            Ingredient(-1, "salt")
 
 
 class TestRegion:
@@ -131,11 +104,3 @@ class TestRecipe:
         with pytest.raises(ValidationError, match=field):
             Recipe.from_dict({"recipe_id": 0, "title": "t", "region": "X", **entities})
 
-
-def test_recipes_to_transactions(toy_recipes):
-    transactions = recipes_to_transactions(toy_recipes)
-    assert len(transactions) == len(toy_recipes)
-    assert all(isinstance(t, frozenset) for t in transactions)
-    assert "soy sauce" in transactions[0]
-    ingredient_only = recipes_to_transactions(toy_recipes, kinds=[EntityKind.INGREDIENT])
-    assert "heat" not in ingredient_only[0]

@@ -611,11 +611,11 @@ GARBAGE = {
 }
 
 
-def _send_raw(warm_cache, data: bytes):
-    """Write *data* on a fresh socket and read to EOF.
+def _exchange(warm_cache, data: bytes, *, eof: bool = False):
+    """Write *data* on a fresh socket (then ``write_eof()`` if *eof*) and read to EOF.
 
-    Returns ``(status, headers, json body, request_errors)``; reaching EOF
-    at all proves the server closed the connection.
+    Returns ``(raw response bytes, request_errors, requests_served)``;
+    reaching EOF at all proves the server closed the connection.
     """
 
     async def main():
@@ -625,15 +625,22 @@ def _send_raw(warm_cache, data: bytes):
             host, port = await server.start()
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(data)
+            if eof:
+                writer.write_eof()
             await writer.drain()
             raw = await asyncio.wait_for(reader.read(), timeout=10)
             writer.close()
             await writer.wait_closed()
-            return raw, service.service.store.stats.request_errors
+            return raw, service.service.store.stats.request_errors, server.requests_served
         finally:
             await server.aclose()
 
-    raw, request_errors = asyncio.run(main())
+    return asyncio.run(main())
+
+
+def _send_raw(warm_cache, data: bytes):
+    """Send *data* and parse the one response: ``(status, headers, json body, request_errors)``."""
+    raw, request_errors, _served = _exchange(warm_cache, data)
     head, _, body = raw.partition(b"\r\n\r\n")
     lines = head.decode("latin-1").split("\r\n")
     headers = {}
@@ -643,7 +650,41 @@ def _send_raw(warm_cache, data: bytes):
     return int(lines[0].split()[1]), headers, json.loads(body), request_errors
 
 
+#: Requests the client stops sending part-way: EOF inside the head or body.
+CUT_SHORT = {
+    "body-cut-by-eof": b"GET /healthz HTTP/1.1\r\nContent-Length: 5\r\n\r\nab",
+    "head-cut-by-eof": b"GET /healthz HTTP/1.1\r\nHost: x",
+    "body-cut-before-its-first-byte": b"GET /healthz HTTP/1.1\r\nContent-Length: 5\r\n\r\n",
+    "head-cut-after-a-whole-header": b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+    "head-cut-after-the-request-line": b"GET /healthz HTTP/1.1\r\n",
+}
+
+
 class TestClientGarbage:
+    @pytest.mark.parametrize("case", sorted(CUT_SHORT))
+    def test_a_request_cut_short_by_eof_is_not_answered(self, warm_cache, case):
+        raw, request_errors, requests_served = _exchange(
+            warm_cache, CUT_SHORT[case], eof=True
+        )
+        assert raw == b""
+        assert request_errors == 0
+        assert requests_served == 0
+
+    def test_eof_before_a_request_line_is_the_clean_exit(self, warm_cache):
+        raw, request_errors, requests_served = _exchange(warm_cache, b"", eof=True)
+        assert raw == b""
+        assert request_errors == 0
+        assert requests_served == 0
+
+    def test_a_whole_request_then_eof_is_answered_once(self, warm_cache):
+        raw, request_errors, requests_served = _exchange(
+            warm_cache, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", eof=True
+        )
+        assert raw.startswith(b"HTTP/1.1 200 ")
+        assert raw.count(b"HTTP/1.1 ") == 1
+        assert request_errors == 0
+        assert requests_served == 1
+
     @pytest.mark.parametrize("case", sorted(GARBAGE))
     def test_garbage_is_a_client_error_and_closes(self, warm_cache, case):
         data, expected = GARBAGE[case]

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve.classify import CuisineClassifier
+from tests.oracles.classify import classify_batch_naive
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +171,7 @@ class TestNaiveParity:
         recipes.append(["unobtainium"])
         recipes.append([])
         fast = classifier.classify_batch(recipes)
-        slow = classifier.classify_batch_naive(recipes)
+        slow = classify_batch_naive(classifier, recipes)
         for a, b in zip(fast, slow):
             assert a.matched_patterns == b.matched_patterns
             assert a.known_items == b.known_items

@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.core.pipeline import CuisineClusteringPipeline
-from repro.mining.bitmatrix import TransactionMatrix
+from repro.mining.itemsets import minimum_support_count
+from repro.mining.shm import CorpusMatrix
 from repro.serve.service import AnalysisService, MATRIX_FILE_SUFFIX
 
 CONFIG = AnalysisConfig(seed=11, scale=0.02, elbow_k_max=6)
@@ -52,19 +53,22 @@ class TestSidecarLifecycle:
         assert len(list(prefix.parent.glob("corpus-*.tids.npy"))) == 1
         assert list(prefix.parent.glob("corpus-*.rows.npy")) == []
 
-    def test_cold_compute_compiles_no_frozenset_matrix(self, service, monkeypatch):
-        """Regions are packed from the CSR, never compiled from frozensets."""
-        compiles = []
-        original = TransactionMatrix.__init__
+    def test_cold_compute_packs_each_region_once(self, service, monkeypatch):
+        """Every region is packed from the CSR once, at the config's support count."""
+        packed = []
+        original = CorpusMatrix.pack
 
-        def counting(self, transactions):
-            compiles.append(len(transactions))
-            return original(self, transactions)
+        def counting(corpus, region, min_count):
+            expected = minimum_support_count(
+                CONFIG.min_support, corpus.span_of(region).n_transactions
+            )
+            packed.append((region, min_count == expected))
+            return original(corpus, region, min_count)
 
-        monkeypatch.setattr(TransactionMatrix, "__init__", counting)
+        monkeypatch.setattr(CorpusMatrix, "pack", counting)
         served = service.get_or_run(CONFIG)
         assert served.source == "computed"
-        assert compiles == []
+        assert packed == [(region, True) for region in sorted(served.results.mining_results)]
 
     def test_fresh_service_maps_instead_of_compiling(
         self, service, tmp_path, compile_counter
@@ -79,13 +83,12 @@ class TestSidecarLifecycle:
         assert served.source == "computed"
         assert len(compile_counter) == compiles_after_first  # zero new compiles
 
-    def test_warm_mining_pass_reports_zero_compiles(self, service, tmp_path):
+    def test_warm_mining_pass_matches_the_cold_results(self, service, tmp_path):
         service.get_or_run(CONFIG)
         warm = AnalysisService(tmp_path / "cache")
         warm.invalidate(CONFIG, mining=True)
         served = warm.get_or_run(CONFIG)
         assert served.source == "computed"
-        assert warm.last_mining_report.compiles == 0
         assert served.results == service.get_or_run(CONFIG).results
 
     def test_corpus_change_invalidates_the_sidecar(
@@ -131,7 +134,4 @@ class TestSidecarLifecycle:
         assert "mining" not in service.describe()  # nothing mined yet
         served = service.get_or_run(CONFIG)
         payload = service.describe()
-        assert payload["mining"] == {
-            "regions": len(served.results.mining_results),
-            "matrix_compiles": 0,
-        }
+        assert payload["mining"] == {"regions": len(served.results.mining_results)}
